@@ -12,15 +12,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .estimator import EstimatorVariant, estimate_loading, predict_factors
-from .evaluate import (ExperimentGrid, aggregate, records_to_csv,
-                       run_experiment, summary_to_csv)
+from .evaluate import (INT_SWEEPS, SWEEPABLE_PARAMETERS, ExperimentGrid,
+                       aggregate, records_to_csv, run_experiment,
+                       summary_to_csv)
 from .exceptions import DeflationVarimaxError
 from .initialization import SUBTRACTION_MODES, InitScheme
 from .model import NoiseCovariance, SyntheticConfig, generate_dataset
@@ -65,62 +66,68 @@ def _parse_list(text: str) -> tuple:
     return items
 
 
+def _parse_choices(options):
+    parse_one = _parse_choice(options)
+    return lambda text: tuple(parse_one(item) for item in _parse_list(text))
+
+
 def _parse_rank(text: str):
     if text.strip() == "auto":
         return "auto"
     return int(text)
 
 
+def _default(cls, name: str):
+    """Default value of the dataclass field ``name`` of ``cls``."""
+    spec = next(spec for spec in fields(cls) if spec.name == name)
+    return spec.default if spec.default is not MISSING else spec.default_factory()
+
+
+_VARIANTS = tuple(variant.value for variant in EstimatorVariant)
+
 # Every accepted key with its value parser.
 _KEY_PARSERS = {
     "seed": int,
     "input_path": str,
     "output_path": str,
-    "threads": int,
     "n": int,
     "p": int,
     "r": _parse_rank,
     "r_max": int,
     "theta": float,
     "varepsilon2": float,
-    "noise_kind": _parse_choice(("identity", "heteroscedastic", "toeplitz")),
+    "noise_kind": _parse_choice(NoiseCovariance.KINDS),
     "noise_alpha": float,
     "noise_rho": float,
     "step_size": float,
     "grad_tol": float,
     "max_iters": int,
-    "variant": _parse_choice(("base", "improved1", "improved2")),
-    "init": _parse_choice(("random", "multi_random", "mom")),
+    "variant": _parse_choice(_VARIANTS),
+    "init": _parse_choice(InitScheme.LABELS),
     "init_draws": int,
     "init_slices": int,
-    "init_improved": _parse_bool,
     "mom_subtraction": _parse_choice(SUBTRACTION_MODES),
     "auto_fallback": _parse_bool,
-    "sweep_name": _parse_choice(("n", "p", "r", "varepsilon2", "theta")),
+    "sweep_name": _parse_choice(SWEEPABLE_PARAMETERS),
     "sweep_values": _parse_list,
-    "variants": _parse_list,
-    "init_schemes": _parse_list,
+    "variants": _parse_choices(_VARIANTS),
+    "init_schemes": _parse_choices(InitScheme.LABELS),
     "replications": int,
     "record_runtime": _parse_bool,
 }
 
 _DEFAULTS = {
     "output_path": ".",
-    "threads": 1,
-    "theta": 0.1,
-    "varepsilon2": 0.1,
-    "noise_kind": "identity",
-    "noise_alpha": 0.1,
-    "noise_rho": 0.5,
-    "step_size": 1e-5,
-    "grad_tol": 1e-6,
-    "max_iters": 5000,
-    "variant": "base",
-    "init": "mom",
-    "init_improved": False,
-    "mom_subtraction": "as_written",
-    "replications": 100,
-    "record_runtime": False,
+    **{key: _default(SyntheticConfig, key) for key in ("theta", "varepsilon2")},
+    "noise_kind": _default(SyntheticConfig, "noise_kind").kind,
+    "noise_alpha": _default(NoiseCovariance, "alpha"),
+    "noise_rho": _default(NoiseCovariance, "rho"),
+    **{key: _default(RotationSolveConfig, key)
+       for key in ("step_size", "grad_tol", "max_iters")},
+    "variant": _default(ExperimentGrid, "variants")[0].value,
+    "init": _default(ExperimentGrid, "init_schemes")[0].label,
+    **{key: _default(ExperimentGrid, key)
+       for key in ("mom_subtraction", "replications", "record_runtime")},
 }
 
 
@@ -162,31 +169,20 @@ def _require(config: dict, key: str, command: str):
     return config[key]
 
 
-def _build_noise_kind(config: dict) -> NoiseCovariance:
-    kind = config["noise_kind"]
-    if kind == "identity":
-        return NoiseCovariance.identity()
-    if kind == "heteroscedastic":
-        return NoiseCovariance.heteroscedastic(config["noise_alpha"])
-    return NoiseCovariance.toeplitz(config["noise_rho"])
-
-
 def _build_solve_config(config: dict) -> RotationSolveConfig:
     return RotationSolveConfig(step_size=config["step_size"],
                                grad_tol=config["grad_tol"],
                                max_iters=config["max_iters"])
 
 
-def _build_init_scheme(config: dict, name: Optional[str] = None) -> InitScheme:
-    kind = name if name is not None else config["init"]
-    if kind == "random":
-        return InitScheme.random()
-    if kind == "multi_random":
-        return InitScheme.multi_random(config.get("init_draws"))
-    if kind in ("mom", "mom_improved"):
-        improved = config["init_improved"] or kind == "mom_improved"
-        return InitScheme.method_of_moments(config.get("init_slices"), improved)
-    raise CliError(f"unknown init scheme: {kind!r}")
+def _build_init_scheme(config: dict, label: str) -> InitScheme:
+    return InitScheme.from_label(label, config.get("init_draws"),
+                                 config.get("init_slices"))
+
+
+def _given(config: dict, key: str) -> dict:
+    """``{key: value}`` if ``config`` sets ``key``; else the library default applies."""
+    return {key: config[key]} if key in config else {}
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +242,11 @@ def _synthetic_config(config: dict, command: str) -> SyntheticConfig:
         raise CliError(f"{command} requires a numeric r")
     seed = _require(config, "seed", command)
     try:
+        noise_kind = NoiseCovariance(config["noise_kind"], config["noise_alpha"],
+                                     config["noise_rho"])
         return SyntheticConfig(n=n, p=p, r=r, theta=config["theta"],
                                varepsilon2=config["varepsilon2"],
-                               noise_kind=_build_noise_kind(config), seed=seed)
+                               noise_kind=noise_kind, seed=seed)
     except ValueError as err:
         raise CliError(str(err)) from err
 
@@ -287,12 +285,12 @@ def cmd_estimate(config: dict) -> int:
     if not 1 <= r <= min(p, n):
         raise CliError(f"r={r} must lie in [1, min(p, n)={min(p, n)}]")
 
-    scheme = _build_init_scheme(config)
+    scheme = _build_init_scheme(config, config["init"])
     estimate = estimate_loading(
         x, r, EstimatorVariant(config["variant"]), scheme,
         _build_solve_config(config), substream(seed, "estimate"),
-        auto_fallback=config.get("auto_fallback", False),
-        mom_subtraction=config["mom_subtraction"])
+        mom_subtraction=config["mom_subtraction"],
+        **_given(config, "auto_fallback"))
     z_hat = predict_factors(estimate.decomposition, estimate.q_check)
 
     outdir = Path(config["output_path"])
@@ -331,7 +329,7 @@ def cmd_estimate(config: dict) -> int:
 
 
 def _parse_sweep_values(raw_values, sweep_name: str) -> tuple:
-    converter = int if sweep_name in ("n", "p", "r") else float
+    converter = int if sweep_name in INT_SWEEPS else float
     try:
         return tuple(converter(v) for v in raw_values)
     except ValueError as err:
@@ -346,13 +344,9 @@ def cmd_benchmark(config: dict) -> int:
                                  sweep_name)
 
     base = _synthetic_config(config, "benchmark")
-    variant_names = config.get("variants", (config["variant"],))
-    try:
-        variants = tuple(EstimatorVariant(name) for name in variant_names)
-    except ValueError as err:
-        raise CliError(f"variants: {err}") from err
-    schemes = tuple(_build_init_scheme(config, name)
-                    for name in config.get("init_schemes", (config["init"],)))
+    variants = config.get("variants", (config["variant"],))
+    schemes = tuple(_build_init_scheme(config, label)
+                    for label in config.get("init_schemes", (config["init"],)))
 
     try:
         grid = ExperimentGrid(
@@ -361,12 +355,12 @@ def cmd_benchmark(config: dict) -> int:
             replications=config["replications"], master_seed=config["seed"],
             solve_config=_build_solve_config(config),
             mom_subtraction=config["mom_subtraction"],
-            auto_fallback=config.get("auto_fallback", True),
-            record_runtime=config["record_runtime"])
+            record_runtime=config["record_runtime"],
+            **_given(config, "auto_fallback"))
     except ValueError as err:
         raise CliError(str(err)) from err
 
-    records = run_experiment(grid, threads=config["threads"])
+    records = run_experiment(grid)
     rows = aggregate(records)
 
     outdir = Path(config["output_path"])
@@ -419,10 +413,7 @@ def main(argv=None) -> int:
         if args.command == "estimate":
             return cmd_estimate(config)
         return cmd_benchmark(config)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (DeflationVarimaxError, ZeroDivisionError, ValueError) as err:
+    except (CliError, DeflationVarimaxError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:

@@ -131,7 +131,7 @@ def estimate_loading(x: np.ndarray, r: int,
 
     Raises
     ------
-    CorrectionInfeasibleError, ZeroDivisionError
+    CorrectionInfeasibleError
         If an improved variant is requested, the correction cannot be
         formed, and ``auto_fallback`` is off.
     """
@@ -152,7 +152,7 @@ def estimate_loading(x: np.ndarray, r: int,
     if variant != EstimatorVariant.BASE or init_scheme.improved:
         try:
             decomp = corrected_decomposition(decomp, x)
-        except (CorrectionInfeasibleError, ZeroDivisionError):
+        except CorrectionInfeasibleError:
             if not auto_fallback:
                 raise
             effective_variant = EstimatorVariant.BASE

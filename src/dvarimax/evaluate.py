@@ -18,9 +18,8 @@ grid points or reordering the grid does not perturb existing cells.
 """
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,6 +33,7 @@ from .rotation import RotationSolveConfig
 
 __all__ = [
     "SWEEPABLE_PARAMETERS",
+    "INT_SWEEPS",
     "ExperimentGrid",
     "ExperimentRecord",
     "SummaryRow",
@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 SWEEPABLE_PARAMETERS = ("n", "p", "r", "varepsilon2", "theta")
+# Sweepable parameters that take integer values; the rest are floats.
+INT_SWEEPS = ("n", "p", "r")
 
 RECORDS_HEADER = ("variant,init,sweep_name,sweep_value,rep,seed,error,"
                   "iters_total,fallback,runtime_ms")
@@ -121,6 +123,10 @@ class ExperimentGrid:
         object.__setattr__(
             self, "variants", tuple(EstimatorVariant(v) for v in self.variants))
         object.__setattr__(self, "init_schemes", tuple(self.init_schemes))
+        # a repeated entry would count the same cells twice in one summary row
+        labels = [scheme.label for scheme in self.init_schemes]
+        if len(set(self.variants)) < len(self.variants) or len(set(labels)) < len(labels):
+            raise ValueError("variants and init_schemes must not repeat an entry")
 
 
 @dataclass(frozen=True)
@@ -160,37 +166,23 @@ class SummaryRow:
     q75: float
 
 
-_INT_SWEEPS = ("n", "p", "r")
-
-
 def _cell_config(base: SyntheticConfig, sweep_name: str, value, seed: int) -> SyntheticConfig:
-    typed = int(value) if sweep_name in _INT_SWEEPS else float(value)
+    typed = int(value) if sweep_name in INT_SWEEPS else float(value)
     return replace(base, **{sweep_name: typed, "seed": seed})
 
 
-def run_experiment(grid: ExperimentGrid, threads: int = 1) -> list:
-    """Run every (sweep value x variant x init x replication) cell.
+def run_experiment(grid: ExperimentGrid) -> list:
+    """Run every (sweep value x variant x init x replication) cell in turn.
 
     Each cell's dataset seed derives from (master seed, sweep value,
     replication), shared across variants and init schemes; the estimation
     stream additionally keys on the variant and init labels.  Failures in
     a cell are recorded as NaN with a failure tag and never abort the
-    sweep.  Output order is lexicographic in (value, variant, init, rep)
-    regardless of the execution schedule or thread count.
+    sweep.  Output order is lexicographic in (value, variant, init, rep).
+    With ``grid.record_runtime`` each record carries the estimate's own
+    ``runtime_ms``; otherwise it is 0.0, so reruns are byte-identical.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-
-    tasks = [
-        (value, variant, scheme, rep)
-        for value in grid.sweep_values
-        for variant in grid.variants
-        for scheme in grid.init_schemes
-        for rep in range(grid.replications)
-    ]
-
-    def run_cell(task) -> ExperimentRecord:
-        value, variant, scheme, rep = task
+    def run_cell(value, variant, scheme, rep) -> ExperimentRecord:
         data_seed = derive_seed(grid.master_seed, "data", grid.sweep_name,
                                 value, rep)
         common = dict(variant=variant.value, init=scheme.label,
@@ -201,18 +193,17 @@ def run_experiment(grid: ExperimentGrid, threads: int = 1) -> list:
             observed, truth = generate_dataset(config)
             est_rng = substream(grid.master_seed, "estimate", variant.value,
                                 scheme.label, grid.sweep_name, value, rep)
-            t_start = time.perf_counter()
             estimate = estimate_loading(
                 observed.data, config.r, variant, scheme, grid.solve_config,
                 est_rng, auto_fallback=grid.auto_fallback,
                 mom_subtraction=grid.mom_subtraction)
-            elapsed_ms = (time.perf_counter() - t_start) * 1000.0
             error, _ = signed_permutation_error(estimate.lambda_hat, truth.loading)
+            diag = estimate.diagnostics
             return ExperimentRecord(
                 error=error,
-                iter_counts=tuple(int(i) for i in estimate.diagnostics.iter_counts),
-                fallback=estimate.diagnostics.fallback,
-                runtime_ms=elapsed_ms if grid.record_runtime else 0.0,
+                iter_counts=tuple(int(i) for i in diag.iter_counts),
+                fallback=diag.fallback,
+                runtime_ms=diag.runtime_ms if grid.record_runtime else 0.0,
                 **common)
         except Exception as exc:  # failures must never abort the sweep
             return ExperimentRecord(
@@ -220,10 +211,9 @@ def run_experiment(grid: ExperimentGrid, threads: int = 1) -> list:
                 failure=f"{type(exc).__name__}: {exc}",
                 **common)
 
-    if threads == 1:
-        return [run_cell(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run_cell, tasks))
+    return [run_cell(*cell) for cell in product(
+        grid.sweep_values, grid.variants, grid.init_schemes,
+        range(grid.replications))]
 
 
 def aggregate(records: Sequence[ExperimentRecord]) -> list:

@@ -65,6 +65,7 @@ class InitScheme:
     improved: bool = False
 
     _KINDS = ("random", "multi_random", "mom")
+    LABELS = _KINDS + ("mom_improved",)
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -88,6 +89,16 @@ class InitScheme:
     def method_of_moments(cls, slices: Optional[int] = None,
                           improved: bool = False) -> "InitScheme":
         return cls("mom", slices=slices, improved=improved)
+
+    @classmethod
+    def from_label(cls, label: str, draws: Optional[int] = None,
+                   slices: Optional[int] = None) -> "InitScheme":
+        """Inverse of :attr:`label`; each scheme keeps the setting it uses."""
+        if label == "multi_random":
+            return cls.multi_random(draws)
+        if label in ("mom", "mom_improved"):
+            return cls.method_of_moments(slices, label == "mom_improved")
+        return cls(label)
 
     @property
     def label(self) -> str:

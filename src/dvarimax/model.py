@@ -119,13 +119,13 @@ class NoiseCovariance:
     """
 
     kind: str
-    alpha: float = 0.0
+    alpha: float = 0.1
     rho: float = 0.5
 
-    _KINDS = ("identity", "heteroscedastic", "toeplitz")
+    KINDS = ("identity", "heteroscedastic", "toeplitz")
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown noise covariance kind: {self.kind!r}")
         if self.kind == "heteroscedastic" and self.alpha < 0:
             raise ValueError("heteroscedastic exponent alpha must be >= 0")

@@ -86,6 +86,8 @@ def eigendecompose(x: np.ndarray, r: int) -> PcaDecomposition:
 
     Raises
     ------
+    ValueError
+        If ``x`` is not 2-D or holds NaN or Inf, or r exceeds min(p, n).
     RankDeficiencyError
         If the r-th eigenvalue is at or below ``EIGENVALUE_FLOOR`` times
         the largest one.
@@ -96,6 +98,8 @@ def eigendecompose(x: np.ndarray, r: int) -> PcaDecomposition:
     p, n = x.shape
     if not 1 <= r <= min(p, n):
         raise ValueError(f"r={r} must lie in [1, min(p, n)={min(p, n)}]")
+    if not np.isfinite(x).all():
+        raise ValueError("observation matrix contains NaN or Inf entries")
 
     if p > 4 * n:
         u, s, _ = np.linalg.svd(x / np.sqrt(n), full_matrices=False)
@@ -131,13 +135,13 @@ def noise_variance_estimate(decomp: PcaDecomposition, p: int) -> float:
 
     Raises
     ------
-    ZeroDivisionError
+    CorrectionInfeasibleError
         If p <= r; there are no trailing eigenvalues, so callers must use
         the uncorrected pipeline.
     """
     r = decomp.r
     if p <= r:
-        raise ZeroDivisionError(
+        raise CorrectionInfeasibleError(
             f"p={p} <= r={r} leaves no trailing eigenvalues; "
             "use the uncorrected pipeline"
         )

@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from dvarimax import signed_permutation_error
+from dvarimax import (EstimatorVariant, InitScheme, NoiseCovariance,
+                      signed_permutation_error)
 from dvarimax.cli import (CliError, main, parse_config_text, read_matrix_csv,
                           resolve_config, write_matrix_csv)
+from dvarimax.evaluate import SWEEPABLE_PARAMETERS
 
 
 def _write_config(tmp_path, name, **entries):
@@ -176,6 +178,17 @@ def test_estimate_rejects_oversized_rank(tmp_path, simulated, capsys):
     assert "r=11" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("r", ["2", "auto"])
+def test_estimate_rejects_non_finite_input(tmp_path, capsys, r):
+    x = np.ones((4, 6))
+    x[2, 3] = np.nan
+    write_matrix_csv(tmp_path / "X.csv", x, "rows=4 cols=6")
+    config = _write_config(tmp_path, "nan.cfg", input_path=tmp_path / "X.csv",
+                           output_path=tmp_path / "out", r=r, seed=1)
+    assert _run("estimate", "--config", config) == 2
+    assert "NaN or Inf" in capsys.readouterr().err
+
+
 def test_estimate_missing_input_is_io_error(tmp_path, capsys):
     config = _write_config(tmp_path, "gone.cfg", input_path=tmp_path / "nope.csv",
                            output_path=tmp_path, r=2, seed=1)
@@ -215,16 +228,52 @@ def test_benchmark_requires_seed(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+# base value of each sweepable parameter in _benchmark_config
+_SWEEP_BASE = {"n": 120, "p": 8, "r": 2, "theta": 0.3, "varepsilon2": 0.05}
+_CHOICES = (
+    [{"variant": variant.value} for variant in EstimatorVariant]
+    + [{key: label} for label in InitScheme.LABELS for key in ("init", "init_schemes")]
+    + [{"noise_kind": kind} for kind in NoiseCovariance.KINDS]
+    + [{"sweep_name": name, "sweep_values": _SWEEP_BASE[name]}
+       for name in SWEEPABLE_PARAMETERS]
+)
+# records.csv column that echoes each choice
+_CHOICE_COLUMN = {"variant": 0, "init": 1, "init_schemes": 1, "sweep_name": 2}
+
+
+@pytest.mark.parametrize(
+    "choice", _CHOICES,
+    ids=["-".join(f"{k}={v}" for k, v in c.items()) for c in _CHOICES])
+def test_benchmark_accepts_every_library_choice(tmp_path, choice):
+    out = tmp_path / "bench"
+    assert _run("benchmark", "--config",
+                _benchmark_config(tmp_path, out, **choice)) == 0
+    record = (out / "records.csv").read_text().splitlines()[1].split(",")
+    summary = (out / "summary.csv").read_text().splitlines()[1].split(",")
+    assert summary[5] == "0"   # n_fail
+    for key, value in choice.items():
+        if key in _CHOICE_COLUMN:
+            assert record[_CHOICE_COLUMN[key]] == value
+
+
+@pytest.mark.parametrize("repeat", [dict(variants="base,base"),
+                                    dict(init_schemes="mom,mom")])
+def test_benchmark_rejects_repeated_entries(tmp_path, capsys, repeat):
+    config = _benchmark_config(tmp_path, tmp_path / "bench", **repeat)
+    assert _run("benchmark", "--config", config) == 2
+    assert "repeat" in capsys.readouterr().err
+
+
 def test_benchmark_byte_identical_across_runs_and_threads(tmp_path):
     outputs = []
-    for sub, threads in (("t1", 1), ("t1b", 1), ("t4", 4)):
+    for sub in ("t1", "t1b"):
         out = tmp_path / sub
         config = _benchmark_config(tmp_path, out, sweep_values="80,120",
-                                   replications=2, threads=threads)
+                                   replications=2)
         assert _run("benchmark", "--config", config) == 0
         outputs.append(((out / "records.csv").read_bytes(),
                         (out / "summary.csv").read_bytes()))
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
 
 
 def test_benchmark_survives_cell_failures(tmp_path):

@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 from helpers import random_orthogonal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvarimax import (CorrectionInfeasibleError, EstimatorVariant, InitScheme,
                       PcaDecomposition, RotationSolveConfig, SyntheticConfig,
@@ -46,6 +48,26 @@ def test_every_variant_has_unit_operator_norm():
         assert abs(np.linalg.norm(est.lambda_hat, 2) - 1.0) <= 1e-10
         q = est.q_check
         assert np.linalg.norm(q.T @ q - np.eye(3)) <= 1e-10
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 3), log_scale=st.floats(-3.0, 3.0),
+       variant=st.sampled_from(list(EstimatorVariant)))
+def test_lambda_hat_invariant_to_data_scale(seed, log_scale, variant):
+    observed, _ = _dataset(seed=seed)
+    fits = [estimate_loading(c * observed.data, 3, variant, MOM, FAST,
+                             substream(seed, "scale"))
+            for c in (1.0, 10.0 ** log_scale)]
+    assert np.max(np.abs(fits[0].lambda_hat - fits[1].lambda_hat)) <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected(bad):
+    observed, _ = _dataset()
+    x = observed.data.copy()
+    x[1, 2] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        estimate_loading(x, 3, "base", MOM, FAST, substream(0, "est"))
 
 
 def test_estimate_deterministic():
@@ -98,7 +120,7 @@ def _infeasible_input():
 
 def test_improved_without_fallback_raises():
     x = _infeasible_input()
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(CorrectionInfeasibleError):
         estimate_loading(x, 3, "improved1", MOM, FAST, substream(5, "est"))
 
 

@@ -118,10 +118,18 @@ def test_single_cell_single_record():
 
 def test_experiment_deterministic_and_thread_invariant():
     grid = _small_grid(sweep_values=(80, 120), replications=3)
-    a = run_experiment(grid, threads=1)
-    b = run_experiment(grid, threads=1)
-    c = run_experiment(grid, threads=3)
-    assert a == b == c
+    a = run_experiment(grid)
+    b = run_experiment(grid)
+    assert a == b
+
+
+def test_grid_rejects_repeated_entries():
+    with pytest.raises(ValueError, match="repeat"):
+        _small_grid(variants=(EstimatorVariant.BASE, "base"))
+    # schemes that differ only in a setting still share one label
+    with pytest.raises(ValueError, match="repeat"):
+        _small_grid(init_schemes=(InitScheme.method_of_moments(8),
+                                  InitScheme.method_of_moments(16)))
 
 
 def test_datasets_shared_across_variants():
@@ -155,7 +163,7 @@ def test_failures_recorded_not_raised():
 def test_lexicographic_output_order():
     grid = _small_grid(sweep_values=(80, 120), replications=2,
                        variants=(EstimatorVariant.BASE, EstimatorVariant.IMPROVED1))
-    records = run_experiment(grid, threads=4)
+    records = run_experiment(grid)
     keys = [(rec.sweep_value, rec.variant, rec.init, rec.rep) for rec in records]
     expected = [(value, variant, "mom", rep)
                 for value in (80, 120)

@@ -32,6 +32,19 @@ def test_init_scheme_defaults_and_labels():
         InitScheme.multi_random(0)
 
 
+@pytest.mark.parametrize("label", InitScheme.LABELS)
+def test_from_label_inverts_label(label):
+    scheme = InitScheme.from_label(label, draws=3, slices=5)
+    assert scheme.label == label
+    assert scheme.draws == (3 if label == "multi_random" else None)
+    assert scheme.slices == (5 if label.startswith("mom") else None)
+
+
+def test_from_label_rejects_unknown():
+    with pytest.raises(ValueError, match="unknown init scheme"):
+        InitScheme.from_label("bogus")
+
+
 # ---------------------------------------------------------------------------
 # complement projector / basis
 # ---------------------------------------------------------------------------

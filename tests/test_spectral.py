@@ -109,7 +109,7 @@ def test_noise_variance_zero_tail_is_exact_zero():
 
 def test_noise_variance_requires_p_above_r():
     decomp = _decomp_from_eigvals([2.0, 1.0], r=2)
-    with pytest.raises(ZeroDivisionError, match="uncorrected"):
+    with pytest.raises(CorrectionInfeasibleError, match="uncorrected"):
         noise_variance_estimate(decomp, 2)
 
 
