@@ -11,17 +11,18 @@ from .exceptions import (CorrectionInfeasibleError, DeflationVarimaxError,
                          DegenerateProjectorError, DegenerateSlicingError,
                          DegenerateSolutionsError, DivergenceError, NoSignalError,
                          RankDeficiencyError)
-from .initialization import (InitScheme, complement_basis, complement_projector,
+from .initialization import (InitScheme, complement_projector,
                              make_init_provider, mom_init, mom_matrix,
                              multi_random_init, random_init)
 from .model import (GroundTruth, NoiseCovariance, ObservationMatrix,
                     SyntheticConfig, generate_dataset, generate_factors,
                     generate_loading, realize_noise_covariance)
 from .rng import derive_seed, substream
-from .rotation import (RotationResult, RotationSolveConfig, corrected_gradient,
-                       deflate, objective, pgd_solve, population_gradient_h,
-                       population_objective, riemannian_gradient,
-                       symmetric_orthogonalize)
+from .rotation import (FourthMoment, RotationResult, RotationSolveConfig,
+                       complement_basis, corrected_gradient, deflate,
+                       fourth_moment, objective, pgd_solve,
+                       population_gradient_h, population_objective,
+                       riemannian_gradient, symmetric_orthogonalize)
 from .spectral import (PcaDecomposition, corrected_decomposition, eigendecompose,
                        noise_variance_estimate, select_rank)
 
@@ -35,11 +36,12 @@ __all__ = [
     "PcaDecomposition", "eigendecompose", "noise_variance_estimate",
     "corrected_decomposition", "select_rank",
     # rotation
-    "RotationSolveConfig", "RotationResult", "objective", "riemannian_gradient",
-    "corrected_gradient", "pgd_solve", "deflate", "symmetric_orthogonalize",
+    "RotationSolveConfig", "RotationResult", "FourthMoment", "fourth_moment",
+    "objective", "riemannian_gradient", "corrected_gradient", "pgd_solve",
+    "complement_basis", "deflate", "symmetric_orthogonalize",
     "population_objective", "population_gradient_h",
     # initialization
-    "InitScheme", "complement_projector", "complement_basis", "random_init",
+    "InitScheme", "complement_projector", "random_init",
     "multi_random_init", "mom_matrix", "mom_init", "make_init_provider",
     # estimator
     "EstimatorVariant", "EstimateDiagnostics", "LoadingEstimate",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import CorrectionInfeasibleError
 from .initialization import InitScheme, make_init_provider
-from .rotation import RotationSolveConfig, deflate
+from .rotation import RotationSolveConfig, deflate, fourth_moment
 from .spectral import PcaDecomposition, corrected_decomposition, eigendecompose
 
 __all__ = [
@@ -33,10 +33,6 @@ __all__ = [
     "loading_from_rotation",
     "predict_factors",
 ]
-
-# Smallest singular value of the stacked rotation columns below which the
-# deflation likely recovered duplicate directions.
-_NEAR_DUPLICATE_THRESHOLD = 0.1
 
 
 class EstimatorVariant(str, Enum):
@@ -57,7 +53,7 @@ class EstimateDiagnostics:
     effective_variant: str
     init_label: str
     fallback: bool
-    near_duplicate: bool
+    near_duplicate: bool         # a deflation round was re-solved in the complement
     runtime_ms: float
 
 
@@ -171,16 +167,16 @@ def estimate_loading(x: np.ndarray, r: int,
     sigma_u = None
     if effective_scheme.improved:
         sigma_u = np.eye(r) + decomp.sigma_n_hat
-    provider = make_init_provider(effective_scheme, scores, rng,
+    # The rotation stage reads the scores only through this statistic.
+    stat = fourth_moment(scores)
+    provider = make_init_provider(effective_scheme, stat, rng,
                                   sigma_u=sigma_u, subtraction=mom_subtraction)
-    rotation = deflate(scores, r, provider, config)
+    rotation = deflate(stat, r, provider, config)
 
     lambda_hat = loading_from_rotation(
         decomp, rotation.q_check,
         corrected=effective_variant != EstimatorVariant.BASE)
 
-    near_duplicate = bool(
-        np.linalg.svd(rotation.q_hat, compute_uv=False)[-1] < _NEAR_DUPLICATE_THRESHOLD)
     diagnostics = EstimateDiagnostics(
         iter_counts=rotation.iter_counts,
         grad_norms=rotation.grad_norms,
@@ -190,7 +186,7 @@ def estimate_loading(x: np.ndarray, r: int,
         effective_variant=effective_variant.value,
         init_label=effective_scheme.label,
         fallback=fallback,
-        near_duplicate=near_duplicate,
+        near_duplicate=bool(np.any(rotation.restricted)),
         runtime_ms=(time.perf_counter() - t_start) * 1000.0,
     )
     return LoadingEstimate(

@@ -51,7 +51,7 @@ SWEEPABLE_PARAMETERS = ("n", "p", "r", "varepsilon2", "theta")
 INT_SWEEPS = ("n", "p", "r")
 
 RECORDS_HEADER = ("variant,init,sweep_name,sweep_value,rep,seed,error,"
-                  "iters_total,fallback,runtime_ms")
+                  "iters_total,fallback,runtime_ms,failure")
 SUMMARY_HEADER = ("variant,init,sweep_name,sweep_value,n_ok,n_fail,"
                   "mean,median,q25,q75")
 
@@ -258,8 +258,20 @@ def _format_value(value) -> str:
     return repr(float(value))
 
 
+def _quote(text: str) -> str:
+    """One CSV field, quoted as RFC 4180 asks when it holds a separator,
+    a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def records_to_csv(records: Sequence[ExperimentRecord], path) -> None:
-    """Write records with the fixed benchmark header, one row per cell."""
+    """Write records with the fixed benchmark header, one row per cell.
+
+    ``failure`` is empty for a cell that ran and holds the exception's
+    type and message for one that failed.
+    """
     lines = [RECORDS_HEADER]
     for rec in records:
         lines.append(",".join([
@@ -273,6 +285,7 @@ def records_to_csv(records: Sequence[ExperimentRecord], path) -> None:
             str(rec.iters_total),
             _format_value(rec.fallback),
             _format_value(rec.runtime_ms),
+            _quote(rec.failure),
         ]))
     with open(path, "w", encoding="utf8", newline="") as handle:
         handle.write("\n".join(lines) + "\n")

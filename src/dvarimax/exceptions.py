@@ -32,6 +32,9 @@ class DegenerateSolutionsError(DeflationVarimaxError):
 
     This signals that two deflation rounds recovered (nearly) the same
     column, so no orthogonal matrix is close to the stacked solutions.
+    The deflation re-solves such a round in the orthogonal complement of
+    the earlier columns, and raises this error only when the round's
+    initializer has no component in that complement.
     """
 
 

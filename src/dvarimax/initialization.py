@@ -13,7 +13,9 @@ Three providers are available for starting each column solve:
 
   project it onto the complement of the solved columns on both sides,
   and keep the slice whose top two singular values have the largest gap.
-  Its leading left singular vector is the initializer.
+  Its leading left singular vector is the initializer.  All N slices are
+  read from the fourth-moment statistic T of the scores at once, as
+  (1/3) reshape(T vec(G)) minus the subtraction, with one batched SVD.
 
 Two subtraction modes are supported for the moment matrix.  The default
 ``as_written`` subtracts G + G^T (improved form: with the score covariance
@@ -31,13 +33,12 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import DegenerateProjectorError, DegenerateSlicingError
-from .rotation import objective
+from .rotation import FourthMoment, _check_prior, complement_basis, fourth_moment
 
 __all__ = [
     "InitScheme",
     "SUBTRACTION_MODES",
     "complement_projector",
-    "complement_basis",
     "random_init",
     "multi_random_init",
     "mom_matrix",
@@ -46,8 +47,6 @@ __all__ = [
 ]
 
 SUBTRACTION_MODES = ("as_written", "lemma_consistent")
-
-_UNIT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -114,39 +113,10 @@ class InitScheme:
         return self.slices if self.slices is not None else max(16, 4 * r * r)
 
 
-def _check_prior(prior: np.ndarray) -> np.ndarray:
-    prior = np.asarray(prior, dtype=float)
-    if prior.ndim != 2:
-        raise ValueError("prior columns must form a 2-D r x k array")
-    if prior.shape[1]:
-        norms = np.linalg.norm(prior, axis=0)
-        if np.max(np.abs(norms - 1.0)) > _UNIT_TOL:
-            raise ValueError("prior columns must be unit-norm")
-    return prior
-
-
 def complement_projector(prior: np.ndarray) -> np.ndarray:
     """I - sum_i q_i q_i^T over the prior columns (identity for none)."""
     prior = _check_prior(prior)
     return np.eye(prior.shape[0]) - prior @ prior.T
-
-
-def complement_basis(prior: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the prior columns.
-
-    Computed from the trailing left singular vectors of the prior block,
-    which is exact for orthonormal priors and stable when they are only
-    nearly so.  Returns r x (r - k).
-    """
-    prior = _check_prior(prior)
-    r, k = prior.shape
-    if k >= r:
-        raise DegenerateProjectorError(
-            f"{k} prior columns leave no complement in dimension {r}")
-    if k == 0:
-        return np.eye(r)
-    left, _, _ = np.linalg.svd(prior, full_matrices=True)
-    return left[:, k:]
 
 
 def random_init(prior: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -160,17 +130,41 @@ def random_init(prior: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return v / nrm
 
 
-def multi_random_init(u: np.ndarray, prior: np.ndarray, draws: int,
+def multi_random_init(u, prior: np.ndarray, draws: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Best of ``draws`` random initializers by quartic objective value.
 
-    Ties break toward the earliest draw.
+    ``u`` is the r x n score matrix or its :class:`FourthMoment`.  Ties
+    break toward the earliest draw.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
+    stat = fourth_moment(u)
     candidates = [random_init(prior, rng) for _ in range(draws)]
-    values = [objective(c, u) for c in candidates]
+    values = [stat.objective(c) for c in candidates]
     return candidates[int(np.argmin(values))]
+
+
+def _subtracted(g: np.ndarray, improved: bool, sigma_u: Optional[np.ndarray],
+                subtraction: str) -> np.ndarray:
+    """The term a moment slice subtracts, for one G or a stack (..., r, r)."""
+    if subtraction not in SUBTRACTION_MODES:
+        raise ValueError(f"unknown subtraction mode: {subtraction!r}")
+    r = g.shape[-1]
+    sym = g + np.swapaxes(g, -1, -2)
+    if not improved:
+        if subtraction == "as_written":
+            return sym
+        trace = np.trace(g, axis1=-2, axis2=-1)[..., None, None]
+        return (trace * np.eye(r) + sym) / 3.0
+    if sigma_u is None:
+        raise ValueError("improved moment matrix requires sigma_u")
+    sigma_u = np.asarray(sigma_u, dtype=float)
+    if sigma_u.shape != (r, r):
+        raise ValueError(f"sigma_u must be {r} x {r}")
+    trace = np.einsum("...ij,ji->...", g, sigma_u)[..., None, None]
+    term = sigma_u @ sym @ sigma_u + trace * sigma_u
+    return term if subtraction == "as_written" else term / 3.0
 
 
 def mom_matrix(u: np.ndarray, g: np.ndarray, improved: bool = False,
@@ -184,6 +178,9 @@ def mom_matrix(u: np.ndarray, g: np.ndarray, improved: bool = False,
     "lemma_consistent"`` both subtracted terms carry a factor 1/3 and the
     plain form gains a (1/3) tr(G) I term, matching the exact whitened
     fourth-moment expectation.  The map G -> M(G) is linear either way.
+
+    Computed from the scores; :func:`mom_init` computes the same slices
+    from the fourth-moment statistic.
     """
     u = np.asarray(u, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -192,35 +189,27 @@ def mom_matrix(u: np.ndarray, g: np.ndarray, improved: bool = False,
     r, n = u.shape
     if g.shape != (r, r):
         raise ValueError(f"g must be {r} x {r}")
-    if subtraction not in SUBTRACTION_MODES:
-        raise ValueError(f"unknown subtraction mode: {subtraction!r}")
-
+    subtracted = _subtracted(g, improved, sigma_u, subtraction)
     quad = np.einsum("it,ij,jt->t", u, g, u)
-    m = (u * quad) @ u.T / (3 * n)
-    sym = g + g.T
-    if improved:
-        if sigma_u is None:
-            raise ValueError("improved moment matrix requires sigma_u")
-        sigma_u = np.asarray(sigma_u, dtype=float)
-        if sigma_u.shape != (r, r):
-            raise ValueError(f"sigma_u must be {r} x {r}")
-        weighted = sigma_u @ sym @ sigma_u
-        trace_term = float(np.trace(g @ sigma_u)) * sigma_u
-        if subtraction == "as_written":
-            return m - weighted - trace_term
-        return m - weighted / 3.0 - trace_term / 3.0
-    if subtraction == "as_written":
-        return m - sym
-    return m - float(np.trace(g)) * np.eye(r) / 3.0 - sym / 3.0
+    return (u * quad) @ u.T / (3 * n) - subtracted
 
 
-def mom_init(u: np.ndarray, prior: np.ndarray, n_slices: int,
+def _mom_slices(stat: FourthMoment, g: np.ndarray, improved: bool,
+                sigma_u: Optional[np.ndarray], subtraction: str) -> np.ndarray:
+    """:func:`mom_matrix` for a stack of slices (..., r, r), read from the
+    statistic as (1/3) reshape(T vec(G)) - <subtraction>."""
+    return stat.contract(g) / 3.0 - _subtracted(g, improved, sigma_u, subtraction)
+
+
+def mom_init(u, prior: np.ndarray, n_slices: int,
              improved: bool = False, sigma_u: Optional[np.ndarray] = None,
              rng: np.random.Generator = None,
              subtraction: str = "as_written") -> np.ndarray:
     """Method-of-moments initializer via multiple random slicings.
 
-    Draws ``n_slices`` standard-normal r x r matrices, projects each
+    ``u`` is the r x n score matrix or its :class:`FourthMoment`.  Draws
+    ``n_slices`` standard-normal r x r matrices (one (n_slices, r, r)
+    draw, the same stream as n_slices separate ones), projects each
     moment slice onto the complement of the prior columns on both sides,
     and returns the leading left singular vector of the slice with the
     largest top-two singular-value gap (ties to the earliest slice).  The
@@ -231,52 +220,48 @@ def mom_init(u: np.ndarray, prior: np.ndarray, n_slices: int,
     DegenerateSlicingError
         If every slice has a gap below 1e-12.
     """
-    u = np.asarray(u, dtype=float)
     if n_slices < 1:
         raise ValueError("n_slices must be >= 1")
-    r = u.shape[0]
+    stat = fourth_moment(u)
+    r = stat.r
     if r == 1:
         return np.ones(1)
     proj = complement_projector(prior)
 
-    slices = [rng.standard_normal((r, r)) for _ in range(n_slices)]
-    gaps = np.empty(n_slices)
-    leading = []
-    for i, g in enumerate(slices):
-        m = proj @ mom_matrix(u, g, improved=improved, sigma_u=sigma_u,
-                              subtraction=subtraction) @ proj
-        left, singulars, _ = np.linalg.svd(m)
-        gaps[i] = singulars[0] - singulars[1]
-        leading.append(left[:, 0])
+    g = rng.standard_normal((n_slices, r, r))
+    m = proj @ _mom_slices(stat, g, improved, sigma_u, subtraction) @ proj
+    left, singulars, _ = np.linalg.svd(m)
+    gaps = singulars[:, 0] - singulars[:, 1]
     if np.max(gaps) < 1e-12:
         raise DegenerateSlicingError(
             "every random slice has a zero singular-value gap")
-    best = leading[int(np.argmax(gaps))]
+    best = left[int(np.argmax(gaps)), :, 0]
     if best[np.argmax(np.abs(best))] < 0:
         best = -best
     return best
 
 
-def make_init_provider(scheme: InitScheme, u: np.ndarray,
+def make_init_provider(scheme: InitScheme, u,
                        rng: np.random.Generator, *,
                        sigma_u: Optional[np.ndarray] = None,
                        subtraction: str = "as_written"):
     """Build the ``(k, prior) -> q0`` callable used by the deflation loop.
 
-    The provider consumes ``rng`` sequentially across rounds, so a fixed
-    seed fixes the whole initialization sequence.
+    ``u`` is the r x n score matrix or its :class:`FourthMoment`, which
+    every round then reads.  The provider consumes ``rng`` sequentially
+    across rounds, so a fixed seed fixes the whole initialization sequence.
     """
-    u = np.asarray(u, dtype=float)
-    r = u.shape[0]
+    stat = fourth_moment(u)
+    r = stat.r
     if scheme.kind == "random":
         return lambda k, prior: random_init(prior, rng)
     if scheme.kind == "multi_random":
         draws = scheme.draws_for(r)
-        return lambda k, prior: multi_random_init(u, prior, draws, rng)
+        return lambda k, prior: multi_random_init(stat, prior, draws, rng)
     if scheme.improved and sigma_u is None:
         raise ValueError("improved mom init requires a score covariance estimate")
     n_slices = scheme.slices_for(r)
     chosen_sigma_u = sigma_u if scheme.improved else None
     return lambda k, prior: mom_init(
-        u, prior, n_slices, improved=scheme.improved,
+        stat, prior, n_slices, improved=scheme.improved,
         sigma_u=chosen_sigma_u, rng=rng, subtraction=subtraction)

@@ -10,9 +10,19 @@ by projected gradient descent with the Riemannian gradient
 
 where P_q = I - q q^T projects onto the tangent space of the sphere.
 Columns are solved one at a time with NO orthogonality constraint against
-previously solved columns; a single symmetric orthogonalization at the
-end replaces the stacked solutions by the nearest orthonormal-column
-matrix.
+previously solved columns, unless a round re-finds a prior direction: then
+that round is solved again on the sphere of the orthogonal complement of
+the earlier columns.  A single symmetric orthogonalization at the end
+replaces the stacked solutions by the nearest orthonormal-column matrix.
+
+The solver reads the scores U (r x n) only through their fourth-moment
+statistic T = (1/n) sum_t U_t (x) U_t (x) U_t (x) U_t, built once per
+score matrix (:func:`fourth_moment`) and stored as an r^2 x r^2 matrix.
+The gradient is -(1/3) P_q reshape(T vec(q q^T)) q and the objective
+-(1/12) vec(q q^T)^T T vec(q q^T), so a PGD iteration costs O(r^4)
+whatever n is; T holds r^4 doubles (r = 10: 80 KB).  The score-based
+:func:`objective`, :func:`riemannian_gradient` and
+:func:`corrected_gradient` compute the same quantities from U directly.
 
 A bias-corrected gradient variant adds ``(1 + q^T S q) * P_q S q`` for a
 symmetric matrix S estimating the covariance of the additive error in the
@@ -24,19 +34,24 @@ as test oracles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import DegenerateSolutionsError, DivergenceError
+from .exceptions import (DegenerateProjectorError, DegenerateSolutionsError,
+                         DivergenceError)
 
 __all__ = [
     "RotationSolveConfig",
     "RotationResult",
+    "FourthMoment",
+    "fourth_moment",
     "objective",
     "riemannian_gradient",
     "corrected_gradient",
     "pgd_solve",
+    "complement_basis",
     "deflate",
     "symmetric_orthogonalize",
     "population_objective",
@@ -45,6 +60,10 @@ __all__ = [
 
 _UNIT_TOL = 1e-8       # how far |q|_2 may sit from 1 on input
 _MIN_ITERATE_NORM = 1e-14
+# Smallest singular value of the stacked columns q_1..q_k below which round
+# k is taken to have re-found an earlier direction and is solved again in
+# the orthogonal complement of q_1..q_{k-1}.
+_NEAR_DUPLICATE_THRESHOLD = 0.1
 
 
 def _check_unit(q: np.ndarray) -> np.ndarray:
@@ -65,6 +84,71 @@ def _check_scores(q: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: q has {q.shape[0]} entries, "
                          f"scores have {u.shape[0]} rows")
     return u
+
+
+@dataclass(frozen=True)
+class FourthMoment:
+    """Fourth-moment statistic of an r x n score matrix U.
+
+    ``matrix`` is T with T[i*r + j, k*r + l] = (1/n) sum_t U_it U_jt U_kt U_lt,
+    symmetric under every permutation of (i, j, k, l).  Build it with
+    :func:`fourth_moment`.
+    """
+
+    matrix: np.ndarray   # r^2 x r^2
+    r: int
+    n: int
+
+    def contract(self, m: np.ndarray) -> np.ndarray:
+        """reshape(T vec(M)) = (1/n) sum_t U_t U_t^T (U_t^T M U_t).
+
+        ``m`` is one r x r matrix or a stack of shape (..., r, r).
+        """
+        m = np.asarray(m, dtype=float)
+        flat = m.reshape(-1, self.r * self.r)
+        return (flat @ self.matrix).reshape(m.shape)
+
+    def objective(self, q: np.ndarray) -> float:
+        """Quartic objective -(1/12) vec(q q^T)^T T vec(q q^T)."""
+        v = (q[:, None] * q).ravel()
+        return -float(v @ self.matrix @ v) / 12
+
+    def gradient(self, q: np.ndarray,
+                 sigma_n: np.ndarray | None = None) -> np.ndarray:
+        """Riemannian gradient at unit q, bias-corrected when ``sigma_n`` is given.
+
+        The ambient gradient -(1/3) reshape(T vec(q q^T)) q, plus
+        (1 + q^T S q) S q for S = ``sigma_n``, projected once onto the
+        tangent space at q; this runs in every PGD iteration.
+        """
+        w = (self.matrix @ (q[:, None] * q).ravel()).reshape(self.r, self.r) @ q / -3
+        if sigma_n is not None:
+            s = sigma_n @ q
+            w = w + (1.0 + q @ s) * s
+        return w - q * (q @ w)
+
+    def restrict(self, basis: np.ndarray) -> "FourthMoment":
+        """Statistic of the scores B^T U for an r x m basis B:
+        (B (x) B)^T T (B (x) B)."""
+        kron = np.kron(basis, basis)
+        return FourthMoment(kron.T @ self.matrix @ kron, basis.shape[1], self.n)
+
+
+def fourth_moment(u) -> FourthMoment:
+    """Fourth-moment statistic of the r x n score matrix ``u``.
+
+    Built as (W W^T) / n with W[i*r + j, t] = U_it U_jt, in O(n r^4) time
+    and r^2 n memory.  A :class:`FourthMoment` is returned unchanged, so
+    callers may pass either scores or a prebuilt statistic.
+    """
+    if isinstance(u, FourthMoment):
+        return u
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2:
+        raise ValueError("score matrix must be 2-D (r x n)")
+    r, n = u.shape
+    w = (u[:, None, :] * u[None, :, :]).reshape(r * r, n)
+    return FourthMoment((w @ w.T) / n, r, n)
 
 
 @dataclass(frozen=True)
@@ -102,9 +186,10 @@ class RotationResult:
 
     q_hat: np.ndarray            # r x s, unit-norm columns
     q_check: np.ndarray          # r x s, orthonormal columns
-    iter_counts: np.ndarray      # iterations used per column
+    iter_counts: np.ndarray      # iterations used per column, both solves of a restricted one
     grad_norms: np.ndarray       # final gradient norm per column
     converged_flags: np.ndarray  # whether grad_tol was reached per column
+    restricted: np.ndarray       # whether the column was re-solved in the complement
 
 
 def _plain_gradient(q: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -116,6 +201,35 @@ def _plain_gradient(q: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _bias_term(q: np.ndarray, sigma_n: np.ndarray) -> np.ndarray:
     s = sigma_n @ q
     return (1.0 + q @ s) * (s - q * (q @ s))
+
+
+def _check_prior(prior: np.ndarray) -> np.ndarray:
+    prior = np.asarray(prior, dtype=float)
+    if prior.ndim != 2:
+        raise ValueError("prior columns must form a 2-D r x k array")
+    if prior.shape[1]:
+        norms = np.linalg.norm(prior, axis=0)
+        if np.max(np.abs(norms - 1.0)) > _UNIT_TOL:
+            raise ValueError("prior columns must be unit-norm")
+    return prior
+
+
+def complement_basis(prior: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of the prior columns.
+
+    Computed from the trailing left singular vectors of the prior block,
+    which is exact for orthonormal priors and stable when they are only
+    nearly so.  Returns r x (r - k).
+    """
+    prior = _check_prior(prior)
+    r, k = prior.shape
+    if k >= r:
+        raise DegenerateProjectorError(
+            f"{k} prior columns leave no complement in dimension {r}")
+    if k == 0:
+        return np.eye(r)
+    left, _, _ = np.linalg.svd(prior, full_matrices=True)
+    return left[:, k:]
 
 
 def _check_sigma_n(q: np.ndarray, sigma_n) -> np.ndarray:
@@ -159,10 +273,12 @@ def corrected_gradient(q: np.ndarray, u: np.ndarray,
     return _plain_gradient(q, u) + _bias_term(q, sigma_n)
 
 
-def pgd_solve(q0: np.ndarray, u: np.ndarray, config: RotationSolveConfig):
+def pgd_solve(q0: np.ndarray, u, config: RotationSolveConfig):
     """Run projected gradient descent on the sphere from ``q0``.
 
-    Iterates ``q <- normalize(q - step_size * g(q))`` where g is the
+    ``u`` is the r x n score matrix or its :class:`FourthMoment`; each
+    iteration reads only the statistic.  Iterates
+    ``q <- normalize(q - step_size * g(q))`` where g is the
     plain or bias-corrected gradient depending on ``config.correction``.
     Stops as soon as the gradient norm is at most ``grad_tol`` (checked
     before stepping, so a stationary start returns at iteration 0), or
@@ -179,31 +295,31 @@ def pgd_solve(q0: np.ndarray, u: np.ndarray, config: RotationSolveConfig):
         1e-14 before renormalization.
     """
     q = _check_unit(q0)
-    u = _check_scores(q, u)
+    stat = fourth_moment(u)
+    if stat.r != q.shape[0]:
+        raise ValueError(f"dimension mismatch: q has {q.shape[0]} entries, "
+                         f"scores have {stat.r} rows")
     q = q / np.linalg.norm(q)
 
     sigma_n = None
     if config.correction is not None:
         sigma_n = _check_sigma_n(q, config.correction)
 
-    def grad(v):
-        g = _plain_gradient(v, u)
-        return g if sigma_n is None else g + _bias_term(v, sigma_n)
-
+    gradient, step_size, grad_tol = stat.gradient, config.step_size, config.grad_tol
     gnorm = np.inf
     for iters in range(config.max_iters + 1):
-        g = grad(q)
-        gnorm = float(np.linalg.norm(g))
-        if not np.isfinite(gnorm):
+        g = gradient(q, sigma_n)
+        gnorm = math.sqrt(g @ g)
+        if not math.isfinite(gnorm):
             raise DivergenceError(
                 f"non-finite gradient at iteration {iters}", iteration=iters)
-        if gnorm <= config.grad_tol:
+        if gnorm <= grad_tol:
             return q, iters, gnorm, True
         if iters == config.max_iters:
             break
-        step = q - config.step_size * g
-        nrm = np.linalg.norm(step)
-        if not np.isfinite(nrm) or nrm < _MIN_ITERATE_NORM:
+        step = q - step_size * g
+        nrm = math.sqrt(step @ step)
+        if not math.isfinite(nrm) or nrm < _MIN_ITERATE_NORM:
             raise DivergenceError(
                 f"iterate norm collapsed at iteration {iters + 1}",
                 iteration=iters + 1)
@@ -211,29 +327,64 @@ def pgd_solve(q0: np.ndarray, u: np.ndarray, config: RotationSolveConfig):
     return q, config.max_iters, gnorm, False
 
 
-def deflate(u: np.ndarray, s: int, init_provider,
+def _complement_solve(q0: np.ndarray, prior: np.ndarray, stat: FourthMoment,
+                      config: RotationSolveConfig):
+    """PGD on the unit sphere of the orthogonal complement of ``prior``,
+    started from the projection of ``q0``; returns what :func:`pgd_solve`
+    returns, with q mapped back to dimension r."""
+    basis = complement_basis(prior)
+    start = basis.T @ q0
+    nrm = np.linalg.norm(start)
+    if nrm < _MIN_ITERATE_NORM:
+        raise DegenerateSolutionsError(
+            "the initializer lies in the span of the earlier columns, so the "
+            "complement solve has no start")
+    correction = config.correction
+    if correction is not None:
+        correction = basis.T @ correction @ basis
+    q, iters, gnorm, converged = pgd_solve(
+        start / nrm, stat.restrict(basis), replace(config, correction=correction))
+    return basis @ q, iters, gnorm, converged
+
+
+def deflate(u, s: int, init_provider,
             config: RotationSolveConfig) -> RotationResult:
     """Solve ``s`` rotation columns sequentially, then orthogonalize.
 
+    ``u`` is the r x n score matrix or its :class:`FourthMoment`.
     ``init_provider(k, prior)`` must return a unit r-vector for round
     k = 1..s given the r x (k-1) block of previously solved columns.
-    The column solves themselves are unconstrained; orthogonality is
-    imposed only once at the end via :func:`symmetric_orthogonalize`.
+    The column solves are unconstrained, except that when the smallest
+    singular value of the stacked columns q_1..q_k falls below 0.1 (round
+    k re-found an earlier direction) round k is solved again on the unit
+    sphere of the orthogonal complement of q_1..q_{k-1}, from the
+    projection of its initializer, and flagged in ``restricted``.  The
+    stack then never falls below 0.1, and orthogonality is imposed once at
+    the end via :func:`symmetric_orthogonalize`.
+
+    Raises
+    ------
+    DegenerateSolutionsError
+        If a round must be re-solved but its initializer has a numerically
+        zero projection on the complement.
     """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2:
-        raise ValueError("score matrix must be 2-D (r x n)")
-    r, n = u.shape
+    stat = fourth_moment(u)
+    r, n = stat.r, stat.n
     if not 1 <= s <= min(r, n):
         raise ValueError(f"s={s} must lie in [1, min(r, n)={min(r, n)}]")
 
     columns: list[np.ndarray] = []
-    iter_counts, grad_norms, flags = [], [], []
+    iter_counts, grad_norms, flags, restricted = [], [], [], []
     for k in range(1, s + 1):
         prior = np.column_stack(columns) if columns else np.zeros((r, 0))
         q0 = np.asarray(init_provider(k, prior), dtype=float)
         try:
-            q, iters, gnorm, converged = pgd_solve(q0, u, config)
+            q, iters, gnorm, converged = pgd_solve(q0, stat, config)
+            duplicate = k > 1 and np.linalg.svd(
+                np.column_stack([prior, q]), compute_uv=False)[-1] < _NEAR_DUPLICATE_THRESHOLD
+            if duplicate:
+                q, more, gnorm, converged = _complement_solve(q0, prior, stat, config)
+                iters += more
         except DivergenceError as err:
             raise DivergenceError(f"column {k}: {err}",
                                   iteration=err.iteration, column=k) from err
@@ -241,6 +392,7 @@ def deflate(u: np.ndarray, s: int, init_provider,
         iter_counts.append(iters)
         grad_norms.append(gnorm)
         flags.append(converged)
+        restricted.append(duplicate)
 
     q_hat = np.column_stack(columns)
     q_check = symmetric_orthogonalize(q_hat)
@@ -250,6 +402,7 @@ def deflate(u: np.ndarray, s: int, init_provider,
         iter_counts=np.asarray(iter_counts, dtype=int),
         grad_norms=np.asarray(grad_norms, dtype=float),
         converged_flags=np.asarray(flags, dtype=bool),
+        restricted=np.asarray(restricted, dtype=bool),
     )
 
 

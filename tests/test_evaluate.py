@@ -1,4 +1,6 @@
 """Tests for the error metric and the benchmark harness."""
+import csv
+
 import numpy as np
 import pytest
 from helpers import brute_force_signed_permutation_error, random_orthogonal
@@ -248,12 +250,29 @@ def test_csv_headers_and_shape(tmp_path):
     record_lines = records_path.read_text().splitlines()
     assert record_lines[0] == RECORDS_HEADER
     assert len(record_lines) == 3
-    assert all(len(line.split(",")) == 10 for line in record_lines)
+    assert all(len(line.split(",")) == 11 for line in record_lines)
 
     summary_lines = summary_path.read_text().splitlines()
     assert summary_lines[0] == SUMMARY_HEADER
     assert len(summary_lines) == 2
     assert all(len(line.split(",")) == 10 for line in summary_lines)
+
+
+def test_records_csv_keeps_failure_reasons(tmp_path):
+    grid = _small_grid(sweep_name="p", sweep_values=(8, 1), replications=1)
+    odd = ExperimentRecord(variant="base", init="mom", sweep_name="p",
+                           sweep_value=1, rep=1, seed=0, error=float("nan"),
+                           failure='ValueError: a "quoted", two-line\nreason')
+    records = run_experiment(grid) + [odd]
+    path = tmp_path / "records.csv"
+    records_to_csv(records, path)
+    text = path.read_bytes().decode("utf8")
+    assert "\r" not in text and text.endswith("\n")
+    with open(path, encoding="utf8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == RECORDS_HEADER.split(",")
+    assert [row[-1] for row in rows[1:]] == [rec.failure for rec in records]
+    assert rows[1][-1] == "" and "," in rows[2][-1]
 
 
 def test_csv_roundtrip_of_error_value(tmp_path):

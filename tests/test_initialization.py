@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 from helpers import hand_instance, random_orthogonal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvarimax import (DegenerateProjectorError, InitScheme, complement_basis,
                       complement_projector, generate_factors, make_init_provider,
@@ -270,6 +272,32 @@ def test_mom_init_deterministic():
     a = mom_init(u, _empty_prior(4), 8, rng=substream(18, "init"))
     b = mom_init(u, _empty_prior(4), 8, rng=substream(18, "init"))
     assert np.array_equal(a, b)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(r=st.integers(2, 8), k=st.integers(0, 7), slices=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32 - 1), improved=st.booleans(),
+       mode=st.sampled_from(["as_written", "lemma_consistent"]))
+def test_mom_init_picks_the_slice_a_loop_over_mom_matrix_picks(
+        r, k, slices, seed, improved, mode):
+    rng = np.random.default_rng(seed)
+    u = generate_factors(r, 400, 0.2, rng) / np.sqrt(0.2)
+    prior = random_orthogonal(r, rng)[:, :min(k, r - 2)]
+    sigma_u = np.eye(r) + np.diag(rng.uniform(0.0, 0.5, r))
+    kwargs = dict(improved=improved, sigma_u=sigma_u, subtraction=mode)
+    got = mom_init(u, prior, slices, rng=substream(seed, "batched"), **kwargs)
+    # the reference: one draw, one moment slice and one SVD per slice
+    draws = substream(seed, "batched")
+    proj = complement_projector(prior)
+    gaps, leading = [], []
+    for _ in range(slices):
+        m = proj @ mom_matrix(u, draws.standard_normal((r, r)), **kwargs) @ proj
+        left, singulars, _ = np.linalg.svd(m)
+        gaps.append(singulars[0] - singulars[1])
+        leading.append(left[:, 0])
+    want = leading[int(np.argmax(gaps))]
+    want = want if want[np.argmax(np.abs(want))] > 0 else -want
+    assert np.max(np.abs(got - want)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

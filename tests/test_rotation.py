@@ -1,15 +1,22 @@
 """Tests for the sphere-constrained quartic solver and its oracles."""
+from itertools import product
+
 import numpy as np
 import pytest
 from helpers import (hand_instance, projected_finite_difference_gradient,
                      random_orthogonal)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvarimax import (DegenerateSolutionsError, DivergenceError, RotationSolveConfig,
-                      corrected_gradient, deflate, generate_factors, objective,
-                      pgd_solve, population_gradient_h, population_objective,
-                      riemannian_gradient, substream, symmetric_orthogonalize)
+                      corrected_gradient, deflate, fourth_moment, generate_factors,
+                      mom_matrix, objective, pgd_solve, population_gradient_h,
+                      population_objective, riemannian_gradient, substream,
+                      symmetric_orthogonalize)
+from dvarimax.initialization import SUBTRACTION_MODES, _mom_slices
 
 E1 = np.array([1.0, 0.0])
+E2 = np.array([0.0, 1.0])
 DIAG = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
 
@@ -117,6 +124,46 @@ def test_corrected_gradient_tangent():
 def test_corrected_gradient_rejects_asymmetric():
     with pytest.raises(ValueError):
         corrected_gradient(E1, hand_instance(), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# fourth-moment statistic against the score-based oracles
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(r=st.integers(1, 8), n=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
+       log_scale=st.floats(-2.0, 2.0))
+def test_fourth_moment_matches_score_oracles(r, n, seed, log_scale):
+    rng = np.random.default_rng(seed)
+    u = 10.0 ** log_scale * rng.standard_normal((r, n))
+    q = _random_unit(r, rng)
+    s = rng.standard_normal((r, r))
+    s = (s + s.T) / 2
+    g = rng.standard_normal((3, r, r))
+    sigma_u = np.eye(r) + s @ s.T
+    stat = fourth_moment(u)
+    # Each check is (T-based value, score-based oracle, size of the terms
+    # summed); (1/n) sum_t |U_t|^4 bounds T contracted with unit arguments.
+    quartic = float(np.mean(np.sum(u ** 2, axis=0) ** 2))
+    s_norm = np.linalg.norm(s, 2)
+    checks = [(stat.objective(q), objective(q, u), quartic),
+              (stat.gradient(q), riemannian_gradient(q, u), quartic),
+              (stat.gradient(q, s), corrected_gradient(q, u, s),
+               quartic + (1.0 + s_norm) * s_norm)]
+    for improved, mode in product((False, True), SUBTRACTION_MODES):
+        kwargs = dict(improved=improved, sigma_u=sigma_u, subtraction=mode)
+        for one, got in zip(g, _mom_slices(stat, g, **kwargs)):
+            size = np.linalg.norm(one) * (quartic + 3.0 * np.linalg.norm(sigma_u) ** 2)
+            checks.append((got, mom_matrix(u, one, **kwargs), size))
+    for got, want, size in checks:
+        assert np.max(np.abs(np.asarray(got) - want)) <= 1e-12 * size
+
+
+def test_fourth_moment_passes_a_statistic_through():
+    stat = fourth_moment(hand_instance())
+    assert fourth_moment(stat) is stat
+    assert stat.matrix.shape == (4, 4) and (stat.r, stat.n) == (2, 4)
+    assert np.array_equal(stat.matrix, stat.matrix.T)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +324,35 @@ def test_deflate_permutation_covariance():
     perm = [2, 0, 1]
     permuted = deflate(u, 3, lambda k, prior: inits[perm[k - 1]], config)
     assert np.array_equal(permuted.q_hat, direct.q_hat[:, perm])
+
+
+def test_deflate_resolves_a_duplicate_round_in_the_complement():
+    # Round 2 descends from (0.8, 0.6) onto E1, which round 1 already holds,
+    # so it is solved again on the complement of E1.
+    inits = {1: E1, 2: np.array([0.8, 0.6])}
+    result = deflate(hand_instance(), 2, lambda k, prior: inits[k],
+                     RotationSolveConfig(step_size=0.1))
+    assert np.array_equal(result.restricted, [False, True])
+    for got in (result.q_hat, result.q_check):
+        assert np.max(np.abs(np.abs(got) - np.eye(2))) <= 1e-12
+    assert np.all(result.converged_flags)
+
+
+def test_deflate_duplicate_round_with_no_complement_start_raises():
+    # Round 2 starts exactly on E1, whose projection on the complement is 0.
+    with pytest.raises(DegenerateSolutionsError):
+        deflate(hand_instance(), 2, lambda k, prior: E1, RotationSolveConfig())
+
+
+def test_deflate_accepts_a_prebuilt_statistic():
+    rng = substream(14, "rot")
+    u = rng.standard_normal((3, 40))
+    inits = [_random_unit(3, rng) for _ in range(3)]
+    config = RotationSolveConfig(step_size=1e-3, max_iters=300)
+    direct = deflate(u, 3, lambda k, prior: inits[k - 1], config)
+    via_stat = deflate(fourth_moment(u), 3, lambda k, prior: inits[k - 1], config)
+    assert np.array_equal(direct.q_hat, via_stat.q_hat)
+    assert np.array_equal(direct.iter_counts, via_stat.iter_counts)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
