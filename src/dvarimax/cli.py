@@ -84,6 +84,8 @@ def _default(cls, name: str):
 
 
 _VARIANTS = tuple(variant.value for variant in EstimatorVariant)
+# Every solver setting is a config key with the library's type and default.
+_SOLVE_FIELDS = fields(RotationSolveConfig)
 
 # Every accepted key with its value parser.
 _KEY_PARSERS = {
@@ -99,9 +101,7 @@ _KEY_PARSERS = {
     "noise_kind": _parse_choice(NoiseCovariance.KINDS),
     "noise_alpha": float,
     "noise_rho": float,
-    "step_size": float,
-    "grad_tol": float,
-    "max_iters": int,
+    **{spec.name: type(spec.default) for spec in _SOLVE_FIELDS},
     "variant": _parse_choice(_VARIANTS),
     "init": _parse_choice(InitScheme.LABELS),
     "init_draws": int,
@@ -122,8 +122,7 @@ _DEFAULTS = {
     "noise_kind": _default(SyntheticConfig, "noise_kind").kind,
     "noise_alpha": _default(NoiseCovariance, "alpha"),
     "noise_rho": _default(NoiseCovariance, "rho"),
-    **{key: _default(RotationSolveConfig, key)
-       for key in ("step_size", "grad_tol", "max_iters")},
+    **{spec.name: spec.default for spec in _SOLVE_FIELDS},
     "variant": _default(ExperimentGrid, "variants")[0].value,
     "init": _default(ExperimentGrid, "init_schemes")[0].label,
     **{key: _default(ExperimentGrid, key)
@@ -170,9 +169,7 @@ def _require(config: dict, key: str, command: str):
 
 
 def _build_solve_config(config: dict) -> RotationSolveConfig:
-    return RotationSolveConfig(step_size=config["step_size"],
-                               grad_tol=config["grad_tol"],
-                               max_iters=config["max_iters"])
+    return RotationSolveConfig(**{spec.name: config[spec.name] for spec in _SOLVE_FIELDS})
 
 
 def _build_init_scheme(config: dict, label: str) -> InitScheme:

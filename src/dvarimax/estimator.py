@@ -3,10 +3,11 @@
 Three pipeline variants share the same structure and differ in which
 eigenvalues and scores feed the rotation:
 
-- ``base``: raw eigenvalues and whitened scores, plain gradient.
-- ``improved1``: noise-corrected eigenvalues and scores, plain gradient.
-- ``improved2``: as improved1, plus the bias-corrected gradient using the
-  estimated score-noise covariance.
+- ``base``: raw eigenvalues and whitened scores, plain statistic.
+- ``improved1``: noise-corrected eigenvalues and scores, plain statistic.
+- ``improved2``: as improved1, but the rotation solves the bias-corrected
+  statistic for the estimated score-noise covariance
+  (:meth:`FourthMoment.bias_corrected`); the init still reads the plain one.
 
 The final estimate is V D^{1/2} Q (with D the variant's eigenvalues and Q
 the orthogonalized rotation), rescaled to unit operator norm.
@@ -21,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import CorrectionInfeasibleError
-from .initialization import InitScheme, make_init_provider
+from .initialization import InitScheme, _check_subtraction, make_init_provider
 from .rotation import RotationSolveConfig, deflate, fourth_moment
 from .spectral import PcaDecomposition, corrected_decomposition, eigendecompose
 
@@ -124,6 +125,8 @@ def estimate_loading(x: np.ndarray, r: int,
     rng : np.random.Generator
         Drives every random draw of the initialization scheme.  The
         output is a pure function of (x, r, options, rng state).
+    mom_subtraction : str
+        One of ``SUBTRACTION_MODES``, checked whatever the init scheme.
 
     Raises
     ------
@@ -134,6 +137,7 @@ def estimate_loading(x: np.ndarray, r: int,
     t_start = time.perf_counter()
     x = np.asarray(x, dtype=float)
     variant = EstimatorVariant(variant)
+    _check_subtraction(mom_subtraction)
     if init_scheme is None:
         init_scheme = InitScheme.method_of_moments()
     if solve_config is None:
@@ -156,14 +160,8 @@ def estimate_loading(x: np.ndarray, r: int,
                 effective_scheme = replace(init_scheme, improved=False)
             fallback = True
 
-    if effective_variant == EstimatorVariant.BASE:
-        scores = decomp.scores
-        config = replace(solve_config, correction=None)
-    else:
-        scores = decomp.scores_corrected
-        correction = decomp.sigma_n_hat if effective_variant == EstimatorVariant.IMPROVED2 else None
-        config = replace(solve_config, correction=correction)
-
+    scores = (decomp.scores if effective_variant == EstimatorVariant.BASE
+              else decomp.scores_corrected)
     sigma_u = None
     if effective_scheme.improved:
         sigma_u = np.eye(r) + decomp.sigma_n_hat
@@ -171,7 +169,9 @@ def estimate_loading(x: np.ndarray, r: int,
     stat = fourth_moment(scores)
     provider = make_init_provider(effective_scheme, stat, rng,
                                   sigma_u=sigma_u, subtraction=mom_subtraction)
-    rotation = deflate(stat, r, provider, config)
+    if effective_variant == EstimatorVariant.IMPROVED2:
+        stat = stat.bias_corrected(decomp.sigma_n_hat)
+    rotation = deflate(stat, r, provider, solve_config)
 
     lambda_hat = loading_from_rotation(
         decomp, rotation.q_check,

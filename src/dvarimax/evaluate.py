@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .estimator import EstimatorVariant, estimate_loading
-from .initialization import InitScheme
+from .initialization import InitScheme, _check_subtraction
 from .model import SyntheticConfig, generate_dataset
 from .rng import derive_seed, substream
 from .rotation import RotationSolveConfig
@@ -119,6 +119,7 @@ class ExperimentGrid:
             raise ValueError("replications must be >= 1")
         if not self.variants or not self.init_schemes:
             raise ValueError("variants and init_schemes must be nonempty")
+        _check_subtraction(self.mom_subtraction)
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         object.__setattr__(
             self, "variants", tuple(EstimatorVariant(v) for v in self.variants))
@@ -266,46 +267,46 @@ def _quote(text: str) -> str:
     return text
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """Write ``header`` and one comma-joined line per row of fields,
+    every line ending in a bare line feed."""
+    lines = [header] + [",".join(fields) for fields in rows]
+    with open(path, "w", encoding="utf8", newline="") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
 def records_to_csv(records: Sequence[ExperimentRecord], path) -> None:
     """Write records with the fixed benchmark header, one row per cell.
 
     ``failure`` is empty for a cell that ran and holds the exception's
     type and message for one that failed.
     """
-    lines = [RECORDS_HEADER]
-    for rec in records:
-        lines.append(",".join([
-            rec.variant,
-            rec.init,
-            rec.sweep_name,
-            _format_value(rec.sweep_value),
-            str(rec.rep),
-            str(rec.seed),
-            _format_value(rec.error),
-            str(rec.iters_total),
-            _format_value(rec.fallback),
-            _format_value(rec.runtime_ms),
-            _quote(rec.failure),
-        ]))
-    with open(path, "w", encoding="utf8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_csv(path, RECORDS_HEADER, ([
+        rec.variant,
+        rec.init,
+        rec.sweep_name,
+        _format_value(rec.sweep_value),
+        str(rec.rep),
+        str(rec.seed),
+        _format_value(rec.error),
+        str(rec.iters_total),
+        _format_value(rec.fallback),
+        _format_value(rec.runtime_ms),
+        _quote(rec.failure),
+    ] for rec in records))
 
 
 def summary_to_csv(rows: Sequence[SummaryRow], path) -> None:
     """Write per-cell summaries with the fixed summary header."""
-    lines = [SUMMARY_HEADER]
-    for row in rows:
-        lines.append(",".join([
-            row.variant,
-            row.init,
-            row.sweep_name,
-            _format_value(row.sweep_value),
-            str(row.n_ok),
-            str(row.n_fail),
-            _format_value(row.mean),
-            _format_value(row.median),
-            _format_value(row.q25),
-            _format_value(row.q75),
-        ]))
-    with open(path, "w", encoding="utf8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_csv(path, SUMMARY_HEADER, ([
+        row.variant,
+        row.init,
+        row.sweep_name,
+        _format_value(row.sweep_value),
+        str(row.n_ok),
+        str(row.n_fail),
+        _format_value(row.mean),
+        _format_value(row.median),
+        _format_value(row.q25),
+        _format_value(row.q75),
+    ] for row in rows))

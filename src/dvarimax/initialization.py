@@ -145,11 +145,15 @@ def multi_random_init(u, prior: np.ndarray, draws: int,
     return candidates[int(np.argmin(values))]
 
 
+def _check_subtraction(subtraction: str) -> None:
+    if subtraction not in SUBTRACTION_MODES:
+        raise ValueError(f"unknown subtraction mode: {subtraction!r}")
+
+
 def _subtracted(g: np.ndarray, improved: bool, sigma_u: Optional[np.ndarray],
                 subtraction: str) -> np.ndarray:
     """The term a moment slice subtracts, for one G or a stack (..., r, r)."""
-    if subtraction not in SUBTRACTION_MODES:
-        raise ValueError(f"unknown subtraction mode: {subtraction!r}")
+    _check_subtraction(subtraction)
     r = g.shape[-1]
     sym = g + np.swapaxes(g, -1, -2)
     if not improved:

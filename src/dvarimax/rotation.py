@@ -24,9 +24,13 @@ whatever n is; T holds r^4 doubles (r = 10: 80 KB).  The score-based
 :func:`objective`, :func:`riemannian_gradient` and
 :func:`corrected_gradient` compute the same quantities from U directly.
 
-A bias-corrected gradient variant adds ``(1 + q^T S q) * P_q S q`` for a
-symmetric matrix S estimating the covariance of the additive error in the
-scores; for S proportional to the identity the correction vanishes.
+The bias correction for additive error in the scores, with symmetric
+covariance estimate S, is a quartic form on the sphere too: the term
+``(1 + q^T S q) * P_q S q`` that :func:`corrected_gradient` adds is the
+Riemannian gradient of (1/2) q^T q q^T S q + (1/4) (q^T S q)^2.  So it is
+folded into the statistic (:meth:`FourthMoment.bias_corrected`), and the
+solver reads one statistic either way; for S proportional to the identity
+the gradient correction vanishes.
 
 Population-level counterparts of the objective and gradient (exact
 expectations under the independent leptokurtic factor model) are provided
@@ -35,7 +39,7 @@ as test oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,7 +96,8 @@ class FourthMoment:
 
     ``matrix`` is T with T[i*r + j, k*r + l] = (1/n) sum_t U_it U_jt U_kt U_lt,
     symmetric under every permutation of (i, j, k, l).  Build it with
-    :func:`fourth_moment`.
+    :func:`fourth_moment`; a :meth:`bias_corrected` statistic is symmetric
+    as a matrix only.
     """
 
     matrix: np.ndarray   # r^2 x r^2
@@ -113,19 +118,24 @@ class FourthMoment:
         v = (q[:, None] * q).ravel()
         return -float(v @ self.matrix @ v) / 12
 
-    def gradient(self, q: np.ndarray,
-                 sigma_n: np.ndarray | None = None) -> np.ndarray:
-        """Riemannian gradient at unit q, bias-corrected when ``sigma_n`` is given.
-
-        The ambient gradient -(1/3) reshape(T vec(q q^T)) q, plus
-        (1 + q^T S q) S q for S = ``sigma_n``, projected once onto the
-        tangent space at q; this runs in every PGD iteration.
-        """
+    def gradient(self, q: np.ndarray) -> np.ndarray:
+        """Riemannian gradient -(1/3) P_q reshape(T vec(q q^T)) q at unit q;
+        this runs in every PGD iteration."""
         w = (self.matrix @ (q[:, None] * q).ravel()).reshape(self.r, self.r) @ q / -3
-        if sigma_n is not None:
-            s = sigma_n @ q
-            w = w + (1.0 + q @ s) * s
         return w - q * (q @ w)
+
+    def bias_corrected(self, sigma_n: np.ndarray) -> "FourthMoment":
+        """T - 3 [vec(I) vec(S)^T + vec(S) vec(I)^T + vec(S) vec(S)^T], S = ``sigma_n``.
+
+        On the unit sphere its objective is the plain one plus
+        (1/2) t + (1/4) t^2 with t = q^T S q, and its gradient the plain
+        one plus (1 + t) P_q S q, as in :func:`corrected_gradient`.
+        S = 0 returns T bitwise.
+        """
+        s = _check_sigma_n(self.r, sigma_n).ravel()
+        cross = np.outer(np.eye(self.r).ravel(), s)
+        return FourthMoment(self.matrix - 3 * (cross + cross.T + np.outer(s, s)),
+                            self.r, self.n)
 
     def restrict(self, basis: np.ndarray) -> "FourthMoment":
         """Statistic of the scores B^T U for an r x m basis B:
@@ -153,16 +163,11 @@ def fourth_moment(u) -> FourthMoment:
 
 @dataclass(frozen=True)
 class RotationSolveConfig:
-    """Projected-gradient-descent settings for one column solve.
-
-    ``correction``, when given, must be a symmetric r x r matrix; the
-    solver then uses the bias-corrected gradient.
-    """
+    """Projected-gradient-descent settings for one column solve."""
 
     step_size: float = 1e-5
     grad_tol: float = 1e-6
     max_iters: int = 5000
-    correction: np.ndarray | None = None
 
     def __post_init__(self):
         if not self.step_size > 0:
@@ -171,13 +176,6 @@ class RotationSolveConfig:
             raise ValueError("grad_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.correction is not None:
-            c = np.asarray(self.correction, dtype=float)
-            if c.ndim != 2 or c.shape[0] != c.shape[1]:
-                raise ValueError("correction must be a square matrix")
-            if np.max(np.abs(c - c.T)) > 1e-10:
-                raise ValueError("correction must be symmetric within 1e-10")
-            object.__setattr__(self, "correction", c)
 
 
 @dataclass(frozen=True)
@@ -232,9 +230,9 @@ def complement_basis(prior: np.ndarray) -> np.ndarray:
     return left[:, k:]
 
 
-def _check_sigma_n(q: np.ndarray, sigma_n) -> np.ndarray:
+def _check_sigma_n(r: int, sigma_n) -> np.ndarray:
     sigma_n = np.asarray(sigma_n, dtype=float)
-    if sigma_n.shape != (q.shape[0], q.shape[0]):
+    if sigma_n.shape != (r, r):
         raise ValueError("sigma_n must be r x r")
     if np.max(np.abs(sigma_n - sigma_n.T)) > 1e-10:
         raise ValueError("sigma_n must be symmetric within 1e-10")
@@ -269,7 +267,7 @@ def corrected_gradient(q: np.ndarray, u: np.ndarray,
     """
     q = _check_unit(q)
     u = _check_scores(q, u)
-    sigma_n = _check_sigma_n(q, sigma_n)
+    sigma_n = _check_sigma_n(q.shape[0], sigma_n)
     return _plain_gradient(q, u) + _bias_term(q, sigma_n)
 
 
@@ -278,8 +276,9 @@ def pgd_solve(q0: np.ndarray, u, config: RotationSolveConfig):
 
     ``u`` is the r x n score matrix or its :class:`FourthMoment`; each
     iteration reads only the statistic.  Iterates
-    ``q <- normalize(q - step_size * g(q))`` where g is the
-    plain or bias-corrected gradient depending on ``config.correction``.
+    ``q <- normalize(q - step_size * g(q))`` where g is the statistic's
+    gradient, so a :meth:`FourthMoment.bias_corrected` statistic gives the
+    bias-corrected solve.
     Stops as soon as the gradient norm is at most ``grad_tol`` (checked
     before stepping, so a stationary start returns at iteration 0), or
     after ``max_iters`` updates with ``converged = False``.
@@ -301,14 +300,10 @@ def pgd_solve(q0: np.ndarray, u, config: RotationSolveConfig):
                          f"scores have {stat.r} rows")
     q = q / np.linalg.norm(q)
 
-    sigma_n = None
-    if config.correction is not None:
-        sigma_n = _check_sigma_n(q, config.correction)
-
     gradient, step_size, grad_tol = stat.gradient, config.step_size, config.grad_tol
     gnorm = np.inf
     for iters in range(config.max_iters + 1):
-        g = gradient(q, sigma_n)
+        g = gradient(q)
         gnorm = math.sqrt(g @ g)
         if not math.isfinite(gnorm):
             raise DivergenceError(
@@ -339,11 +334,7 @@ def _complement_solve(q0: np.ndarray, prior: np.ndarray, stat: FourthMoment,
         raise DegenerateSolutionsError(
             "the initializer lies in the span of the earlier columns, so the "
             "complement solve has no start")
-    correction = config.correction
-    if correction is not None:
-        correction = basis.T @ correction @ basis
-    q, iters, gnorm, converged = pgd_solve(
-        start / nrm, stat.restrict(basis), replace(config, correction=correction))
+    q, iters, gnorm, converged = pgd_solve(start / nrm, stat.restrict(basis), config)
     return basis @ q, iters, gnorm, converged
 
 

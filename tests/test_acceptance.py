@@ -14,8 +14,8 @@ from helpers import (brute_force_signed_permutation_error, hand_instance,
 
 from dvarimax import (EstimatorVariant, ExperimentGrid, InitScheme,
                       RotationSolveConfig, SyntheticConfig, corrected_gradient,
-                      eigendecompose, estimate_loading, generate_dataset,
-                      generate_factors, objective, pgd_solve,
+                      eigendecompose, estimate_loading, fourth_moment,
+                      generate_dataset, generate_factors, objective, pgd_solve,
                       population_gradient_h, population_objective,
                       riemannian_gradient, run_experiment,
                       signed_permutation_error, substream)
@@ -102,11 +102,13 @@ def test_criterion_02_whitening_and_orthogonality():
 # ---------------------------------------------------------------------------
 
 def _iterates(q0, u, count, step, correction=None):
+    stat = fourth_moment(u)
+    if correction is not None:
+        stat = stat.bias_corrected(correction)
     out = []
     for ell in range(1, count + 1):
-        config = RotationSolveConfig(step_size=step, grad_tol=1e-300,
-                                     max_iters=ell, correction=correction)
-        q, _, _, _ = pgd_solve(q0, u, config)
+        config = RotationSolveConfig(step_size=step, grad_tol=1e-300, max_iters=ell)
+        q, _, _, _ = pgd_solve(q0, stat, config)
         out.append(q)
     return out
 

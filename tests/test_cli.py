@@ -1,11 +1,12 @@
 """Tests for the command-line front end and its file formats."""
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from dvarimax import (EstimatorVariant, InitScheme, NoiseCovariance,
-                      signed_permutation_error)
+                      RotationSolveConfig, signed_permutation_error)
 from dvarimax.cli import (CliError, main, parse_config_text, read_matrix_csv,
                           resolve_config, write_matrix_csv)
 from dvarimax.evaluate import SWEEPABLE_PARAMETERS
@@ -53,6 +54,9 @@ def test_resolve_config_defaults():
     assert config["step_size"] == 1e-5
     assert config["grad_tol"] == 1e-6
     assert config["max_iters"] == 5000
+    # every solver setting is a CLI key carrying the library default
+    for spec in fields(RotationSolveConfig):
+        assert config[spec.name] == spec.default
     assert config["variant"] == "base"
     assert config["init"] == "mom"
     assert config["n"] == 10

@@ -91,11 +91,20 @@ def test_noiseless_improved1_equals_base_bitwise():
     observed, _ = _dataset(eps2=0.0, seed=11)
     base = estimate_loading(observed.data, 3, "base", MOM, FAST,
                             substream(3, "est"))
-    improved = estimate_loading(observed.data, 3, "improved1", MOM, FAST,
-                                substream(3, "est"))
-    assert improved.decomposition.noise_var_hat == 0.0
-    assert np.array_equal(base.lambda_hat, improved.lambda_hat)
-    assert np.array_equal(base.q_check, improved.q_check)
+    for variant in ("improved1", "improved2"):
+        improved = estimate_loading(observed.data, 3, variant, MOM, FAST,
+                                    substream(3, "est"))
+        assert improved.decomposition.noise_var_hat == 0.0
+        assert np.array_equal(base.lambda_hat, improved.lambda_hat)
+        assert np.array_equal(base.q_check, improved.q_check)
+
+
+@pytest.mark.parametrize("scheme", [InitScheme.random(), MOM])
+def test_unknown_mom_subtraction_rejected(scheme):
+    observed, _ = _dataset()
+    with pytest.raises(ValueError, match="subtraction"):
+        estimate_loading(observed.data, 3, "base", scheme, FAST,
+                         substream(3, "est"), mom_subtraction="bogus")
 
 
 def test_noiseless_orthogonal_loading_recovery():

@@ -199,6 +199,8 @@ def test_grid_validation():
         _small_grid(replications=0)
     with pytest.raises(ValueError):
         _small_grid(sweep_values=())
+    with pytest.raises(ValueError, match="subtraction"):
+        _small_grid(mom_subtraction="lemma-consistent")
 
 
 # ---------------------------------------------------------------------------

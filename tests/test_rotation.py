@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvarimax import (DegenerateSolutionsError, DivergenceError, RotationSolveConfig,
-                      corrected_gradient, deflate, fourth_moment, generate_factors,
+                      complement_basis, corrected_gradient, deflate, fourth_moment,
+                      generate_factors,
                       mom_matrix, objective, pgd_solve, population_gradient_h,
                       population_objective, riemannian_gradient, substream,
                       symmetric_orthogonalize)
@@ -148,7 +149,7 @@ def test_fourth_moment_matches_score_oracles(r, n, seed, log_scale):
     s_norm = np.linalg.norm(s, 2)
     checks = [(stat.objective(q), objective(q, u), quartic),
               (stat.gradient(q), riemannian_gradient(q, u), quartic),
-              (stat.gradient(q, s), corrected_gradient(q, u, s),
+              (stat.bias_corrected(s).gradient(q), corrected_gradient(q, u, s),
                quartic + (1.0 + s_norm) * s_norm)]
     for improved, mode in product((False, True), SUBTRACTION_MODES):
         kwargs = dict(improved=improved, sigma_u=sigma_u, subtraction=mode)
@@ -157,6 +158,54 @@ def test_fourth_moment_matches_score_oracles(r, n, seed, log_scale):
             checks.append((got, mom_matrix(u, one, **kwargs), size))
     for got, want, size in checks:
         assert np.max(np.abs(np.asarray(got) - want)) <= 1e-12 * size
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(r=st.integers(1, 6), n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_bias_corrected_statistic_adds_the_bias_objective(r, n, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((r, n))
+    q = _random_unit(r, rng)
+    s = rng.standard_normal((r, r))
+    s = (s + s.T) / 2
+    stat = fourth_moment(u).bias_corrected(s)
+
+    def raw(v):
+        # the statistic's quartic form, also off the sphere
+        t = v @ s @ v
+        return -float(np.sum((u.T @ v) ** 4)) / (12 * n) + 0.5 * (v @ v) * t + 0.25 * t * t
+
+    t = q @ s @ q
+    s_norm = np.linalg.norm(s, 2)
+    size = float(np.mean(np.sum(u ** 2, axis=0) ** 2)) + (1.0 + s_norm) * s_norm
+    assert abs(stat.objective(q) - (objective(q, u) + 0.5 * t + 0.25 * t * t)) <= 1e-12 * size
+    h = 1e-5
+    fd = np.array([(raw(q + h * e) - raw(q - h * e)) / (2 * h) for e in np.eye(r)])
+    fd = fd - q * (q @ fd)
+    assert np.linalg.norm(stat.gradient(q) - fd) <= 1e-6 * size
+
+
+def test_bias_correction_commutes_with_restriction():
+    rng = substream(15, "rot")
+    r = 5
+    for k in range(r):
+        stat = fourth_moment(rng.standard_normal((r, 30)))
+        s = rng.standard_normal((r, r))
+        s = (s + s.T) / 2
+        prior = np.array([_random_unit(r, rng) for _ in range(k)]).reshape(k, r).T
+        basis = complement_basis(prior)
+        got = stat.bias_corrected(s).restrict(basis).matrix
+        want = stat.restrict(basis).bias_corrected(basis.T @ s @ basis).matrix
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_bias_corrected_by_zero_is_the_statistic_bitwise():
+    stat = fourth_moment(substream(16, "rot").standard_normal((4, 30)))
+    assert np.array_equal(stat.bias_corrected(np.zeros((4, 4))).matrix, stat.matrix)
+    with pytest.raises(ValueError):
+        stat.bias_corrected(np.triu(np.ones((4, 4))))
+    with pytest.raises(ValueError):
+        stat.bias_corrected(np.eye(3))
 
 
 def test_fourth_moment_passes_a_statistic_through():
@@ -242,11 +291,13 @@ def test_pgd_divergence_reports_iteration():
 
 def _iterates(q0, u, count, correction=None):
     """First ``count`` PGD iterates via repeated capped solves."""
+    stat = fourth_moment(u)
+    if correction is not None:
+        stat = stat.bias_corrected(correction)
     out = []
     for ell in range(1, count + 1):
-        config = RotationSolveConfig(step_size=1e-3, grad_tol=1e-300,
-                                     max_iters=ell, correction=correction)
-        q, _, _, _ = pgd_solve(q0, u, config)
+        config = RotationSolveConfig(step_size=1e-3, grad_tol=1e-300, max_iters=ell)
+        q, _, _, _ = pgd_solve(q0, stat, config)
         out.append(q)
     return out
 
