@@ -24,7 +24,7 @@ from .rotation import (FourthMoment, RotationResult, RotationSolveConfig,
                        population_gradient_h, population_objective,
                        riemannian_gradient, symmetric_orthogonalize)
 from .spectral import (PcaDecomposition, corrected_decomposition, eigendecompose,
-                       noise_variance_estimate, select_rank)
+                       leading_eigenvalues, noise_variance_estimate, select_rank)
 
 __all__ = [
     "__version__",
@@ -33,7 +33,8 @@ __all__ = [
     "generate_loading", "generate_factors", "realize_noise_covariance",
     "generate_dataset",
     # spectral
-    "PcaDecomposition", "eigendecompose", "noise_variance_estimate",
+    "PcaDecomposition", "eigendecompose", "leading_eigenvalues",
+    "noise_variance_estimate",
     "corrected_decomposition", "select_rank",
     # rotation
     "RotationSolveConfig", "RotationResult", "FourthMoment", "fourth_moment",

@@ -27,7 +27,7 @@ from .initialization import SUBTRACTION_MODES, InitScheme
 from .model import NoiseCovariance, SyntheticConfig, generate_dataset
 from .rng import substream
 from .rotation import RotationSolveConfig
-from .spectral import eigendecompose, select_rank
+from .spectral import leading_eigenvalues, select_rank
 
 __all__ = ["main", "CliError", "read_matrix_csv", "write_matrix_csv"]
 
@@ -275,8 +275,11 @@ def cmd_estimate(config: dict) -> int:
     r = _require(config, "r", "estimate")
     selected_rank = None
     if r == "auto":
-        eigvals = eigendecompose(x, 1).eigvals
         r_max = config.get("r_max", min(p, n) - 1 if min(p, n) > 1 else 1)
+        if r_max < 1:
+            raise CliError("r_max must be >= 1")
+        # select_rank reads the eigenvalues up to index r_max (0-based).
+        eigvals = leading_eigenvalues(x, min(r_max + 1, min(p, n)))
         r = select_rank(eigvals, r_max)
         selected_rank = r
     if not 1 <= r <= min(p, n):

@@ -76,7 +76,7 @@ def loading_from_rotation(decomposition: PcaDecomposition, q_check: np.ndarray,
             raise ValueError("decomposition carries no corrected eigenvalues")
         d = decomposition.eigvals_corrected
     else:
-        d = decomposition.top_eigvals
+        d = decomposition.eigvals
     basis = decomposition.eigvecs_r * np.sqrt(d)[None, :]
     raw = basis @ q_check
     opnorm = np.linalg.norm(raw, 2)

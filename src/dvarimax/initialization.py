@@ -15,7 +15,8 @@ Three providers are available for starting each column solve:
   and keep the slice whose top two singular values have the largest gap.
   Its leading left singular vector is the initializer.  All N slices are
   read from the fourth-moment statistic T of the scores at once, as
-  (1/3) reshape(T vec(G)) minus the subtraction, with one batched SVD.
+  (1/3) reshape(T vec(G)) minus the subtraction; the gaps come from one
+  batched singular-value solve, and only the chosen slice gets a full SVD.
 
 Two subtraction modes are supported for the moment matrix.  The default
 ``as_written`` subtracts G + G^T (improved form: with the score covariance
@@ -234,12 +235,14 @@ def mom_init(u, prior: np.ndarray, n_slices: int,
 
     g = rng.standard_normal((n_slices, r, r))
     m = proj @ _mom_slices(stat, g, improved, sigma_u, subtraction) @ proj
-    left, singulars, _ = np.linalg.svd(m)
+    singulars = np.linalg.svd(m, compute_uv=False)
     gaps = singulars[:, 0] - singulars[:, 1]
     if np.max(gaps) < 1e-12:
         raise DegenerateSlicingError(
             "every random slice has a zero singular-value gap")
-    best = left[int(np.argmax(gaps)), :, 0]
+    # The same LAPACK call on the same matrix as a batched SVD would make,
+    # so the vector is the one the batched SVD returns, bit for bit.
+    best = np.linalg.svd(m[int(np.argmax(gaps))])[0][:, 0]
     if best[np.argmax(np.abs(best))] < 0:
         best = -best
     return best

@@ -1,11 +1,16 @@
 """Truncated PCA of the sample second-moment matrix, with noise corrections.
 
-The decomposition is of (1/n) X X^T.  Whitened scores satisfy
-U_r @ U_r.T = n * I exactly by construction.  When the noise is close to
-isotropic, the trailing eigenvalues estimate the per-coordinate noise
-variance; subtracting it from the leading eigenvalues gives corrected
-eigenvalues, corrected scores, and a diagonal estimate of the score-noise
-covariance used by the bias-corrected rotation solver.
+The decomposition is of (1/n) X X^T and computes only what the estimator
+reads: the leading r eigenpairs and the sum of the trailing eigenvalues.
+For p <= 4n the leading pairs come from a partial LAPACK solve of the
+p x p Gram matrix (dsyevr over the top-r index range) and the tail sum is
+its trace minus the leading sum; for p > 4n both come from the SVD of
+X / sqrt(n).  Whitened scores satisfy U_r @ U_r.T = n * I exactly by
+construction.  When the noise is close to isotropic, the mean trailing
+eigenvalue estimates the per-coordinate noise variance; subtracting it
+from the leading eigenvalues gives corrected eigenvalues, corrected
+scores, and a diagonal estimate of the score-noise covariance used by the
+bias-corrected rotation solver.
 """
 from __future__ import annotations
 
@@ -13,12 +18,14 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .exceptions import CorrectionInfeasibleError, NoSignalError, RankDeficiencyError
 
 __all__ = [
     "PcaDecomposition",
     "eigendecompose",
+    "leading_eigenvalues",
     "noise_variance_estimate",
     "corrected_decomposition",
     "select_rank",
@@ -43,7 +50,10 @@ class PcaDecomposition:
     Attributes
     ----------
     eigvals : np.ndarray
-        All min(p, n) eigenvalues of (1/n) X X^T, nonincreasing.
+        The r leading eigenvalues of (1/n) X X^T, nonincreasing.
+    tail_sum : float
+        Sum of the remaining eigenvalues, trace((1/n) X X^T) minus the sum
+        of ``eigvals``, floored at 0.
     eigvecs_r : np.ndarray
         p x r matrix of the leading eigenvectors.
     scores : np.ndarray
@@ -54,6 +64,7 @@ class PcaDecomposition:
     """
 
     eigvals: np.ndarray
+    tail_sum: float
     eigvecs_r: np.ndarray
     scores: np.ndarray
     r: int
@@ -70,19 +81,54 @@ class PcaDecomposition:
     def n(self) -> int:
         return self.scores.shape[1]
 
-    @property
-    def top_eigvals(self) -> np.ndarray:
-        """The r retained eigenvalues."""
-        return self.eigvals[: self.r]
+
+def _checked_observations(x: np.ndarray, k: int, name: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("x must be a 2-D array")
+    p, n = x.shape
+    if not 1 <= k <= min(p, n):
+        raise ValueError(f"{name}={k} must lie in [1, min(p, n)={min(p, n)}]")
+    if not np.isfinite(x).all():
+        raise ValueError("observation matrix contains NaN or Inf entries")
+    return x
+
+
+def _leading_spectrum(x: np.ndarray, k: int, vectors: bool):
+    """The k leading eigenvalues of (1/n) X X^T (nonincreasing, floored at
+    0), their eigenvectors as columns when ``vectors`` (else None), and the
+    sum of the remaining eigenvalues."""
+    p, n = x.shape
+    if p > 4 * n:
+        if vectors:
+            u, s, _ = np.linalg.svd(x / np.sqrt(n), full_matrices=False)
+            u = u[:, :k]
+        else:
+            u, s = None, np.linalg.svd(x / np.sqrt(n), compute_uv=False)
+        eigvals = s ** 2
+        return eigvals[:k], u, float(eigvals[k:].sum())
+    # x @ x.T goes through syrk, so the Gram matrix is exactly symmetric.
+    gram = (x @ x.T) / n
+    trace = float(np.trace(gram))
+    # A subset of a standard symmetric problem is solved by LAPACK dsyevr.
+    solved = scipy.linalg.eigh(gram, subset_by_index=[p - k, p - 1],
+                               eigvals_only=not vectors, overwrite_a=True,
+                               check_finite=False)
+    vals, vecs = solved if vectors else (solved, None)
+    eigvals = np.maximum(vals[::-1], 0.0)
+    if vecs is not None:
+        vecs = vecs[:, ::-1]
+    return eigvals, vecs, max(trace - float(eigvals.sum()), 0.0)
 
 
 def eigendecompose(x: np.ndarray, r: int) -> PcaDecomposition:
     """Eigendecompose (1/n) X X^T and whiten the leading r components.
 
     For p > 4n the decomposition goes through the SVD of X / sqrt(n)
-    (eigenvalues are squared singular values); otherwise through the
-    symmetric p x p second-moment matrix.  Eigenvector signs are fixed so
-    the largest-magnitude entry of each column is positive.
+    (eigenvalues are squared singular values); otherwise through a partial
+    symmetric eigensolve of the p x p second-moment matrix that returns
+    only the top r pairs.  Eigenvector signs are fixed so the
+    largest-magnitude entry of each column is positive.
 
     Raises
     ------
@@ -92,26 +138,8 @@ def eigendecompose(x: np.ndarray, r: int) -> PcaDecomposition:
         If the r-th eigenvalue is at or below ``EIGENVALUE_FLOOR`` times
         the largest one.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("x must be a 2-D array")
-    p, n = x.shape
-    if not 1 <= r <= min(p, n):
-        raise ValueError(f"r={r} must lie in [1, min(p, n)={min(p, n)}]")
-    if not np.isfinite(x).all():
-        raise ValueError("observation matrix contains NaN or Inf entries")
-
-    if p > 4 * n:
-        u, s, _ = np.linalg.svd(x / np.sqrt(n), full_matrices=False)
-        eigvals = s ** 2
-        vecs = u
-    else:
-        gram = (x @ x.T) / n
-        gram = (gram + gram.T) / 2.0
-        vals, vecs = np.linalg.eigh(gram)
-        order = np.argsort(vals)[::-1][: min(p, n)]
-        eigvals = np.maximum(vals[order], 0.0)
-        vecs = vecs[:, order]
+    x = _checked_observations(x, r, "r")
+    eigvals, vecs, tail_sum = _leading_spectrum(x, r, vectors=True)
 
     floor = EIGENVALUE_FLOOR * eigvals[0]
     if eigvals[r - 1] <= floor:
@@ -120,18 +148,37 @@ def eigendecompose(x: np.ndarray, r: int) -> PcaDecomposition:
             f"{floor:.3e}; the data has numerical rank < {r}"
         )
 
-    eigvecs_r = _fix_column_signs(vecs[:, :r])
-    scores = (eigvecs_r.T @ x) / np.sqrt(eigvals[:r])[:, None]
-    return PcaDecomposition(eigvals=eigvals, eigvecs_r=eigvecs_r, scores=scores, r=r)
+    eigvecs_r = _fix_column_signs(vecs)
+    scores = (eigvecs_r.T @ x) / np.sqrt(eigvals)[:, None]
+    return PcaDecomposition(eigvals=eigvals, tail_sum=tail_sum,
+                            eigvecs_r=eigvecs_r, scores=scores, r=r)
+
+
+def leading_eigenvalues(x: np.ndarray, k: int) -> np.ndarray:
+    """The k leading eigenvalues of (1/n) X X^T, nonincreasing.
+
+    Same input checks and solvers as :func:`eigendecompose`, without the
+    eigenvectors; ``k = min(p, n)`` gives every eigenvalue that can be
+    nonzero.
+
+    Raises
+    ------
+    ValueError
+        If ``x`` is not 2-D or holds NaN or Inf, or k is outside
+        [1, min(p, n)].
+    """
+    x = _checked_observations(x, k, "k")
+    return _leading_spectrum(x, k, vectors=False)[0]
 
 
 def noise_variance_estimate(decomp: PcaDecomposition, p: int) -> float:
     """Average of the trailing eigenvalues, an isotropic noise-variance estimate.
 
-    Returns ``sum(eigvals[r:]) / (p - r)``.  Eigenvalues beyond min(p, n)
-    are exactly zero and contribute only to the denominator.  A tail mean
-    at or below ``EIGENVALUE_FLOOR`` times the top eigenvalue is returned
-    as exactly 0.0, so a noiseless decomposition corrects to itself.
+    Returns ``tail_sum / (p - r)``, the mean of the p - r eigenvalues
+    after the r retained ones; those beyond min(p, n) are exactly zero and
+    contribute only to the denominator.  A tail mean at or below
+    ``EIGENVALUE_FLOOR`` times the top eigenvalue is returned as exactly
+    0.0, so a noiseless decomposition corrects to itself.
 
     Raises
     ------
@@ -145,7 +192,7 @@ def noise_variance_estimate(decomp: PcaDecomposition, p: int) -> float:
             f"p={p} <= r={r} leaves no trailing eigenvalues; "
             "use the uncorrected pipeline"
         )
-    value = float(decomp.eigvals[r:].sum()) / (p - r)
+    value = decomp.tail_sum / (p - r)
     if value <= EIGENVALUE_FLOOR * decomp.eigvals[0]:
         return 0.0
     return value
@@ -157,9 +204,12 @@ def corrected_decomposition(decomp: PcaDecomposition, x: np.ndarray) -> PcaDecom
     Adds to the decomposition:
 
     - ``eigvals_corrected``: D_r - noise_var_hat,
-    - ``scores_corrected``: scores rescaled by the corrected eigenvalues,
+    - ``scores_corrected``: the scores whitened by the corrected
+      eigenvalues, scores * sqrt(D_r / (D_r - noise_var_hat)),
     - ``sigma_n_hat``: diag(noise_var_hat / eigvals_corrected), the
       estimated covariance of the additive error in the scores.
+
+    ``x`` is read only for its row count p.
 
     Raises
     ------
@@ -168,10 +218,8 @@ def corrected_decomposition(decomp: PcaDecomposition, x: np.ndarray) -> PcaDecom
         floor, in which case callers should fall back to the uncorrected
         pipeline.
     """
-    x = np.asarray(x, dtype=float)
-    noise_var = noise_variance_estimate(decomp, x.shape[0])
-    d_top = decomp.eigvals[: decomp.r]
-    corrected = d_top - noise_var
+    noise_var = noise_variance_estimate(decomp, np.shape(x)[0])
+    corrected = decomp.eigvals - noise_var
     floor = EIGENVALUE_FLOOR * decomp.eigvals[0]
     if np.min(corrected) <= floor:
         bad = int(np.argmin(corrected)) + 1
@@ -179,7 +227,7 @@ def corrected_decomposition(decomp: PcaDecomposition, x: np.ndarray) -> PcaDecom
             f"corrected eigenvalue {bad} is {corrected[bad - 1]:.3e}, at or "
             f"below the floor {floor:.3e}; fall back to the uncorrected pipeline"
         )
-    scores_corrected = (decomp.eigvecs_r.T @ x) / np.sqrt(corrected)[:, None]
+    scores_corrected = decomp.scores * np.sqrt(decomp.eigvals / corrected)[:, None]
     sigma_n_hat = np.diag(noise_var / corrected)
     return replace(
         decomp,

@@ -5,6 +5,9 @@ from itertools import permutations, product
 
 import numpy as np
 
+from dvarimax import DegenerateSlicingError, complement_projector, fourth_moment
+from dvarimax.initialization import _mom_slices
+
 
 def brute_force_signed_permutation_error(lambda_hat, lambda_true):
     """Exhaustive minimum of |lambda_hat - lambda_true @ P|_F over signed perms."""
@@ -58,3 +61,38 @@ def projected_finite_difference_gradient(q, u, h=1e-5):
         e[i] = h
         grad[i] = (raw(q + e) - raw(q - e)) / (2 * h)
     return grad - q * (q @ grad)
+
+
+def full_eigh_decomposition(x, r):
+    """Reference PCA from a full symmetric eigensolve of (1/n) X X^T.
+
+    Returns all min(p, n) eigenvalues (nonincreasing, floored at 0), the r
+    leading eigenvectors as columns and the sum of the eigenvalues after
+    the r-th.
+    """
+    x = np.asarray(x, float)
+    p, n = x.shape
+    gram = (x @ x.T) / n
+    gram = (gram + gram.T) / 2.0
+    vals, vecs = np.linalg.eigh(gram)
+    order = np.argsort(vals)[::-1][: min(p, n)]
+    eigvals = np.maximum(vals[order], 0.0)
+    return eigvals, vecs[:, order[:r]], float(eigvals[r:].sum())
+
+
+def batched_svd_mom_init(u, prior, n_slices, improved=False, sigma_u=None,
+                         rng=None, subtraction="as_written"):
+    """Reference method-of-moments selection: the same slice stack as
+    ``mom_init``, a full SVD of every slice, and the leading left singular
+    vector of the slice with the largest top-two gap, sign-fixed."""
+    stat = fourth_moment(u)
+    r = stat.r
+    g = rng.standard_normal((n_slices, r, r))
+    proj = complement_projector(prior)
+    m = proj @ _mom_slices(stat, g, improved, sigma_u, subtraction) @ proj
+    left, singulars, _ = np.linalg.svd(m)
+    gaps = singulars[:, 0] - singulars[:, 1]
+    if np.max(gaps) < 1e-12:
+        raise DegenerateSlicingError("every random slice has a zero singular-value gap")
+    best = left[int(np.argmax(gaps)), :, 0]
+    return -best if best[np.argmax(np.abs(best))] < 0 else best

@@ -175,6 +175,25 @@ def test_estimate_auto_rank(tmp_path, simulated):
     assert diagnostics["selected_rank"] == 2
 
 
+def test_estimate_auto_rank_can_select_r_max(tmp_path, simulated):
+    # The ratio d_{r_max} / d_{r_max + 1} is a candidate, so the solve must
+    # reach eigenvalue r_max + 1.
+    out = tmp_path / "auto"
+    config = _write_config(tmp_path, "auto.cfg", input_path=simulated / "X.csv",
+                           output_path=out, r="auto", r_max=2, seed=8, step_size=0.01)
+    assert _run("estimate", "--config", config) == 0
+    diagnostics = json.loads((out / "diagnostics.json").read_text())
+    assert diagnostics["selected_rank"] == 2
+
+
+@pytest.mark.parametrize("r_max", [0, -3])
+def test_estimate_auto_rank_rejects_r_max_below_one(tmp_path, simulated, capsys, r_max):
+    config = _write_config(tmp_path, "rmax.cfg", input_path=simulated / "X.csv",
+                           output_path=tmp_path / "x", r="auto", r_max=r_max, seed=1)
+    assert _run("estimate", "--config", config) == 2
+    assert "r_max must be >= 1" in capsys.readouterr().err
+
+
 def test_estimate_rejects_oversized_rank(tmp_path, simulated, capsys):
     config = _write_config(tmp_path, "bad.cfg", input_path=simulated / "X.csv",
                            output_path=tmp_path / "x", r=11, seed=1)

@@ -36,7 +36,7 @@ def test_identity_rotation_reproduces_pca_columns():
     observed, _ = _dataset()
     decomp = eigendecompose(observed.data, 3)
     loading = loading_from_rotation(decomp, np.eye(3))
-    raw = decomp.eigvecs_r * np.sqrt(decomp.top_eigvals)[None, :]
+    raw = decomp.eigvecs_r * np.sqrt(decomp.eigvals)[None, :]
     assert np.allclose(loading, raw / np.linalg.norm(raw, 2), atol=1e-14)
 
 
@@ -177,8 +177,8 @@ def test_diagnostics_fields_populated():
 
 def test_predict_factors_identity_case():
     scores = substream(10, "est").standard_normal((2, 6))
-    decomp = PcaDecomposition(eigvals=np.ones(4), eigvecs_r=np.eye(4)[:, :2],
-                              scores=scores, r=2)
+    decomp = PcaDecomposition(eigvals=np.ones(2), tail_sum=2.0,
+                              eigvecs_r=np.eye(4)[:, :2], scores=scores, r=2)
     assert np.array_equal(predict_factors(decomp, np.eye(2)), scores)
 
 

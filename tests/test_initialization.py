@@ -1,14 +1,14 @@
 """Tests for the deflation-round initializers."""
 import numpy as np
 import pytest
-from helpers import hand_instance, random_orthogonal
+from helpers import batched_svd_mom_init, hand_instance, random_orthogonal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvarimax import (DegenerateProjectorError, InitScheme, complement_basis,
-                      complement_projector, generate_factors, make_init_provider,
-                      mom_init, mom_matrix, multi_random_init, objective,
-                      random_init, substream)
+from dvarimax import (DegenerateProjectorError, DegenerateSlicingError, InitScheme,
+                      complement_basis, complement_projector, generate_factors,
+                      make_init_provider, mom_init, mom_matrix, multi_random_init,
+                      objective, random_init, substream)
 
 
 def _empty_prior(r):
@@ -298,6 +298,29 @@ def test_mom_init_picks_the_slice_a_loop_over_mom_matrix_picks(
     want = leading[int(np.argmax(gaps))]
     want = want if want[np.argmax(np.abs(want))] > 0 else -want
     assert np.max(np.abs(got - want)) <= 1e-8
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(r=st.integers(2, 10), k=st.integers(0, 9), slices=st.integers(1, 400),
+       seed=st.integers(0, 2 ** 32 - 1), improved=st.booleans(),
+       mode=st.sampled_from(["as_written", "lemma_consistent"]))
+def test_mom_init_returns_the_batched_svd_selection_bitwise(
+        r, k, slices, seed, improved, mode):
+    rng = np.random.default_rng(seed)
+    u = generate_factors(r, 300, 0.2, rng) / np.sqrt(0.2)
+    prior = random_orthogonal(r, rng)[:, :min(k, r - 1)]
+    sigma_u = np.eye(r) + np.diag(rng.uniform(0.0, 0.5, r))
+    kwargs = dict(improved=improved, sigma_u=sigma_u, subtraction=mode)
+    got = mom_init(u, prior, slices, rng=substream(seed, "slices"), **kwargs)
+    want = batched_svd_mom_init(u, prior, slices, rng=substream(seed, "slices"),
+                                **kwargs)
+    assert np.array_equal(got, want)
+    # A stack whose every slice is zero has no gap to pick by.
+    zeros = dict(kwargs, improved=True, sigma_u=np.zeros((r, r)))
+    for init in (mom_init, batched_svd_mom_init):
+        with pytest.raises(DegenerateSlicingError):
+            init(np.zeros((r, 300)), prior, slices, rng=substream(seed, "slices"),
+                 **zeros)
 
 
 # ---------------------------------------------------------------------------

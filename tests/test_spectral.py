@@ -1,19 +1,21 @@
 """Tests for the PCA step and the noise corrections."""
 import numpy as np
 import pytest
+from helpers import full_eigh_decomposition
 
 from dvarimax import (CorrectionInfeasibleError, NoSignalError, PcaDecomposition,
                       RankDeficiencyError, SyntheticConfig, corrected_decomposition,
-                      eigendecompose, generate_dataset, noise_variance_estimate,
-                      select_rank, substream)
+                      eigendecompose, generate_dataset, leading_eigenvalues,
+                      noise_variance_estimate, select_rank, substream)
 
 
 def _decomp_from_eigvals(eigvals, r, p=None):
-    """Hand-built decomposition for arithmetic-only operations."""
+    """Hand-built decomposition for arithmetic-only operations; ``eigvals``
+    is the whole spectrum, split into the r retained values and the tail."""
     eigvals = np.asarray(eigvals, dtype=float)
     p = p if p is not None else eigvals.size
-    return PcaDecomposition(eigvals=eigvals, eigvecs_r=np.eye(p)[:, :r],
-                            scores=np.zeros((r, 2)), r=r)
+    return PcaDecomposition(eigvals=eigvals[:r], tail_sum=float(eigvals[r:].sum()),
+                            eigvecs_r=np.eye(p)[:, :r], scores=np.zeros((r, 2)), r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -30,8 +32,10 @@ def test_identity_two_by_two():
 def test_noiseless_tail_is_zero():
     config = SyntheticConfig(n=200, p=20, r=3, varepsilon2=0.0, seed=5)
     observed, _ = generate_dataset(config)
+    eigvals = leading_eigenvalues(observed.data, 20)
+    assert np.all(eigvals[3:] <= 1e-10 * eigvals[0])
     decomp = eigendecompose(observed.data, 3)
-    assert np.all(decomp.eigvals[3:] <= 1e-10 * decomp.eigvals[0])
+    assert decomp.tail_sum <= 1e-10 * decomp.eigvals[0]
 
 
 @pytest.mark.parametrize("p,n,r,seed", [(6, 40, 3, 0), (30, 12, 5, 1),
@@ -45,7 +49,7 @@ def test_whitening_and_orthonormality(p, n, r, seed):
     vtv = decomp.eigvecs_r.T @ decomp.eigvecs_r
     assert np.linalg.norm(vtv - np.eye(r)) <= 1e-10
     assert np.all(np.diff(decomp.eigvals) <= 1e-12)
-    assert decomp.eigvals.size == min(p, n)
+    assert decomp.eigvals.size == r
 
 
 def test_spectral_reconstruction_small():
@@ -63,8 +67,10 @@ def test_svd_path_matches_gram_path():
     rng = substream(6, "x")
     x = rng.standard_normal((50, 10))
     decomp = eigendecompose(x, 3)           # 50 > 40: SVD path
-    gram_vals = np.linalg.eigvalsh(x @ x.T / 10)[::-1][:10]
-    assert np.allclose(decomp.eigvals, np.maximum(gram_vals, 0), atol=1e-10)
+    gram_vals = np.maximum(np.linalg.eigvalsh(x @ x.T / 10)[::-1][:10], 0)
+    assert np.allclose(decomp.eigvals, gram_vals[:3], atol=1e-10)
+    assert decomp.tail_sum == pytest.approx(gram_vals[3:].sum(), abs=1e-10)
+    assert np.allclose(leading_eigenvalues(x, 10), gram_vals, atol=1e-10)
 
 
 def test_rank_deficiency_error_names_index():
@@ -87,6 +93,52 @@ def test_eigenvector_sign_convention():
     decomp = eigendecompose(x, 4)
     for col in decomp.eigvecs_r.T:
         assert col[np.argmax(np.abs(col))] > 0
+
+
+# ---------------------------------------------------------------------------
+# partial solve against the full-eigh oracle
+# ---------------------------------------------------------------------------
+
+def _projector(vecs):
+    return vecs @ vecs.T
+
+
+@pytest.mark.parametrize("p,n,r", [(40, 120, 5),    # p < n, Gram path
+                                   (60, 25, 4),     # n < p <= 4n, Gram path
+                                   (20, 12, 12),    # r = min(p, n), Gram path
+                                   (90, 15, 3)])    # p > 4n, SVD path
+def test_partial_solve_matches_full_eigh_oracle(p, n, r):
+    x = substream(p, "oracle").standard_normal((p, n))
+    want_vals, want_vecs, want_tail = full_eigh_decomposition(x, r)
+    decomp = eigendecompose(x, r)
+    top = want_vals[0]
+    assert np.max(np.abs(decomp.eigvals - want_vals[:r])) <= 1e-12 * top
+    assert np.linalg.norm(_projector(decomp.eigvecs_r) - _projector(want_vecs)) <= 1e-10
+    assert abs(decomp.tail_sum - want_tail) <= 1e-12 * np.sum(x * x) / n
+    everything = leading_eigenvalues(x, min(p, n))
+    assert np.max(np.abs(everything - want_vals)) <= 1e-12 * top
+
+
+def test_partial_solve_near_tied_eigenvalues():
+    # Eigenvalues r and r + 1 differ by 1e-6 relative: the values still
+    # agree to rounding, and the top-r spans within the Davis-Kahan bound
+    # for a backward error of a few ulps of the largest eigenvalue.
+    p, n, r = 60, 200, 4
+    rng = substream(21, "oracle")
+    left = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    right = np.linalg.qr(rng.standard_normal((n, p)))[0]
+    spectrum = np.concatenate([[5.0, 4.0, 3.0, 1.0, 1.0 - 1e-6],
+                               np.linspace(0.9, 0.1, p - 5)])
+    x = np.sqrt(n) * (left * np.sqrt(spectrum)) @ right.T
+    want_vals, want_vecs, want_tail = full_eigh_decomposition(x, r)
+    gap = want_vals[r - 1] - want_vals[r]
+    assert gap == pytest.approx(1e-6, rel=1e-3)
+    decomp = eigendecompose(x, r)
+    top = want_vals[0]
+    assert np.max(np.abs(decomp.eigvals - want_vals[:r])) <= 1e-12 * top
+    assert abs(decomp.tail_sum - want_tail) <= 1e-12 * np.sum(spectrum)
+    drift = np.linalg.norm(_projector(decomp.eigvecs_r) - _projector(want_vecs))
+    assert drift <= 8 * np.finfo(float).eps * top / gap
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +179,7 @@ def test_noise_variance_nonnegative():
 def test_correction_arithmetic():
     x = substream(10, "x").standard_normal((5, 200))
     decomp = eigendecompose(x, 2)
-    forced = PcaDecomposition(eigvals=np.array([5.0, 4.0, 1.0, 1.0, 1.0]),
+    forced = PcaDecomposition(eigvals=np.array([5.0, 4.0]), tail_sum=3.0,
                               eigvecs_r=decomp.eigvecs_r, scores=decomp.scores, r=2)
     corrected = corrected_decomposition(forced, x)
     assert np.allclose(corrected.eigvals_corrected, [4.0, 3.0])
@@ -151,7 +203,7 @@ def test_noiseless_correction_is_identity_bitwise():
 def test_correction_infeasible_raises():
     x = substream(12, "x").standard_normal((6, 100))
     decomp = eigendecompose(x, 3)
-    forced = PcaDecomposition(eigvals=np.array([4.0, 3.0, 1.0, 2.0, 2.0, 2.0]),
+    forced = PcaDecomposition(eigvals=np.array([4.0, 3.0, 1.0]), tail_sum=6.0,
                               eigvecs_r=decomp.eigvecs_r, scores=decomp.scores, r=3)
     # tail mean 2.0 exceeds the third retained eigenvalue 1.0
     with pytest.raises(CorrectionInfeasibleError):
