@@ -276,6 +276,8 @@ def cmd_estimate(config: dict) -> int:
     selected_rank = None
     if r == "auto":
         r_max = config.get("r_max", min(p, n) - 1 if min(p, n) > 1 else 1)
+        # select_rank checks r_max too, but only after the solve, whose k
+        # is derived from r_max; reject a bad r_max before solving.
         if r_max < 1:
             raise CliError("r_max must be >= 1")
         # select_rank reads the eigenvalues up to index r_max (0-based).

@@ -94,31 +94,23 @@ def _checked_observations(x: np.ndarray, k: int, name: str) -> np.ndarray:
     return x
 
 
-def _leading_spectrum(x: np.ndarray, k: int, vectors: bool):
+def _leading_spectrum(x: np.ndarray, k: int):
     """The k leading eigenvalues of (1/n) X X^T (nonincreasing, floored at
-    0), their eigenvectors as columns when ``vectors`` (else None), and the
-    sum of the remaining eigenvalues."""
+    0), their eigenvectors as columns, and the sum of the remaining
+    eigenvalues."""
     p, n = x.shape
     if p > 4 * n:
-        if vectors:
-            u, s, _ = np.linalg.svd(x / np.sqrt(n), full_matrices=False)
-            u = u[:, :k]
-        else:
-            u, s = None, np.linalg.svd(x / np.sqrt(n), compute_uv=False)
+        u, s, _ = np.linalg.svd(x / np.sqrt(n), full_matrices=False)
         eigvals = s ** 2
-        return eigvals[:k], u, float(eigvals[k:].sum())
+        return eigvals[:k], u[:, :k], float(eigvals[k:].sum())
     # x @ x.T goes through syrk, so the Gram matrix is exactly symmetric.
     gram = (x @ x.T) / n
     trace = float(np.trace(gram))
     # A subset of a standard symmetric problem is solved by LAPACK dsyevr.
-    solved = scipy.linalg.eigh(gram, subset_by_index=[p - k, p - 1],
-                               eigvals_only=not vectors, overwrite_a=True,
-                               check_finite=False)
-    vals, vecs = solved if vectors else (solved, None)
+    vals, vecs = scipy.linalg.eigh(gram, subset_by_index=[p - k, p - 1],
+                                   overwrite_a=True, check_finite=False)
     eigvals = np.maximum(vals[::-1], 0.0)
-    if vecs is not None:
-        vecs = vecs[:, ::-1]
-    return eigvals, vecs, max(trace - float(eigvals.sum()), 0.0)
+    return eigvals, vecs[:, ::-1], max(trace - float(eigvals.sum()), 0.0)
 
 
 def eigendecompose(x: np.ndarray, r: int) -> PcaDecomposition:
@@ -139,7 +131,7 @@ def eigendecompose(x: np.ndarray, r: int) -> PcaDecomposition:
         the largest one.
     """
     x = _checked_observations(x, r, "r")
-    eigvals, vecs, tail_sum = _leading_spectrum(x, r, vectors=True)
+    eigvals, vecs, tail_sum = _leading_spectrum(x, r)
 
     floor = EIGENVALUE_FLOOR * eigvals[0]
     if eigvals[r - 1] <= floor:
@@ -157,9 +149,9 @@ def eigendecompose(x: np.ndarray, r: int) -> PcaDecomposition:
 def leading_eigenvalues(x: np.ndarray, k: int) -> np.ndarray:
     """The k leading eigenvalues of (1/n) X X^T, nonincreasing.
 
-    Same input checks and solvers as :func:`eigendecompose`, without the
-    eigenvectors; ``k = min(p, n)`` gives every eigenvalue that can be
-    nonzero.
+    Same input checks and solve as :func:`eigendecompose`, which also
+    computes the eigenvectors; only the values are returned.
+    ``k = min(p, n)`` gives every eigenvalue that can be nonzero.
 
     Raises
     ------
@@ -168,7 +160,7 @@ def leading_eigenvalues(x: np.ndarray, k: int) -> np.ndarray:
         [1, min(p, n)].
     """
     x = _checked_observations(x, k, "k")
-    return _leading_spectrum(x, k, vectors=False)[0]
+    return _leading_spectrum(x, k)[0]
 
 
 def noise_variance_estimate(decomp: PcaDecomposition, p: int) -> float:
@@ -209,7 +201,10 @@ def corrected_decomposition(decomp: PcaDecomposition, x: np.ndarray) -> PcaDecom
     - ``sigma_n_hat``: diag(noise_var_hat / eigvals_corrected), the
       estimated covariance of the additive error in the scores.
 
-    ``x`` is read only for its row count p.
+    ``decomp`` must be the :func:`eigendecompose` of ``x``: the corrected
+    scores rescale ``decomp.scores`` and are V_r^T X / sqrt(D_r -
+    noise_var_hat) only while the scores are V_r^T X / sqrt(D_r).  ``x`` is
+    read only for its row count p.
 
     Raises
     ------

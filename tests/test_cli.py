@@ -187,7 +187,12 @@ def test_estimate_auto_rank_can_select_r_max(tmp_path, simulated):
 
 
 @pytest.mark.parametrize("r_max", [0, -3])
-def test_estimate_auto_rank_rejects_r_max_below_one(tmp_path, simulated, capsys, r_max):
+def test_estimate_auto_rank_rejects_r_max_below_one(tmp_path, simulated, capsys,
+                                                    monkeypatch, r_max):
+    # The check runs before any eigensolve.
+    def no_solve(*args):
+        raise AssertionError("eigensolve ran before r_max was checked")
+    monkeypatch.setattr("dvarimax.cli.leading_eigenvalues", no_solve)
     config = _write_config(tmp_path, "rmax.cfg", input_path=simulated / "X.csv",
                            output_path=tmp_path / "x", r="auto", r_max=r_max, seed=1)
     assert _run("estimate", "--config", config) == 2

@@ -200,6 +200,18 @@ def test_noiseless_correction_is_identity_bitwise():
     assert np.allclose(corrected.sigma_n_hat, 0.0)
 
 
+def test_corrected_scores_match_recomputed_whitening():
+    # The corrected scores rescale the plain ones; on noisy data they must
+    # equal V_r^T X whitened by the corrected eigenvalues.
+    config = SyntheticConfig(n=4000, p=60, r=3, varepsilon2=0.5, seed=21)
+    observed, _ = generate_dataset(config)
+    decomp = eigendecompose(observed.data, 3)
+    corrected = corrected_decomposition(decomp, observed.data)
+    assert corrected.noise_var_hat > 0.0
+    oracle = (decomp.eigvecs_r.T @ observed.data) / np.sqrt(corrected.eigvals_corrected)[:, None]
+    assert np.max(np.abs(corrected.scores_corrected - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
 def test_correction_infeasible_raises():
     x = substream(12, "x").standard_normal((6, 100))
     decomp = eigendecompose(x, 3)
