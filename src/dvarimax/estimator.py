@@ -151,7 +151,7 @@ def estimate_loading(x: np.ndarray, r: int,
     fallback = False
     if variant != EstimatorVariant.BASE or init_scheme.improved:
         try:
-            decomp = corrected_decomposition(decomp, x)
+            decomp = corrected_decomposition(decomp)
         except CorrectionInfeasibleError:
             if not auto_fallback:
                 raise
@@ -171,7 +171,7 @@ def estimate_loading(x: np.ndarray, r: int,
                                   sigma_u=sigma_u, subtraction=mom_subtraction)
     if effective_variant == EstimatorVariant.IMPROVED2:
         stat = stat.bias_corrected(decomp.sigma_n_hat)
-    rotation = deflate(stat, r, provider, solve_config)
+    rotation = deflate(stat, provider, solve_config)
 
     lambda_hat = loading_from_rotation(
         decomp, rotation.q_check,

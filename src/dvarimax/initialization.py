@@ -1,6 +1,9 @@
 """Initialization schemes for the deflation rounds.
 
-Three providers are available for starting each column solve:
+Every scheme reads the scores only through their fourth-moment statistic,
+the :class:`~dvarimax.rotation.FourthMoment` that ``estimate_loading``
+builds once per fit and shares with the rotation.  Three providers are
+available for starting each column solve:
 
 - ``random``: a standard-normal draw inside the orthogonal complement of
   the previously solved columns, normalized to the sphere.
@@ -34,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import DegenerateProjectorError, DegenerateSlicingError
-from .rotation import FourthMoment, _check_prior, complement_basis, fourth_moment
+from .rotation import FourthMoment, _check_prior, complement_basis
 
 __all__ = [
     "InitScheme",
@@ -76,6 +79,10 @@ class InitScheme:
             raise ValueError("slices must be >= 1")
         if self.improved and self.kind != "mom":
             raise ValueError("improved applies only to the mom scheme")
+        if self.draws is not None and self.kind != "multi_random":
+            raise ValueError("draws applies only to the multi_random scheme")
+        if self.slices is not None and self.kind != "mom":
+            raise ValueError("slices applies only to the mom scheme")
 
     @classmethod
     def random(cls) -> "InitScheme":
@@ -131,16 +138,13 @@ def random_init(prior: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return v / nrm
 
 
-def multi_random_init(u, prior: np.ndarray, draws: int,
+def multi_random_init(stat: FourthMoment, prior: np.ndarray, draws: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """Best of ``draws`` random initializers by quartic objective value.
-
-    ``u`` is the r x n score matrix or its :class:`FourthMoment`.  Ties
-    break toward the earliest draw.
+    """Best of ``draws`` random initializers by the quartic objective that
+    ``stat`` gives.  Ties break toward the earliest draw.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    stat = fourth_moment(u)
     candidates = [random_init(prior, rng) for _ in range(draws)]
     values = [stat.objective(c) for c in candidates]
     return candidates[int(np.argmin(values))]
@@ -206,19 +210,19 @@ def _mom_slices(stat: FourthMoment, g: np.ndarray, improved: bool,
     return stat.contract(g) / 3.0 - _subtracted(g, improved, sigma_u, subtraction)
 
 
-def mom_init(u, prior: np.ndarray, n_slices: int,
+def mom_init(stat: FourthMoment, prior: np.ndarray, n_slices: int,
              improved: bool = False, sigma_u: Optional[np.ndarray] = None,
              rng: np.random.Generator = None,
              subtraction: str = "as_written") -> np.ndarray:
     """Method-of-moments initializer via multiple random slicings.
 
-    ``u`` is the r x n score matrix or its :class:`FourthMoment`.  Draws
-    ``n_slices`` standard-normal r x r matrices (one (n_slices, r, r)
-    draw, the same stream as n_slices separate ones), projects each
-    moment slice onto the complement of the prior columns on both sides,
-    and returns the leading left singular vector of the slice with the
-    largest top-two singular-value gap (ties to the earliest slice).  The
-    returned vector's largest-magnitude entry is made positive.
+    Draws ``n_slices`` standard-normal r x r matrices (one
+    (n_slices, r, r) draw, the same stream as n_slices separate ones),
+    reads each moment slice from ``stat``, projects it onto the
+    complement of the prior columns on both sides, and returns the leading
+    left singular vector of the slice with the largest top-two
+    singular-value gap (ties to the earliest slice).  The returned
+    vector's largest-magnitude entry is made positive.
 
     Raises
     ------
@@ -227,7 +231,6 @@ def mom_init(u, prior: np.ndarray, n_slices: int,
     """
     if n_slices < 1:
         raise ValueError("n_slices must be >= 1")
-    stat = fourth_moment(u)
     r = stat.r
     if r == 1:
         return np.ones(1)
@@ -248,17 +251,16 @@ def mom_init(u, prior: np.ndarray, n_slices: int,
     return best
 
 
-def make_init_provider(scheme: InitScheme, u,
+def make_init_provider(scheme: InitScheme, stat: FourthMoment,
                        rng: np.random.Generator, *,
                        sigma_u: Optional[np.ndarray] = None,
                        subtraction: str = "as_written"):
     """Build the ``(k, prior) -> q0`` callable used by the deflation loop.
 
-    ``u`` is the r x n score matrix or its :class:`FourthMoment`, which
-    every round then reads.  The provider consumes ``rng`` sequentially
-    across rounds, so a fixed seed fixes the whole initialization sequence.
+    Every round reads the statistic ``stat``.  The provider consumes
+    ``rng`` sequentially across rounds, so a fixed seed fixes the whole
+    initialization sequence.
     """
-    stat = fourth_moment(u)
     r = stat.r
     if scheme.kind == "random":
         return lambda k, prior: random_init(prior, rng)
@@ -268,7 +270,6 @@ def make_init_provider(scheme: InitScheme, u,
     if scheme.improved and sigma_u is None:
         raise ValueError("improved mom init requires a score covariance estimate")
     n_slices = scheme.slices_for(r)
-    chosen_sigma_u = sigma_u if scheme.improved else None
     return lambda k, prior: mom_init(
         stat, prior, n_slices, improved=scheme.improved,
-        sigma_u=chosen_sigma_u, rng=rng, subtraction=subtraction)
+        sigma_u=sigma_u, rng=rng, subtraction=subtraction)

@@ -16,9 +16,11 @@ the earlier columns.  A single symmetric orthogonalization at the end
 replaces the stacked solutions by the nearest orthonormal-column matrix.
 
 The solver reads the scores U (r x n) only through their fourth-moment
-statistic T = (1/n) sum_t U_t (x) U_t (x) U_t (x) U_t, built once per
-score matrix (:func:`fourth_moment`) and stored as an r^2 x r^2 matrix.
-The gradient is -(1/3) P_q reshape(T vec(q q^T)) q and the objective
+statistic T = (1/n) sum_t U_t (x) U_t (x) U_t (x) U_t, stored as an
+r^2 x r^2 :class:`FourthMoment`.  :func:`pgd_solve` and :func:`deflate`
+take only that statistic, which ``estimate_loading`` builds once per fit
+with :func:`fourth_moment`.  The gradient is
+-(1/3) P_q reshape(T vec(q q^T)) q and the objective
 -(1/12) vec(q q^T)^T T vec(q q^T), so a PGD iteration costs O(r^4)
 whatever n is; T holds r^4 doubles (r = 10: 80 KB).  The score-based
 :func:`objective`, :func:`riemannian_gradient` and
@@ -102,7 +104,6 @@ class FourthMoment:
 
     matrix: np.ndarray   # r^2 x r^2
     r: int
-    n: int
 
     def contract(self, m: np.ndarray) -> np.ndarray:
         """reshape(T vec(M)) = (1/n) sum_t U_t U_t^T (U_t^T M U_t).
@@ -135,30 +136,27 @@ class FourthMoment:
         s = _check_sigma_n(self.r, sigma_n).ravel()
         cross = np.outer(np.eye(self.r).ravel(), s)
         return FourthMoment(self.matrix - 3 * (cross + cross.T + np.outer(s, s)),
-                            self.r, self.n)
+                            self.r)
 
     def restrict(self, basis: np.ndarray) -> "FourthMoment":
         """Statistic of the scores B^T U for an r x m basis B:
         (B (x) B)^T T (B (x) B)."""
         kron = np.kron(basis, basis)
-        return FourthMoment(kron.T @ self.matrix @ kron, basis.shape[1], self.n)
+        return FourthMoment(kron.T @ self.matrix @ kron, basis.shape[1])
 
 
-def fourth_moment(u) -> FourthMoment:
+def fourth_moment(u: np.ndarray) -> FourthMoment:
     """Fourth-moment statistic of the r x n score matrix ``u``.
 
     Built as (W W^T) / n with W[i*r + j, t] = U_it U_jt, in O(n r^4) time
-    and r^2 n memory.  A :class:`FourthMoment` is returned unchanged, so
-    callers may pass either scores or a prebuilt statistic.
+    and r^2 n memory.
     """
-    if isinstance(u, FourthMoment):
-        return u
     u = np.asarray(u, dtype=float)
     if u.ndim != 2:
         raise ValueError("score matrix must be 2-D (r x n)")
     r, n = u.shape
     w = (u[:, None, :] * u[None, :, :]).reshape(r * r, n)
-    return FourthMoment((w @ w.T) / n, r, n)
+    return FourthMoment((w @ w.T) / n, r)
 
 
 @dataclass(frozen=True)
@@ -182,8 +180,8 @@ class RotationSolveConfig:
 class RotationResult:
     """Stacked column solutions and their orthogonalized version."""
 
-    q_hat: np.ndarray            # r x s, unit-norm columns
-    q_check: np.ndarray          # r x s, orthonormal columns
+    q_hat: np.ndarray            # r x r, unit-norm columns
+    q_check: np.ndarray          # r x r, orthonormal columns
     iter_counts: np.ndarray      # iterations used per column, both solves of a restricted one
     grad_norms: np.ndarray       # final gradient norm per column
     converged_flags: np.ndarray  # whether grad_tol was reached per column
@@ -271,11 +269,10 @@ def corrected_gradient(q: np.ndarray, u: np.ndarray,
     return _plain_gradient(q, u) + _bias_term(q, sigma_n)
 
 
-def pgd_solve(q0: np.ndarray, u, config: RotationSolveConfig):
+def pgd_solve(q0: np.ndarray, stat: FourthMoment, config: RotationSolveConfig):
     """Run projected gradient descent on the sphere from ``q0``.
 
-    ``u`` is the r x n score matrix or its :class:`FourthMoment`; each
-    iteration reads only the statistic.  Iterates
+    ``stat`` is the :class:`FourthMoment` of the scores.  Iterates
     ``q <- normalize(q - step_size * g(q))`` where g is the statistic's
     gradient, so a :meth:`FourthMoment.bias_corrected` statistic gives the
     bias-corrected solve.
@@ -294,10 +291,9 @@ def pgd_solve(q0: np.ndarray, u, config: RotationSolveConfig):
         1e-14 before renormalization.
     """
     q = _check_unit(q0)
-    stat = fourth_moment(u)
     if stat.r != q.shape[0]:
         raise ValueError(f"dimension mismatch: q has {q.shape[0]} entries, "
-                         f"scores have {stat.r} rows")
+                         f"the statistic has r = {stat.r}")
     q = q / np.linalg.norm(q)
 
     gradient, step_size, grad_tol = stat.gradient, config.step_size, config.grad_tol
@@ -338,13 +334,13 @@ def _complement_solve(q0: np.ndarray, prior: np.ndarray, stat: FourthMoment,
     return basis @ q, iters, gnorm, converged
 
 
-def deflate(u, s: int, init_provider,
+def deflate(stat: FourthMoment, init_provider,
             config: RotationSolveConfig) -> RotationResult:
-    """Solve ``s`` rotation columns sequentially, then orthogonalize.
+    """Solve all ``stat.r`` rotation columns sequentially, then orthogonalize.
 
-    ``u`` is the r x n score matrix or its :class:`FourthMoment`.
+    ``stat`` is the :class:`FourthMoment` of the r x n scores.
     ``init_provider(k, prior)`` must return a unit r-vector for round
-    k = 1..s given the r x (k-1) block of previously solved columns.
+    k = 1..r given the r x (k-1) block of previously solved columns.
     The column solves are unconstrained, except that when the smallest
     singular value of the stacked columns q_1..q_k falls below 0.1 (round
     k re-found an earlier direction) round k is solved again on the unit
@@ -359,14 +355,10 @@ def deflate(u, s: int, init_provider,
         If a round must be re-solved but its initializer has a numerically
         zero projection on the complement.
     """
-    stat = fourth_moment(u)
-    r, n = stat.r, stat.n
-    if not 1 <= s <= min(r, n):
-        raise ValueError(f"s={s} must lie in [1, min(r, n)={min(r, n)}]")
-
+    r = stat.r
     columns: list[np.ndarray] = []
     iter_counts, grad_norms, flags, restricted = [], [], [], []
-    for k in range(1, s + 1):
+    for k in range(1, r + 1):
         prior = np.column_stack(columns) if columns else np.zeros((r, 0))
         q0 = np.asarray(init_provider(k, prior), dtype=float)
         try:

@@ -163,14 +163,14 @@ def leading_eigenvalues(x: np.ndarray, k: int) -> np.ndarray:
     return _leading_spectrum(x, k)[0]
 
 
-def noise_variance_estimate(decomp: PcaDecomposition, p: int) -> float:
+def noise_variance_estimate(decomp: PcaDecomposition) -> float:
     """Average of the trailing eigenvalues, an isotropic noise-variance estimate.
 
-    Returns ``tail_sum / (p - r)``, the mean of the p - r eigenvalues
-    after the r retained ones; those beyond min(p, n) are exactly zero and
-    contribute only to the denominator.  A tail mean at or below
-    ``EIGENVALUE_FLOOR`` times the top eigenvalue is returned as exactly
-    0.0, so a noiseless decomposition corrects to itself.
+    Returns ``tail_sum / (p - r)`` with p = ``decomp.p``, the mean of the
+    p - r eigenvalues after the r retained ones; those beyond min(p, n) are
+    exactly zero and contribute only to the denominator.  A tail mean at
+    or below ``EIGENVALUE_FLOOR`` times the top eigenvalue is returned as
+    exactly 0.0, so a noiseless decomposition corrects to itself.
 
     Raises
     ------
@@ -178,7 +178,7 @@ def noise_variance_estimate(decomp: PcaDecomposition, p: int) -> float:
         If p <= r; there are no trailing eigenvalues, so callers must use
         the uncorrected pipeline.
     """
-    r = decomp.r
+    p, r = decomp.p, decomp.r
     if p <= r:
         raise CorrectionInfeasibleError(
             f"p={p} <= r={r} leaves no trailing eigenvalues; "
@@ -190,7 +190,7 @@ def noise_variance_estimate(decomp: PcaDecomposition, p: int) -> float:
     return value
 
 
-def corrected_decomposition(decomp: PcaDecomposition, x: np.ndarray) -> PcaDecomposition:
+def corrected_decomposition(decomp: PcaDecomposition) -> PcaDecomposition:
     """Subtract the estimated noise variance from the retained eigenvalues.
 
     Adds to the decomposition:
@@ -201,10 +201,9 @@ def corrected_decomposition(decomp: PcaDecomposition, x: np.ndarray) -> PcaDecom
     - ``sigma_n_hat``: diag(noise_var_hat / eigvals_corrected), the
       estimated covariance of the additive error in the scores.
 
-    ``decomp`` must be the :func:`eigendecompose` of ``x``: the corrected
-    scores rescale ``decomp.scores`` and are V_r^T X / sqrt(D_r -
-    noise_var_hat) only while the scores are V_r^T X / sqrt(D_r).  ``x`` is
-    read only for its row count p.
+    ``decomp`` must come from :func:`eigendecompose` of the data X: the
+    corrected scores rescale ``decomp.scores`` and are V_r^T X / sqrt(D_r -
+    noise_var_hat) only while the scores are V_r^T X / sqrt(D_r).
 
     Raises
     ------
@@ -213,7 +212,7 @@ def corrected_decomposition(decomp: PcaDecomposition, x: np.ndarray) -> PcaDecom
         floor, in which case callers should fall back to the uncorrected
         pipeline.
     """
-    noise_var = noise_variance_estimate(decomp, np.shape(x)[0])
+    noise_var = noise_variance_estimate(decomp)
     corrected = decomp.eigvals - noise_var
     floor = EIGENVALUE_FLOOR * decomp.eigvals[0]
     if np.min(corrected) <= floor:

@@ -5,7 +5,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from dvarimax import DegenerateSlicingError, complement_projector, fourth_moment
+from dvarimax import DegenerateSlicingError, complement_projector
 from dvarimax.initialization import _mom_slices
 
 
@@ -80,12 +80,11 @@ def full_eigh_decomposition(x, r):
     return eigvals, vecs[:, order[:r]], float(eigvals[r:].sum())
 
 
-def batched_svd_mom_init(u, prior, n_slices, improved=False, sigma_u=None,
+def batched_svd_mom_init(stat, prior, n_slices, improved=False, sigma_u=None,
                          rng=None, subtraction="as_written"):
     """Reference method-of-moments selection: the same slice stack as
     ``mom_init``, a full SVD of every slice, and the leading left singular
     vector of the slice with the largest top-two gap, sign-fixed."""
-    stat = fourth_moment(u)
     r = stat.r
     g = rng.standard_normal((n_slices, r, r))
     proj = complement_projector(prior)

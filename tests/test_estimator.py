@@ -152,7 +152,7 @@ def test_infeasible_correction_falls_back():
     decomp = eigendecompose(x, 2)
     from dvarimax import corrected_decomposition
     with pytest.raises(CorrectionInfeasibleError):
-        corrected_decomposition(decomp, x)
+        corrected_decomposition(decomp)
     est = estimate_loading(x, 2, "improved1", MOM, FAST, substream(7, "est"),
                            auto_fallback=True)
     assert est.diagnostics.fallback

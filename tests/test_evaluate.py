@@ -277,6 +277,23 @@ def test_records_csv_keeps_failure_reasons(tmp_path):
     assert rows[1][-1] == "" and "," in rows[2][-1]
 
 
+def test_records_csv_writes_recorded_runtimes(tmp_path):
+    grid = _small_grid(sweep_name="p", sweep_values=(8, 1), replications=1,
+                       record_runtime=True)
+    records = run_experiment(grid)
+    ok = [rec for rec in records if not rec.failure]
+    failed = [rec for rec in records if rec.failure]
+    assert len(ok) == 1 and len(failed) == 1
+    assert all(rec.runtime_ms > 0 for rec in ok)
+    assert failed[0].runtime_ms == 0.0
+    path = tmp_path / "records.csv"
+    records_to_csv(records, path)
+    with open(path, encoding="utf8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    column = rows[0].index("runtime_ms")
+    assert [float(row[column]) for row in rows[1:]] == [rec.runtime_ms for rec in records]
+
+
 def test_csv_roundtrip_of_error_value(tmp_path):
     records = run_experiment(_small_grid())
     path = tmp_path / "records.csv"

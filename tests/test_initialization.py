@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvarimax import (DegenerateProjectorError, DegenerateSlicingError, InitScheme,
-                      complement_basis, complement_projector, generate_factors,
-                      make_init_provider, mom_init, mom_matrix, multi_random_init,
-                      objective, random_init, substream)
+                      complement_basis, complement_projector, fourth_moment,
+                      generate_factors, make_init_provider, mom_init, mom_matrix,
+                      multi_random_init, objective, random_init, substream)
 
 
 def _empty_prior(r):
@@ -32,6 +32,12 @@ def test_init_scheme_defaults_and_labels():
         InitScheme("random", improved=True)
     with pytest.raises(ValueError):
         InitScheme.multi_random(0)
+    with pytest.raises(ValueError):
+        InitScheme("random", draws=5)
+    with pytest.raises(ValueError):
+        InitScheme("mom", draws=3)
+    with pytest.raises(ValueError):
+        InitScheme("multi_random", slices=9)
 
 
 @pytest.mark.parametrize("label", InitScheme.LABELS)
@@ -117,14 +123,14 @@ def test_random_init_orthogonal_to_orthonormal_priors():
 
 def test_multi_random_single_draw_equals_random_init():
     u = hand_instance()
-    a = multi_random_init(u, _empty_prior(2), 1, substream(5, "init"))
+    a = multi_random_init(fourth_moment(u), _empty_prior(2), 1, substream(5, "init"))
     b = random_init(_empty_prior(2), substream(5, "init"))
     assert np.array_equal(a, b)
 
 
 def test_multi_random_selects_argmin_objective():
     u = hand_instance()
-    chosen = multi_random_init(u, _empty_prior(2), 64, substream(6, "init"))
+    chosen = multi_random_init(fourth_moment(u), _empty_prior(2), 64, substream(6, "init"))
     # reproduce the candidate sequence with an identical stream
     rng = substream(6, "init")
     candidates = [random_init(_empty_prior(2), rng) for _ in range(64)]
@@ -135,8 +141,8 @@ def test_multi_random_selects_argmin_objective():
 
 def test_multi_random_deterministic():
     u = hand_instance()
-    a = multi_random_init(u, _empty_prior(2), 16, substream(7, "init"))
-    b = multi_random_init(u, _empty_prior(2), 16, substream(7, "init"))
+    a = multi_random_init(fourth_moment(u), _empty_prior(2), 16, substream(7, "init"))
+    b = multi_random_init(fourth_moment(u), _empty_prior(2), 16, substream(7, "init"))
     assert np.array_equal(a, b)
 
 
@@ -211,14 +217,15 @@ def test_mom_matrix_improved_requires_sigma_u():
 # ---------------------------------------------------------------------------
 
 def test_mom_init_scalar_dimension():
-    q0 = mom_init(np.ones((1, 10)), _empty_prior(1), 4, rng=substream(11, "init"))
+    q0 = mom_init(fourth_moment(np.ones((1, 10))), _empty_prior(1), 4,
+                  rng=substream(11, "init"))
     assert np.array_equal(q0, np.ones(1))
 
 
 def test_mom_init_single_slice_is_leading_singular_vector():
     rng = substream(12, "init")
     u = rng.standard_normal((3, 60))
-    q0 = mom_init(u, _empty_prior(3), 1, rng=substream(13, "init"))
+    q0 = mom_init(fourth_moment(u), _empty_prior(3), 1, rng=substream(13, "init"))
     g = substream(13, "init").standard_normal((3, 3))
     m = mom_matrix(u, g)
     left = np.linalg.svd(m)[0][:, 0]
@@ -231,7 +238,7 @@ def test_mom_init_gap_selection_dominates():
     rng = substream(14, "init")
     u = generate_factors(3, 5000, 0.2, rng) / np.sqrt(0.2)
     draws = substream(15, "init")
-    q0 = mom_init(u, _empty_prior(3), 8, rng=draws)
+    q0 = mom_init(fourth_moment(u), _empty_prior(3), 8, rng=draws)
     # recompute every slice's gap with an identical stream
     fresh = substream(15, "init")
     gaps, vectors = [], []
@@ -251,7 +258,7 @@ def test_mom_init_recovers_axes_noiseless():
     for seed in range(1, 51):
         rng = substream(seed, "mom-axis")
         u = generate_factors(2, 50000, 0.1, rng) / np.sqrt(0.1)
-        q0 = mom_init(u, _empty_prior(2), 16, rng=rng)
+        q0 = mom_init(fourth_moment(u), _empty_prior(2), 16, rng=rng)
         dist = min(min(np.linalg.norm(q0 - e), np.linalg.norm(q0 + e))
                    for e in np.eye(2))
         hits += dist <= 0.2
@@ -262,15 +269,15 @@ def test_mom_init_projected_round_stays_in_complement():
     rng = substream(16, "init")
     u = generate_factors(3, 4000, 0.2, rng) / np.sqrt(0.2)
     prior = np.eye(3)[:, :1]
-    q0 = mom_init(u, prior, 8, rng=rng)
+    q0 = mom_init(fourth_moment(u), prior, 8, rng=rng)
     assert abs(q0[0]) <= 1e-10
 
 
 def test_mom_init_deterministic():
     rng_data = substream(17, "init")
     u = rng_data.standard_normal((4, 200))
-    a = mom_init(u, _empty_prior(4), 8, rng=substream(18, "init"))
-    b = mom_init(u, _empty_prior(4), 8, rng=substream(18, "init"))
+    a = mom_init(fourth_moment(u), _empty_prior(4), 8, rng=substream(18, "init"))
+    b = mom_init(fourth_moment(u), _empty_prior(4), 8, rng=substream(18, "init"))
     assert np.array_equal(a, b)
 
 
@@ -285,7 +292,8 @@ def test_mom_init_picks_the_slice_a_loop_over_mom_matrix_picks(
     prior = random_orthogonal(r, rng)[:, :min(k, r - 2)]
     sigma_u = np.eye(r) + np.diag(rng.uniform(0.0, 0.5, r))
     kwargs = dict(improved=improved, sigma_u=sigma_u, subtraction=mode)
-    got = mom_init(u, prior, slices, rng=substream(seed, "batched"), **kwargs)
+    got = mom_init(fourth_moment(u), prior, slices, rng=substream(seed, "batched"),
+                   **kwargs)
     # the reference: one draw, one moment slice and one SVD per slice
     draws = substream(seed, "batched")
     proj = complement_projector(prior)
@@ -311,16 +319,17 @@ def test_mom_init_returns_the_batched_svd_selection_bitwise(
     prior = random_orthogonal(r, rng)[:, :min(k, r - 1)]
     sigma_u = np.eye(r) + np.diag(rng.uniform(0.0, 0.5, r))
     kwargs = dict(improved=improved, sigma_u=sigma_u, subtraction=mode)
-    got = mom_init(u, prior, slices, rng=substream(seed, "slices"), **kwargs)
-    want = batched_svd_mom_init(u, prior, slices, rng=substream(seed, "slices"),
-                                **kwargs)
+    got = mom_init(fourth_moment(u), prior, slices, rng=substream(seed, "slices"),
+                   **kwargs)
+    want = batched_svd_mom_init(fourth_moment(u), prior, slices,
+                                rng=substream(seed, "slices"), **kwargs)
     assert np.array_equal(got, want)
     # A stack whose every slice is zero has no gap to pick by.
     zeros = dict(kwargs, improved=True, sigma_u=np.zeros((r, r)))
     for init in (mom_init, batched_svd_mom_init):
         with pytest.raises(DegenerateSlicingError):
-            init(np.zeros((r, 300)), prior, slices, rng=substream(seed, "slices"),
-                 **zeros)
+            init(fourth_moment(np.zeros((r, 300))), prior, slices,
+                 rng=substream(seed, "slices"), **zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +341,7 @@ def test_provider_outputs_unit_vectors():
     u = generate_factors(3, 2000, 0.3, rng) / np.sqrt(0.3)
     for scheme in (InitScheme.random(), InitScheme.multi_random(4),
                    InitScheme.method_of_moments(8)):
-        provider = make_init_provider(scheme, u, substream(20, scheme.label))
+        provider = make_init_provider(scheme, fourth_moment(u), substream(20, scheme.label))
         prior = _empty_prior(3)
         for k in (1, 2):
             q0 = provider(k, prior)
@@ -343,5 +352,5 @@ def test_provider_outputs_unit_vectors():
 def test_provider_improved_requires_sigma_u():
     u = hand_instance()
     with pytest.raises(ValueError):
-        make_init_provider(InitScheme.method_of_moments(improved=True), u,
+        make_init_provider(InitScheme.method_of_moments(improved=True), fourth_moment(u),
                            substream(21, "init"))

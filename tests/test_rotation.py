@@ -208,19 +208,12 @@ def test_bias_corrected_by_zero_is_the_statistic_bitwise():
         stat.bias_corrected(np.eye(3))
 
 
-def test_fourth_moment_passes_a_statistic_through():
-    stat = fourth_moment(hand_instance())
-    assert fourth_moment(stat) is stat
-    assert stat.matrix.shape == (4, 4) and (stat.r, stat.n) == (2, 4)
-    assert np.array_equal(stat.matrix, stat.matrix.T)
-
-
 # ---------------------------------------------------------------------------
 # pgd_solve
 # ---------------------------------------------------------------------------
 
 def test_pgd_stationary_start_returns_immediately():
-    q, iters, gnorm, converged = pgd_solve(E1, hand_instance(),
+    q, iters, gnorm, converged = pgd_solve(E1, fourth_moment(hand_instance()),
                                            RotationSolveConfig(grad_tol=1e-10))
     assert iters == 0 and converged
     assert np.array_equal(q, E1)
@@ -231,7 +224,8 @@ def test_pgd_converges_to_nearest_axis():
     # maximized exactly at the axes, so descent from (0.8, 0.6) must end
     # at (1, 0).
     config = RotationSolveConfig(step_size=0.05, grad_tol=1e-10, max_iters=20000)
-    q, _, _, converged = pgd_solve(np.array([0.8, 0.6]), hand_instance(), config)
+    q, _, _, converged = pgd_solve(np.array([0.8, 0.6]),
+                                   fourth_moment(hand_instance()), config)
     assert converged
     assert np.linalg.norm(q - E1) <= 1e-6
 
@@ -248,7 +242,7 @@ def test_pgd_grid_oracle_on_random_two_dim_instances():
         local_max = (values >= np.roll(values, 1)) & (values >= np.roll(values, -1))
         maximizers = circle[:, local_max]
         config = RotationSolveConfig(step_size=1e-3, grad_tol=1e-9, max_iters=50000)
-        q, _, _, converged = pgd_solve(_random_unit(2, rng), u, config)
+        q, _, _, converged = pgd_solve(_random_unit(2, rng), fourth_moment(u), config)
         assert converged
         dist = np.linalg.norm(maximizers - q[:, None], axis=0).min()
         assert dist <= 2e-3
@@ -262,7 +256,7 @@ def test_pgd_monotone_descent_spot_check():
         q = _random_unit(r, rng)
         prev = objective(q, u)
         for _ in range(200):
-            q, _, _, _ = pgd_solve(q, u, RotationSolveConfig(
+            q, _, _, _ = pgd_solve(q, fourth_moment(u), RotationSolveConfig(
                 step_size=1e-3, grad_tol=1e-300, max_iters=1))
             val = objective(q, u)
             assert val <= prev + 1e-12
@@ -273,7 +267,7 @@ def test_pgd_iteration_cap_returns_last_iterate():
     rng = substream(7, "rot")
     u = rng.standard_normal((3, 30))
     q, iters, gnorm, converged = pgd_solve(
-        _random_unit(3, rng), u,
+        _random_unit(3, rng), fourth_moment(u),
         RotationSolveConfig(step_size=1e-6, grad_tol=1e-12, max_iters=7))
     assert iters == 7 and not converged
     assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
@@ -284,7 +278,7 @@ def test_pgd_divergence_reports_iteration():
     # overflowing scores make the cubed projections non-finite
     u = 1e200 * hand_instance()
     with pytest.raises(DivergenceError) as info:
-        pgd_solve(np.array([0.8, 0.6]), u,
+        pgd_solve(np.array([0.8, 0.6]), fourth_moment(u),
                   RotationSolveConfig(grad_tol=1e-300, max_iters=50))
     assert info.value.iteration == 0
 
@@ -335,7 +329,7 @@ def test_pgd_equivariance_with_conjugated_correction():
 
 def test_deflate_on_hand_instance_recovers_signed_permutation():
     inits = {1: np.array([0.8, 0.6]), 2: np.array([0.6, -0.8])}
-    result = deflate(hand_instance(), 2, lambda k, prior: inits[k],
+    result = deflate(fourth_moment(hand_instance()), lambda k, prior: inits[k],
                      RotationSolveConfig(step_size=0.05, grad_tol=1e-12,
                                          max_iters=20000))
     q = result.q_check
@@ -345,25 +339,17 @@ def test_deflate_on_hand_instance_recovers_signed_permutation():
     assert best <= 1e-6
 
 
-def test_deflate_single_column():
-    result = deflate(hand_instance(), 1, lambda k, prior: np.array([0.8, 0.6]),
-                     RotationSolveConfig(step_size=0.05, grad_tol=1e-10,
-                                         max_iters=20000))
-    assert result.q_hat.shape == (2, 1)
-    assert np.allclose(result.q_check, result.q_hat, atol=1e-12)
-
-
 def test_deflate_columns_are_unit_and_counts_recorded():
     rng = substream(10, "rot")
     u = rng.standard_normal((4, 60))
     provider = lambda k, prior: _random_unit(4, rng)
-    result = deflate(u, 3, provider, RotationSolveConfig(step_size=1e-3,
-                                                         max_iters=200))
-    assert result.q_hat.shape == (4, 3)
+    result = deflate(fourth_moment(u), provider,
+                     RotationSolveConfig(step_size=1e-3, max_iters=200))
+    assert result.q_hat.shape == (4, 4)
     assert np.allclose(np.linalg.norm(result.q_hat, axis=0), 1.0, atol=1e-12)
-    assert result.iter_counts.shape == (3,)
-    assert result.grad_norms.shape == (3,)
-    assert result.converged_flags.shape == (3,)
+    assert result.iter_counts.shape == (4,)
+    assert result.grad_norms.shape == (4,)
+    assert result.converged_flags.shape == (4,)
 
 
 def test_deflate_permutation_covariance():
@@ -371,9 +357,9 @@ def test_deflate_permutation_covariance():
     u = rng.standard_normal((3, 40))
     inits = [_random_unit(3, rng) for _ in range(3)]
     config = RotationSolveConfig(step_size=1e-3, max_iters=300)
-    direct = deflate(u, 3, lambda k, prior: inits[k - 1], config)
+    direct = deflate(fourth_moment(u), lambda k, prior: inits[k - 1], config)
     perm = [2, 0, 1]
-    permuted = deflate(u, 3, lambda k, prior: inits[perm[k - 1]], config)
+    permuted = deflate(fourth_moment(u), lambda k, prior: inits[perm[k - 1]], config)
     assert np.array_equal(permuted.q_hat, direct.q_hat[:, perm])
 
 
@@ -381,7 +367,7 @@ def test_deflate_resolves_a_duplicate_round_in_the_complement():
     # Round 2 descends from (0.8, 0.6) onto E1, which round 1 already holds,
     # so it is solved again on the complement of E1.
     inits = {1: E1, 2: np.array([0.8, 0.6])}
-    result = deflate(hand_instance(), 2, lambda k, prior: inits[k],
+    result = deflate(fourth_moment(hand_instance()), lambda k, prior: inits[k],
                      RotationSolveConfig(step_size=0.1))
     assert np.array_equal(result.restricted, [False, True])
     for got in (result.q_hat, result.q_check):
@@ -392,18 +378,8 @@ def test_deflate_resolves_a_duplicate_round_in_the_complement():
 def test_deflate_duplicate_round_with_no_complement_start_raises():
     # Round 2 starts exactly on E1, whose projection on the complement is 0.
     with pytest.raises(DegenerateSolutionsError):
-        deflate(hand_instance(), 2, lambda k, prior: E1, RotationSolveConfig())
-
-
-def test_deflate_accepts_a_prebuilt_statistic():
-    rng = substream(14, "rot")
-    u = rng.standard_normal((3, 40))
-    inits = [_random_unit(3, rng) for _ in range(3)]
-    config = RotationSolveConfig(step_size=1e-3, max_iters=300)
-    direct = deflate(u, 3, lambda k, prior: inits[k - 1], config)
-    via_stat = deflate(fourth_moment(u), 3, lambda k, prior: inits[k - 1], config)
-    assert np.array_equal(direct.q_hat, via_stat.q_hat)
-    assert np.array_equal(direct.iter_counts, via_stat.iter_counts)
+        deflate(fourth_moment(hand_instance()), lambda k, prior: E1,
+                RotationSolveConfig())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -411,7 +387,7 @@ def test_deflate_divergence_carries_column_index():
     u = 1e200 * hand_instance()
     inits = {1: np.array([0.8, 0.6]), 2: np.array([0.6, -0.8])}
     with pytest.raises(DivergenceError) as info:
-        deflate(u, 2, lambda k, prior: inits[k],
+        deflate(fourth_moment(u), lambda k, prior: inits[k],
                 RotationSolveConfig(grad_tol=1e-300, max_iters=20))
     assert info.value.column == 1
 
@@ -424,6 +400,8 @@ def test_symmetric_orthogonalize_cases():
     rot = random_orthogonal(4, rng)
     assert np.allclose(symmetric_orthogonalize(rot @ np.diag([2.0, 1.0, 1.5, 0.3])),
                        rot, atol=1e-12)
+    column = _random_unit(3, rng)[:, None]
+    assert np.allclose(symmetric_orthogonalize(column), column, atol=1e-12)
 
 
 def test_symmetric_orthogonalize_is_nearest():

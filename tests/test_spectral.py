@@ -147,29 +147,29 @@ def test_partial_solve_near_tied_eigenvalues():
 
 def test_noise_variance_arithmetic():
     decomp = _decomp_from_eigvals([5.0, 4.0, 1.0, 1.0, 1.0], r=2)
-    assert noise_variance_estimate(decomp, 5) == pytest.approx(1.0)
+    assert noise_variance_estimate(decomp) == pytest.approx(1.0)
     decomp = _decomp_from_eigvals([3.0, 2.0, 2.0, 0.0], r=1)
-    assert noise_variance_estimate(decomp, 4) == pytest.approx(4.0 / 3.0)
+    assert noise_variance_estimate(decomp) == pytest.approx(4.0 / 3.0)
 
 
 def test_noise_variance_zero_tail_is_exact_zero():
     config = SyntheticConfig(n=100, p=12, r=3, varepsilon2=0.0, seed=9)
     observed, _ = generate_dataset(config)
     decomp = eigendecompose(observed.data, 3)
-    assert noise_variance_estimate(decomp, 12) == 0.0
+    assert noise_variance_estimate(decomp) == 0.0
 
 
 def test_noise_variance_requires_p_above_r():
     decomp = _decomp_from_eigvals([2.0, 1.0], r=2)
     with pytest.raises(CorrectionInfeasibleError, match="uncorrected"):
-        noise_variance_estimate(decomp, 2)
+        noise_variance_estimate(decomp)
 
 
 def test_noise_variance_nonnegative():
     for seed in range(5):
         x = substream(seed, "x").standard_normal((15, 40))
         decomp = eigendecompose(x, 4)
-        assert noise_variance_estimate(decomp, 15) >= 0.0
+        assert noise_variance_estimate(decomp) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,7 @@ def test_correction_arithmetic():
     decomp = eigendecompose(x, 2)
     forced = PcaDecomposition(eigvals=np.array([5.0, 4.0]), tail_sum=3.0,
                               eigvecs_r=decomp.eigvecs_r, scores=decomp.scores, r=2)
-    corrected = corrected_decomposition(forced, x)
+    corrected = corrected_decomposition(forced)
     assert np.allclose(corrected.eigvals_corrected, [4.0, 3.0])
     assert np.allclose(corrected.sigma_n_hat, np.diag([0.25, 1.0 / 3.0]))
     # consistency: corrected eigenvalues plus the estimate give back D_r
@@ -193,7 +193,7 @@ def test_noiseless_correction_is_identity_bitwise():
     config = SyntheticConfig(n=150, p=10, r=2, varepsilon2=0.0, seed=3)
     observed, _ = generate_dataset(config)
     decomp = eigendecompose(observed.data, 2)
-    corrected = corrected_decomposition(decomp, observed.data)
+    corrected = corrected_decomposition(decomp)
     assert corrected.noise_var_hat == 0.0
     assert np.array_equal(corrected.eigvals_corrected, decomp.eigvals[:2])
     assert np.array_equal(corrected.scores_corrected, decomp.scores)
@@ -206,7 +206,7 @@ def test_corrected_scores_match_recomputed_whitening():
     config = SyntheticConfig(n=4000, p=60, r=3, varepsilon2=0.5, seed=21)
     observed, _ = generate_dataset(config)
     decomp = eigendecompose(observed.data, 3)
-    corrected = corrected_decomposition(decomp, observed.data)
+    corrected = corrected_decomposition(decomp)
     assert corrected.noise_var_hat > 0.0
     oracle = (decomp.eigvecs_r.T @ observed.data) / np.sqrt(corrected.eigvals_corrected)[:, None]
     assert np.max(np.abs(corrected.scores_corrected - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -219,7 +219,7 @@ def test_correction_infeasible_raises():
                               eigvecs_r=decomp.eigvecs_r, scores=decomp.scores, r=3)
     # tail mean 2.0 exceeds the third retained eigenvalue 1.0
     with pytest.raises(CorrectionInfeasibleError):
-        corrected_decomposition(forced, x)
+        corrected_decomposition(forced)
 
 
 def test_corrected_sigma_n_matches_truth_oracle():
@@ -227,7 +227,7 @@ def test_corrected_sigma_n_matches_truth_oracle():
     # eps2 * S^{-2}; compare the diagonal estimate against that oracle.
     config = SyntheticConfig(n=4000, p=60, r=3, theta=0.2, varepsilon2=0.5, seed=14)
     observed, truth = generate_dataset(config)
-    decomp = corrected_decomposition(eigendecompose(observed.data, 3), observed.data)
+    decomp = corrected_decomposition(eigendecompose(observed.data, 3))
     oracle = truth.eps2 / truth.svd_singulars ** 2
     est = np.diag(decomp.sigma_n_hat)
     assert np.max(np.abs(est - oracle)) <= 0.25 * np.max(oracle)
