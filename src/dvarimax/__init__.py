@@ -21,7 +21,6 @@ from .rng import derive_seed, substream
 from .rotation import (FourthMoment, RotationResult, RotationSolveConfig,
                        complement_basis, corrected_gradient, deflate,
                        fourth_moment, objective, pgd_solve,
-                       population_gradient_h, population_objective,
                        riemannian_gradient, symmetric_orthogonalize)
 from .spectral import (PcaDecomposition, corrected_decomposition, eigendecompose,
                        leading_eigenvalues, noise_variance_estimate, select_rank)
@@ -40,7 +39,6 @@ __all__ = [
     "RotationSolveConfig", "RotationResult", "FourthMoment", "fourth_moment",
     "objective", "riemannian_gradient", "corrected_gradient", "pgd_solve",
     "complement_basis", "deflate", "symmetric_orthogonalize",
-    "population_objective", "population_gradient_h",
     # initialization
     "InitScheme", "complement_projector", "random_init",
     "multi_random_init", "mom_matrix", "mom_init", "make_init_provider",

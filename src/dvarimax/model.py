@@ -168,8 +168,8 @@ class SyntheticConfig:
             raise ValueError(f"r={self.r} exceeds min(p, n)={min(self.p, self.n)}")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
-        if self.varepsilon2 < 0:
-            raise ValueError("varepsilon2 must be nonnegative")
+        if not (np.isfinite(self.varepsilon2) and self.varepsilon2 >= 0):
+            raise ValueError("varepsilon2 must be finite and nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 

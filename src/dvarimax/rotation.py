@@ -33,10 +33,6 @@ Riemannian gradient of (1/2) q^T q q^T S q + (1/4) (q^T S q)^2.  So it is
 folded into the statistic (:meth:`FourthMoment.bias_corrected`), and the
 solver reads one statistic either way; for S proportional to the identity
 the gradient correction vanishes.
-
-Population-level counterparts of the objective and gradient (exact
-expectations under the independent leptokurtic factor model) are provided
-as test oracles.
 """
 from __future__ import annotations
 
@@ -60,8 +56,6 @@ __all__ = [
     "complement_basis",
     "deflate",
     "symmetric_orthogonalize",
-    "population_objective",
-    "population_gradient_h",
 ]
 
 _UNIT_TOL = 1e-8       # how far |q|_2 may sit from 1 on input
@@ -172,8 +166,10 @@ class RotationSolveConfig:
             raise ValueError("step_size must be positive")
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, (int, np.integer))
+                or self.max_iters < 1):
+            raise ValueError("max_iters must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -411,36 +407,3 @@ def symmetric_orthogonalize(q_hat: np.ndarray) -> np.ndarray:
         )
     return left @ right_t
 
-
-def population_objective(q: np.ndarray, a: np.ndarray, kappa: float,
-                         sigma_n: np.ndarray | None = None) -> float:
-    """Exact expectation of the quartic objective under the factor model.
-
-    For scores A Z + N with unit-variance independent factor coordinates
-    of excess kurtosis ``kappa``, an orthogonal A, and Gaussian noise with
-    covariance ``sigma_n``:
-
-        f(q) = -(1/4) * (kappa * |A^T q|_4^4 + 1 + 2 t + t^2),
-        t = q^T sigma_n q.
-    """
-    q = _check_unit(q)
-    a = np.asarray(a, dtype=float)
-    if a.shape != (q.shape[0], q.shape[0]):
-        raise ValueError("a must be r x r")
-    if np.max(np.abs(a.T @ a - np.eye(q.shape[0]))) > 1e-8:
-        raise ValueError("a must be orthogonal")
-    quartic = float(np.sum((a.T @ q) ** 4))
-    t = float(q @ (np.asarray(sigma_n, dtype=float) @ q)) if sigma_n is not None else 0.0
-    return -0.25 * (kappa * quartic + 1.0 + 2.0 * t + t * t)
-
-
-def population_gradient_h(q: np.ndarray, a: np.ndarray, kappa: float) -> np.ndarray:
-    """Noise-free population gradient, ``-kappa * P_q A (A^T q)^(o3)``.
-
-    Vanishes at every column of A, and also at the balanced points where
-    A^T q has k equal entries 1/sqrt(k) and zeros elsewhere.
-    """
-    q = _check_unit(q)
-    a = np.asarray(a, dtype=float)
-    w = a @ ((a.T @ q) ** 3)
-    return -kappa * (w - q * (q @ w))

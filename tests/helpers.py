@@ -7,6 +7,7 @@ import numpy as np
 
 from dvarimax import DegenerateSlicingError, complement_projector
 from dvarimax.initialization import _mom_slices
+from dvarimax.rotation import _check_unit
 
 
 def brute_force_signed_permutation_error(lambda_hat, lambda_true):
@@ -95,3 +96,37 @@ def batched_svd_mom_init(stat, prior, n_slices, improved=False, sigma_u=None,
         raise DegenerateSlicingError("every random slice has a zero singular-value gap")
     best = left[int(np.argmax(gaps)), :, 0]
     return -best if best[np.argmax(np.abs(best))] < 0 else best
+
+
+def population_objective(q: np.ndarray, a: np.ndarray, kappa: float,
+                         sigma_n: np.ndarray | None = None) -> float:
+    """Exact expectation of the quartic objective under the factor model.
+
+    For scores A Z + N with unit-variance independent factor coordinates
+    of excess kurtosis ``kappa``, an orthogonal A, and Gaussian noise with
+    covariance ``sigma_n``:
+
+        f(q) = -(1/4) * (kappa * |A^T q|_4^4 + 1 + 2 t + t^2),
+        t = q^T sigma_n q.
+    """
+    q = _check_unit(q)
+    a = np.asarray(a, dtype=float)
+    if a.shape != (q.shape[0], q.shape[0]):
+        raise ValueError("a must be r x r")
+    if np.max(np.abs(a.T @ a - np.eye(q.shape[0]))) > 1e-8:
+        raise ValueError("a must be orthogonal")
+    quartic = float(np.sum((a.T @ q) ** 4))
+    t = float(q @ (np.asarray(sigma_n, dtype=float) @ q)) if sigma_n is not None else 0.0
+    return -0.25 * (kappa * quartic + 1.0 + 2.0 * t + t * t)
+
+
+def population_gradient_h(q: np.ndarray, a: np.ndarray, kappa: float) -> np.ndarray:
+    """Noise-free population gradient, ``-kappa * P_q A (A^T q)^(o3)``.
+
+    Vanishes at every column of A, and also at the balanced points where
+    A^T q has k equal entries 1/sqrt(k) and zeros elsewhere.
+    """
+    q = _check_unit(q)
+    a = np.asarray(a, dtype=float)
+    w = a @ ((a.T @ q) ** 3)
+    return -kappa * (w - q * (q @ w))

@@ -10,13 +10,13 @@ import time
 import numpy as np
 import pytest
 from helpers import (brute_force_signed_permutation_error, hand_instance,
+                     population_gradient_h, population_objective,
                      projected_finite_difference_gradient, random_orthogonal)
 
 from dvarimax import (EstimatorVariant, ExperimentGrid, InitScheme,
                       RotationSolveConfig, SyntheticConfig, corrected_gradient,
                       eigendecompose, estimate_loading, fourth_moment,
                       generate_dataset, generate_factors, objective, pgd_solve,
-                      population_gradient_h, population_objective,
                       riemannian_gradient, run_experiment,
                       signed_permutation_error, substream)
 from dvarimax.cli import main as cli_main

@@ -4,6 +4,8 @@ import csv
 import numpy as np
 import pytest
 from helpers import brute_force_signed_permutation_error, random_orthogonal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvarimax import (EstimatorVariant, ExperimentGrid, ExperimentRecord,
                       InitScheme, RotationSolveConfig, SyntheticConfig, aggregate,
@@ -69,6 +71,19 @@ def test_error_invariant_under_signed_permutations_of_both_sides():
         p2 = _signed_permutation(4, rng)
         moved, _ = signed_permutation_error(a @ p1, b @ p2)
         assert moved == pytest.approx(base, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=st.integers(1, 9), r=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_error_signed_permutation_invariant_and_symmetric(p, r, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((p, r))
+    b = rng.standard_normal((p, r))
+    base, _ = signed_permutation_error(a, b)
+    moved, _ = signed_permutation_error(a @ _signed_permutation(r, rng), b)
+    swapped, _ = signed_permutation_error(b, a)
+    assert abs(moved - base) <= 1e-12
+    assert abs(swapped - base) <= 1e-12
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])

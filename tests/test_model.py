@@ -41,8 +41,9 @@ def test_synthetic_config_validates():
         SyntheticConfig(n=10, p=4, r=5, seed=1)      # r > min(p, n)
     with pytest.raises(ValueError):
         SyntheticConfig(n=10, p=4, r=2, theta=0.0, seed=1)
-    with pytest.raises(ValueError):
-        SyntheticConfig(n=10, p=4, r=2, varepsilon2=-0.1, seed=1)
+    for eps2 in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SyntheticConfig(n=10, p=4, r=2, varepsilon2=eps2, seed=1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,16 @@ from itertools import product
 
 import numpy as np
 import pytest
-from helpers import (hand_instance, projected_finite_difference_gradient,
-                     random_orthogonal)
+from helpers import (hand_instance, population_gradient_h, population_objective,
+                     projected_finite_difference_gradient, random_orthogonal)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvarimax import (DegenerateSolutionsError, DivergenceError, RotationSolveConfig,
                       complement_basis, corrected_gradient, deflate, fourth_moment,
                       generate_factors,
-                      mom_matrix, objective, pgd_solve, population_gradient_h,
-                      population_objective, riemannian_gradient, substream,
-                      symmetric_orthogonalize)
+                      mom_matrix, objective, pgd_solve, riemannian_gradient,
+                      substream, symmetric_orthogonalize)
 from dvarimax.initialization import SUBTRACTION_MODES, _mom_slices
 
 E1 = np.array([1.0, 0.0])
@@ -321,6 +320,31 @@ def test_pgd_equivariance_with_conjugated_correction():
     rotated = _iterates(rot.T @ q0, rot.T @ u, 50, correction=rot.T @ s @ rot)
     for a, b in zip(plain, rotated):
         assert np.linalg.norm(rot.T @ a - b) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(r=st.integers(2, 7), n=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
+       log_scale=st.floats(-1.0, 1.0))
+def test_pgd_solve_is_orthogonally_equivariant(r, n, seed, log_scale):
+    # pgd_solve(O q0, T(O U)) = O pgd_solve(q0, T(U)) over a fixed budget.
+    rng = np.random.default_rng(seed)
+    u = 10.0 ** log_scale * rng.standard_normal((r, n))
+    q0 = _random_unit(r, rng)
+    rot = random_orthogonal(r, rng)
+    step = 0.05 / (1.0 + float(np.mean(np.sum(u ** 2, axis=0) ** 2)))
+    config = RotationSolveConfig(step_size=step, grad_tol=1e-300, max_iters=40)
+    plain, iters, _, _ = pgd_solve(q0, fourth_moment(u), config)
+    rotated, rot_iters, _, _ = pgd_solve(rot @ q0, fourth_moment(rot @ u), config)
+    assert iters == rot_iters == 40
+    assert np.linalg.norm(rotated - rot @ plain) <= 1e-10
+
+
+def test_solve_config_validates():
+    RotationSolveConfig(step_size=0.1, grad_tol=1e-8, max_iters=np.int64(3))
+    for bad in (dict(step_size=0.0), dict(grad_tol=0.0), dict(max_iters=0),
+                dict(max_iters=2.5), dict(max_iters=True), dict(max_iters="10")):
+        with pytest.raises(ValueError):
+            RotationSolveConfig(**bad)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Tests for the PCA step and the noise corrections."""
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from helpers import full_eigh_decomposition
 
 from dvarimax import (CorrectionInfeasibleError, NoSignalError, PcaDecomposition,
                       RankDeficiencyError, SyntheticConfig, corrected_decomposition,
-                      eigendecompose, generate_dataset, leading_eigenvalues,
-                      noise_variance_estimate, select_rank, substream)
+                      eigendecompose, estimate_loading, generate_dataset,
+                      leading_eigenvalues, noise_variance_estimate, select_rank,
+                      substream)
+from dvarimax import spectral
 
 
 def _decomp_from_eigvals(eigvals, r, p=None):
@@ -82,9 +85,10 @@ def test_rank_deficiency_error_names_index():
 
 def test_invalid_rank_rejected():
     x = np.ones((3, 5))
-    for r in (0, 4):
-        with pytest.raises(ValueError):
-            eigendecompose(x, r)
+    for solve in (eigendecompose, leading_eigenvalues, estimate_loading):
+        for r in (0, 4, 3.0, True, "2"):
+            with pytest.raises(ValueError):
+                solve(x, r)
 
 
 def test_eigenvector_sign_convention():
@@ -106,6 +110,8 @@ def _projector(vecs):
 @pytest.mark.parametrize("p,n,r", [(40, 120, 5),    # p < n, Gram path
                                    (60, 25, 4),     # n < p <= 4n, Gram path
                                    (20, 12, 12),    # r = min(p, n), Gram path
+                                   (300, 900, 5),   # 20 r <= p, Lanczos
+                                   (1000, 2000, 10),  # the estimate-wide shape
                                    (90, 15, 3)])    # p > 4n, SVD path
 def test_partial_solve_matches_full_eigh_oracle(p, n, r):
     x = substream(p, "oracle").standard_normal((p, n))
@@ -122,23 +128,105 @@ def test_partial_solve_matches_full_eigh_oracle(p, n, r):
 def test_partial_solve_near_tied_eigenvalues():
     # Eigenvalues r and r + 1 differ by 1e-6 relative: the values still
     # agree to rounding, and the top-r spans within the Davis-Kahan bound
-    # for a backward error of a few ulps of the largest eigenvalue.
-    p, n, r = 60, 200, 4
-    rng = substream(21, "oracle")
-    left = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    # for a backward error of a few ulps of the largest eigenvalue.  The
+    # first shape takes the dense subset solve, the second Lanczos.
+    r = 4
+    for p, n in ((60, 200), (300, 900)):
+        rng = substream(21, "oracle")
+        left = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        right = np.linalg.qr(rng.standard_normal((n, p)))[0]
+        spectrum = np.concatenate([[5.0, 4.0, 3.0, 1.0, 1.0 - 1e-6],
+                                   np.linspace(0.9, 0.1, p - 5)])
+        x = np.sqrt(n) * (left * np.sqrt(spectrum)) @ right.T
+        want_vals, want_vecs, want_tail = full_eigh_decomposition(x, r)
+        gap = want_vals[r - 1] - want_vals[r]
+        assert gap == pytest.approx(1e-6, rel=1e-3)
+        decomp = eigendecompose(x, r)
+        top = want_vals[0]
+        assert np.max(np.abs(decomp.eigvals - want_vals[:r])) <= 1e-12 * top
+        assert abs(decomp.tail_sum - want_tail) <= 1e-12 * np.sum(spectrum)
+        drift = np.linalg.norm(_projector(decomp.eigvecs_r) - _projector(want_vecs))
+        assert drift <= 8 * np.finfo(float).eps * top / gap
+
+def test_leading_eigenvectors_orthogonal_to_all_ones():
+    # The leading eigenvectors are orthogonal to the all-ones vector, so a
+    # start vector along it would have no component in the wanted space.
+    p, n, r = 300, 900, 5
+    rng = substream(22, "oracle")
+    raw = rng.standard_normal((p, p))
+    raw[:, :r] -= raw[:, :r].mean(axis=0)
+    left = np.linalg.qr(raw)[0]
+    assert np.max(np.abs(np.ones(p) @ left[:, :r])) <= 1e-12
     right = np.linalg.qr(rng.standard_normal((n, p)))[0]
-    spectrum = np.concatenate([[5.0, 4.0, 3.0, 1.0, 1.0 - 1e-6],
-                               np.linspace(0.9, 0.1, p - 5)])
+    spectrum = np.concatenate([[5.0, 4.0, 3.0, 2.5, 2.0], np.linspace(1.0, 0.1, p - r)])
     x = np.sqrt(n) * (left * np.sqrt(spectrum)) @ right.T
     want_vals, want_vecs, want_tail = full_eigh_decomposition(x, r)
-    gap = want_vals[r - 1] - want_vals[r]
-    assert gap == pytest.approx(1e-6, rel=1e-3)
     decomp = eigendecompose(x, r)
-    top = want_vals[0]
-    assert np.max(np.abs(decomp.eigvals - want_vals[:r])) <= 1e-12 * top
-    assert abs(decomp.tail_sum - want_tail) <= 1e-12 * np.sum(spectrum)
-    drift = np.linalg.norm(_projector(decomp.eigvecs_r) - _projector(want_vecs))
-    assert drift <= 8 * np.finfo(float).eps * top / gap
+    assert np.max(np.abs(decomp.eigvals - want_vals[:r])) <= 1e-12 * want_vals[0]
+    assert np.linalg.norm(_projector(decomp.eigvecs_r) - _projector(want_vecs)) <= 1e-10
+
+
+def test_leading_eigenvalues_on_both_sides_of_the_solver_rule():
+    p, n = 300, 900
+    x = substream(23, "oracle").standard_normal((p, n))
+    want_vals = full_eigh_decomposition(x, 1)[0]
+    for k in (5, 15, 16, 40):       # 20 k <= 300 up to k = 15
+        assert spectral._lanczos_pays(p, k) == (k <= 15)
+        got = leading_eigenvalues(x, k)
+        assert np.max(np.abs(got - want_vals[:k])) <= 1e-12 * want_vals[0]
+
+
+def _counting_eigsh(monkeypatch, replacement=None):
+    """Replace ``eigsh`` by a wrapper that records the size of each call."""
+    calls = []
+    real = scipy.sparse.linalg.eigsh
+
+    def wrapper(a, k, **kwargs):
+        calls.append((a.shape[0], k))
+        return (replacement or real)(a, k, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("p,n,r,lanczos", [(20, 500, 5, False),     # sweep-careful
+                                           (30, 2000, 3, False),    # estimate-tall
+                                           (1000, 2000, 10, True)])  # estimate-wide
+def test_solver_rule_on_the_benchmark_shapes(monkeypatch, p, n, r, lanczos):
+    calls = _counting_eigsh(monkeypatch)
+    x = substream(p, "rule").standard_normal((p, n))
+    eigendecompose(x, r)
+    assert calls == ([(p, r)] if lanczos else [])
+
+
+def test_lanczos_no_convergence_falls_back_to_the_dense_solve(monkeypatch):
+    x = substream(24, "oracle").standard_normal((300, 900))
+
+    def fails(a, k, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", None, None)
+
+    calls = _counting_eigsh(monkeypatch, fails)
+    got = eigendecompose(x, 5)
+    assert calls == [(300, 5)]
+    monkeypatch.setattr(spectral, "_lanczos_pays", lambda size, k: False)
+    want = eigendecompose(x, 5)
+    assert calls == [(300, 5)]
+    assert np.array_equal(got.eigvals, want.eigvals)
+    assert np.array_equal(got.eigvecs_r, want.eigvecs_r)
+    assert got.tail_sum == want.tail_sum
+
+
+def test_lanczos_solve_ignores_global_random_state():
+    x = substream(25, "oracle").standard_normal((300, 900))
+    np.random.seed(1)
+    first = eigendecompose(x, 5)
+    np.random.seed(2)
+    np.random.standard_normal(17)
+    second = eigendecompose(x, 5)
+    assert np.array_equal(first.eigvals, second.eigvals)
+    assert np.array_equal(first.eigvecs_r, second.eigvecs_r)
+    assert np.array_equal(first.scores, second.scores)
+    assert first.tail_sum == second.tail_sum
 
 
 # ---------------------------------------------------------------------------
