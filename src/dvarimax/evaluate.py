@@ -26,6 +26,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .estimator import EstimatorVariant, estimate_loading
+from .exceptions import _check_integer
 from .initialization import InitScheme, _check_subtraction
 from .model import SyntheticConfig, generate_dataset
 from .rng import derive_seed, substream
@@ -115,8 +116,8 @@ class ExperimentGrid:
             raise ValueError(f"sweep_name must be one of {SWEEPABLE_PARAMETERS}")
         if not self.sweep_values:
             raise ValueError("sweep_values must be nonempty")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        _check_integer("replications", self.replications, 1)
+        _check_integer("master_seed", self.master_seed)
         if not self.variants or not self.init_schemes:
             raise ValueError("variants and init_schemes must be nonempty")
         _check_subtraction(self.mom_subtraction)

@@ -1,5 +1,18 @@
-"""Error types raised by the estimation pipeline."""
+"""Error types raised by the estimation pipeline, and the integer check
+shared by its settings."""
 from __future__ import annotations
+
+import numbers
+from typing import Optional
+
+
+def _check_integer(name: str, value, minimum: Optional[int] = None) -> None:
+    """Raise ValueError unless ``value`` is an integer (Python or numpy, not
+    a bool) and, if ``minimum`` is given, at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}={value!r} must be an integer")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name}={value} must be >= {minimum}")
 
 
 class DeflationVarimaxError(Exception):

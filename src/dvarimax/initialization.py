@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import DegenerateProjectorError, DegenerateSlicingError
+from .exceptions import DegenerateProjectorError, DegenerateSlicingError, _check_integer
 from .rotation import FourthMoment, _check_prior, complement_basis
 
 __all__ = [
@@ -73,10 +73,10 @@ class InitScheme:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown init scheme: {self.kind!r}")
-        if self.draws is not None and self.draws < 1:
-            raise ValueError("draws must be >= 1")
-        if self.slices is not None and self.slices < 1:
-            raise ValueError("slices must be >= 1")
+        if self.draws is not None:
+            _check_integer("draws", self.draws, 1)
+        if self.slices is not None:
+            _check_integer("slices", self.slices, 1)
         if self.improved and self.kind != "mom":
             raise ValueError("improved applies only to the mom scheme")
         if self.draws is not None and self.kind != "multi_random":

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exceptions import _check_integer
 from .rng import substream
 
 __all__ = [
@@ -127,8 +128,8 @@ class NoiseCovariance:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown noise covariance kind: {self.kind!r}")
-        if self.kind == "heteroscedastic" and self.alpha < 0:
-            raise ValueError("heteroscedastic exponent alpha must be >= 0")
+        if self.kind == "heteroscedastic" and not 0.0 <= self.alpha < np.inf:
+            raise ValueError("heteroscedastic exponent alpha must be finite and >= 0")
         if self.kind == "toeplitz" and not 0.0 < self.rho < 1.0:
             raise ValueError("toeplitz decay rho must lie in (0, 1)")
 
@@ -162,16 +163,16 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2 or self.p < 1 or self.r < 1:
-            raise ValueError("need n >= 2, p >= 1, r >= 1")
+        _check_integer("n", self.n, 2)
+        _check_integer("p", self.p, 1)
+        _check_integer("r", self.r, 1)
+        _check_integer("seed", self.seed, 0)
         if self.r > min(self.p, self.n):
             raise ValueError(f"r={self.r} exceeds min(p, n)={min(self.p, self.n)}")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
         if not (np.isfinite(self.varepsilon2) and self.varepsilon2 >= 0):
             raise ValueError("varepsilon2 must be finite and nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (DegenerateProjectorError, DegenerateSolutionsError,
-                         DivergenceError)
+                         DivergenceError, _check_integer)
 
 __all__ = [
     "RotationSolveConfig",
@@ -166,10 +166,7 @@ class RotationSolveConfig:
             raise ValueError("step_size must be positive")
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
-        if (isinstance(self.max_iters, bool)
-                or not isinstance(self.max_iters, (int, np.integer))
-                or self.max_iters < 1):
-            raise ValueError("max_iters must be an integer >= 1")
+        _check_integer("max_iters", self.max_iters, 1)
 
 
 @dataclass(frozen=True)

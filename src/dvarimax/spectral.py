@@ -2,20 +2,17 @@
 
 The decomposition is of (1/n) X X^T and computes only what the estimator
 reads: the leading r eigenpairs and the sum of the trailing eigenvalues.
-For p <= 4n the leading pairs come from the p x p Gram matrix and the
-tail sum is its trace minus the leading sum.  Which solver finds the
-pairs depends on how few are wanted (``_lanczos_pays``): when r is small
-against p (20 r <= p) an implicitly restarted Lanczos solve (ARPACK
-through ``scipy.sparse.linalg.eigsh``, from a fixed start vector so the
-result is reproducible), otherwise a partial LAPACK solve (dsyevr over
-the top-r index range), which is also the fallback if Lanczos does not
-converge.  For p > 4n both come from the SVD of X / sqrt(n).  Whitened
-scores satisfy U_r @ U_r.T = n * I exactly by construction.  When the
-noise is close to isotropic, the mean trailing eigenvalue estimates the
-per-coordinate noise variance; subtracting it from the leading
-eigenvalues gives corrected eigenvalues, corrected scores, and a diagonal
-estimate of the score-noise covariance used by the bias-corrected
-rotation solver.
+Every shape takes one route: the top r pairs of the Gram matrix of the
+shorter side of X, (1/n) X X^T for p <= n and (1/n) X^T X for p > n,
+from a Lanczos or a partial LAPACK solve (``_lanczos_pays`` picks); for
+p > n the vectors W map to the p side as X W / sqrt(n lambda).  The tail
+sum is the trace minus the leading sum.  Whitened scores satisfy
+U_r @ U_r.T = n * I to the accuracy of the solve, which degrades like
+eps * lambda_1 / lambda_r near rank deficiency.  When the noise is close
+to isotropic, the mean trailing eigenvalue estimates the per-coordinate
+noise variance; subtracting it from the leading eigenvalues gives
+corrected eigenvalues, corrected scores, and a diagonal estimate of the
+score-noise covariance used by the bias-corrected rotation solver.
 """
 from __future__ import annotations
 
@@ -26,7 +23,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .exceptions import CorrectionInfeasibleError, NoSignalError, RankDeficiencyError
+from .exceptions import (CorrectionInfeasibleError, NoSignalError, RankDeficiencyError,
+                         _check_integer)
 
 __all__ = [
     "PcaDecomposition",
@@ -128,9 +126,8 @@ def _checked_observations(x: np.ndarray, k: int, name: str) -> np.ndarray:
     if x.ndim != 2:
         raise ValueError("x must be a 2-D array")
     p, n = x.shape
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"{name}={k!r} must be an integer")
-    if not 1 <= k <= min(p, n):
+    _check_integer(name, k, 1)
+    if k > min(p, n):
         raise ValueError(f"{name}={k} must lie in [1, min(p, n)={min(p, n)}]")
     if not np.isfinite(x).all():
         raise ValueError("observation matrix contains NaN or Inf entries")
@@ -139,15 +136,11 @@ def _checked_observations(x: np.ndarray, k: int, name: str) -> np.ndarray:
 
 def _leading_spectrum(x: np.ndarray, k: int):
     """The k leading eigenvalues of (1/n) X X^T (nonincreasing, floored at
-    0), their eigenvectors as columns, and the sum of the remaining
-    eigenvalues."""
+    0), the eigenvectors of the shorter side's Gram matrix as columns (of
+    (1/n) X^T X when p > n), and the sum of the remaining eigenvalues."""
     p, n = x.shape
-    if p > 4 * n:
-        u, s, _ = np.linalg.svd(x / np.sqrt(n), full_matrices=False)
-        eigvals = s ** 2
-        return eigvals[:k], u[:, :k], float(eigvals[k:].sum())
-    # x @ x.T goes through syrk, so the Gram matrix is exactly symmetric.
-    gram = (x @ x.T) / n
+    # Either product goes through syrk, so the Gram matrix is exactly symmetric.
+    gram = (x @ x.T if p <= n else x.T @ x) / n
     trace = float(np.trace(gram))
     vals, vecs = _top_eigenpairs(gram, k)
     eigvals = np.maximum(vals[::-1], 0.0)
@@ -172,14 +165,17 @@ def _top_eigenpairs(gram: np.ndarray, k: int):
 def eigendecompose(x: np.ndarray, r: int) -> PcaDecomposition:
     """Eigendecompose (1/n) X X^T and whiten the leading r components.
 
-    For p > 4n the decomposition goes through the SVD of X / sqrt(n)
-    (eigenvalues are squared singular values); otherwise through a solve
-    of the p x p second-moment matrix that returns only the top r pairs:
-    Lanczos (``scipy.sparse.linalg.eigsh`` from a fixed start vector)
-    when 20 r <= p, else, or if Lanczos does not converge, LAPACK's
-    subset solve (``scipy.linalg.eigh(subset_by_index=...)``).
-    Eigenvector signs are fixed so the largest-magnitude entry of each
-    column is positive.
+    Only the top r pairs of the shorter side's Gram matrix are solved for:
+    (1/n) X X^T when p <= n, else (1/n) X^T X, whose eigenvectors W give
+    the p-side ones as X W / sqrt(n lambda).  The solver is Lanczos
+    (``scipy.sparse.linalg.eigsh`` from a fixed start vector) when
+    20 r <= min(p, n), else, or if Lanczos does not converge, LAPACK's
+    subset solve (``scipy.linalg.eigh(subset_by_index=...)``).  Signs are
+    fixed so the largest-magnitude entry of each column is positive.
+    Near rank deficiency the mapped vectors lose orthonormality like
+    eps * lambda_1 / lambda_r, as the p <= n whitening does: at lambda_r /
+    lambda_1 = 1e-8 and p=400, n=60 the orthonormality error was 1.3e-8
+    and the whitening error 2.6e-8 n, against 1.3e-8 n for p=60, n=400.
 
     Raises
     ------
@@ -199,6 +195,9 @@ def eigendecompose(x: np.ndarray, r: int) -> PcaDecomposition:
             f"{floor:.3e}; the data has numerical rank < {r}"
         )
 
+    p, n = x.shape
+    if p > n:
+        vecs = (x @ vecs) / np.sqrt(n * eigvals)
     eigvecs_r = _fix_column_signs(vecs)
     scores = (eigvecs_r.T @ x) / np.sqrt(eigvals)[:, None]
     return PcaDecomposition(eigvals=eigvals, tail_sum=tail_sum,

@@ -75,7 +75,7 @@ def test_criterion_02_whitening_and_orthogonality():
     worst_orth = 0.0
     cases = [
         dict(n=300, p=12, r=3, theta=0.2, varepsilon2=0.1, seed=1),
-        dict(n=60, p=500, r=2, theta=0.3, varepsilon2=0.2, seed=2),  # p > 4n
+        dict(n=60, p=500, r=2, theta=0.3, varepsilon2=0.2, seed=2),  # p > n
         dict(n=400, p=40, r=5, theta=0.1, varepsilon2=0.3, seed=3),
     ]
     for case in cases:

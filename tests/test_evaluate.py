@@ -216,6 +216,11 @@ def test_grid_validation():
         _small_grid(sweep_values=())
     with pytest.raises(ValueError, match="subtraction"):
         _small_grid(mom_subtraction="lemma-consistent")
+    for bad in (dict(replications=2.5), dict(replications=True),
+                dict(master_seed=1.5), dict(master_seed=False)):
+        with pytest.raises(ValueError):
+            _small_grid(**bad)
+    _small_grid(replications=np.int64(1), master_seed=np.int64(77))
 
 
 # ---------------------------------------------------------------------------

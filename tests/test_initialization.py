@@ -38,6 +38,13 @@ def test_init_scheme_defaults_and_labels():
         InitScheme("mom", draws=3)
     with pytest.raises(ValueError):
         InitScheme("multi_random", slices=9)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError):
+            InitScheme.multi_random(bad)
+        with pytest.raises(ValueError):
+            InitScheme.method_of_moments(bad)
+    assert InitScheme.multi_random(np.int64(7)).draws_for(5) == 7
+    assert InitScheme.method_of_moments(np.int64(9)).slices_for(5) == 9
 
 
 @pytest.mark.parametrize("label", InitScheme.LABELS)

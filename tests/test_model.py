@@ -31,8 +31,9 @@ def test_noise_covariance_validates():
         NoiseCovariance("weird")
     with pytest.raises(ValueError):
         NoiseCovariance.toeplitz(1.0)
-    with pytest.raises(ValueError):
-        NoiseCovariance.heteroscedastic(-1.0)
+    for alpha in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            NoiseCovariance.heteroscedastic(alpha)
 
 
 def test_synthetic_config_validates():
@@ -44,6 +45,11 @@ def test_synthetic_config_validates():
     for eps2 in (-0.1, np.nan, np.inf):
         with pytest.raises(ValueError):
             SyntheticConfig(n=10, p=4, r=2, varepsilon2=eps2, seed=1)
+    for bad in (dict(n=100.5), dict(r=2.0), dict(seed=1.5), dict(p=True),
+                dict(seed=-1)):
+        with pytest.raises(ValueError):
+            SyntheticConfig(**{**dict(n=10, p=4, r=2, seed=1), **bad})
+    SyntheticConfig(n=np.int64(10), p=np.int32(4), r=np.int64(2), seed=np.int64(1))
 
 
 # ---------------------------------------------------------------------------

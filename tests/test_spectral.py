@@ -1,4 +1,6 @@
 """Tests for the PCA step and the noise corrections."""
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -65,11 +67,11 @@ def test_spectral_reconstruction_small():
 
 
 def test_svd_path_matches_gram_path():
-    # p > 4n forces the SVD route; compare against the Gram route on the
-    # transposed regime by checking eigenvalues of the same matrix.
+    # p > n solves the n x n Gram matrix X^T X / n; its eigenvalues must
+    # match those of the p x p matrix X X^T / n.
     rng = substream(6, "x")
     x = rng.standard_normal((50, 10))
-    decomp = eigendecompose(x, 3)           # 50 > 40: SVD path
+    decomp = eigendecompose(x, 3)           # 50 > 10: n x n Gram
     gram_vals = np.maximum(np.linalg.eigvalsh(x @ x.T / 10)[::-1][:10], 0)
     assert np.allclose(decomp.eigvals, gram_vals[:3], atol=1e-10)
     assert decomp.tail_sum == pytest.approx(gram_vals[3:].sum(), abs=1e-10)
@@ -108,11 +110,12 @@ def _projector(vecs):
 
 
 @pytest.mark.parametrize("p,n,r", [(40, 120, 5),    # p < n, Gram path
-                                   (60, 25, 4),     # n < p <= 4n, Gram path
+                                   (60, 25, 4),     # p > n, dense n x n solve
                                    (20, 12, 12),    # r = min(p, n), Gram path
                                    (300, 900, 5),   # 20 r <= p, Lanczos
                                    (1000, 2000, 10),  # the estimate-wide shape
-                                   (90, 15, 3)])    # p > 4n, SVD path
+                                   (90, 15, 3),     # p = 6n, dense n x n solve
+                                   (600, 100, 5)])  # p > n, 20 r <= n, Lanczos
 def test_partial_solve_matches_full_eigh_oracle(p, n, r):
     x = substream(p, "oracle").standard_normal((p, n))
     want_vals, want_vecs, want_tail = full_eigh_decomposition(x, r)
@@ -197,6 +200,29 @@ def test_solver_rule_on_the_benchmark_shapes(monkeypatch, p, n, r, lanczos):
     x = substream(p, "rule").standard_normal((p, n))
     eigendecompose(x, r)
     assert calls == ([(p, r)] if lanczos else [])
+
+
+def test_wide_data_solves_the_n_by_n_gram(monkeypatch):
+    calls = _counting_eigsh(monkeypatch)
+    x = substream(600, "rule").standard_normal((600, 100))
+    decomp = eigendecompose(x, 5)
+    assert calls == [(100, 5)]
+    assert decomp.eigvecs_r.shape == (600, 5)
+    assert decomp.scores.shape == (5, 100)
+
+
+def test_wide_rank_deficiency_is_named_without_warnings():
+    # Rank 2 with p > n: the third eigenvalue is rounding noise, which the
+    # rank check must name before any vector is divided by its root.
+    rng = substream(26, "oracle")
+    x = rng.standard_normal((600, 2)) @ rng.standard_normal((2, 100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RankDeficiencyError, match="eigenvalue 3 "):
+            eigendecompose(x, 3)
+        eigvals = leading_eigenvalues(x, 3)
+    assert np.all(np.isfinite(eigvals))
+    assert eigvals[2] <= spectral.EIGENVALUE_FLOOR * eigvals[0]
 
 
 def test_lanczos_no_convergence_falls_back_to_the_dense_solve(monkeypatch):
