@@ -12,16 +12,15 @@ from .exceptions import (CorrectionInfeasibleError, DeflationVarimaxError,
                          DegenerateSolutionsError, DivergenceError, NoSignalError,
                          RankDeficiencyError)
 from .initialization import (InitScheme, complement_projector,
-                             make_init_provider, mom_init, mom_matrix,
-                             multi_random_init, random_init)
+                             make_init_provider, mom_init, multi_random_init,
+                             random_init)
 from .model import (GroundTruth, NoiseCovariance, ObservationMatrix,
                     SyntheticConfig, generate_dataset, generate_factors,
                     generate_loading, realize_noise_covariance)
 from .rng import derive_seed, substream
 from .rotation import (FourthMoment, RotationResult, RotationSolveConfig,
-                       complement_basis, corrected_gradient, deflate,
-                       fourth_moment, objective, pgd_solve,
-                       riemannian_gradient, symmetric_orthogonalize)
+                       complement_basis, deflate, fourth_moment, pgd_solve,
+                       symmetric_orthogonalize)
 from .spectral import (PcaDecomposition, corrected_decomposition, eigendecompose,
                        leading_eigenvalues, noise_variance_estimate, select_rank)
 
@@ -37,11 +36,10 @@ __all__ = [
     "corrected_decomposition", "select_rank",
     # rotation
     "RotationSolveConfig", "RotationResult", "FourthMoment", "fourth_moment",
-    "objective", "riemannian_gradient", "corrected_gradient", "pgd_solve",
-    "complement_basis", "deflate", "symmetric_orthogonalize",
+    "pgd_solve", "complement_basis", "deflate", "symmetric_orthogonalize",
     # initialization
     "InitScheme", "complement_projector", "random_init",
-    "multi_random_init", "mom_matrix", "mom_init", "make_init_provider",
+    "multi_random_init", "mom_init", "make_init_provider",
     # estimator
     "EstimatorVariant", "EstimateDiagnostics", "LoadingEstimate",
     "estimate_loading", "loading_from_rotation", "predict_factors",

@@ -116,6 +116,9 @@ class ExperimentGrid:
             raise ValueError(f"sweep_name must be one of {SWEEPABLE_PARAMETERS}")
         if not self.sweep_values:
             raise ValueError("sweep_values must be nonempty")
+        if self.sweep_name in INT_SWEEPS:
+            for value in self.sweep_values:
+                _check_integer(self.sweep_name, value)
         _check_integer("replications", self.replications, 1)
         _check_integer("master_seed", self.master_seed)
         if not self.variants or not self.init_schemes:

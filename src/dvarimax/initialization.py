@@ -45,7 +45,6 @@ __all__ = [
     "complement_projector",
     "random_init",
     "multi_random_init",
-    "mom_matrix",
     "mom_init",
     "make_init_provider",
 ]
@@ -143,8 +142,7 @@ def multi_random_init(stat: FourthMoment, prior: np.ndarray, draws: int,
     """Best of ``draws`` random initializers by the quartic objective that
     ``stat`` gives.  Ties break toward the earliest draw.
     """
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
+    _check_integer("draws", draws, 1)
     candidates = [random_init(prior, rng) for _ in range(draws)]
     values = [stat.objective(c) for c in candidates]
     return candidates[int(np.argmin(values))]
@@ -176,43 +174,17 @@ def _subtracted(g: np.ndarray, improved: bool, sigma_u: Optional[np.ndarray],
     return term if subtraction == "as_written" else term / 3.0
 
 
-def mom_matrix(u: np.ndarray, g: np.ndarray, improved: bool = False,
-               sigma_u: Optional[np.ndarray] = None,
-               subtraction: str = "as_written") -> np.ndarray:
-    """Fourth-moment slice (1/(3n)) sum_t U_t U_t^T (U_t^T G U_t) - <subtraction>.
-
-    Plain form subtracts G + G^T; the improved form needs ``sigma_u``
-    (the score covariance estimate I + sigma_n_hat) and subtracts
-    S_U (G + G^T) S_U + tr(G S_U) S_U.  With ``subtraction =
-    "lemma_consistent"`` both subtracted terms carry a factor 1/3 and the
-    plain form gains a (1/3) tr(G) I term, matching the exact whitened
-    fourth-moment expectation.  The map G -> M(G) is linear either way.
-
-    Computed from the scores; :func:`mom_init` computes the same slices
-    from the fourth-moment statistic.
-    """
-    u = np.asarray(u, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if u.ndim != 2:
-        raise ValueError("score matrix must be 2-D (r x n)")
-    r, n = u.shape
-    if g.shape != (r, r):
-        raise ValueError(f"g must be {r} x {r}")
-    subtracted = _subtracted(g, improved, sigma_u, subtraction)
-    quad = np.einsum("it,ij,jt->t", u, g, u)
-    return (u * quad) @ u.T / (3 * n) - subtracted
-
-
 def _mom_slices(stat: FourthMoment, g: np.ndarray, improved: bool,
                 sigma_u: Optional[np.ndarray], subtraction: str) -> np.ndarray:
-    """:func:`mom_matrix` for a stack of slices (..., r, r), read from the
-    statistic as (1/3) reshape(T vec(G)) - <subtraction>."""
+    """Moment slices M(G) for a stack (..., r, r), read from the statistic
+    as (1/3) reshape(T vec(G)) - <subtraction>; linear in G.  The
+    score-based reference is ``mom_matrix`` in ``tests/helpers.py``."""
     return stat.contract(g) / 3.0 - _subtracted(g, improved, sigma_u, subtraction)
 
 
 def mom_init(stat: FourthMoment, prior: np.ndarray, n_slices: int,
-             improved: bool = False, sigma_u: Optional[np.ndarray] = None,
-             rng: np.random.Generator = None,
+             improved: bool = False, sigma_u: Optional[np.ndarray] = None, *,
+             rng: np.random.Generator,
              subtraction: str = "as_written") -> np.ndarray:
     """Method-of-moments initializer via multiple random slicings.
 
@@ -229,8 +201,7 @@ def mom_init(stat: FourthMoment, prior: np.ndarray, n_slices: int,
     DegenerateSlicingError
         If every slice has a gap below 1e-12.
     """
-    if n_slices < 1:
-        raise ValueError("n_slices must be >= 1")
+    _check_integer("n_slices", n_slices, 1)
     r = stat.r
     if r == 1:
         return np.ones(1)

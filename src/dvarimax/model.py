@@ -70,19 +70,15 @@ class ObservationMatrix:
 class GroundTruth:
     """Everything a synthetic draw knows about itself.
 
-    Besides the loading matrix, the factors and the noise, this carries
-    the exact SVD of the loading (``loading = svd_left @ diag(svd_singulars)
-    @ svd_right``), computed once at generation time so oracle checks can
-    use it without re-decomposing.
-
     Attributes
     ----------
-    sigma2 : float
-        Second moment of each factor coordinate (equals ``theta`` for the
-        Bernoulli-Gaussian generator).
     eps2 : float
-        Reciprocal signal-to-noise ratio after factoring out ``sigma2``:
-        noise columns have covariance ``sigma2 * eps2 * Sigma_E``.
+        Reciprocal signal-to-noise ratio after factoring out the factor
+        second moment ``theta``: noise columns have covariance
+        ``theta * eps2 * Sigma_E``.
+    theta : float
+        Bernoulli probability of the factor entries, which is also the
+        second moment of each factor coordinate.
     kappa : float
         Excess kurtosis of each factor coordinate, ``(3/theta - 3) / 3``.
     """
@@ -90,10 +86,6 @@ class GroundTruth:
     loading: np.ndarray        # p x r
     factors: np.ndarray        # r x n
     noise: np.ndarray          # p x n
-    svd_left: np.ndarray       # p x r, orthonormal columns
-    svd_singulars: np.ndarray  # length r, nonincreasing positive
-    svd_right: np.ndarray      # r x r, orthogonal
-    sigma2: float
     eps2: float
     theta: float
     kappa: float
@@ -102,8 +94,6 @@ class GroundTruth:
         p, r = self.loading.shape
         if self.factors.shape[0] != r or self.noise.shape != (p, self.factors.shape[1]):
             raise ValueError("inconsistent ground-truth shapes")
-        if self.svd_left.shape != (p, r) or self.svd_right.shape != (r, r):
-            raise ValueError("inconsistent SVD factor shapes")
 
 
 @dataclass(frozen=True)
@@ -259,15 +249,10 @@ def generate_dataset(config: SyntheticConfig):
 
     x = loading @ factors + noise
 
-    left, singulars, right = np.linalg.svd(loading, full_matrices=False)
     truth = GroundTruth(
         loading=loading,
         factors=factors,
         noise=noise,
-        svd_left=left,
-        svd_singulars=singulars,
-        svd_right=right,
-        sigma2=config.theta,
         eps2=config.varepsilon2 / (p * config.theta),
         theta=config.theta,
         kappa=(3.0 / config.theta - 3.0) / 3.0,

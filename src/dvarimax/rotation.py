@@ -22,17 +22,17 @@ take only that statistic, which ``estimate_loading`` builds once per fit
 with :func:`fourth_moment`.  The gradient is
 -(1/3) P_q reshape(T vec(q q^T)) q and the objective
 -(1/12) vec(q q^T)^T T vec(q q^T), so a PGD iteration costs O(r^4)
-whatever n is; T holds r^4 doubles (r = 10: 80 KB).  The score-based
-:func:`objective`, :func:`riemannian_gradient` and
-:func:`corrected_gradient` compute the same quantities from U directly.
+whatever n is; T holds r^4 doubles (r = 10: 80 KB).  Reference
+implementations that compute the same quantities from U directly live in
+the test suite (``tests/helpers.py``).
 
 The bias correction for additive error in the scores, with symmetric
-covariance estimate S, is a quartic form on the sphere too: the term
-``(1 + q^T S q) * P_q S q`` that :func:`corrected_gradient` adds is the
-Riemannian gradient of (1/2) q^T q q^T S q + (1/4) (q^T S q)^2.  So it is
-folded into the statistic (:meth:`FourthMoment.bias_corrected`), and the
-solver reads one statistic either way; for S proportional to the identity
-the gradient correction vanishes.
+covariance estimate S, is a quartic form on the sphere too: the gradient
+term ``(1 + q^T S q) * P_q S q`` is the Riemannian gradient of
+(1/2) q^T q q^T S q + (1/4) (q^T S q)^2.  So it is folded into the
+statistic (:meth:`FourthMoment.bias_corrected`), and the solver reads one
+statistic either way; for S proportional to the identity the gradient
+correction vanishes.
 """
 from __future__ import annotations
 
@@ -49,9 +49,6 @@ __all__ = [
     "RotationResult",
     "FourthMoment",
     "fourth_moment",
-    "objective",
-    "riemannian_gradient",
-    "corrected_gradient",
     "pgd_solve",
     "complement_basis",
     "deflate",
@@ -74,16 +71,6 @@ def _check_unit(q: np.ndarray) -> np.ndarray:
     if not np.isfinite(nrm) or abs(nrm - 1.0) > _UNIT_TOL:
         raise ValueError(f"q must be unit-norm (got |q| = {nrm!r})")
     return q
-
-
-def _check_scores(q: np.ndarray, u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2:
-        raise ValueError("score matrix must be 2-D (r x n)")
-    if u.shape[0] != q.shape[0]:
-        raise ValueError(f"dimension mismatch: q has {q.shape[0]} entries, "
-                         f"scores have {u.shape[0]} rows")
-    return u
 
 
 @dataclass(frozen=True)
@@ -124,7 +111,8 @@ class FourthMoment:
 
         On the unit sphere its objective is the plain one plus
         (1/2) t + (1/4) t^2 with t = q^T S q, and its gradient the plain
-        one plus (1 + t) P_q S q, as in :func:`corrected_gradient`.
+        one plus (1 + t) P_q S q; ``corrected_gradient`` in
+        ``tests/helpers.py`` computes the latter from the scores.
         S = 0 returns T bitwise.
         """
         s = _check_sigma_n(self.r, sigma_n).ravel()
@@ -181,17 +169,6 @@ class RotationResult:
     restricted: np.ndarray       # whether the column was re-solved in the complement
 
 
-def _plain_gradient(q: np.ndarray, u: np.ndarray) -> np.ndarray:
-    proj = u.T @ q
-    w = u @ (proj ** 3)
-    return -(w - q * (q @ w)) / (3 * u.shape[1])
-
-
-def _bias_term(q: np.ndarray, sigma_n: np.ndarray) -> np.ndarray:
-    s = sigma_n @ q
-    return (1.0 + q @ s) * (s - q * (q @ s))
-
-
 def _check_prior(prior: np.ndarray) -> np.ndarray:
     prior = np.asarray(prior, dtype=float)
     if prior.ndim != 2:
@@ -228,38 +205,6 @@ def _check_sigma_n(r: int, sigma_n) -> np.ndarray:
     if np.max(np.abs(sigma_n - sigma_n.T)) > 1e-10:
         raise ValueError("sigma_n must be symmetric within 1e-10")
     return sigma_n
-
-
-def objective(q: np.ndarray, u: np.ndarray) -> float:
-    """Quartic objective F(q; U) = -(1/(12 n)) * sum_t (q^T U_t)^4.
-
-    Always <= 0; more negative means the projections are spikier.
-    """
-    q = _check_unit(q)
-    u = _check_scores(q, u)
-    proj = u.T @ q
-    return -float(np.sum(proj ** 4)) / (12 * u.shape[1])
-
-
-def riemannian_gradient(q: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Gradient of the quartic objective on the sphere, tangent at q."""
-    q = _check_unit(q)
-    u = _check_scores(q, u)
-    return _plain_gradient(q, u)
-
-
-def corrected_gradient(q: np.ndarray, u: np.ndarray,
-                       sigma_n: np.ndarray) -> np.ndarray:
-    """Riemannian gradient plus the additive-noise bias term.
-
-    Adds ``(1 + q^T S q) * P_q S q`` with S = ``sigma_n``; the result
-    stays tangent at q.  With S = c * I the extra term vanishes and the
-    result equals :func:`riemannian_gradient` exactly.
-    """
-    q = _check_unit(q)
-    u = _check_scores(q, u)
-    sigma_n = _check_sigma_n(q.shape[0], sigma_n)
-    return _plain_gradient(q, u) + _bias_term(q, sigma_n)
 
 
 def pgd_solve(q0: np.ndarray, stat: FourthMoment, config: RotationSolveConfig):

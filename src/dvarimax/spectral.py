@@ -116,10 +116,6 @@ class PcaDecomposition:
     def p(self) -> int:
         return self.eigvecs_r.shape[0]
 
-    @property
-    def n(self) -> int:
-        return self.scores.shape[1]
-
 
 def _checked_observations(x: np.ndarray, k: int, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)

@@ -1,4 +1,10 @@
-"""Shared test utilities: brute-force oracles and small fixtures."""
+"""Shared test utilities: brute-force oracles and small fixtures.
+
+The package computes the quartic objective, its gradients and the moment
+slices from the fourth-moment statistic T only.  The score-based versions
+here compute the same quantities from the scores U directly, and serve as
+the reference implementations the statistic is checked against.
+"""
 from __future__ import annotations
 
 from itertools import permutations, product
@@ -6,8 +12,85 @@ from itertools import permutations, product
 import numpy as np
 
 from dvarimax import DegenerateSlicingError, complement_projector
-from dvarimax.initialization import _mom_slices
-from dvarimax.rotation import _check_unit
+from dvarimax.initialization import _mom_slices, _subtracted
+from dvarimax.rotation import _check_sigma_n, _check_unit
+
+
+def _check_scores(q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2:
+        raise ValueError("score matrix must be 2-D (r x n)")
+    if u.shape[0] != q.shape[0]:
+        raise ValueError(f"dimension mismatch: q has {q.shape[0]} entries, "
+                         f"scores have {u.shape[0]} rows")
+    return u
+
+
+def _plain_gradient(q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    proj = u.T @ q
+    w = u @ (proj ** 3)
+    return -(w - q * (q @ w)) / (3 * u.shape[1])
+
+
+def _bias_term(q: np.ndarray, sigma_n: np.ndarray) -> np.ndarray:
+    s = sigma_n @ q
+    return (1.0 + q @ s) * (s - q * (q @ s))
+
+
+def objective(q: np.ndarray, u: np.ndarray) -> float:
+    """Quartic objective F(q; U) = -(1/(12 n)) * sum_t (q^T U_t)^4.
+
+    Always <= 0; more negative means the projections are spikier.
+    """
+    q = _check_unit(q)
+    u = _check_scores(q, u)
+    proj = u.T @ q
+    return -float(np.sum(proj ** 4)) / (12 * u.shape[1])
+
+
+def riemannian_gradient(q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Gradient of the quartic objective on the sphere, tangent at q."""
+    q = _check_unit(q)
+    u = _check_scores(q, u)
+    return _plain_gradient(q, u)
+
+
+def corrected_gradient(q: np.ndarray, u: np.ndarray,
+                       sigma_n: np.ndarray) -> np.ndarray:
+    """Riemannian gradient plus the additive-noise bias term.
+
+    Adds ``(1 + q^T S q) * P_q S q`` with S = ``sigma_n``; the result
+    stays tangent at q.  With S = c * I the extra term vanishes and the
+    result equals :func:`riemannian_gradient` exactly.
+    """
+    q = _check_unit(q)
+    u = _check_scores(q, u)
+    sigma_n = _check_sigma_n(q.shape[0], sigma_n)
+    return _plain_gradient(q, u) + _bias_term(q, sigma_n)
+
+
+def mom_matrix(u: np.ndarray, g: np.ndarray, improved: bool = False,
+               sigma_u: np.ndarray | None = None,
+               subtraction: str = "as_written") -> np.ndarray:
+    """Fourth-moment slice (1/(3n)) sum_t U_t U_t^T (U_t^T G U_t) - <subtraction>.
+
+    Plain form subtracts G + G^T; the improved form needs ``sigma_u``
+    (the score covariance estimate I + sigma_n_hat) and subtracts
+    S_U (G + G^T) S_U + tr(G S_U) S_U.  With ``subtraction =
+    "lemma_consistent"`` both subtracted terms carry a factor 1/3 and the
+    plain form gains a (1/3) tr(G) I term, matching the exact whitened
+    fourth-moment expectation.  The map G -> M(G) is linear either way.
+    """
+    u = np.asarray(u, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if u.ndim != 2:
+        raise ValueError("score matrix must be 2-D (r x n)")
+    r, n = u.shape
+    if g.shape != (r, r):
+        raise ValueError(f"g must be {r} x {r}")
+    subtracted = _subtracted(g, improved, sigma_u, subtraction)
+    quad = np.einsum("it,ij,jt->t", u, g, u)
+    return (u * quad) @ u.T / (3 * n) - subtracted
 
 
 def brute_force_signed_permutation_error(lambda_hat, lambda_true):
@@ -81,8 +164,8 @@ def full_eigh_decomposition(x, r):
     return eigvals, vecs[:, order[:r]], float(eigvals[r:].sum())
 
 
-def batched_svd_mom_init(stat, prior, n_slices, improved=False, sigma_u=None,
-                         rng=None, subtraction="as_written"):
+def batched_svd_mom_init(stat, prior, n_slices, improved=False, sigma_u=None, *,
+                         rng, subtraction="as_written"):
     """Reference method-of-moments selection: the same slice stack as
     ``mom_init``, a full SVD of every slice, and the leading left singular
     vector of the slice with the largest top-two gap, sign-fixed."""

@@ -9,15 +9,15 @@ import time
 
 import numpy as np
 import pytest
-from helpers import (brute_force_signed_permutation_error, hand_instance,
-                     population_gradient_h, population_objective,
-                     projected_finite_difference_gradient, random_orthogonal)
+from helpers import (brute_force_signed_permutation_error, corrected_gradient,
+                     hand_instance, objective, population_gradient_h,
+                     population_objective, projected_finite_difference_gradient,
+                     random_orthogonal, riemannian_gradient)
 
 from dvarimax import (EstimatorVariant, ExperimentGrid, InitScheme,
-                      RotationSolveConfig, SyntheticConfig, corrected_gradient,
-                      eigendecompose, estimate_loading, fourth_moment,
-                      generate_dataset, generate_factors, objective, pgd_solve,
-                      riemannian_gradient, run_experiment,
+                      RotationSolveConfig, SyntheticConfig, eigendecompose,
+                      estimate_loading, fourth_moment, generate_dataset,
+                      generate_factors, pgd_solve, run_experiment,
                       signed_permutation_error, substream)
 from dvarimax.cli import main as cli_main
 

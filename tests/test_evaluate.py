@@ -217,10 +217,12 @@ def test_grid_validation():
     with pytest.raises(ValueError, match="subtraction"):
         _small_grid(mom_subtraction="lemma-consistent")
     for bad in (dict(replications=2.5), dict(replications=True),
-                dict(master_seed=1.5), dict(master_seed=False)):
+                dict(master_seed=1.5), dict(master_seed=False),
+                dict(sweep_values=(120.7,)), dict(sweep_values=(True,))):
         with pytest.raises(ValueError):
             _small_grid(**bad)
-    _small_grid(replications=np.int64(1), master_seed=np.int64(77))
+    _small_grid(replications=np.int64(1), master_seed=np.int64(77),
+                sweep_values=(np.int64(120),))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Tests for the deflation-round initializers."""
 import numpy as np
 import pytest
-from helpers import batched_svd_mom_init, hand_instance, random_orthogonal
+from helpers import (batched_svd_mom_init, hand_instance, mom_matrix, objective,
+                     random_orthogonal)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvarimax import (DegenerateProjectorError, DegenerateSlicingError, InitScheme,
                       complement_basis, complement_projector, fourth_moment,
-                      generate_factors, make_init_provider, mom_init, mom_matrix,
-                      multi_random_init, objective, random_init, substream)
+                      generate_factors, make_init_provider, mom_init,
+                      multi_random_init, random_init, substream)
 
 
 def _empty_prior(r):
@@ -133,6 +134,12 @@ def test_multi_random_single_draw_equals_random_init():
     a = multi_random_init(fourth_moment(u), _empty_prior(2), 1, substream(5, "init"))
     b = random_init(_empty_prior(2), substream(5, "init"))
     assert np.array_equal(a, b)
+    c = multi_random_init(fourth_moment(u), _empty_prior(2), np.int64(1),
+                          substream(5, "init"))
+    assert np.array_equal(c, b)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="draws"):
+            multi_random_init(fourth_moment(u), _empty_prior(2), bad, substream(5, "init"))
 
 
 def test_multi_random_selects_argmin_objective():
@@ -239,6 +246,14 @@ def test_mom_init_single_slice_is_leading_singular_vector():
     if left[np.argmax(np.abs(left))] < 0:
         left = -left
     assert np.allclose(q0, left, atol=1e-12)
+    same = mom_init(fourth_moment(u), _empty_prior(3), np.int64(1),
+                    rng=substream(13, "init"))
+    assert np.array_equal(same, q0)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="n_slices"):
+            mom_init(fourth_moment(u), _empty_prior(3), bad, rng=substream(13, "init"))
+    with pytest.raises(TypeError, match="rng"):
+        mom_init(fourth_moment(u), _empty_prior(3), 1)
 
 
 def test_mom_init_gap_selection_dominates():

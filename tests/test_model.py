@@ -181,7 +181,7 @@ def test_dataset_paper_grid_point_shapes():
     assert truth.loading.shape == (300, 5)
     assert truth.factors.shape == (5, 900)
     assert truth.kappa == pytest.approx(9.0)
-    assert truth.sigma2 == pytest.approx(0.1)
+    assert truth.theta == pytest.approx(0.1)
     assert truth.eps2 == pytest.approx(0.1 / (300 * 0.1))
 
 
@@ -199,19 +199,10 @@ def test_ground_truth_svd_reconstruction_and_scaling():
     for seed in range(4):
         config = SyntheticConfig(n=60, p=20, r=4, seed=seed)
         _, truth = generate_dataset(config)
-        rebuilt = truth.svd_left @ np.diag(truth.svd_singulars) @ truth.svd_right
-        assert np.linalg.norm(rebuilt - truth.loading) <= 1e-10
         assert abs(np.linalg.norm(truth.loading, 2) - 1.0) <= 1e-10
-        gram_left = truth.svd_left.T @ truth.svd_left
-        gram_right = truth.svd_right.T @ truth.svd_right
-        assert np.linalg.norm(gram_left - np.eye(4)) <= 1e-10
-        assert np.linalg.norm(gram_right - np.eye(4)) <= 1e-10
-        assert np.all(np.diff(truth.svd_singulars) <= 0)
 
 
 def test_ground_truth_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         GroundTruth(loading=np.zeros((4, 2)), factors=np.zeros((3, 5)),
-                    noise=np.zeros((4, 5)), svd_left=np.zeros((4, 2)),
-                    svd_singulars=np.ones(2), svd_right=np.eye(2),
-                    sigma2=0.1, eps2=0.0, theta=0.1, kappa=9.0)
+                    noise=np.zeros((4, 5)), eps2=0.0, theta=0.1, kappa=9.0)

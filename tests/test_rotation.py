@@ -3,16 +3,16 @@ from itertools import product
 
 import numpy as np
 import pytest
-from helpers import (hand_instance, population_gradient_h, population_objective,
-                     projected_finite_difference_gradient, random_orthogonal)
+from helpers import (corrected_gradient, hand_instance, mom_matrix, objective,
+                     population_gradient_h, population_objective,
+                     projected_finite_difference_gradient, random_orthogonal,
+                     riemannian_gradient)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvarimax import (DegenerateSolutionsError, DivergenceError, RotationSolveConfig,
-                      complement_basis, corrected_gradient, deflate, fourth_moment,
-                      generate_factors,
-                      mom_matrix, objective, pgd_solve, riemannian_gradient,
-                      substream, symmetric_orthogonalize)
+                      complement_basis, deflate, fourth_moment, generate_factors,
+                      pgd_solve, substream, symmetric_orthogonalize)
 from dvarimax.initialization import SUBTRACTION_MODES, _mom_slices
 
 E1 = np.array([1.0, 0.0])

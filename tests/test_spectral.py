@@ -342,7 +342,7 @@ def test_corrected_sigma_n_matches_truth_oracle():
     config = SyntheticConfig(n=4000, p=60, r=3, theta=0.2, varepsilon2=0.5, seed=14)
     observed, truth = generate_dataset(config)
     decomp = corrected_decomposition(eigendecompose(observed.data, 3))
-    oracle = truth.eps2 / truth.svd_singulars ** 2
+    oracle = truth.eps2 / np.linalg.svd(truth.loading, compute_uv=False) ** 2
     est = np.diag(decomp.sigma_n_hat)
     assert np.max(np.abs(est - oracle)) <= 0.25 * np.max(oracle)
 
