@@ -18,8 +18,9 @@ available for starting each column solve:
   and keep the slice whose top two singular values have the largest gap.
   Its leading left singular vector is the initializer.  All N slices are
   read from the fourth-moment statistic T of the scores at once, as
-  (1/3) reshape(T vec(G)) minus the subtraction; the gaps come from one
-  batched singular-value solve, and only the chosen slice gets a full SVD.
+  (1/3) reshape(T vec(G)) minus the subtraction.  The projected slices are
+  symmetric, so the gaps come from one batched eigenvalue solve (singular
+  values are absolute eigenvalues); only the chosen slice gets a full SVD.
 
 Two subtraction modes are supported for the moment matrix.  The default
 ``as_written`` subtracts G + G^T (improved form: with the score covariance
@@ -209,8 +210,8 @@ def mom_init(stat: FourthMoment, prior: np.ndarray, n_slices: int,
 
     g = rng.standard_normal((n_slices, r, r))
     m = proj @ _mom_slices(stat, g, improved, sigma_u, subtraction) @ proj
-    singulars = np.linalg.svd(m, compute_uv=False)
-    gaps = singulars[:, 0] - singulars[:, 1]
+    singulars = np.sort(np.abs(np.linalg.eigvalsh(m)), axis=1)
+    gaps = singulars[:, -1] - singulars[:, -2]
     if np.max(gaps) < 1e-12:
         raise DegenerateSlicingError(
             "every random slice has a zero singular-value gap")

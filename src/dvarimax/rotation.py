@@ -19,12 +19,12 @@ The solver reads the scores U (r x n) only through their fourth-moment
 statistic T = (1/n) sum_t U_t (x) U_t (x) U_t (x) U_t, stored as an
 r^2 x r^2 :class:`FourthMoment`.  :func:`pgd_solve` and :func:`deflate`
 take only that statistic, which ``estimate_loading`` builds once per fit
-with :func:`fourth_moment`.  The gradient is
--(1/3) P_q reshape(T vec(q q^T)) q and the objective
--(1/12) vec(q q^T)^T T vec(q q^T), so a PGD iteration costs O(r^4)
-whatever n is; T holds r^4 doubles (r = 10: 80 KB).  Reference
-implementations that compute the same quantities from U directly live in
-the test suite (``tests/helpers.py``).
+with :func:`fourth_moment`.  The gradient -(1/3) P_q reshape(T vec(q q^T)) q
+is three chained matrix-vector products P_q ((C q) q) q on C = -T/3 as an
+r^3 x r operator, and the objective is -(1/12) vec(q q^T)^T T vec(q q^T), so
+a PGD iteration costs O(r^4) whatever n is; T holds r^4 doubles (r = 10:
+80 KB).  Reference implementations from U directly, and the PGD loop on the
+reshape-and-matvec gradient, live in the test suite (``tests/helpers.py``).
 
 The bias correction for additive error in the scores, with symmetric
 covariance estimate S, is a quartic form on the sphere too: the gradient
@@ -37,7 +37,7 @@ correction vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,6 +85,17 @@ class FourthMoment:
 
     matrix: np.ndarray   # r^2 x r^2
     r: int
+    # C = -T/3 as an r^3 x r operator: C[(i*r + j)*r + k, l] = -T[i*r + j, k*r + l] / 3
+    _chain: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_integer("r", self.r, 1)
+        rr = self.r * self.r
+        if np.shape(self.matrix) != (rr, rr):
+            raise ValueError(f"matrix must be {rr} x {rr} for r = {self.r}, "
+                             f"got shape {np.shape(self.matrix)}")
+        object.__setattr__(self, "_chain", (np.asarray(self.matrix, dtype=float) / -3)
+                           .reshape(rr * self.r, self.r))
 
     def contract(self, m: np.ndarray) -> np.ndarray:
         """reshape(T vec(M)) = (1/n) sum_t U_t U_t^T (U_t^T M U_t).
@@ -101,10 +112,12 @@ class FourthMoment:
         return -float(v @ self.matrix @ v) / 12
 
     def gradient(self, q: np.ndarray) -> np.ndarray:
-        """Riemannian gradient -(1/3) P_q reshape(T vec(q q^T)) q at unit q;
-        this runs in every PGD iteration."""
-        w = (self.matrix @ (q[:, None] * q).ravel()).reshape(self.r, self.r) @ q / -3
-        return w - q * (q @ w)
+        """Riemannian gradient -(1/3) P_q reshape(T vec(q q^T)) q at unit q; runs
+        in every PGD iteration.  Contracts C over l, then k, then j, the
+        reshape form's order, so a statistic symmetric as a matrix only
+        gets the same gradient."""
+        w = self._chain.dot(q).reshape(-1, self.r).dot(q).reshape(self.r, -1).dot(q)
+        return w - q * q.dot(w)
 
     def bias_corrected(self, sigma_n: np.ndarray) -> "FourthMoment":
         """T - 3 [vec(I) vec(S)^T + vec(S) vec(I)^T + vec(S) vec(S)^T], S = ``sigma_n``.
@@ -238,7 +251,7 @@ def pgd_solve(q0: np.ndarray, stat: FourthMoment, config: RotationSolveConfig):
     gnorm = np.inf
     for iters in range(config.max_iters + 1):
         g = gradient(q)
-        gnorm = math.sqrt(g @ g)
+        gnorm = math.sqrt(g.dot(g))
         if not math.isfinite(gnorm):
             raise DivergenceError(
                 f"non-finite gradient at iteration {iters}", iteration=iters)
@@ -247,7 +260,7 @@ def pgd_solve(q0: np.ndarray, stat: FourthMoment, config: RotationSolveConfig):
         if iters == config.max_iters:
             break
         step = q - step_size * g
-        nrm = math.sqrt(step @ step)
+        nrm = math.sqrt(step.dot(step))
         if not math.isfinite(nrm) or nrm < _MIN_ITERATE_NORM:
             raise DivergenceError(
                 f"iterate norm collapsed at iteration {iters + 1}",

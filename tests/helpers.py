@@ -4,16 +4,19 @@ The package computes the quartic objective, its gradients and the moment
 slices from the fourth-moment statistic T only.  The score-based versions
 here compute the same quantities from the scores U directly, and serve as
 the reference implementations the statistic is checked against.
+``reference_pgd_solve`` is the PGD loop on the reshape-and-matvec form of
+the statistic's gradient, the reference for ``pgd_solve``.
 """
 from __future__ import annotations
 
+import math
 from itertools import permutations, product
 
 import numpy as np
 
-from dvarimax import DegenerateSlicingError, complement_projector
+from dvarimax import DegenerateSlicingError, DivergenceError, complement_projector
 from dvarimax.initialization import _mom_slices, _subtracted
-from dvarimax.rotation import _check_sigma_n, _check_unit
+from dvarimax.rotation import _MIN_ITERATE_NORM, _check_sigma_n, _check_unit
 
 
 def _check_scores(q: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -91,6 +94,37 @@ def mom_matrix(u: np.ndarray, g: np.ndarray, improved: bool = False,
     subtracted = _subtracted(g, improved, sigma_u, subtraction)
     quad = np.einsum("it,ij,jt->t", u, g, u)
     return (u * quad) @ u.T / (3 * n) - subtracted
+
+
+def reference_pgd_solve(q0, stat, config):
+    """``pgd_solve`` with the gradient -(1/3) P_q reshape(T vec(q q^T)) q
+    formed as an outer product, an r^2 x r^2 matvec, a reshape, a second
+    matvec and a divide by -3; same iterates, stopping rule, return value
+    and divergence checks."""
+    q = _check_unit(q0)
+    if stat.r != q.shape[0]:
+        raise ValueError("dimension mismatch")
+    q = q / np.linalg.norm(q)
+    r, t = stat.r, stat.matrix
+    gnorm = np.inf
+    for iters in range(config.max_iters + 1):
+        w = (t @ (q[:, None] * q).ravel()).reshape(r, r) @ q / -3
+        g = w - q * (q @ w)
+        gnorm = math.sqrt(g @ g)
+        if not math.isfinite(gnorm):
+            raise DivergenceError(f"non-finite gradient at iteration {iters}",
+                                  iteration=iters)
+        if gnorm <= config.grad_tol:
+            return q, iters, gnorm, True
+        if iters == config.max_iters:
+            break
+        step = q - config.step_size * g
+        nrm = math.sqrt(step @ step)
+        if not math.isfinite(nrm) or nrm < _MIN_ITERATE_NORM:
+            raise DivergenceError(f"iterate norm collapsed at iteration {iters + 1}",
+                                  iteration=iters + 1)
+        q = step / nrm
+    return q, config.max_iters, gnorm, False
 
 
 def brute_force_signed_permutation_error(lambda_hat, lambda_true):

@@ -6,13 +6,13 @@ import pytest
 from helpers import (corrected_gradient, hand_instance, mom_matrix, objective,
                      population_gradient_h, population_objective,
                      projected_finite_difference_gradient, random_orthogonal,
-                     riemannian_gradient)
+                     reference_pgd_solve, riemannian_gradient)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvarimax import (DegenerateSolutionsError, DivergenceError, RotationSolveConfig,
-                      complement_basis, deflate, fourth_moment, generate_factors,
-                      pgd_solve, substream, symmetric_orthogonalize)
+from dvarimax import (DegenerateSolutionsError, DivergenceError, FourthMoment,
+                      RotationSolveConfig, complement_basis, deflate, fourth_moment,
+                      generate_factors, pgd_solve, substream, symmetric_orthogonalize)
 from dvarimax.initialization import SUBTRACTION_MODES, _mom_slices
 
 E1 = np.array([1.0, 0.0])
@@ -207,6 +207,17 @@ def test_bias_corrected_by_zero_is_the_statistic_bitwise():
         stat.bias_corrected(np.eye(3))
 
 
+def test_fourth_moment_validates_when_built():
+    FourthMoment(np.eye(4), np.int64(2))
+    for matrix, r in ((np.eye(9), 2), (np.eye(4).ravel(), 2), (np.eye(4)[:, :3], 2),
+                      (np.ones((1, 1, 1)), 1), (np.eye(4), 0), (np.eye(4), 2.0),
+                      (np.eye(1), True)):
+        with pytest.raises(ValueError):
+            FourthMoment(matrix, r)
+    with pytest.raises(ValueError, match="4 x 4"):
+        FourthMoment(np.eye(9), 2)
+
+
 # ---------------------------------------------------------------------------
 # pgd_solve
 # ---------------------------------------------------------------------------
@@ -337,6 +348,30 @@ def test_pgd_solve_is_orthogonally_equivariant(r, n, seed, log_scale):
     rotated, rot_iters, _, _ = pgd_solve(rot @ q0, fourth_moment(rot @ u), config)
     assert iters == rot_iters == 40
     assert np.linalg.norm(rotated - rot @ plain) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(r=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(("plain", "bias_corrected", "restrict")))
+def test_pgd_solve_matches_the_reshape_matvec_reference(r, seed, kind):
+    # Over a fixed budget the chained contraction gives the reference's
+    # iterates to rounding; whitened Bernoulli-Gaussian scores make most
+    # cases converge, and those must stop at the same iteration.
+    rng = np.random.default_rng(seed)
+    full = r + 2 if kind == "restrict" else r
+    stat = fourth_moment(generate_factors(full, 200, 0.2, rng) / np.sqrt(0.2))
+    if kind == "bias_corrected":
+        s = rng.standard_normal((r, r))
+        stat = stat.bias_corrected(0.05 * (s + s.T))
+    if kind == "restrict":
+        stat = stat.restrict(complement_basis(np.linalg.qr(rng.standard_normal((full, 2)))[0]))
+    q0 = _random_unit(r, rng)
+    config = RotationSolveConfig(step_size=0.1, grad_tol=1e-6, max_iters=1000)
+    q, iters, gnorm, converged = pgd_solve(q0, stat, config)
+    ref_q, ref_iters, ref_gnorm, ref_converged = reference_pgd_solve(q0, stat, config)
+    assert np.max(np.abs(q - ref_q)) <= 1e-12
+    assert (iters, converged) == (ref_iters, ref_converged)
+    assert abs(gnorm - ref_gnorm) <= 1e-12
 
 
 def test_solve_config_validates():
