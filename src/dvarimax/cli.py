@@ -125,8 +125,8 @@ _DEFAULTS = {
     **{spec.name: spec.default for spec in _SOLVE_FIELDS},
     "variant": _default(ExperimentGrid, "variants")[0].value,
     "init": _default(ExperimentGrid, "init_schemes")[0].label,
-    **{key: _default(ExperimentGrid, key)
-       for key in ("mom_subtraction", "replications", "record_runtime")},
+    "mom_subtraction": _default(InitScheme, "subtraction"),
+    **{key: _default(ExperimentGrid, key) for key in ("replications", "record_runtime")},
 }
 
 
@@ -174,7 +174,7 @@ def _build_solve_config(config: dict) -> RotationSolveConfig:
 
 def _build_init_scheme(config: dict, label: str) -> InitScheme:
     return InitScheme.from_label(label, config.get("init_draws"),
-                                 config.get("init_slices"))
+                                 config.get("init_slices"), config["mom_subtraction"])
 
 
 def _given(config: dict, key: str) -> dict:
@@ -284,14 +284,11 @@ def cmd_estimate(config: dict) -> int:
         eigvals = leading_eigenvalues(x, min(r_max + 1, min(p, n)))
         r = select_rank(eigvals, r_max)
         selected_rank = r
-    if not 1 <= r <= min(p, n):
-        raise CliError(f"r={r} must lie in [1, min(p, n)={min(p, n)}]")
 
     scheme = _build_init_scheme(config, config["init"])
     estimate = estimate_loading(
         x, r, EstimatorVariant(config["variant"]), scheme,
         _build_solve_config(config), substream(seed, "estimate"),
-        mom_subtraction=config["mom_subtraction"],
         **_given(config, "auto_fallback"))
     z_hat = predict_factors(estimate.decomposition, estimate.q_check)
 
@@ -356,7 +353,6 @@ def cmd_benchmark(config: dict) -> int:
             variants=variants, init_schemes=schemes,
             replications=config["replications"], master_seed=config["seed"],
             solve_config=_build_solve_config(config),
-            mom_subtraction=config["mom_subtraction"],
             record_runtime=config["record_runtime"],
             **_given(config, "auto_fallback"))
     except ValueError as err:

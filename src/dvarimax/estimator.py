@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import CorrectionInfeasibleError
-from .initialization import InitScheme, _check_subtraction, make_init_provider
+from .initialization import InitScheme, make_init_provider
 from .rotation import RotationSolveConfig, deflate, fourth_moment
 from .spectral import PcaDecomposition, corrected_decomposition, eigendecompose
 
@@ -105,8 +105,7 @@ def estimate_loading(x: np.ndarray, r: int,
                      solve_config: Optional[RotationSolveConfig] = None,
                      rng: Optional[np.random.Generator] = None,
                      *,
-                     auto_fallback: bool = False,
-                     mom_subtraction: str = "as_written") -> LoadingEstimate:
+                     auto_fallback: bool = False) -> LoadingEstimate:
     """Estimate the p x r loading matrix of ``x`` (features x samples).
 
     Runs the PCA step, solves r rotation columns by deflation with the
@@ -118,15 +117,17 @@ def estimate_loading(x: np.ndarray, r: int,
     variant : EstimatorVariant or str
         Pipeline variant; the improved variants require p > r and all
         corrected eigenvalues positive.
+    init_scheme : InitScheme
+        Initializer with all its settings (default: ``mom`` with the
+        default slice count and subtraction mode).  ``mom_improved`` needs
+        the noise correction as the improved variants do.
     auto_fallback : bool
         When the correction is infeasible, fall back to the base variant
-        (and to the plain moment init) instead of raising; the fallback
-        is flagged in the diagnostics.
+        (and from ``mom_improved`` to ``mom`` with the same settings)
+        instead of raising; the fallback is flagged in the diagnostics.
     rng : np.random.Generator
         Drives every random draw of the initialization scheme.  The
         output is a pure function of (x, r, options, rng state).
-    mom_subtraction : str
-        One of ``SUBTRACTION_MODES``, checked whatever the init scheme.
 
     Raises
     ------
@@ -137,7 +138,6 @@ def estimate_loading(x: np.ndarray, r: int,
     t_start = time.perf_counter()
     x = np.asarray(x, dtype=float)
     variant = EstimatorVariant(variant)
-    _check_subtraction(mom_subtraction)
     if init_scheme is None:
         init_scheme = InitScheme.method_of_moments()
     if solve_config is None:
@@ -157,18 +157,15 @@ def estimate_loading(x: np.ndarray, r: int,
                 raise
             effective_variant = EstimatorVariant.BASE
             if init_scheme.improved:
-                effective_scheme = replace(init_scheme, improved=False)
+                effective_scheme = replace(init_scheme, label="mom")
             fallback = True
 
     scores = (decomp.scores if effective_variant == EstimatorVariant.BASE
               else decomp.scores_corrected)
-    sigma_u = None
-    if effective_scheme.improved:
-        sigma_u = np.eye(r) + decomp.sigma_n_hat
+    sigma_u = np.eye(r) + decomp.sigma_n_hat if effective_scheme.improved else None
     # The rotation stage reads the scores only through this statistic.
     stat = fourth_moment(scores)
-    provider = make_init_provider(effective_scheme, stat, rng,
-                                  sigma_u=sigma_u, subtraction=mom_subtraction)
+    provider = make_init_provider(effective_scheme, stat, rng, sigma_u=sigma_u)
     if effective_variant == EstimatorVariant.IMPROVED2:
         stat = stat.bias_corrected(decomp.sigma_n_hat)
     rotation = deflate(stat, provider, solve_config)

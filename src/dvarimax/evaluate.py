@@ -18,6 +18,7 @@ grid points or reordering the grid does not perturb existing cells.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Optional, Sequence
@@ -27,7 +28,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .estimator import EstimatorVariant, estimate_loading
 from .exceptions import _check_integer
-from .initialization import InitScheme, _check_subtraction
+from .initialization import InitScheme
 from .model import SyntheticConfig, generate_dataset
 from .rng import derive_seed, substream
 from .rotation import RotationSolveConfig
@@ -107,7 +108,6 @@ class ExperimentGrid:
     replications: int = 100
     master_seed: int = 0
     solve_config: RotationSolveConfig = field(default_factory=RotationSolveConfig)
-    mom_subtraction: str = "as_written"
     auto_fallback: bool = True
     record_runtime: bool = False
 
@@ -116,19 +116,24 @@ class ExperimentGrid:
             raise ValueError(f"sweep_name must be one of {SWEEPABLE_PARAMETERS}")
         if not self.sweep_values:
             raise ValueError("sweep_values must be nonempty")
-        if self.sweep_name in INT_SWEEPS:
-            for value in self.sweep_values:
+        for value in self.sweep_values:
+            if self.sweep_name in INT_SWEEPS:
                 _check_integer(self.sweep_name, value)
+            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{self.sweep_name}={value!r} must be a real number")
         _check_integer("replications", self.replications, 1)
         _check_integer("master_seed", self.master_seed)
         if not self.variants or not self.init_schemes:
             raise ValueError("variants and init_schemes must be nonempty")
-        _check_subtraction(self.mom_subtraction)
-        object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
+        # Seeds key on the value, so 1, 1.0 and np.int64(1) must be one value.
+        typed = int if self.sweep_name in INT_SWEEPS else float
+        object.__setattr__(self, "sweep_values",
+                           tuple(typed(value) for value in self.sweep_values))
         object.__setattr__(
             self, "variants", tuple(EstimatorVariant(v) for v in self.variants))
         object.__setattr__(self, "init_schemes", tuple(self.init_schemes))
-        # a repeated entry would count the same cells twice in one summary row
+        # a repeated entry, or two schemes with one label (say mom in two
+        # subtraction modes), would count the same cells twice in one row
         labels = [scheme.label for scheme in self.init_schemes]
         if len(set(self.variants)) < len(self.variants) or len(set(labels)) < len(labels):
             raise ValueError("variants and init_schemes must not repeat an entry")
@@ -171,11 +176,6 @@ class SummaryRow:
     q75: float
 
 
-def _cell_config(base: SyntheticConfig, sweep_name: str, value, seed: int) -> SyntheticConfig:
-    typed = int(value) if sweep_name in INT_SWEEPS else float(value)
-    return replace(base, **{sweep_name: typed, "seed": seed})
-
-
 def run_experiment(grid: ExperimentGrid) -> list:
     """Run every (sweep value x variant x init x replication) cell in turn.
 
@@ -194,14 +194,13 @@ def run_experiment(grid: ExperimentGrid) -> list:
                       sweep_name=grid.sweep_name, sweep_value=value,
                       rep=rep, seed=data_seed)
         try:
-            config = _cell_config(grid.base, grid.sweep_name, value, data_seed)
+            config = replace(grid.base, **{grid.sweep_name: value, "seed": data_seed})
             observed, truth = generate_dataset(config)
             est_rng = substream(grid.master_seed, "estimate", variant.value,
                                 scheme.label, grid.sweep_name, value, rep)
             estimate = estimate_loading(
                 observed.data, config.r, variant, scheme, grid.solve_config,
-                est_rng, auto_fallback=grid.auto_fallback,
-                mom_subtraction=grid.mom_subtraction)
+                est_rng, auto_fallback=grid.auto_fallback)
             error, _ = signed_permutation_error(estimate.lambda_hat, truth.loading)
             diag = estimate.diagnostics
             return ExperimentRecord(

@@ -22,13 +22,14 @@ available for starting each column solve:
   symmetric, so the gaps come from one batched eigenvalue solve (singular
   values are absolute eigenvalues); only the chosen slice gets a full SVD.
 
-Two subtraction modes are supported for the moment matrix.  The default
-``as_written`` subtracts G + G^T (improved form: with the score covariance
-estimate S_U = I + sigma_n_hat on both sides plus a trace term).  The
+Two subtraction modes, ``InitScheme.subtraction``, are supported for the
+moment matrix.  The default ``as_written`` subtracts G + G^T.  The
 alternative ``lemma_consistent`` subtracts exactly what the fourth-moment
-expectation identity for whitened scores prescribes, namely
-(1/3) tr(G) I + (1/3)(G + G^T) (and its S_U-weighted analogue); the two
-modes differ by a symmetric residual and tests report both.
+expectation identity for whitened scores prescribes, (1/3) tr(G) I +
+(1/3)(G + G^T); the modes differ by a symmetric residual.  Given a score
+covariance estimate ``sigma_u`` S_U = I + sigma_n_hat, which the
+``mom_improved`` scheme passes, ``mom_init`` subtracts the noise-corrected
+S_U (G + G^T) S_U + tr(G S_U) S_U instead (1/3 of it if lemma_consistent).
 """
 from __future__ import annotations
 
@@ -53,36 +54,42 @@ __all__ = [
 SUBTRACTION_MODES = ("as_written", "lemma_consistent")
 
 
+def _check_subtraction(subtraction: str) -> None:
+    if subtraction not in SUBTRACTION_MODES:
+        raise ValueError(f"unknown subtraction mode: {subtraction!r}")
+
+
 @dataclass(frozen=True)
 class InitScheme:
-    """Tagged choice of initialization scheme.
+    """Tagged choice of initialization scheme with every setting it takes.
 
-    ``draws`` (multi_random) defaults to r^2 and ``slices`` (mom) to
-    max(16, 4 r^2) when left unset; both resolve against the score
-    dimension at run time.
+    ``label`` is one of ``LABELS``.  ``draws`` (multi_random) defaults to
+    r^2 and ``slices`` (mom, mom_improved) to max(16, 4 r^2) when left
+    unset; both resolve against the score dimension at run time.
+    ``subtraction`` (mom, mom_improved) is one of ``SUBTRACTION_MODES``.
+    A scheme rejects a non-default setting that it does not use.
     """
 
-    kind: str
+    label: str
     draws: Optional[int] = None
     slices: Optional[int] = None
-    improved: bool = False
+    subtraction: str = "as_written"
 
-    _KINDS = ("random", "multi_random", "mom")
-    LABELS = _KINDS + ("mom_improved",)
+    LABELS = ("random", "multi_random", "mom", "mom_improved")
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown init scheme: {self.kind!r}")
+        if self.label not in self.LABELS:
+            raise ValueError(f"unknown init scheme: {self.label!r}")
+        _check_subtraction(self.subtraction)
         if self.draws is not None:
             _check_integer("draws", self.draws, 1)
+            if self.label != "multi_random":
+                raise ValueError("draws applies only to the multi_random scheme")
         if self.slices is not None:
             _check_integer("slices", self.slices, 1)
-        if self.improved and self.kind != "mom":
-            raise ValueError("improved applies only to the mom scheme")
-        if self.draws is not None and self.kind != "multi_random":
-            raise ValueError("draws applies only to the multi_random scheme")
-        if self.slices is not None and self.kind != "mom":
-            raise ValueError("slices applies only to the mom scheme")
+        if not self.label.startswith("mom") and (
+                self.slices is not None or self.subtraction != "as_written"):
+            raise ValueError("slices and subtraction apply only to the mom schemes")
 
     @classmethod
     def random(cls) -> "InitScheme":
@@ -93,26 +100,26 @@ class InitScheme:
         return cls("multi_random", draws=draws)
 
     @classmethod
-    def method_of_moments(cls, slices: Optional[int] = None,
-                          improved: bool = False) -> "InitScheme":
-        return cls("mom", slices=slices, improved=improved)
+    def method_of_moments(cls, slices: Optional[int] = None, improved: bool = False,
+                          subtraction: str = "as_written") -> "InitScheme":
+        return cls("mom_improved" if improved else "mom", slices=slices,
+                   subtraction=subtraction)
 
     @classmethod
     def from_label(cls, label: str, draws: Optional[int] = None,
-                   slices: Optional[int] = None) -> "InitScheme":
-        """Inverse of :attr:`label`; each scheme keeps the setting it uses."""
+                   slices: Optional[int] = None,
+                   subtraction: str = "as_written") -> "InitScheme":
+        """The scheme ``label`` with only the settings it uses."""
         if label == "multi_random":
             return cls.multi_random(draws)
         if label in ("mom", "mom_improved"):
-            return cls.method_of_moments(slices, label == "mom_improved")
+            return cls(label, slices=slices, subtraction=subtraction)
         return cls(label)
 
     @property
-    def label(self) -> str:
-        """Short name used in experiment records and CSV output."""
-        if self.kind == "mom" and self.improved:
-            return "mom_improved"
-        return self.kind
+    def improved(self) -> bool:
+        """Whether the moment slices subtract the noise-corrected term."""
+        return self.label == "mom_improved"
 
     def draws_for(self, r: int) -> int:
         return self.draws if self.draws is not None else r * r
@@ -149,24 +156,18 @@ def multi_random_init(stat: FourthMoment, prior: np.ndarray, draws: int,
     return candidates[int(np.argmin(values))]
 
 
-def _check_subtraction(subtraction: str) -> None:
-    if subtraction not in SUBTRACTION_MODES:
-        raise ValueError(f"unknown subtraction mode: {subtraction!r}")
-
-
-def _subtracted(g: np.ndarray, improved: bool, sigma_u: Optional[np.ndarray],
+def _subtracted(g: np.ndarray, sigma_u: Optional[np.ndarray],
                 subtraction: str) -> np.ndarray:
-    """The term a moment slice subtracts, for one G or a stack (..., r, r)."""
+    """The term a moment slice subtracts, for one G or a stack (..., r, r);
+    the noise-corrected term exactly when ``sigma_u`` is given."""
     _check_subtraction(subtraction)
     r = g.shape[-1]
     sym = g + np.swapaxes(g, -1, -2)
-    if not improved:
+    if sigma_u is None:
         if subtraction == "as_written":
             return sym
         trace = np.trace(g, axis1=-2, axis2=-1)[..., None, None]
         return (trace * np.eye(r) + sym) / 3.0
-    if sigma_u is None:
-        raise ValueError("improved moment matrix requires sigma_u")
     sigma_u = np.asarray(sigma_u, dtype=float)
     if sigma_u.shape != (r, r):
         raise ValueError(f"sigma_u must be {r} x {r}")
@@ -175,17 +176,16 @@ def _subtracted(g: np.ndarray, improved: bool, sigma_u: Optional[np.ndarray],
     return term if subtraction == "as_written" else term / 3.0
 
 
-def _mom_slices(stat: FourthMoment, g: np.ndarray, improved: bool,
-                sigma_u: Optional[np.ndarray], subtraction: str) -> np.ndarray:
+def _mom_slices(stat: FourthMoment, g: np.ndarray, sigma_u: Optional[np.ndarray],
+                subtraction: str) -> np.ndarray:
     """Moment slices M(G) for a stack (..., r, r), read from the statistic
     as (1/3) reshape(T vec(G)) - <subtraction>; linear in G.  The
     score-based reference is ``mom_matrix`` in ``tests/helpers.py``."""
-    return stat.contract(g) / 3.0 - _subtracted(g, improved, sigma_u, subtraction)
+    return stat.contract(g) / 3.0 - _subtracted(g, sigma_u, subtraction)
 
 
 def mom_init(stat: FourthMoment, prior: np.ndarray, n_slices: int,
-             improved: bool = False, sigma_u: Optional[np.ndarray] = None, *,
-             rng: np.random.Generator,
+             sigma_u: Optional[np.ndarray] = None, *, rng: np.random.Generator,
              subtraction: str = "as_written") -> np.ndarray:
     """Method-of-moments initializer via multiple random slicings.
 
@@ -209,7 +209,7 @@ def mom_init(stat: FourthMoment, prior: np.ndarray, n_slices: int,
     proj = complement_projector(prior)
 
     g = rng.standard_normal((n_slices, r, r))
-    m = proj @ _mom_slices(stat, g, improved, sigma_u, subtraction) @ proj
+    m = proj @ _mom_slices(stat, g, sigma_u, subtraction) @ proj
     singulars = np.sort(np.abs(np.linalg.eigvalsh(m)), axis=1)
     gaps = singulars[:, -1] - singulars[:, -2]
     if np.max(gaps) < 1e-12:
@@ -225,23 +225,23 @@ def mom_init(stat: FourthMoment, prior: np.ndarray, n_slices: int,
 
 def make_init_provider(scheme: InitScheme, stat: FourthMoment,
                        rng: np.random.Generator, *,
-                       sigma_u: Optional[np.ndarray] = None,
-                       subtraction: str = "as_written"):
+                       sigma_u: Optional[np.ndarray] = None):
     """Build the ``(k, prior) -> q0`` callable used by the deflation loop.
 
-    Every round reads the statistic ``stat``.  The provider consumes
-    ``rng`` sequentially across rounds, so a fixed seed fixes the whole
-    initialization sequence.
+    Every round reads the statistic ``stat``.  ``sigma_u``, the score
+    covariance estimate, is given exactly for the ``mom_improved`` scheme.
+    The provider consumes ``rng`` sequentially across rounds, so a fixed
+    seed fixes the whole initialization sequence.
     """
+    if scheme.improved != (sigma_u is not None):
+        raise ValueError("a score covariance estimate sigma_u is given exactly "
+                         "for the mom_improved init scheme")
     r = stat.r
-    if scheme.kind == "random":
+    if scheme.label == "random":
         return lambda k, prior: random_init(prior, rng)
-    if scheme.kind == "multi_random":
+    if scheme.label == "multi_random":
         draws = scheme.draws_for(r)
         return lambda k, prior: multi_random_init(stat, prior, draws, rng)
-    if scheme.improved and sigma_u is None:
-        raise ValueError("improved mom init requires a score covariance estimate")
     n_slices = scheme.slices_for(r)
-    return lambda k, prior: mom_init(
-        stat, prior, n_slices, improved=scheme.improved,
-        sigma_u=sigma_u, rng=rng, subtraction=subtraction)
+    return lambda k, prior: mom_init(stat, prior, n_slices, sigma_u, rng=rng,
+                                     subtraction=scheme.subtraction)

@@ -72,13 +72,12 @@ def corrected_gradient(q: np.ndarray, u: np.ndarray,
     return _plain_gradient(q, u) + _bias_term(q, sigma_n)
 
 
-def mom_matrix(u: np.ndarray, g: np.ndarray, improved: bool = False,
-               sigma_u: np.ndarray | None = None,
+def mom_matrix(u: np.ndarray, g: np.ndarray, sigma_u: np.ndarray | None = None,
                subtraction: str = "as_written") -> np.ndarray:
     """Fourth-moment slice (1/(3n)) sum_t U_t U_t^T (U_t^T G U_t) - <subtraction>.
 
-    Plain form subtracts G + G^T; the improved form needs ``sigma_u``
-    (the score covariance estimate I + sigma_n_hat) and subtracts
+    Plain form subtracts G + G^T; given ``sigma_u`` (the score covariance
+    estimate S_U = I + sigma_n_hat) the improved form subtracts
     S_U (G + G^T) S_U + tr(G S_U) S_U.  With ``subtraction =
     "lemma_consistent"`` both subtracted terms carry a factor 1/3 and the
     plain form gains a (1/3) tr(G) I term, matching the exact whitened
@@ -91,7 +90,7 @@ def mom_matrix(u: np.ndarray, g: np.ndarray, improved: bool = False,
     r, n = u.shape
     if g.shape != (r, r):
         raise ValueError(f"g must be {r} x {r}")
-    subtracted = _subtracted(g, improved, sigma_u, subtraction)
+    subtracted = _subtracted(g, sigma_u, subtraction)
     quad = np.einsum("it,ij,jt->t", u, g, u)
     return (u * quad) @ u.T / (3 * n) - subtracted
 
@@ -198,15 +197,15 @@ def full_eigh_decomposition(x, r):
     return eigvals, vecs[:, order[:r]], float(eigvals[r:].sum())
 
 
-def batched_svd_mom_init(stat, prior, n_slices, improved=False, sigma_u=None, *,
-                         rng, subtraction="as_written"):
+def batched_svd_mom_init(stat, prior, n_slices, sigma_u=None, *, rng,
+                         subtraction="as_written"):
     """Reference method-of-moments selection: the same slice stack as
     ``mom_init``, a full SVD of every slice, and the leading left singular
     vector of the slice with the largest top-two gap, sign-fixed."""
     r = stat.r
     g = rng.standard_normal((n_slices, r, r))
     proj = complement_projector(prior)
-    m = proj @ _mom_slices(stat, g, improved, sigma_u, subtraction) @ proj
+    m = proj @ _mom_slices(stat, g, sigma_u, subtraction) @ proj
     left, singulars, _ = np.linalg.svd(m)
     gaps = singulars[:, 0] - singulars[:, 1]
     if np.max(gaps) < 1e-12:

@@ -200,10 +200,11 @@ def test_estimate_auto_rank_rejects_r_max_below_one(tmp_path, simulated, capsys,
 
 
 def test_estimate_rejects_oversized_rank(tmp_path, simulated, capsys):
-    config = _write_config(tmp_path, "bad.cfg", input_path=simulated / "X.csv",
-                           output_path=tmp_path / "x", r=11, seed=1)
-    assert _run("estimate", "--config", config) == 2
-    assert "r=11" in capsys.readouterr().err
+    for r in (11, 0):
+        config = _write_config(tmp_path, f"bad{r}.cfg", input_path=simulated / "X.csv",
+                               output_path=tmp_path / "x", r=r, seed=1)
+        assert _run("estimate", "--config", config) == 2
+        assert f"r={r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("r", ["2", "auto"])
@@ -264,6 +265,7 @@ _CHOICES = (
     + [{"noise_kind": kind} for kind in NoiseCovariance.KINDS]
     + [{"sweep_name": name, "sweep_values": _SWEEP_BASE[name]}
        for name in SWEEPABLE_PARAMETERS]
+    + [{"mom_subtraction": "lemma_consistent"}]
 )
 # records.csv column that echoes each choice
 _CHOICE_COLUMN = {"variant": 0, "init": 1, "init_schemes": 1, "sweep_name": 2}
@@ -282,6 +284,21 @@ def test_benchmark_accepts_every_library_choice(tmp_path, choice):
     for key, value in choice.items():
         if key in _CHOICE_COLUMN:
             assert record[_CHOICE_COLUMN[key]] == value
+
+
+def test_mom_subtraction_reaches_only_the_mom_schemes(tmp_path):
+    rows = {}
+    for mode in ("as_written", "lemma_consistent"):
+        out = tmp_path / mode
+        config = _benchmark_config(tmp_path, out, mom_subtraction=mode,
+                                   init_schemes="random,multi_random,mom,mom_improved",
+                                   replications=2)
+        assert _run("benchmark", "--config", config) == 0
+        for line in (out / "records.csv").read_text().splitlines()[1:]:
+            rows.setdefault(line.split(",")[1], []).append(line)
+    for label, lines in rows.items():
+        written, lemma = lines[:2], lines[2:]
+        assert (written == lemma) == (label in ("random", "multi_random"))
 
 
 @pytest.mark.parametrize("repeat", [dict(variants="base,base"),

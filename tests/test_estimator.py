@@ -1,4 +1,6 @@
 """Tests for the end-to-end loading estimation pipelines."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import random_orthogonal
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from dvarimax import (CorrectionInfeasibleError, EstimatorVariant, InitScheme,
                       PcaDecomposition, RotationSolveConfig, SyntheticConfig,
-                      eigendecompose, estimate_loading, generate_dataset,
+                      derive_seed, eigendecompose, estimate_loading, generate_dataset,
                       generate_factors, loading_from_rotation, predict_factors,
                       signed_permutation_error, substream)
 
@@ -101,10 +103,9 @@ def test_noiseless_improved1_equals_base_bitwise():
 
 @pytest.mark.parametrize("scheme", [InitScheme.random(), MOM])
 def test_unknown_mom_subtraction_rejected(scheme):
-    observed, _ = _dataset()
-    with pytest.raises(ValueError, match="subtraction"):
-        estimate_loading(observed.data, 3, "base", scheme, FAST,
-                         substream(3, "est"), mom_subtraction="bogus")
+    # the mode is an InitScheme setting, checked when the scheme is built
+    with pytest.raises(ValueError, match="unknown subtraction mode"):
+        replace(scheme, subtraction="bogus")
 
 
 def test_noiseless_orthogonal_loading_recovery():
@@ -115,6 +116,29 @@ def test_noiseless_orthogonal_loading_recovery():
         err, _ = signed_permutation_error(est.lambda_hat, loading)
         errors.append(err)
     assert np.median(errors) <= 0.15
+
+
+def test_improved2_beats_base_where_the_columns_converge():
+    # Criterion 9's cell at a step where the column solves converge, so
+    # improved2's lead there does not rest on base solves stopping short.
+    solve = RotationSolveConfig(step_size=1e-2)
+    errors = {"base": [], "improved2": []}
+    converged = {"base": [], "improved2": []}
+    for rep in range(20):
+        config = SyntheticConfig(n=500, p=20, r=5, theta=0.1, varepsilon2=0.8,
+                                 seed=derive_seed(109, "data", rep))
+        observed, truth = generate_dataset(config)
+        for variant in errors:
+            est = estimate_loading(observed.data, 5, variant, MOM, solve,
+                                   substream(109, "estimate", variant, rep))
+            errors[variant].append(
+                signed_permutation_error(est.lambda_hat, truth.loading)[0])
+            converged[variant].extend(est.diagnostics.converged_flags)
+    base, improved = np.array(errors["base"]), np.array(errors["improved2"])
+    assert np.mean(improved <= base) >= 0.70
+    assert np.median(improved) < np.median(base)
+    for flags in converged.values():
+        assert np.mean(flags) >= 0.80
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +165,19 @@ def test_improved_with_fallback_runs_base():
     assert diag.fallback
     assert diag.requested_variant == "improved2"
     assert diag.effective_variant == "base"
+
+
+def test_mom_improved_falls_back_to_mom_with_its_settings():
+    x = _infeasible_input()
+    scheme = InitScheme.method_of_moments(8, improved=True, subtraction="lemma_consistent")
+    with pytest.raises(CorrectionInfeasibleError):
+        estimate_loading(x, 3, "base", scheme, FAST, substream(6, "est"))
+    est = estimate_loading(x, 3, "base", scheme, FAST, substream(6, "est"),
+                           auto_fallback=True)
+    assert est.diagnostics.fallback and est.diagnostics.init_label == "mom"
+    plain = estimate_loading(x, 3, "base", replace(scheme, label="mom"), FAST,
+                             substream(6, "est"))
+    assert np.array_equal(est.lambda_hat, plain.lambda_hat)
 
 
 def test_infeasible_correction_falls_back():

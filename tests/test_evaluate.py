@@ -12,6 +12,7 @@ from dvarimax import (EstimatorVariant, ExperimentGrid, ExperimentRecord,
                       records_to_csv, run_experiment, signed_permutation_error,
                       substream, summary_to_csv)
 from dvarimax.evaluate import RECORDS_HEADER, SUMMARY_HEADER
+from dvarimax.initialization import SUBTRACTION_MODES
 
 
 def _signed_permutation(r, rng):
@@ -215,14 +216,32 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         _small_grid(sweep_values=())
     with pytest.raises(ValueError, match="subtraction"):
-        _small_grid(mom_subtraction="lemma-consistent")
+        _small_grid(init_schemes=(InitScheme.method_of_moments(
+            subtraction="lemma-consistent"),))
     for bad in (dict(replications=2.5), dict(replications=True),
                 dict(master_seed=1.5), dict(master_seed=False),
-                dict(sweep_values=(120.7,)), dict(sweep_values=(True,))):
+                dict(sweep_values=(120.7,)), dict(sweep_values=(True,)),
+                dict(sweep_name="theta", sweep_values=("0.5",)),
+                dict(sweep_name="theta", sweep_values=(True,)),
+                dict(sweep_name="theta", sweep_values=(np.True_,))):
         with pytest.raises(ValueError):
             _small_grid(**bad)
+    # records.csv could not tell apart two mom schemes with one label
+    with pytest.raises(ValueError, match="repeat"):
+        _small_grid(init_schemes=tuple(InitScheme.method_of_moments(subtraction=mode)
+                                       for mode in SUBTRACTION_MODES))
     _small_grid(replications=np.int64(1), master_seed=np.int64(77),
                 sweep_values=(np.int64(120),))
+
+
+def test_float_sweep_value_keys_cells_by_its_number():
+    # 1 and 1.0 are the same theta, so they must fit the same datasets
+    grids = [_small_grid(sweep_name="theta", sweep_values=(value,), replications=2)
+             for value in (1, 1.0, np.float32(1.0))]
+    assert grids[0].sweep_values == (1.0,) and type(grids[0].sweep_values[0]) is float
+    records = [run_experiment(grid) for grid in grids]
+    assert all(np.isfinite(rec.error) for rec in records[0])
+    assert records[0] == records[1] == records[2]
 
 
 # ---------------------------------------------------------------------------

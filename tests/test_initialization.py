@@ -1,4 +1,6 @@
 """Tests for the deflation-round initializers."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from helpers import (batched_svd_mom_init, hand_instance, mom_matrix, objective,
@@ -10,6 +12,7 @@ from dvarimax import (DegenerateProjectorError, DegenerateSlicingError, InitSche
                       complement_basis, complement_projector, fourth_moment,
                       generate_factors, make_init_provider, mom_init,
                       multi_random_init, random_init, substream)
+from dvarimax.initialization import SUBTRACTION_MODES
 
 
 def _empty_prior(r):
@@ -27,10 +30,19 @@ def test_init_scheme_defaults_and_labels():
     assert InitScheme.method_of_moments().slices_for(5) == 100
     assert InitScheme.method_of_moments().slices_for(1) == 16
     assert InitScheme.method_of_moments(improved=True).label == "mom_improved"
+    assert InitScheme("mom_improved").improved and not InitScheme("mom").improved
+    assert InitScheme.method_of_moments().subtraction == "as_written"
+    assert [spec.name for spec in fields(InitScheme)] == [
+        "label", "draws", "slices", "subtraction"]
     with pytest.raises(ValueError):
         InitScheme("bogus")
-    with pytest.raises(ValueError):
-        InitScheme("random", improved=True)
+    for mode in SUBTRACTION_MODES:
+        assert InitScheme("mom_improved", subtraction=mode).subtraction == mode
+    for label in ("random", "multi_random"):
+        with pytest.raises(ValueError, match="apply only to the mom schemes"):
+            InitScheme(label, subtraction="lemma_consistent")
+    with pytest.raises(ValueError, match="unknown subtraction mode"):
+        InitScheme.method_of_moments(subtraction="lemma-consistent")
     with pytest.raises(ValueError):
         InitScheme.multi_random(0)
     with pytest.raises(ValueError):
@@ -50,10 +62,13 @@ def test_init_scheme_defaults_and_labels():
 
 @pytest.mark.parametrize("label", InitScheme.LABELS)
 def test_from_label_inverts_label(label):
-    scheme = InitScheme.from_label(label, draws=3, slices=5)
+    scheme = InitScheme.from_label(label, draws=3, slices=5,
+                                   subtraction="lemma_consistent")
     assert scheme.label == label
     assert scheme.draws == (3 if label == "multi_random" else None)
     assert scheme.slices == (5 if label.startswith("mom") else None)
+    assert scheme.subtraction == ("lemma_consistent" if label.startswith("mom")
+                                  else "as_written")
 
 
 def test_from_label_rejects_unknown():
@@ -181,9 +196,8 @@ def test_mom_matrix_linear_in_slice():
     g2 = rng.standard_normal((4, 4))
     sigma_u = np.eye(4) + np.diag(rng.uniform(0.0, 0.5, 4))
     for kwargs in ({}, {"subtraction": "lemma_consistent"},
-                   {"improved": True, "sigma_u": sigma_u},
-                   {"improved": True, "sigma_u": sigma_u,
-                    "subtraction": "lemma_consistent"}):
+                   {"sigma_u": sigma_u},
+                   {"sigma_u": sigma_u, "subtraction": "lemma_consistent"}):
         combo = mom_matrix(u, 2.0 * g1 - 3.0 * g2, **kwargs)
         parts = 2.0 * mom_matrix(u, g1, **kwargs) - 3.0 * mom_matrix(u, g2, **kwargs)
         assert np.linalg.norm(combo - parts) <= 1e-10 * max(np.linalg.norm(parts), 1.0)
@@ -219,11 +233,6 @@ def test_mom_matrix_expectation_oracle():
     expect_lemma = kappa_term
     assert np.max(np.abs(acc_written / resamples - expect_written)) <= 0.35
     assert np.max(np.abs(acc_lemma / resamples - expect_lemma)) <= 0.35
-
-
-def test_mom_matrix_improved_requires_sigma_u():
-    with pytest.raises(ValueError):
-        mom_matrix(hand_instance(), np.eye(2), improved=True)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +322,7 @@ def test_mom_init_picks_the_slice_a_loop_over_mom_matrix_picks(
     u = generate_factors(r, 400, 0.2, rng) / np.sqrt(0.2)
     prior = random_orthogonal(r, rng)[:, :min(k, r - 2)]
     sigma_u = np.eye(r) + np.diag(rng.uniform(0.0, 0.5, r))
-    kwargs = dict(improved=improved, sigma_u=sigma_u, subtraction=mode)
+    kwargs = dict(sigma_u=sigma_u if improved else None, subtraction=mode)
     got = mom_init(fourth_moment(u), prior, slices, rng=substream(seed, "batched"),
                    **kwargs)
     # the reference: one draw, one moment slice and one SVD per slice
@@ -340,14 +349,14 @@ def test_mom_init_returns_the_batched_svd_selection_bitwise(
     u = generate_factors(r, 300, 0.2, rng) / np.sqrt(0.2)
     prior = random_orthogonal(r, rng)[:, :min(k, r - 1)]
     sigma_u = np.eye(r) + np.diag(rng.uniform(0.0, 0.5, r))
-    kwargs = dict(improved=improved, sigma_u=sigma_u, subtraction=mode)
+    kwargs = dict(sigma_u=sigma_u if improved else None, subtraction=mode)
     got = mom_init(fourth_moment(u), prior, slices, rng=substream(seed, "slices"),
                    **kwargs)
     want = batched_svd_mom_init(fourth_moment(u), prior, slices,
                                 rng=substream(seed, "slices"), **kwargs)
     assert np.array_equal(got, want)
     # A stack whose every slice is zero has no gap to pick by.
-    zeros = dict(kwargs, improved=True, sigma_u=np.zeros((r, r)))
+    zeros = dict(kwargs, sigma_u=np.zeros((r, r)))
     for init in (mom_init, batched_svd_mom_init):
         with pytest.raises(DegenerateSlicingError):
             init(fourth_moment(np.zeros((r, 300))), prior, slices,
@@ -372,7 +381,26 @@ def test_provider_outputs_unit_vectors():
 
 
 def test_provider_improved_requires_sigma_u():
-    u = hand_instance()
-    with pytest.raises(ValueError):
-        make_init_provider(InitScheme.method_of_moments(improved=True), fourth_moment(u),
+    # the score covariance estimate goes with mom_improved and no other scheme
+    stat = fourth_moment(hand_instance())
+    with pytest.raises(ValueError, match="sigma_u"):
+        make_init_provider(InitScheme.method_of_moments(improved=True), stat,
                            substream(21, "init"))
+    for scheme in (InitScheme.random(), InitScheme.multi_random(),
+                   InitScheme.method_of_moments()):
+        with pytest.raises(ValueError, match="sigma_u"):
+            make_init_provider(scheme, stat, substream(21, "init"), sigma_u=np.eye(2))
+
+
+@pytest.mark.parametrize("mode", SUBTRACTION_MODES)
+def test_provider_reads_the_scheme_subtraction(mode):
+    rng = substream(22, "init")
+    u = generate_factors(3, 2000, 0.3, rng) / np.sqrt(0.3)
+    sigma_u = np.eye(3) + np.diag(rng.uniform(0.0, 0.5, 3))
+    stat, prior = fourth_moment(u), _empty_prior(3)
+    for improved, given in ((False, None), (True, sigma_u)):
+        scheme = InitScheme.method_of_moments(8, improved, mode)
+        provider = make_init_provider(scheme, stat, substream(23, "init"), sigma_u=given)
+        want = mom_init(stat, prior, 8, given, rng=substream(23, "init"),
+                        subtraction=mode)
+        assert np.array_equal(provider(1, prior), want)

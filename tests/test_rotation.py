@@ -150,8 +150,8 @@ def test_fourth_moment_matches_score_oracles(r, n, seed, log_scale):
               (stat.gradient(q), riemannian_gradient(q, u), quartic),
               (stat.bias_corrected(s).gradient(q), corrected_gradient(q, u, s),
                quartic + (1.0 + s_norm) * s_norm)]
-    for improved, mode in product((False, True), SUBTRACTION_MODES):
-        kwargs = dict(improved=improved, sigma_u=sigma_u, subtraction=mode)
+    for corrected, mode in product((None, sigma_u), SUBTRACTION_MODES):
+        kwargs = dict(sigma_u=corrected, subtraction=mode)
         for one, got in zip(g, _mom_slices(stat, g, **kwargs)):
             size = np.linalg.norm(one) * (quartic + 3.0 * np.linalg.norm(sigma_u) ** 2)
             checks.append((got, mom_matrix(u, one, **kwargs), size))
