@@ -235,6 +235,16 @@ def test_mom_matrix_expectation_oracle():
     assert np.max(np.abs(acc_lemma / resamples - expect_lemma)) <= 0.35
 
 
+def test_mom_matrix_improved_requires_sigma_u():
+    # the noise-corrected slice is formed from sigma_u and needs it r x r;
+    # with S_U = I it subtracts G + G^T + tr(G) I rather than G + G^T
+    u = hand_instance()
+    with pytest.raises(ValueError, match="sigma_u"):
+        mom_matrix(u, np.eye(2), sigma_u=np.eye(3))
+    got = mom_matrix(u, np.eye(2), sigma_u=np.eye(2))
+    assert np.allclose(got, np.diag([-10.0 / 3.0, -10.0 / 3.0]), atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # mom_init
 # ---------------------------------------------------------------------------
