@@ -136,7 +136,12 @@ def complement_projector(prior: np.ndarray) -> np.ndarray:
 
 def random_init(prior: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Normalized standard-normal draw inside the complement of the priors."""
-    basis = complement_basis(prior)
+    return _draw_in(complement_basis(prior), rng)
+
+
+def _draw_in(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Normalized standard-normal draw in the span of the orthonormal columns
+    of ``basis``."""
     g = rng.standard_normal(basis.shape[1])
     v = basis @ g
     nrm = np.linalg.norm(v)
@@ -148,10 +153,13 @@ def random_init(prior: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def multi_random_init(stat: FourthMoment, prior: np.ndarray, draws: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Best of ``draws`` random initializers by the quartic objective that
-    ``stat`` gives.  Ties break toward the earliest draw.
+    ``stat`` gives.  Ties break toward the earliest draw.  The draws are
+    those of ``draws`` successive :func:`random_init` calls, from one
+    complement basis.
     """
     _check_integer("draws", draws, 1)
-    candidates = [random_init(prior, rng) for _ in range(draws)]
+    basis = complement_basis(prior)
+    candidates = [_draw_in(basis, rng) for _ in range(draws)]
     values = [stat.objective(c) for c in candidates]
     return candidates[int(np.argmin(values))]
 

@@ -20,11 +20,16 @@ statistic T = (1/n) sum_t U_t (x) U_t (x) U_t (x) U_t, stored as an
 r^2 x r^2 :class:`FourthMoment`.  :func:`pgd_solve` and :func:`deflate`
 take only that statistic, which ``estimate_loading`` builds once per fit
 with :func:`fourth_moment`.  The gradient -(1/3) P_q reshape(T vec(q q^T)) q
-is three chained matrix-vector products P_q ((C q) q) q on C = -T/3 as an
-r^3 x r operator, and the objective is -(1/12) vec(q q^T)^T T vec(q q^T), so
-a PGD iteration costs O(r^4) whatever n is; T holds r^4 doubles (r = 10:
-80 KB).  Reference implementations from U directly, and the PGD loop on the
-reshape-and-matvec gradient, live in the test suite (``tests/helpers.py``).
+is three chained matrix-vector products P_q ((C q) q) q on C = -T/3, stored
+once per statistic as a Fortran-ordered r^3 x r operator, and the objective
+is -(1/12) vec(q q^T)^T T vec(q q^T), so a PGD iteration costs O(r^4)
+whatever n is; T holds r^4 doubles (r = 10: 80 KB).  At that size the cost
+of an iteration is call overhead, not flops, so each iteration is a fixed
+sequence of nine positional BLAS calls (three ``dgemv``, three ``ddot``,
+two ``daxpy`` and one ``dscal``) that write into buffers allocated once
+per solve; no array is allocated inside the loop.  Reference implementations from U
+directly, and the PGD loop on the reshape-and-matvec gradient, live in the
+test suite (``tests/helpers.py``).
 
 The bias correction for additive error in the scores, with symmetric
 covariance estimate S, is a quartic form on the sphere too: the gradient
@@ -40,6 +45,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import daxpy, ddot, dgemv, dscal
 
 from .exceptions import (DegenerateProjectorError, DegenerateSolutionsError,
                          DivergenceError, _check_integer)
@@ -85,17 +91,24 @@ class FourthMoment:
 
     matrix: np.ndarray   # r^2 x r^2
     r: int
-    # C = -T/3 as an r^3 x r operator: C[(i*r + j)*r + k, l] = -T[i*r + j, k*r + l] / 3
-    _chain: np.ndarray = field(init=False, repr=False, compare=False)
+    # C = -T/3 as an F-contiguous r^3 x r operator:
+    # _operator[(k*r + j)*r + i, l] = -T[i*r + j, k*r + l] / 3.  One dgemv with q
+    # contracts l and leaves an r^3 vector that is, read in F order, the r^2 x r
+    # operator of the next contraction (over k), and likewise down to r.
+    _operator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_integer("r", self.r, 1)
-        rr = self.r * self.r
+        r, rr = self.r, self.r * self.r
         if np.shape(self.matrix) != (rr, rr):
             raise ValueError(f"matrix must be {rr} x {rr} for r = {self.r}, "
                              f"got shape {np.shape(self.matrix)}")
-        object.__setattr__(self, "_chain", (np.asarray(self.matrix, dtype=float) / -3)
-                           .reshape(rr * self.r, self.r))
+        # F-contiguous, so that dgemv reads it in place instead of copying it
+        # on every call.
+        c = np.ascontiguousarray(
+            (np.asarray(self.matrix, dtype=float).reshape(r, r, r, r) / -3)
+            .transpose(3, 2, 1, 0))
+        object.__setattr__(self, "_operator", c.reshape(r, rr * r).T)
 
     def contract(self, m: np.ndarray) -> np.ndarray:
         """reshape(T vec(M)) = (1/n) sum_t U_t U_t^T (U_t^T M U_t).
@@ -112,12 +125,31 @@ class FourthMoment:
         return -float(v @ self.matrix @ v) / 12
 
     def gradient(self, q: np.ndarray) -> np.ndarray:
-        """Riemannian gradient -(1/3) P_q reshape(T vec(q q^T)) q at unit q; runs
-        in every PGD iteration.  Contracts C over l, then k, then j, the
-        reshape form's order, so a statistic symmetric as a matrix only
-        gets the same gradient."""
-        w = self._chain.dot(q).reshape(-1, self.r).dot(q).reshape(self.r, -1).dot(q)
-        return w - q * q.dot(w)
+        """Riemannian gradient -(1/3) P_q reshape(T vec(q q^T)) q at unit q."""
+        return self._gradient_kernel()(np.asarray(q, dtype=float))
+
+    def _gradient_kernel(self):
+        """The gradient as a function of q that writes into buffers of its
+        own, the one :func:`pgd_solve` calls in every iteration.
+
+        It contracts C over l, then k, then j, the reshape form's order, so
+        a statistic symmetric as a matrix only gets the same gradient, and
+        returns its r-vector buffer, which the next call overwrites.
+        """
+        r, c = self.r, self._operator
+        a, b, w = np.empty(r ** 3), np.empty(r * r), np.empty(r)
+        # F-ordered views: a holds (C q)[i, j, k] at (k*r + j)*r + i, so
+        # a_op[j*r + i, k] = (C q)[i, j, k]; b_op[i, j] = ((C q) q)[i, j].
+        a_op, b_op = a.reshape(r, r * r).T, b.reshape(r, r).T
+
+        def gradient(q):
+            dgemv(1.0, c, q, 0.0, a, 0, 1, 0, 1, 0, 1)
+            dgemv(1.0, a_op, q, 0.0, b, 0, 1, 0, 1, 0, 1)
+            dgemv(1.0, b_op, q, 0.0, w, 0, 1, 0, 1, 0, 1)
+            daxpy(q, w, r, -ddot(q, w))
+            return w
+
+        return gradient
 
     def bias_corrected(self, sigma_n: np.ndarray) -> "FourthMoment":
         """T - 3 [vec(I) vec(S)^T + vec(S) vec(I)^T + vec(S) vec(S)^T], S = ``sigma_n``.
@@ -245,13 +277,15 @@ def pgd_solve(q0: np.ndarray, stat: FourthMoment, config: RotationSolveConfig):
     if stat.r != q.shape[0]:
         raise ValueError(f"dimension mismatch: q has {q.shape[0]} entries, "
                          f"the statistic has r = {stat.r}")
+    # A private contiguous float64 copy, which the loop updates in place.
     q = q / np.linalg.norm(q)
 
-    gradient, step_size, grad_tol = stat.gradient, config.step_size, config.grad_tol
-    gnorm = np.inf
+    gradient, grad_tol = stat._gradient_kernel(), config.grad_tol
+    r, step = stat.r, -config.step_size
+    gnorm = math.inf
     for iters in range(config.max_iters + 1):
         g = gradient(q)
-        gnorm = math.sqrt(g.dot(g))
+        gnorm = math.sqrt(ddot(g, g))
         if not math.isfinite(gnorm):
             raise DivergenceError(
                 f"non-finite gradient at iteration {iters}", iteration=iters)
@@ -259,13 +293,13 @@ def pgd_solve(q0: np.ndarray, stat: FourthMoment, config: RotationSolveConfig):
             return q, iters, gnorm, True
         if iters == config.max_iters:
             break
-        step = q - step_size * g
-        nrm = math.sqrt(step.dot(step))
+        daxpy(g, q, r, step)
+        nrm = math.sqrt(ddot(q, q))
         if not math.isfinite(nrm) or nrm < _MIN_ITERATE_NORM:
             raise DivergenceError(
                 f"iterate norm collapsed at iteration {iters + 1}",
                 iteration=iters + 1)
-        q = step / nrm
+        dscal(1.0 / nrm, q)
     return q, config.max_iters, gnorm, False
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dvarimax import (DegenerateProjectorError, DegenerateSlicingError, InitScheme,
                       complement_basis, complement_projector, fourth_moment,
-                      generate_factors, make_init_provider, mom_init,
+                      generate_factors, initialization, make_init_provider, mom_init,
                       multi_random_init, random_init, substream)
 from dvarimax.initialization import SUBTRACTION_MODES
 
@@ -166,6 +166,28 @@ def test_multi_random_selects_argmin_objective():
     values = [objective(c, u) for c in candidates]
     assert objective(chosen, u) == min(values)
     assert np.array_equal(chosen, candidates[int(np.argmin(values))])
+
+
+def test_multi_random_with_a_prior_draws_from_one_complement_basis(monkeypatch):
+    # The chosen start is the one the per-draw random_init loop picks, and
+    # the complement of the prior columns is computed once for all draws.
+    rng = substream(8, "init")
+    r, draws = 5, 25
+    stat = fourth_moment(generate_factors(r, 300, 0.2, rng))
+    prior = np.linalg.qr(rng.standard_normal((r, 2)))[0]
+    loop_rng = substream(9, "init")
+    candidates = [random_init(prior, loop_rng) for _ in range(draws)]
+    want = candidates[int(np.argmin([stat.objective(c) for c in candidates]))]
+    calls = []
+
+    def counting_basis(p):
+        calls.append(p)
+        return complement_basis(p)
+
+    monkeypatch.setattr(initialization, "complement_basis", counting_basis)
+    got = multi_random_init(stat, prior, draws, substream(9, "init"))
+    assert np.array_equal(got, want)
+    assert len(calls) == 1
 
 
 def test_multi_random_deterministic():

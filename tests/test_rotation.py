@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvarimax import (DegenerateSolutionsError, DivergenceError, FourthMoment,
-                      RotationSolveConfig, complement_basis, deflate, fourth_moment,
-                      generate_factors, pgd_solve, substream, symmetric_orthogonalize)
+                      RotationSolveConfig, SyntheticConfig, complement_basis,
+                      corrected_decomposition, deflate, derive_seed, eigendecompose,
+                      fourth_moment, generate_dataset, generate_factors, mom_init,
+                      pgd_solve, substream, symmetric_orthogonalize)
 from dvarimax.initialization import SUBTRACTION_MODES, _mom_slices
 
 E1 = np.array([1.0, 0.0])
@@ -372,6 +374,69 @@ def test_pgd_solve_matches_the_reshape_matvec_reference(r, seed, kind):
     assert np.max(np.abs(q - ref_q)) <= 1e-12
     assert (iters, converged) == (ref_iters, ref_converged)
     assert abs(gnorm - ref_gnorm) <= 1e-12
+
+
+def test_pgd_solve_matches_the_reference_over_a_long_non_converging_run():
+    # The criterion-9 cell at step 1e-4, where no column solve converges in
+    # 5,000 iterations: the iterates still agree with the reference to
+    # rounding, for the base statistic and the improved2 one.
+    config = SyntheticConfig(n=500, p=20, r=5, theta=0.1, varepsilon2=0.8,
+                             seed=derive_seed(109, "data", 0))
+    decomp = corrected_decomposition(eigendecompose(generate_dataset(config)[0].data, 5))
+    base = fourth_moment(decomp.scores)
+    improved2 = fourth_moment(decomp.scores_corrected).bias_corrected(decomp.sigma_n_hat)
+    rng = substream(18, "rot")
+    starts = [mom_init(base, np.zeros((5, 0)), 100, rng=rng),
+              _random_unit(5, rng), _random_unit(5, rng)]
+    solve = RotationSolveConfig(step_size=1e-4, grad_tol=1e-6, max_iters=5000)
+    for stat in (base, improved2):
+        for q0 in starts:
+            q, iters, gnorm, converged = pgd_solve(q0, stat, solve)
+            ref_q, ref_iters, ref_gnorm, ref_converged = reference_pgd_solve(q0, stat, solve)
+            assert (iters, converged) == (ref_iters, ref_converged) == (5000, False)
+            assert np.max(np.abs(q - ref_q)) <= 1e-12
+            assert abs(gnorm - ref_gnorm) <= 1e-12
+
+
+def test_pgd_solve_takes_any_start_layout_and_leaves_the_start_alone():
+    # The solver updates a private float64 copy of q0 in place: a strided
+    # view (an SVD column, as mom_init returns), an integer and a float32
+    # start give what a contiguous float64 copy gives, bit for bit, and the
+    # start itself is not written.
+    rng = substream(19, "rot")
+    stat = fourth_moment(generate_factors(5, 300, 0.2, rng) / np.sqrt(0.2))
+    column = np.linalg.svd(rng.standard_normal((5, 5)))[0][:, 0]
+    assert not column.flags.c_contiguous
+    starts = (column, np.array([0, 0, 1, 0, 0]),
+              np.array([0.5, -0.5, 0.5, 0.5, 0.0], dtype=np.float32))
+    config = RotationSolveConfig(step_size=0.01, grad_tol=1e-300, max_iters=200)
+    for q0 in starts:
+        before = q0.copy()
+        q, iters, gnorm, converged = pgd_solve(q0, stat, config)
+        want_q, *want_rest = pgd_solve(np.array(q0, dtype=float), stat, config)
+        assert np.array_equal(q, want_q) and [iters, gnorm, converged] == want_rest
+        assert q0.dtype == before.dtype and np.array_equal(q0, before)
+        assert np.linalg.norm(q - q0) > 1e-2
+
+
+@pytest.mark.parametrize("kind", ("plain", "bias_corrected", "restrict"))
+def test_pgd_solve_reports_the_gradient_of_the_statistic(kind):
+    # A tolerance no gradient exceeds stops the solve at iteration 0, where
+    # the reported norm is that of FourthMoment.gradient at the start.
+    rng = substream(20, "rot")
+    r = 5
+    full = r + 2 if kind == "restrict" else r
+    stat = fourth_moment(generate_factors(full, 200, 0.2, rng) / np.sqrt(0.2))
+    if kind == "bias_corrected":
+        s = rng.standard_normal((r, r))
+        stat = stat.bias_corrected(0.05 * (s + s.T))
+    if kind == "restrict":
+        stat = stat.restrict(complement_basis(np.linalg.qr(rng.standard_normal((full, 2)))[0]))
+    for _ in range(10):
+        q0 = _random_unit(r, rng)
+        _, iters, gnorm, converged = pgd_solve(q0, stat, RotationSolveConfig(grad_tol=1e9))
+        assert iters == 0 and converged
+        assert abs(gnorm - np.linalg.norm(stat.gradient(q0))) <= 1e-15
 
 
 def test_solve_config_validates():
