@@ -238,14 +238,11 @@ def _synthetic_config(config: dict, command: str) -> SyntheticConfig:
     if r == "auto":
         raise CliError(f"{command} requires a numeric r")
     seed = _require(config, "seed", command)
-    try:
-        noise_kind = NoiseCovariance(config["noise_kind"], config["noise_alpha"],
-                                     config["noise_rho"])
-        return SyntheticConfig(n=n, p=p, r=r, theta=config["theta"],
-                               varepsilon2=config["varepsilon2"],
-                               noise_kind=noise_kind, seed=seed)
-    except ValueError as err:
-        raise CliError(str(err)) from err
+    noise_kind = NoiseCovariance(config["noise_kind"], config["noise_alpha"],
+                                 config["noise_rho"])
+    return SyntheticConfig(n=n, p=p, r=r, theta=config["theta"],
+                           varepsilon2=config["varepsilon2"],
+                           noise_kind=noise_kind, seed=seed)
 
 
 def cmd_simulate(config: dict) -> int:
@@ -347,16 +344,13 @@ def cmd_benchmark(config: dict) -> int:
     schemes = tuple(_build_init_scheme(config, label)
                     for label in config.get("init_schemes", (config["init"],)))
 
-    try:
-        grid = ExperimentGrid(
-            base=base, sweep_name=sweep_name, sweep_values=values,
-            variants=variants, init_schemes=schemes,
-            replications=config["replications"], master_seed=config["seed"],
-            solve_config=_build_solve_config(config),
-            record_runtime=config["record_runtime"],
-            **_given(config, "auto_fallback"))
-    except ValueError as err:
-        raise CliError(str(err)) from err
+    grid = ExperimentGrid(
+        base=base, sweep_name=sweep_name, sweep_values=values,
+        variants=variants, init_schemes=schemes,
+        replications=config["replications"], master_seed=config["seed"],
+        solve_config=_build_solve_config(config),
+        record_runtime=config["record_runtime"],
+        **_given(config, "auto_fallback"))
 
     records = run_experiment(grid)
     rows = aggregate(records)

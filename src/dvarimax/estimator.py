@@ -1,15 +1,15 @@
 """End-to-end loading estimation: PCA, deflation rotation, normalization.
 
 Three pipeline variants share the same structure and differ in which
-eigenvalues and scores feed the rotation:
+decomposition feeds the rotation and the loading:
 
-- ``base``: raw eigenvalues and whitened scores, plain statistic.
-- ``improved1``: noise-corrected eigenvalues and scores, plain statistic.
+- ``base``: the plain PCA, plain statistic.
+- ``improved1``: the noise-corrected PCA, plain statistic.
 - ``improved2``: as improved1, but the rotation solves the bias-corrected
   statistic for the estimated score-noise covariance
   (:meth:`FourthMoment.bias_corrected`); the init still reads the plain one.
 
-The final estimate is V D^{1/2} Q (with D the variant's eigenvalues and Q
+The final estimate is V D^{1/2} Q (with D that PCA's eigenvalues and Q
 the orthogonalized rotation), rescaled to unit operator norm.
 """
 from __future__ import annotations
@@ -64,20 +64,14 @@ class LoadingEstimate:
 
     lambda_hat: np.ndarray       # p x r, unit operator norm
     q_check: np.ndarray          # r x r, orthogonal
-    decomposition: PcaDecomposition
+    decomposition: PcaDecomposition  # the plain PCA, for every variant
     diagnostics: EstimateDiagnostics
 
 
-def loading_from_rotation(decomposition: PcaDecomposition, q_check: np.ndarray,
-                          corrected: bool = False) -> np.ndarray:
+def loading_from_rotation(decomposition: PcaDecomposition,
+                          q_check: np.ndarray) -> np.ndarray:
     """Assemble V D^{1/2} Q and rescale it to unit operator norm."""
-    if corrected:
-        if decomposition.eigvals_corrected is None:
-            raise ValueError("decomposition carries no corrected eigenvalues")
-        d = decomposition.eigvals_corrected
-    else:
-        d = decomposition.eigvals
-    basis = decomposition.eigvecs_r * np.sqrt(d)[None, :]
+    basis = decomposition.eigvecs_r * np.sqrt(decomposition.eigvals)[None, :]
     raw = basis @ q_check
     opnorm = np.linalg.norm(raw, 2)
     if opnorm <= 0:
@@ -90,8 +84,9 @@ def predict_factors(decomposition: PcaDecomposition, q_check: np.ndarray) -> np.
 
     Returns ``Q^T U * sqrt(d_1)``: the rotation applied to the whitened
     scores, rescaled by the top eigenvalue's square root so the scale
-    removed by whitening is restored.  Uses the uncorrected scores and
-    eigenvalue for every pipeline variant.
+    removed by whitening is restored.  ``LoadingEstimate.decomposition``
+    is the plain PCA, so every pipeline variant predicts from the
+    uncorrected scores and eigenvalue.
     """
     q_check = np.asarray(q_check, dtype=float)
     if q_check.shape[0] != decomposition.r:
@@ -146,12 +141,13 @@ def estimate_loading(x: np.ndarray, r: int,
         rng = np.random.default_rng()
 
     decomp = eigendecompose(x, r)
+    corrected = None
     effective_variant = variant
     effective_scheme = init_scheme
     fallback = False
     if variant != EstimatorVariant.BASE or init_scheme.improved:
         try:
-            decomp = corrected_decomposition(decomp)
+            corrected = corrected_decomposition(decomp)
         except CorrectionInfeasibleError:
             if not auto_fallback:
                 raise
@@ -160,25 +156,22 @@ def estimate_loading(x: np.ndarray, r: int,
                 effective_scheme = replace(init_scheme, label="mom")
             fallback = True
 
-    scores = (decomp.scores if effective_variant == EstimatorVariant.BASE
-              else decomp.scores_corrected)
-    sigma_u = np.eye(r) + decomp.sigma_n_hat if effective_scheme.improved else None
+    fitted = decomp if effective_variant == EstimatorVariant.BASE else corrected
+    sigma_u = np.eye(r) + corrected.sigma_n_hat if effective_scheme.improved else None
     # The rotation stage reads the scores only through this statistic.
-    stat = fourth_moment(scores)
+    stat = fourth_moment(fitted.scores)
     provider = make_init_provider(effective_scheme, stat, rng, sigma_u=sigma_u)
     if effective_variant == EstimatorVariant.IMPROVED2:
-        stat = stat.bias_corrected(decomp.sigma_n_hat)
+        stat = stat.bias_corrected(fitted.sigma_n_hat)
     rotation = deflate(stat, provider, solve_config)
 
-    lambda_hat = loading_from_rotation(
-        decomp, rotation.q_check,
-        corrected=effective_variant != EstimatorVariant.BASE)
+    lambda_hat = loading_from_rotation(fitted, rotation.q_check)
 
     diagnostics = EstimateDiagnostics(
         iter_counts=rotation.iter_counts,
         grad_norms=rotation.grad_norms,
         converged_flags=rotation.converged_flags,
-        noise_var_hat=decomp.noise_var_hat,
+        noise_var_hat=None if corrected is None else corrected.noise_var_hat,
         requested_variant=variant.value,
         effective_variant=effective_variant.value,
         init_label=effective_scheme.label,

@@ -195,10 +195,10 @@ class RotationSolveConfig:
     max_iters: int = 5000
 
     def __post_init__(self):
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be positive and finite")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be positive and finite")
         _check_integer("max_iters", self.max_iters, 1)
 
 

@@ -10,9 +10,9 @@ sum is the trace minus the leading sum.  Whitened scores satisfy
 U_r @ U_r.T = n * I to the accuracy of the solve, which degrades like
 eps * lambda_1 / lambda_r near rank deficiency.  When the noise is close
 to isotropic, the mean trailing eigenvalue estimates the per-coordinate
-noise variance; subtracting it from the leading eigenvalues gives
-corrected eigenvalues, corrected scores, and a diagonal estimate of the
-score-noise covariance used by the bias-corrected rotation solver.
+noise variance; subtracting it from the leading eigenvalues and
+re-whitening the scores gives a corrected ``PcaDecomposition``, whose
+``sigma_n_hat`` the bias-corrected rotation solver reads.
 """
 from __future__ import annotations
 
@@ -84,37 +84,45 @@ def _fix_column_signs(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PcaDecomposition:
-    """Result of the PCA step.
+    """Result of the PCA step, plain or noise-corrected.
 
     Attributes
     ----------
     eigvals : np.ndarray
-        The r leading eigenvalues of (1/n) X X^T, nonincreasing.
+        The r leading eigenvalues of (1/n) X X^T, nonincreasing; after
+        :func:`corrected_decomposition`, those minus ``noise_var_hat``.
     tail_sum : float
         Sum of the remaining eigenvalues, trace((1/n) X X^T) minus the sum
-        of ``eigvals``, floored at 0.
+        of the plain leading eigenvalues, floored at 0.
     eigvecs_r : np.ndarray
         p x r matrix of the leading eigenvectors.
     scores : np.ndarray
-        r x n whitened principal components, D^{-1/2} V^T X.
-    noise_var_hat, eigvals_corrected, scores_corrected, sigma_n_hat
-        Filled in by :func:`corrected_decomposition`; ``sigma_n_hat`` is
-        the diagonal r x r estimate of the score-noise covariance.
+        r x n principal components whitened by ``eigvals``, D^{-1/2} V^T X.
+    noise_var_hat : float or None
+        The noise variance subtracted from ``eigvals``; None for a plain
+        decomposition.
     """
 
     eigvals: np.ndarray
     tail_sum: float
     eigvecs_r: np.ndarray
     scores: np.ndarray
-    r: int
     noise_var_hat: Optional[float] = None
-    eigvals_corrected: Optional[np.ndarray] = None
-    scores_corrected: Optional[np.ndarray] = None
-    sigma_n_hat: Optional[np.ndarray] = None
 
     @property
     def p(self) -> int:
         return self.eigvecs_r.shape[0]
+
+    @property
+    def r(self) -> int:
+        return self.eigvecs_r.shape[1]
+
+    @property
+    def sigma_n_hat(self) -> Optional[np.ndarray]:
+        """diag(noise_var_hat / eigvals), the score-noise covariance estimate."""
+        if self.noise_var_hat is None:
+            return None
+        return np.diag(self.noise_var_hat / self.eigvals)
 
 
 def _checked_observations(x: np.ndarray, k: int, name: str) -> np.ndarray:
@@ -197,7 +205,7 @@ def eigendecompose(x: np.ndarray, r: int) -> PcaDecomposition:
     eigvecs_r = _fix_column_signs(vecs)
     scores = (eigvecs_r.T @ x) / np.sqrt(eigvals)[:, None]
     return PcaDecomposition(eigvals=eigvals, tail_sum=tail_sum,
-                            eigvecs_r=eigvecs_r, scores=scores, r=r)
+                            eigvecs_r=eigvecs_r, scores=scores)
 
 
 def leading_eigenvalues(x: np.ndarray, k: int) -> np.ndarray:
@@ -247,25 +255,23 @@ def noise_variance_estimate(decomp: PcaDecomposition) -> float:
 def corrected_decomposition(decomp: PcaDecomposition) -> PcaDecomposition:
     """Subtract the estimated noise variance from the retained eigenvalues.
 
-    Adds to the decomposition:
-
-    - ``eigvals_corrected``: D_r - noise_var_hat,
-    - ``scores_corrected``: the scores whitened by the corrected
-      eigenvalues, scores * sqrt(D_r / (D_r - noise_var_hat)),
-    - ``sigma_n_hat``: diag(noise_var_hat / eigvals_corrected), the
-      estimated covariance of the additive error in the scores.
-
-    ``decomp`` must come from :func:`eigendecompose` of the data X: the
-    corrected scores rescale ``decomp.scores`` and are V_r^T X / sqrt(D_r -
-    noise_var_hat) only while the scores are V_r^T X / sqrt(D_r).
+    Returns ``decomp`` with ``eigvals`` D_r - noise_var_hat, ``scores``
+    rescaled by sqrt(D_r / (D_r - noise_var_hat)) and ``noise_var_hat``
+    set; ``eigvecs_r`` and ``tail_sum`` are kept.  The corrected scores
+    are V_r^T X / sqrt(D_r - noise_var_hat) only while ``decomp.scores``
+    are V_r^T X / sqrt(D_r), as :func:`eigendecompose` returns them.
 
     Raises
     ------
+    ValueError
+        If ``decomp`` is already corrected (it would subtract twice).
     CorrectionInfeasibleError
         If any corrected eigenvalue falls at or below the eigenvalue
         floor, in which case callers should fall back to the uncorrected
         pipeline.
     """
+    if decomp.noise_var_hat is not None:
+        raise ValueError("decomposition is already noise-corrected")
     noise_var = noise_variance_estimate(decomp)
     corrected = decomp.eigvals - noise_var
     floor = EIGENVALUE_FLOOR * decomp.eigvals[0]
@@ -275,15 +281,9 @@ def corrected_decomposition(decomp: PcaDecomposition) -> PcaDecomposition:
             f"corrected eigenvalue {bad} is {corrected[bad - 1]:.3e}, at or "
             f"below the floor {floor:.3e}; fall back to the uncorrected pipeline"
         )
-    scores_corrected = decomp.scores * np.sqrt(decomp.eigvals / corrected)[:, None]
-    sigma_n_hat = np.diag(noise_var / corrected)
-    return replace(
-        decomp,
-        noise_var_hat=noise_var,
-        eigvals_corrected=corrected,
-        scores_corrected=scores_corrected,
-        sigma_n_hat=sigma_n_hat,
-    )
+    return replace(decomp, eigvals=corrected,
+                   scores=decomp.scores * np.sqrt(decomp.eigvals / corrected)[:, None],
+                   noise_var_hat=noise_var)
 
 
 def select_rank(eigvals: np.ndarray, r_max: int) -> int:
@@ -294,8 +294,7 @@ def select_rank(eigvals: np.ndarray, r_max: int) -> int:
     times the top eigenvalue so a zero tail cannot divide by zero.
     """
     eigvals = np.asarray(eigvals, dtype=float)
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
+    _check_integer("r_max", r_max, 1)
     if eigvals.size == 0 or not np.all(np.isfinite(eigvals)) or eigvals[0] <= 0:
         raise NoSignalError("all eigenvalues are at or below zero")
     m = min(r_max, eigvals.size - 1)

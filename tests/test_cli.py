@@ -130,6 +130,18 @@ def test_simulate_requires_seed(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entries, message", [
+    (dict(theta=2), "theta must lie in (0, 1]"),
+    (dict(noise_kind="toeplitz", noise_rho=1.5), "toeplitz decay rho must lie in (0, 1)"),
+])
+def test_simulate_reports_the_library_message(tmp_path, capsys, entries, message):
+    config = _write_config(tmp_path, "sim.cfg", n=10, p=4, r=2, seed=1,
+                           output_path=tmp_path / "out", **entries)
+    assert _run("simulate", "--config", config) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------

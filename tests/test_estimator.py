@@ -96,7 +96,7 @@ def test_noiseless_improved1_equals_base_bitwise():
     for variant in ("improved1", "improved2"):
         improved = estimate_loading(observed.data, 3, variant, MOM, FAST,
                                     substream(3, "est"))
-        assert improved.decomposition.noise_var_hat == 0.0
+        assert improved.diagnostics.noise_var_hat == 0.0
         assert np.array_equal(base.lambda_hat, improved.lambda_hat)
         assert np.array_equal(base.q_check, improved.q_check)
 
@@ -215,8 +215,25 @@ def test_diagnostics_fields_populated():
 def test_predict_factors_identity_case():
     scores = substream(10, "est").standard_normal((2, 6))
     decomp = PcaDecomposition(eigvals=np.ones(2), tail_sum=2.0,
-                              eigvecs_r=np.eye(4)[:, :2], scores=scores, r=2)
+                              eigvecs_r=np.eye(4)[:, :2], scores=scores)
     assert np.array_equal(predict_factors(decomp, np.eye(2)), scores)
+
+
+@pytest.mark.parametrize("variant", ["improved1", "improved2"])
+def test_corrected_fit_keeps_the_plain_decomposition(variant):
+    # The rotation and the loading read the corrected decomposition; the
+    # estimate hands back the plain PCA, and predict_factors reads it.
+    observed, _ = _dataset(eps2=0.3, seed=16)
+    plain = eigendecompose(observed.data, 3)
+    est = estimate_loading(observed.data, 3, variant,
+                           InitScheme.method_of_moments(improved=True), FAST,
+                           substream(13, "est"))
+    assert est.diagnostics.noise_var_hat > 0.0
+    assert est.decomposition.noise_var_hat is None
+    assert np.array_equal(est.decomposition.eigvals, plain.eigvals)
+    assert np.array_equal(est.decomposition.scores, plain.scores)
+    assert np.array_equal(predict_factors(est.decomposition, est.q_check),
+                          (est.q_check.T @ plain.scores) * np.sqrt(plain.eigvals[0]))
 
 
 def test_predict_factors_frobenius_identity():

@@ -382,9 +382,10 @@ def test_pgd_solve_matches_the_reference_over_a_long_non_converging_run():
     # rounding, for the base statistic and the improved2 one.
     config = SyntheticConfig(n=500, p=20, r=5, theta=0.1, varepsilon2=0.8,
                              seed=derive_seed(109, "data", 0))
-    decomp = corrected_decomposition(eigendecompose(generate_dataset(config)[0].data, 5))
+    decomp = eigendecompose(generate_dataset(config)[0].data, 5)
+    corrected = corrected_decomposition(decomp)
     base = fourth_moment(decomp.scores)
-    improved2 = fourth_moment(decomp.scores_corrected).bias_corrected(decomp.sigma_n_hat)
+    improved2 = fourth_moment(corrected.scores).bias_corrected(corrected.sigma_n_hat)
     rng = substream(18, "rot")
     starts = [mom_init(base, np.zeros((5, 0)), 100, rng=rng),
               _random_unit(5, rng), _random_unit(5, rng)]
@@ -442,7 +443,9 @@ def test_pgd_solve_reports_the_gradient_of_the_statistic(kind):
 def test_solve_config_validates():
     RotationSolveConfig(step_size=0.1, grad_tol=1e-8, max_iters=np.int64(3))
     for bad in (dict(step_size=0.0), dict(grad_tol=0.0), dict(max_iters=0),
-                dict(max_iters=2.5), dict(max_iters=True), dict(max_iters="10")):
+                dict(max_iters=2.5), dict(max_iters=True), dict(max_iters="10"),
+                dict(step_size=np.inf), dict(step_size=np.nan),
+                dict(grad_tol=np.inf), dict(grad_tol=np.nan)):
         with pytest.raises(ValueError):
             RotationSolveConfig(**bad)
 

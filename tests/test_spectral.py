@@ -1,5 +1,6 @@
 """Tests for the PCA step and the noise corrections."""
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ def _decomp_from_eigvals(eigvals, r, p=None):
     eigvals = np.asarray(eigvals, dtype=float)
     p = p if p is not None else eigvals.size
     return PcaDecomposition(eigvals=eigvals[:r], tail_sum=float(eigvals[r:].sum()),
-                            eigvecs_r=np.eye(p)[:, :r], scores=np.zeros((r, 2)), r=r)
+                            eigvecs_r=np.eye(p)[:, :r], scores=np.zeros((r, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +295,34 @@ def test_correction_arithmetic():
     x = substream(10, "x").standard_normal((5, 200))
     decomp = eigendecompose(x, 2)
     forced = PcaDecomposition(eigvals=np.array([5.0, 4.0]), tail_sum=3.0,
-                              eigvecs_r=decomp.eigvecs_r, scores=decomp.scores, r=2)
+                              eigvecs_r=decomp.eigvecs_r, scores=decomp.scores)
     corrected = corrected_decomposition(forced)
-    assert np.allclose(corrected.eigvals_corrected, [4.0, 3.0])
+    assert np.allclose(corrected.eigvals, [4.0, 3.0])
     assert np.allclose(corrected.sigma_n_hat, np.diag([0.25, 1.0 / 3.0]))
     # consistency: corrected eigenvalues plus the estimate give back D_r
-    assert np.array_equal(corrected.eigvals_corrected + corrected.noise_var_hat,
+    assert np.array_equal(corrected.eigvals + corrected.noise_var_hat,
                           forced.eigvals[:2])
+
+
+def test_decomposition_fields_and_derived_properties():
+    x = substream(11, "x").standard_normal((6, 80))
+    decomp = eigendecompose(x, 2)
+    assert [f.name for f in fields(PcaDecomposition)] == [
+        "eigvals", "tail_sum", "eigvecs_r", "scores", "noise_var_hat"]
+    assert (decomp.p, decomp.r) == (6, 2) == decomp.eigvecs_r.shape
+    assert decomp.noise_var_hat is None and decomp.sigma_n_hat is None
+    corrected = corrected_decomposition(decomp)
+    assert corrected.r == 2
+    assert corrected.eigvecs_r is decomp.eigvecs_r
+    assert corrected.tail_sum == decomp.tail_sum
+    assert np.array_equal(corrected.sigma_n_hat,
+                          np.diag(corrected.noise_var_hat / corrected.eigvals))
+
+
+def test_correction_applies_once():
+    decomp = eigendecompose(substream(11, "x").standard_normal((6, 80)), 2)
+    with pytest.raises(ValueError, match="already noise-corrected"):
+        corrected_decomposition(corrected_decomposition(decomp))
 
 
 def test_noiseless_correction_is_identity_bitwise():
@@ -309,8 +331,8 @@ def test_noiseless_correction_is_identity_bitwise():
     decomp = eigendecompose(observed.data, 2)
     corrected = corrected_decomposition(decomp)
     assert corrected.noise_var_hat == 0.0
-    assert np.array_equal(corrected.eigvals_corrected, decomp.eigvals[:2])
-    assert np.array_equal(corrected.scores_corrected, decomp.scores)
+    assert np.array_equal(corrected.eigvals, decomp.eigvals[:2])
+    assert np.array_equal(corrected.scores, decomp.scores)
     assert np.allclose(corrected.sigma_n_hat, 0.0)
 
 
@@ -322,15 +344,15 @@ def test_corrected_scores_match_recomputed_whitening():
     decomp = eigendecompose(observed.data, 3)
     corrected = corrected_decomposition(decomp)
     assert corrected.noise_var_hat > 0.0
-    oracle = (decomp.eigvecs_r.T @ observed.data) / np.sqrt(corrected.eigvals_corrected)[:, None]
-    assert np.max(np.abs(corrected.scores_corrected - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    oracle = (decomp.eigvecs_r.T @ observed.data) / np.sqrt(corrected.eigvals)[:, None]
+    assert np.max(np.abs(corrected.scores - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def test_correction_infeasible_raises():
     x = substream(12, "x").standard_normal((6, 100))
     decomp = eigendecompose(x, 3)
     forced = PcaDecomposition(eigvals=np.array([4.0, 3.0, 1.0]), tail_sum=6.0,
-                              eigvecs_r=decomp.eigvecs_r, scores=decomp.scores, r=3)
+                              eigvecs_r=decomp.eigvecs_r, scores=decomp.scores)
     # tail mean 2.0 exceeds the third retained eigenvalue 1.0
     with pytest.raises(CorrectionInfeasibleError):
         corrected_decomposition(forced)
@@ -366,3 +388,6 @@ def test_select_rank_no_signal():
         select_rank(np.zeros(4), 2)
     with pytest.raises(ValueError):
         select_rank(np.array([1.0]), 0)
+    for r_max in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="r_max"):
+            select_rank(np.array([1.0, 0.5]), r_max)
