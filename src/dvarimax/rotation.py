@@ -19,17 +19,15 @@ The solver reads the scores U (r x n) only through their fourth-moment
 statistic T = (1/n) sum_t U_t (x) U_t (x) U_t (x) U_t, stored as an
 r^2 x r^2 :class:`FourthMoment`.  :func:`pgd_solve` and :func:`deflate`
 take only that statistic, which ``estimate_loading`` builds once per fit
-with :func:`fourth_moment`.  The gradient -(1/3) P_q reshape(T vec(q q^T)) q
-is three chained matrix-vector products P_q ((C q) q) q on C = -T/3, stored
-once per statistic as a Fortran-ordered r^3 x r operator, and the objective
-is -(1/12) vec(q q^T)^T T vec(q q^T), so a PGD iteration costs O(r^4)
-whatever n is; T holds r^4 doubles (r = 10: 80 KB).  At that size the cost
-of an iteration is call overhead, not flops, so each iteration is a fixed
-sequence of nine positional BLAS calls (three ``dgemv``, three ``ddot``,
-two ``daxpy`` and one ``dscal``) that write into buffers allocated once
-per solve; no array is allocated inside the loop.  Reference implementations from U
-directly, and the PGD loop on the reshape-and-matvec gradient, live in the
-test suite (``tests/helpers.py``).
+with :func:`fourth_moment`.  T, the one array a statistic holds, has r^4
+doubles (r = 10: 80 KB); the objective is -(1/12) vec(q q^T)^T T vec(q q^T),
+and the gradient -(1/3) P_q reshape(T vec(q q^T)) q three chained
+matrix-vector products on T's buffer read in place as an r^3 x r matrix.
+So a PGD iteration costs O(r^4) whatever n is, and is call overhead, not
+flops: nine positional BLAS calls (three ``dgemv``, three ``ddot``, two
+``daxpy``, one ``dscal``) into buffers allocated once per solve.
+Reference implementations from U directly, and the PGD loop on the
+reshape-and-matvec gradient, live in the test suite (``tests/helpers.py``).
 
 The bias correction for additive error in the scores, with symmetric
 covariance estimate S, is a quartic form on the sphere too: the gradient
@@ -42,7 +40,7 @@ correction vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import daxpy, ddot, dgemv, dscal
@@ -79,36 +77,39 @@ def _check_unit(q: np.ndarray) -> np.ndarray:
     return q
 
 
+def _check_point(q: np.ndarray, r: int) -> np.ndarray:
+    q = _check_unit(q)
+    if q.shape[0] != r:
+        raise ValueError(f"dimension mismatch: q has {q.shape[0]} entries, r = {r}")
+    return q
+
+
 @dataclass(frozen=True)
 class FourthMoment:
     """Fourth-moment statistic of an r x n score matrix U.
 
-    ``matrix`` is T with T[i*r + j, k*r + l] = (1/n) sum_t U_it U_jt U_kt U_lt,
-    symmetric under every permutation of (i, j, k, l).  Build it with
-    :func:`fourth_moment`; a :meth:`bias_corrected` statistic is symmetric
-    as a matrix only.
+    ``matrix`` is T[i*r + j, k*r + l] = (1/n) sum_t U_it U_jt U_kt U_lt.  It
+    must be r^2 x r^2 and, to 1e-10 max|T|, symmetric as a matrix and under
+    i <-> j, as the gradient needs; else ValueError, but NaN and inf pass.
     """
 
     matrix: np.ndarray   # r^2 x r^2
-    r: int
-    # C = -T/3 as an F-contiguous r^3 x r operator:
-    # _operator[(k*r + j)*r + i, l] = -T[i*r + j, k*r + l] / 3.  One dgemv with q
-    # contracts l and leaves an r^3 vector that is, read in F order, the r^2 x r
-    # operator of the next contraction (over k), and likewise down to r.
-    _operator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_integer("r", self.r, 1)
-        r, rr = self.r, self.r * self.r
-        if np.shape(self.matrix) != (rr, rr):
-            raise ValueError(f"matrix must be {rr} x {rr} for r = {self.r}, "
-                             f"got shape {np.shape(self.matrix)}")
-        # F-contiguous, so that dgemv reads it in place instead of copying it
-        # on every call.
-        c = np.ascontiguousarray(
-            (np.asarray(self.matrix, dtype=float).reshape(r, r, r, r) / -3)
-            .transpose(3, 2, 1, 0))
-        object.__setattr__(self, "_operator", c.reshape(r, rr * r).T)
+        t = np.ascontiguousarray(self.matrix, dtype=float)
+        r = math.isqrt(t.shape[0]) if t.ndim == 2 else 0
+        if r < 1 or t.shape != (r * r, r * r):
+            raise ValueError(f"matrix must be r^2 x r^2 for an r >= 1, got shape {t.shape}")
+        swapped = t.reshape(r, r, -1).transpose(1, 0, 2).reshape(t.shape)
+        with np.errstate(invalid="ignore"):  # inf - inf in a diverging statistic
+            gap = max(np.max(np.abs(t - t.T)), np.max(np.abs(t - swapped)))
+        if gap > 1e-10 * np.max(np.abs(t)):
+            raise ValueError("matrix must be symmetric, and under i <-> j within each pair")
+        object.__setattr__(self, "matrix", t)
+
+    @property
+    def r(self) -> int:
+        return math.isqrt(self.matrix.shape[0])
 
     def contract(self, m: np.ndarray) -> np.ndarray:
         """reshape(T vec(M)) = (1/n) sum_t U_t U_t^T (U_t^T M U_t).
@@ -120,30 +121,32 @@ class FourthMoment:
         return (flat @ self.matrix).reshape(m.shape)
 
     def objective(self, q: np.ndarray) -> float:
-        """Quartic objective -(1/12) vec(q q^T)^T T vec(q q^T)."""
+        """Quartic objective -(1/12) vec(q q^T)^T T vec(q q^T) at unit q."""
+        q = _check_point(q, self.r)
         v = (q[:, None] * q).ravel()
         return -float(v @ self.matrix @ v) / 12
 
     def gradient(self, q: np.ndarray) -> np.ndarray:
         """Riemannian gradient -(1/3) P_q reshape(T vec(q q^T)) q at unit q."""
-        return self._gradient_kernel()(np.asarray(q, dtype=float))
+        return self._gradient_kernel()(_check_point(q, self.r))
 
     def _gradient_kernel(self):
         """The gradient as a function of q that writes into buffers of its
         own, the one :func:`pgd_solve` calls in every iteration.
 
-        It contracts C over l, then k, then j, the reshape form's order, so
-        a statistic symmetric as a matrix only gets the same gradient, and
-        returns its r-vector buffer, which the next call overwrites.
+        It contracts T over i, then j, then k, the reshape form's order up
+        to T's symmetries, which the constructor checks; it returns its
+        r-vector buffer, which the next call overwrites.
         """
-        r, c = self.r, self._operator
+        r = self.r
         a, b, w = np.empty(r ** 3), np.empty(r * r), np.empty(r)
-        # F-ordered views: a holds (C q)[i, j, k] at (k*r + j)*r + i, so
-        # a_op[j*r + i, k] = (C q)[i, j, k]; b_op[i, j] = ((C q) q)[i, j].
+        # F-ordered views: t_op[(j*r + k)*r + l, i] = T[i*r + j, k*r + l],
+        # a_op[k*r + l, j] = a[(j*r + k)*r + l] and b_op[l, k] = b[k*r + l].
+        t_op = self.matrix.reshape(r, r ** 3).T
         a_op, b_op = a.reshape(r, r * r).T, b.reshape(r, r).T
 
         def gradient(q):
-            dgemv(1.0, c, q, 0.0, a, 0, 1, 0, 1, 0, 1)
+            dgemv(-1.0 / 3.0, t_op, q, 0.0, a, 0, 1, 0, 1, 0, 1)
             dgemv(1.0, a_op, q, 0.0, b, 0, 1, 0, 1, 0, 1)
             dgemv(1.0, b_op, q, 0.0, w, 0, 1, 0, 1, 0, 1)
             daxpy(q, w, r, -ddot(q, w))
@@ -157,19 +160,19 @@ class FourthMoment:
         On the unit sphere its objective is the plain one plus
         (1/2) t + (1/4) t^2 with t = q^T S q, and its gradient the plain
         one plus (1 + t) P_q S q; ``corrected_gradient`` in
-        ``tests/helpers.py`` computes the latter from the scores.
-        S = 0 returns T bitwise.
+        ``tests/helpers.py`` computes the latter from the scores.  It reads
+        (S + S^T)/2, S itself bitwise for a symmetric S.  S = 0 returns T bitwise.
         """
-        s = _check_sigma_n(self.r, sigma_n).ravel()
+        s = _check_sigma_n(self.r, sigma_n)
+        s = ((s + s.T) / 2).ravel()
         cross = np.outer(np.eye(self.r).ravel(), s)
-        return FourthMoment(self.matrix - 3 * (cross + cross.T + np.outer(s, s)),
-                            self.r)
+        return FourthMoment(self.matrix - 3 * (cross + cross.T + np.outer(s, s)))
 
     def restrict(self, basis: np.ndarray) -> "FourthMoment":
         """Statistic of the scores B^T U for an r x m basis B:
         (B (x) B)^T T (B (x) B)."""
         kron = np.kron(basis, basis)
-        return FourthMoment(kron.T @ self.matrix @ kron, basis.shape[1])
+        return FourthMoment(kron.T @ self.matrix @ kron)
 
 
 def fourth_moment(u: np.ndarray) -> FourthMoment:
@@ -183,7 +186,7 @@ def fourth_moment(u: np.ndarray) -> FourthMoment:
         raise ValueError("score matrix must be 2-D (r x n)")
     r, n = u.shape
     w = (u[:, None, :] * u[None, :, :]).reshape(r * r, n)
-    return FourthMoment((w @ w.T) / n, r)
+    return FourthMoment((w @ w.T) / n)
 
 
 @dataclass(frozen=True)
@@ -273,10 +276,7 @@ def pgd_solve(q0: np.ndarray, stat: FourthMoment, config: RotationSolveConfig):
         If an iterate becomes non-finite or its norm collapses below
         1e-14 before renormalization.
     """
-    q = _check_unit(q0)
-    if stat.r != q.shape[0]:
-        raise ValueError(f"dimension mismatch: q has {q.shape[0]} entries, "
-                         f"the statistic has r = {stat.r}")
+    q = _check_point(q0, stat.r)
     # A private contiguous float64 copy, which the loop updates in place.
     q = q / np.linalg.norm(q)
 

@@ -344,7 +344,7 @@ def test_mom_init_deterministic():
     assert np.array_equal(a, b)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=20)
 @given(r=st.integers(2, 8), k=st.integers(0, 7), slices=st.integers(1, 40),
        seed=st.integers(0, 2 ** 32 - 1), improved=st.booleans(),
        mode=st.sampled_from(["as_written", "lemma_consistent"]))
@@ -371,7 +371,7 @@ def test_mom_init_picks_the_slice_a_loop_over_mom_matrix_picks(
     assert np.max(np.abs(got - want)) <= 1e-8
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(r=st.integers(2, 10), k=st.integers(0, 9), slices=st.integers(1, 400),
        seed=st.integers(0, 2 ** 32 - 1), improved=st.booleans(),
        mode=st.sampled_from(["as_written", "lemma_consistent"]))
