@@ -31,7 +31,8 @@ class CorrectionInfeasibleError(DeflationVarimaxError):
 
 
 class DivergenceError(DeflationVarimaxError):
-    """Projected gradient descent produced a non-finite or vanishing iterate."""
+    """Projected gradient descent produced a non-finite or vanishing iterate,
+    or a method-of-moments initializer read a non-finite moment slice."""
 
     def __init__(self, message: str, iteration: int | None = None,
                  column: int | None = None):

@@ -19,8 +19,13 @@ available for starting each column solve:
   Its leading left singular vector is the initializer.  All N slices are
   read from the fourth-moment statistic T of the scores at once, as
   (1/3) reshape(T vec(G)) minus the subtraction.  The projected slices are
-  symmetric, so the gaps come from one batched eigenvalue solve (singular
-  values are absolute eigenvalues); only the chosen slice gets a full SVD.
+  symmetric, so their gaps come from batched eigenvalue solves (singular
+  values are absolute eigenvalues), and only the chosen slice gets a full
+  SVD.  Most slices are never solved: two batched products give each slice
+  a proven upper bound on its gap (see ``_gap_bounds``).  A first pass
+  solves the slices with the largest bounds, a second pass only those
+  whose bound reaches the best gap found, and no slice left out can have
+  the largest gap, so the choice is that of solving every slice.
 
 Two subtraction modes, ``InitScheme.subtraction``, are supported for the
 moment matrix.  The default ``as_written`` subtracts G + G^T.  The
@@ -38,7 +43,8 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import DegenerateProjectorError, DegenerateSlicingError, _check_integer
+from .exceptions import (DegenerateProjectorError, DegenerateSlicingError, DivergenceError,
+                         _check_integer)
 from .rotation import FourthMoment, _check_prior, complement_basis
 
 __all__ = [
@@ -192,6 +198,38 @@ def _mom_slices(stat: FourthMoment, g: np.ndarray, sigma_u: Optional[np.ndarray]
     return stat.contract(g) / 3.0 - _subtracted(g, sigma_u, subtraction)
 
 
+# Relative slack on each gap bound.  It covers the rounding of the bound's
+# own products and sums and of eigvalsh's eigenvalues, both a small multiple
+# of r^3 * eps relative to the slice's top singular value.
+_BOUND_SLACK = 1e-8
+
+
+def _gaps(low: np.ndarray) -> np.ndarray:
+    """Top-two singular-value gaps of a stack (S, r, r) of symmetric slices,
+    of which eigvalsh reads only the lower triangles."""
+    singulars = np.sort(np.abs(np.linalg.eigvalsh(low)), axis=1)
+    return singulars[:, -1] - singulars[:, -2]
+
+
+def _gap_bounds(low: np.ndarray) -> np.ndarray:
+    """An upper bound on each computed gap of :func:`_gaps` for a stack of
+    exactly symmetric r x r slices L, r >= 2.
+
+    With t_k = tr(L^k), the top singular value s_1 is at most
+    b = t_8^(1/8) = |L^4|_F^(1/4).  The other r - 1 squared singular values
+    sum to t_2 - s_1^2, so s_2 >= sqrt((t_2 - s_1^2) / (r - 1)).  That makes
+    the gap s_1 - s_2 at most b - sqrt((t_2 - b^2) / (r - 1)), as the
+    right-hand side increases with s_1.  b is inflated and t_2 deflated by
+    ``_BOUND_SLACK``.  A slice that overflows gets an infinite or NaN bound.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        l2 = low @ low
+        l4 = l2 @ l2
+        top = np.einsum("sij,sij->s", l4, l4) ** 0.125 * (1 + _BOUND_SLACK)
+        rest = np.trace(l2, axis1=1, axis2=2) * (1 - _BOUND_SLACK) - top * top
+        return top - np.sqrt(np.maximum(rest, 0.0) / (low.shape[-1] - 1))
+
+
 def mom_init(stat: FourthMoment, prior: np.ndarray, n_slices: int,
              sigma_u: Optional[np.ndarray] = None, *, rng: np.random.Generator,
              subtraction: str = "as_written") -> np.ndarray:
@@ -205,8 +243,16 @@ def mom_init(stat: FourthMoment, prior: np.ndarray, n_slices: int,
     singular-value gap (ties to the earliest slice).  The returned
     vector's largest-magnitude entry is made positive.
 
+    Only slices that can have the largest gap are eigen-solved.  The
+    max(4, n_slices // 64) slices with the largest gap bounds are solved
+    first, then every other slice whose bound is at least the best gap so
+    far.  Each solved gap is the one a solve of every slice would give,
+    bit for bit, so the choice is too.
+
     Raises
     ------
+    DivergenceError
+        If a projected slice has a NaN or infinite entry.
     DegenerateSlicingError
         If every slice has a gap below 1e-12.
     """
@@ -217,9 +263,28 @@ def mom_init(stat: FourthMoment, prior: np.ndarray, n_slices: int,
     proj = complement_projector(prior)
 
     g = rng.standard_normal((n_slices, r, r))
-    m = proj @ _mom_slices(stat, g, sigma_u, subtraction) @ proj
-    singulars = np.sort(np.abs(np.linalg.eigvalsh(m)), axis=1)
-    gaps = singulars[:, -1] - singulars[:, -2]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        m = proj @ _mom_slices(stat, g, sigma_u, subtraction) @ proj
+    if not np.isfinite(m).all():
+        bad = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))
+        raise DivergenceError(
+            f"{bad.size} of {n_slices} moment slices are not finite, at indices "
+            f"{', '.join(map(str, bad[:5]))}{', ...' if bad.size > 5 else ''}")
+    # m need not be exactly symmetric, and eigvalsh reads only its lower
+    # triangle, so the bounds are taken on that triangle mirrored.
+    idx = np.arange(r)
+    low = np.where(idx[:, None] >= idx, m, np.swapaxes(m, 1, 2))
+    bounds = _gap_bounds(low)
+    # NaN bounds partition as the largest, and "not below" keeps them.
+    k = min(max(4, n_slices // 64), n_slices)
+    first = np.argpartition(bounds, -k)[-k:]
+    gaps = np.full(n_slices, -np.inf)
+    gaps[first] = _gaps(low[first])
+    todo = ~(bounds < gaps.max())
+    todo[first] = False
+    rest = np.flatnonzero(todo)
+    if rest.size:
+        gaps[rest] = _gaps(low[rest])
     if np.max(gaps) < 1e-12:
         raise DegenerateSlicingError(
             "every random slice has a zero singular-value gap")

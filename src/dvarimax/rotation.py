@@ -91,12 +91,14 @@ class FourthMoment:
     ``matrix`` is T[i*r + j, k*r + l] = (1/n) sum_t U_it U_jt U_kt U_lt.  It
     must be r^2 x r^2 and, to 1e-10 max|T|, symmetric as a matrix and under
     i <-> j, as the gradient needs; else ValueError, but NaN and inf pass.
+    ``matrix`` is a private copy, so a later write to the array passed in
+    cannot break the symmetries.
     """
 
     matrix: np.ndarray   # r^2 x r^2
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.matrix, dtype=float)
+        t = np.array(self.matrix, dtype=float, order="C")
         r = math.isqrt(t.shape[0]) if t.ndim == 2 else 0
         if r < 1 or t.shape != (r * r, r * r):
             raise ValueError(f"matrix must be r^2 x r^2 for an r >= 1, got shape {t.shape}")

@@ -144,7 +144,8 @@ def _leading_spectrum(x: np.ndarray, k: int):
     (1/n) X^T X when p > n), and the sum of the remaining eigenvalues."""
     p, n = x.shape
     # Either product goes through syrk, so the Gram matrix is exactly symmetric.
-    gram = (x @ x.T if p <= n else x.T @ x) / n
+    gram = x @ x.T if p <= n else x.T @ x
+    gram /= n
     trace = float(np.trace(gram))
     vals, vecs = _top_eigenpairs(gram, k)
     eigvals = np.maximum(vals[::-1], 0.0)

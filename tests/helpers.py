@@ -214,6 +214,33 @@ def batched_svd_mom_init(stat, prior, n_slices, sigma_u=None, *, rng,
     return -best if best[np.argmax(np.abs(best))] < 0 else best
 
 
+def unpruned_mom_init(stat, prior, n_slices, sigma_u=None, *, rng,
+                      subtraction="as_written"):
+    """Reference method-of-moments selection without gap bounds: one
+    batched ``eigvalsh`` of every projected slice, the argmax of the
+    top-two singular-value gaps, one SVD of that slice, sign-fixed."""
+    r = stat.r
+    if r == 1:
+        return np.ones(1)
+    proj = complement_projector(prior)
+    g = rng.standard_normal((n_slices, r, r))
+    m = proj @ _mom_slices(stat, g, sigma_u, subtraction) @ proj
+    singulars = np.sort(np.abs(np.linalg.eigvalsh(m)), axis=1)
+    gaps = singulars[:, -1] - singulars[:, -2]
+    if np.max(gaps) < 1e-12:
+        raise DegenerateSlicingError("every random slice has a zero singular-value gap")
+    best = np.linalg.svd(m[int(np.argmax(gaps))])[0][:, 0]
+    return -best if best[np.argmax(np.abs(best))] < 0 else best
+
+
+def unit_columns(r, k, tilt, rng):
+    """k unit r-vectors as columns: orthonormal ones plus ``tilt`` times a
+    Gaussian draw, normalized.  Like the solved columns a deflation round
+    passes as its prior, they are not orthogonal to each other."""
+    cols = random_orthogonal(r, rng)[:, :k] + tilt * rng.standard_normal((r, k))
+    return cols / np.linalg.norm(cols, axis=0)
+
+
 def population_objective(q: np.ndarray, a: np.ndarray, kappa: float,
                          sigma_n: np.ndarray | None = None) -> float:
     """Exact expectation of the quartic objective under the factor model.

@@ -4,14 +4,15 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from helpers import (batched_svd_mom_init, hand_instance, mom_matrix, objective,
-                     random_orthogonal)
+                     random_orthogonal, unit_columns, unpruned_mom_init)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvarimax import (DegenerateProjectorError, DegenerateSlicingError, InitScheme,
-                      complement_basis, complement_projector, fourth_moment,
-                      generate_factors, initialization, make_init_provider, mom_init,
-                      multi_random_init, random_init, substream)
+from dvarimax import (DegenerateProjectorError, DegenerateSlicingError, DivergenceError,
+                      FourthMoment, InitScheme, RotationSolveConfig, complement_basis,
+                      complement_projector, deflate, fourth_moment, generate_factors,
+                      initialization, make_init_provider, mom_init, multi_random_init,
+                      random_init, substream)
 from dvarimax.initialization import SUBTRACTION_MODES
 
 
@@ -393,6 +394,118 @@ def test_mom_init_returns_the_batched_svd_selection_bitwise(
         with pytest.raises(DegenerateSlicingError):
             init(fourth_moment(np.zeros((r, 300))), prior, slices,
                  rng=substream(seed, "slices"), **zeros)
+
+
+class _FixedDraws:
+    """Stands in for the rng of ``mom_init``: its one standard-normal draw
+    returns the given stack of slicing matrices."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def standard_normal(self, shape):
+        assert shape == self.g.shape
+        return self.g.copy()
+
+
+@settings(max_examples=60)
+@given(r=st.integers(1, 10), k=st.integers(0, 9), slices=st.integers(1, 400),
+       distinct=st.integers(1, 400), tilt=st.sampled_from([0.0, 0.05, 1.0]),
+       scale=st.sampled_from([1.0, 1e40]), seed=st.integers(0, 2 ** 32 - 1),
+       improved=st.booleans(), mode=st.sampled_from(["as_written", "lemma_consistent"]))
+def test_mom_init_returns_the_unpruned_selection_bitwise(
+        r, k, slices, distinct, tilt, scale, seed, improved, mode):
+    # Priors are unit columns that need not be orthogonal, as deflate
+    # passes them.  The slicing matrices repeat with period ``distinct``,
+    # so when it is below ``slices`` the stack holds exactly tied slices.
+    # Scores scaled by 1e40 give slices near 1e160, whose bounds overflow.
+    rng = np.random.default_rng(seed)
+    stat = fourth_moment(scale * generate_factors(r, 300, 0.2, rng) / np.sqrt(0.2))
+    prior = unit_columns(r, min(k, r - 1), tilt, rng)
+    sigma_u = np.eye(r) + np.diag(rng.uniform(0.0, 0.5, r))
+    kwargs = dict(sigma_u=sigma_u if improved else None, subtraction=mode)
+    g = rng.standard_normal((distinct, r, r))[np.arange(slices) % distinct]
+    got = mom_init(stat, prior, slices, rng=_FixedDraws(g), **kwargs)
+    want = unpruned_mom_init(stat, prior, slices, rng=_FixedDraws(g), **kwargs)
+    assert np.array_equal(got, want)
+
+
+def test_mom_init_bounds_the_triangle_that_eigvalsh_reads():
+    # T = 3 (I + swap) reads G + G^T from each slicing matrix, which the
+    # subtraction cancels, so each slice is what a perturbation E reads.
+    # E is symmetric but breaks the i <-> j symmetry by about 1e-10 max|T|,
+    # which the constructor admits, so the slices are far from symmetric
+    # and their lower triangles, which eigvalsh reads, set the gaps.
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        r = int(rng.integers(2, 7))
+        eye = np.eye(r * r)
+        swap = eye.reshape(r, r, r * r).transpose(1, 0, 2).reshape(r * r, r * r)
+        noise = rng.standard_normal((r * r, r * r))
+        stat = FourthMoment(3.0 * (eye + swap) + 5e-11 * (noise + noise.T))
+        prior = unit_columns(r, int(rng.integers(0, r)), 0.05, rng)
+        got = mom_init(stat, prior, 4 * r * r, rng=np.random.default_rng(seed))
+        want = unpruned_mom_init(stat, prior, 4 * r * r, rng=np.random.default_rng(seed))
+        assert np.array_equal(got, want), seed
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mom_init_breaks_exact_gap_ties_toward_the_earliest_slice(seed):
+    # With a zero statistic and no prior each slice is -2 G exactly, and a
+    # diagonal G with small integer entries gives exact, often tied gaps
+    # whose leading vectors are different axes.
+    rng = np.random.default_rng(seed)
+    r, slices = 4, 64
+    g = np.zeros((slices, r, r))
+    g[:, np.arange(r), np.arange(r)] = rng.integers(-3, 4, (slices, r))
+    stat, prior = fourth_moment(np.zeros((r, 10))), _empty_prior(r)
+    got = mom_init(stat, prior, slices, rng=_FixedDraws(g))
+    diag = np.abs(g[:, np.arange(r), np.arange(r)])
+    top = np.sort(diag, axis=1)
+    gaps = top[:, -1] - top[:, -2]
+    first = int(np.argmax(gaps))
+    assert np.sum(gaps == gaps[first]) > 1
+    assert np.array_equal(got, np.eye(r)[np.argmax(diag[first])])
+    assert np.array_equal(got, unpruned_mom_init(stat, prior, slices, rng=_FixedDraws(g)))
+
+
+def test_mom_init_eigen_solves_under_half_of_the_slices(monkeypatch):
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        solved[-1] += a.shape[0]
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rng = substream(24, "init")
+    stat = fourth_moment(generate_factors(10, 2000, 0.2, rng) / np.sqrt(0.2))
+    columns = unit_columns(10, 9, 0.05, rng)
+    for k in range(10):
+        solved.append(0)
+        mom_init(stat, columns[:, :k], 400, rng=rng)
+    assert max(solved) < 200, solved
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mom_init_raises_divergence_on_a_non_finite_statistic(bad):
+    stat = FourthMoment(np.full((9, 9), bad))
+    with pytest.raises(DivergenceError, match="16 of 16 moment slices are not finite, "
+                                              "at indices 0, 1, 2, 3, 4, ...$"):
+        mom_init(stat, _empty_prior(3), 16, rng=substream(25, "init"))
+    t = np.zeros((9, 9))
+    t[0, 0] = bad
+    with pytest.raises(DivergenceError, match="moment slices are not finite"):
+        mom_init(FourthMoment(t), _empty_prior(3), 16, rng=substream(25, "init"))
+
+
+def test_deflate_from_mom_init_on_overflowing_scores_raises_divergence():
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge = fourth_moment(1e200 * hand_instance())
+    provider = make_init_provider(InitScheme.method_of_moments(), huge,
+                                  substream(26, "init"))
+    with pytest.raises(DivergenceError, match="16 of 16 moment slices are not finite"):
+        deflate(huge, provider, RotationSolveConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,14 @@ def test_fourth_moment_validates_when_built():
         FourthMoment(np.eye(3))
 
 
+def test_fourth_moment_keeps_a_private_copy_of_its_matrix():
+    t = fourth_moment(substream(20, "rot").standard_normal((2, 30))).matrix.copy()
+    stat = FourthMoment(t)
+    want = t.copy()
+    t[0, 1] = 5.0
+    assert np.array_equal(stat.matrix, want)
+
+
 @settings(max_examples=40)
 @given(r=st.integers(1, 8), n=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
        log_scale=st.floats(-2.0, 2.0))
