@@ -2,17 +2,22 @@
 
 The decomposition is of (1/n) X X^T and computes only what the estimator
 reads: the leading r eigenpairs and the sum of the trailing eigenvalues.
-Every shape takes one route: the top r pairs of the Gram matrix of the
-shorter side of X, (1/n) X X^T for p <= n and (1/n) X^T X for p > n,
-from a Lanczos or a partial LAPACK solve (``_lanczos_pays`` picks); for
-p > n the vectors W map to the p side as X W / sqrt(n lambda).  The tail
-sum is the trace minus the leading sum.  Whitened scores satisfy
-U_r @ U_r.T = n * I to the accuracy of the solve, which degrades like
-eps * lambda_1 / lambda_r near rank deficiency.  When the noise is close
-to isotropic, the mean trailing eigenvalue estimates the per-coordinate
-noise variance; subtracting it from the leading eigenvalues and
-re-whitening the scores gives a corrected ``PcaDecomposition``, whose
-``sigma_n_hat`` the bias-corrected rotation solver reads.
+Large shapes (``_gram_free_pays``) first try Lanczos on the p x p
+operator v -> X (X^T v) / n, which never forms a Gram matrix and returns
+p-side vectors; its restarts are bounded so a slow convergence costs
+about one Gram formation before the Gram route takes over.  The Gram
+route solves the top r pairs of the shorter side's Gram matrix,
+(1/n) X X^T for p <= n and (1/n) X^T X for p > n, by Lanczos or a partial
+LAPACK solve (``_lanczos_pays`` picks); for p > n the vectors W map to
+the p side as X W / sqrt(n lambda).  The tail sum is the trace minus the
+leading sum, and the trace doubles as the check that X is finite.
+Whitened scores satisfy U_r @ U_r.T = n * I to the accuracy of the solve,
+which degrades like eps * lambda_1 / lambda_r near rank deficiency.  When
+the noise is close to isotropic, the mean trailing eigenvalue estimates
+the per-coordinate noise variance; subtracting it from the leading
+eigenvalues and re-whitening the scores gives a corrected
+``PcaDecomposition``, whose ``sigma_n_hat`` the bias-corrected rotation
+solver reads.
 """
 from __future__ import annotations
 
@@ -75,6 +80,49 @@ def _lanczos_pays(size: int, k: int) -> bool:
     return 20 * k <= size
 
 
+def _lanczos_basis_size(k: int) -> int:
+    """``eigsh``'s default number of Lanczos vectors for k pairs."""
+    return max(2 * k + 1, 20)
+
+
+def _gram_free_pays(p: int, n: int, k: int) -> bool:
+    """Whether Lanczos on v -> X (X^T v) / n beats forming the Gram matrix
+    for the k leading pairs of (1/n) X X^T.
+
+    Forming the Gram costs min(p, n)^2 max(p, n) flops at matrix-multiply
+    speed; one product with X X^T streams X twice, so the Gram costs
+    about min(p, n) / 30 such products.  With a gap after the k-th
+    eigenvalue Lanczos converges in its first pass of about ncv + 1
+    products, ncv = max(2k + 1, 20).  Median ms of ``eigendecompose``,
+    Gram route vs. this route (with its bounded restarts and fallback),
+    on one BLAS thread of a 2-vCPU VM, for factor-model data (varepsilon2
+    = 0.1 unless given, r = k):
+
+        p=1000, n=2000, k=10:         56 vs 37      (rule: yes)
+        p=2000, n=1000, k=10:         56 vs 34      (yes)
+        p=2000, n=4000, k=20:         354 vs 257    (yes)
+        p=800,  n=800,  k=5:          17 vs 12      (yes)
+        p=800,  n=2000, k=5:          30 vs 28      (yes)
+        p=800,  n=2000, k=10:         36 vs 29      (no)
+        p=600,  n=2000, k=10:         18 vs 22      (no)
+        p=300,  n=2000, k=5:          5.2 vs 11     (no)
+        p=200,  n=4000, k=5:          5.3 vs 14     (no)
+        p=1000, n=3000, k=20:         72 vs 98      (no)
+        p=1000, n=2000, k=10, 0.8:    59 vs 46      (yes)
+        p=1000, n=2000, k=10, 1.6:    59 vs 50      (yes)
+        p=1000, n=2000, k=10, 3.2:    54 vs 113     (yes; falls back)
+        p=1000, n=2000, k=10, noise:  149 vs 195    (yes; falls back)
+        p=2000, n=1000, k=10, noise:  126 vs 172    (yes; falls back)
+
+    The route wins from min(p, n) of about 800 at ncv = 20 and loses at
+    600; at k = 20 (ncv = 41) it still loses at 1000.  Where Lanczos needs
+    more than the budget of products, as on pure noise or when the signal
+    barely clears it (varepsilon2 = 3.2), the attempt is wasted and the
+    call costs up to about twice the Gram route.
+    """
+    return 40 * _lanczos_basis_size(k) <= min(p, n)
+
+
 def _fix_column_signs(v: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive."""
     idx = np.argmax(np.abs(v), axis=0)
@@ -133,23 +181,74 @@ def _checked_observations(x: np.ndarray, k: int, name: str) -> np.ndarray:
     _check_integer(name, k, 1)
     if k > min(p, n):
         raise ValueError(f"{name}={k} must lie in [1, min(p, n)={min(p, n)}]")
+    return x
+
+
+def _checked_trace(x: np.ndarray, trace: float) -> float:
+    """``trace``, the sum of squares of ``x`` over n, if it is finite.
+
+    A NaN or Inf entry of ``x`` makes the sum of squares NaN or Inf, so
+    a finite trace proves ``x`` finite without a pass of its own; only a
+    trace that is not finite costs a scan, which tells such entries from
+    a sum of squares that overflows."""
+    if np.isfinite(trace):
+        return float(trace)
     if not np.isfinite(x).all():
         raise ValueError("observation matrix contains NaN or Inf entries")
-    return x
+    raise ValueError("the sum of squares of the observation matrix overflows "
+                     "double precision; rescale the data")
 
 
 def _leading_spectrum(x: np.ndarray, k: int):
     """The k leading eigenvalues of (1/n) X X^T (nonincreasing, floored at
-    0), the eigenvectors of the shorter side's Gram matrix as columns (of
-    (1/n) X^T X when p > n), and the sum of the remaining eigenvalues."""
+    0), their eigenvectors as columns, and the sum of the remaining
+    eigenvalues.  The eigenvectors are those of (1/n) X^T X (n rows) when
+    the p > n Gram route solved them, else those of (1/n) X X^T (p rows).
+
+    Raises ValueError, before any solve, if the trace is not finite."""
     p, n = x.shape
-    # Either product goes through syrk, so the Gram matrix is exactly symmetric.
-    gram = x @ x.T if p <= n else x.T @ x
-    gram /= n
-    trace = float(np.trace(gram))
-    vals, vecs = _top_eigenpairs(gram, k)
+    pairs = None
+    if _gram_free_pays(p, n, k):
+        trace = _checked_trace(x, np.vdot(x, x) / n)
+        pairs = _gram_free_eigenpairs(x, k)
+    if pairs is None:
+        # Either product goes through syrk, so the Gram matrix is exactly
+        # symmetric.  A huge finite x overflows it; the trace check names
+        # that, so the product's overflow warnings are silenced.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = x @ x.T if p <= n else x.T @ x
+        gram /= n
+        trace = _checked_trace(x, np.trace(gram))
+        pairs = _top_eigenpairs(gram, k)
+    vals, vecs = pairs
     eigvals = np.maximum(vals[::-1], 0.0)
     return eigvals, vecs[:, ::-1], max(trace - float(eigvals.sum()), 0.0)
+
+
+def _lanczos(a, k: int, **kwargs):
+    """``eigsh`` for the k largest eigenpairs of the symmetric ``a`` (an
+    array or a ``LinearOperator``) from the fixed start vector."""
+    v0 = np.random.default_rng(_LANCZOS_START_SEED).standard_normal(a.shape[0])
+    return scipy.sparse.linalg.eigsh(a, k, which="LA", tol=0, v0=v0, **kwargs)
+
+
+def _gram_free_eigenpairs(x: np.ndarray, k: int):
+    """The k largest eigenpairs of (1/n) X X^T, nondecreasing, by Lanczos
+    on v -> X (X^T v) / n; None if it does not converge within about the
+    cost of one Gram formation.
+
+    ARPACK's first pass takes ncv + 1 products and each restart at most
+    ncv - k more; the budget is min(p, n) / 30 products (see
+    ``_gram_free_pays``), and at least one restart."""
+    p, n = x.shape
+    ncv = _lanczos_basis_size(k)
+    restarts = max(1, (min(p, n) // 30 - ncv - 1) // (ncv - k))
+    gram = scipy.sparse.linalg.LinearOperator(
+        (p, p), matvec=lambda v: x @ (x.T @ v) / n, dtype=x.dtype)
+    try:
+        return _lanczos(gram, k, ncv=ncv, maxiter=restarts)
+    except scipy.sparse.linalg.ArpackNoConvergence:
+        return None
 
 
 def _top_eigenpairs(gram: np.ndarray, k: int):
@@ -157,9 +256,8 @@ def _top_eigenpairs(gram: np.ndarray, k: int):
     and their eigenvectors as columns; may overwrite ``gram``."""
     size = gram.shape[0]
     if _lanczos_pays(size, k):
-        v0 = np.random.default_rng(_LANCZOS_START_SEED).standard_normal(size)
         try:
-            return scipy.sparse.linalg.eigsh(gram, k, which="LA", tol=0, v0=v0)
+            return _lanczos(gram, k)
         except scipy.sparse.linalg.ArpackNoConvergence:
             pass
     # A subset of a standard symmetric problem is solved by LAPACK dsyevr.
@@ -170,12 +268,15 @@ def _top_eigenpairs(gram: np.ndarray, k: int):
 def eigendecompose(x: np.ndarray, r: int) -> PcaDecomposition:
     """Eigendecompose (1/n) X X^T and whiten the leading r components.
 
-    Only the top r pairs of the shorter side's Gram matrix are solved for:
-    (1/n) X X^T when p <= n, else (1/n) X^T X, whose eigenvectors W give
-    the p-side ones as X W / sqrt(n lambda).  The solver is Lanczos
-    (``scipy.sparse.linalg.eigsh`` from a fixed start vector) when
-    20 r <= min(p, n), else, or if Lanczos does not converge, LAPACK's
-    subset solve (``scipy.linalg.eigh(subset_by_index=...)``).  Signs are
+    Only the top r pairs are solved for.  When 40 max(2r + 1, 20) <=
+    min(p, n), Lanczos (``scipy.sparse.linalg.eigsh`` from a fixed start
+    vector) first runs on v -> X (X^T v) / n, with at most about a Gram
+    formation's worth of products.  Otherwise, or if that does not
+    converge, it solves the shorter side's Gram matrix: (1/n) X X^T when
+    p <= n, else (1/n) X^T X, whose eigenvectors W give the p-side ones as
+    X W / sqrt(n lambda).  That solver is Lanczos when 20 r <= min(p, n),
+    else, or if Lanczos does not converge, LAPACK's subset solve
+    (``scipy.linalg.eigh(subset_by_index=...)``).  Signs are
     fixed so the largest-magnitude entry of each column is positive.
     Near rank deficiency the mapped vectors lose orthonormality like
     eps * lambda_1 / lambda_r, as the p <= n whitening does: at lambda_r /
@@ -185,7 +286,8 @@ def eigendecompose(x: np.ndarray, r: int) -> PcaDecomposition:
     Raises
     ------
     ValueError
-        If ``x`` is not 2-D or holds NaN or Inf, or r exceeds min(p, n).
+        If ``x`` is not 2-D or holds NaN or Inf, its sum of squares
+        overflows, or r exceeds min(p, n).
     RankDeficiencyError
         If the r-th eigenvalue is at or below ``EIGENVALUE_FLOOR`` times
         the largest one.
@@ -201,7 +303,7 @@ def eigendecompose(x: np.ndarray, r: int) -> PcaDecomposition:
         )
 
     p, n = x.shape
-    if p > n:
+    if vecs.shape[0] != p:
         vecs = (x @ vecs) / np.sqrt(n * eigvals)
     eigvecs_r = _fix_column_signs(vecs)
     scores = (eigvecs_r.T @ x) / np.sqrt(eigvals)[:, None]
@@ -219,8 +321,8 @@ def leading_eigenvalues(x: np.ndarray, k: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``x`` is not 2-D or holds NaN or Inf, or k is outside
-        [1, min(p, n)].
+        If ``x`` is not 2-D or holds NaN or Inf, its sum of squares
+        overflows, or k is outside [1, min(p, n)].
     """
     x = _checked_observations(x, k, "k")
     return _leading_spectrum(x, k)[0]

@@ -180,27 +180,39 @@ def test_leading_eigenvalues_on_both_sides_of_the_solver_rule():
         assert np.max(np.abs(got - want_vals[:k])) <= 1e-12 * want_vals[0]
 
 
-def _counting_eigsh(monkeypatch, replacement=None):
-    """Replace ``eigsh`` by a wrapper that records the size of each call."""
+def _counting_eigsh(monkeypatch, replacement=None, operands=None):
+    """Replace ``eigsh`` by a wrapper that records the size of each call,
+    and each matrix or operator it solves in ``operands`` if given."""
     calls = []
     real = scipy.sparse.linalg.eigsh
 
     def wrapper(a, k, **kwargs):
         calls.append((a.shape[0], k))
+        if operands is not None:
+            operands.append(a)
         return (replacement or real)(a, k, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", wrapper)
     return calls
 
 
+def _factor_data(p, n, r):
+    config = SyntheticConfig(n=n, p=p, r=r, varepsilon2=0.1, seed=p)
+    return generate_dataset(config)[0].data
+
+
 @pytest.mark.parametrize("p,n,r,lanczos", [(20, 500, 5, False),     # sweep-careful
                                            (30, 2000, 3, False),    # estimate-tall
                                            (1000, 2000, 10, True)])  # estimate-wide
 def test_solver_rule_on_the_benchmark_shapes(monkeypatch, p, n, r, lanczos):
-    calls = _counting_eigsh(monkeypatch)
-    x = substream(p, "rule").standard_normal((p, n))
-    eigendecompose(x, r)
+    # The two small shapes take the dense solve of the p x p Gram; the
+    # wide one takes Lanczos on X (X^T v) / n and never forms a Gram.
+    operands = []
+    calls = _counting_eigsh(monkeypatch, operands=operands)
+    eigendecompose(_factor_data(p, n, r), r)
     assert calls == ([(p, r)] if lanczos else [])
+    assert all(isinstance(a, scipy.sparse.linalg.LinearOperator) for a in operands)
+    assert spectral._gram_free_pays(p, n, r) == lanczos
 
 
 def test_wide_data_solves_the_n_by_n_gram(monkeypatch):
@@ -210,6 +222,87 @@ def test_wide_data_solves_the_n_by_n_gram(monkeypatch):
     assert calls == [(100, 5)]
     assert decomp.eigvecs_r.shape == (600, 5)
     assert decomp.scores.shape == (5, 100)
+
+
+@pytest.mark.parametrize("p,n", [(1000, 2000), (2000, 1000)])
+def test_gram_free_route_matches_full_eigh_oracle(monkeypatch, p, n):
+    r = 10
+    x = _factor_data(p, n, r)
+    operands = []
+    calls = _counting_eigsh(monkeypatch, operands=operands)
+    decomp = eigendecompose(x, r)
+    assert calls == [(p, r)]
+    assert isinstance(operands[0], scipy.sparse.linalg.LinearOperator)
+    want_vals, want_vecs, want_tail = full_eigh_decomposition(x, r)
+    top = want_vals[0]
+    assert np.max(np.abs(decomp.eigvals - want_vals[:r])) <= 1e-12 * top
+    assert np.linalg.norm(_projector(decomp.eigvecs_r) - _projector(want_vecs)) <= 1e-10
+    assert abs(decomp.tail_sum - want_tail) <= 1e-12 * np.sum(x * x) / n
+    gram = decomp.scores @ decomp.scores.T
+    assert np.linalg.norm(gram - n * np.eye(r)) <= 1e-8 * n
+
+
+def test_gapless_input_falls_back_to_the_gram_route_bitwise(monkeypatch):
+    # Pure noise has no gap after the 10th eigenvalue: Lanczos on the
+    # operator stops after about one Gram formation's worth of products
+    # (1000 / 30 of them) and the Gram route gives the result.
+    p, n, r = 1000, 2000, 10
+    x = substream(27, "oracle").standard_normal((p, n))
+    real = scipy.sparse.linalg.eigsh
+    products = []
+
+    def counting(a, k, **kwargs):
+        if isinstance(a, scipy.sparse.linalg.LinearOperator):
+            def matvec(v, operator=a):
+                products.append(v)
+                return operator.matvec(v)
+            a = scipy.sparse.linalg.LinearOperator(a.shape, matvec=matvec, dtype=a.dtype)
+        return real(a, k, **kwargs)
+
+    operands = []
+    calls = _counting_eigsh(monkeypatch, counting, operands)
+    got = eigendecompose(x, r)
+    assert calls == [(p, r), (p, r)]
+    assert isinstance(operands[0], scipy.sparse.linalg.LinearOperator)
+    assert isinstance(operands[1], np.ndarray)
+    assert 0 < len(products) <= min(p, n) // 30
+    monkeypatch.setattr(spectral, "_gram_free_pays", lambda p, n, k: False)
+    want = eigendecompose(x, r)
+    assert calls[2:] == [(p, r)]
+    assert np.array_equal(got.eigvals, want.eigvals)
+    assert np.array_equal(got.eigvecs_r, want.eigvecs_r)
+    assert np.array_equal(got.scores, want.scores)
+    assert got.tail_sum == want.tail_sum
+
+
+# One shape per route: Lanczos on the operator, Lanczos on the Gram, the
+# dense subset solve.
+ROUTE_SHAPES = [(1000, 2000, 10), (300, 900, 5), (30, 100, 3)]
+
+
+@pytest.mark.parametrize("p,n,r", ROUTE_SHAPES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nan_or_inf_raises_before_any_solve(monkeypatch, p, n, r, bad):
+    calls = _counting_eigsh(monkeypatch)
+    x = substream(p, "rule").standard_normal((p, n))
+    x[p // 2, n // 3] = bad
+    for solve in (eigendecompose, leading_eigenvalues):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            solve(x, r)
+    assert calls == []
+
+
+@pytest.mark.parametrize("p,n,r", ROUTE_SHAPES)
+def test_overflowing_sum_of_squares_is_named_without_warnings(monkeypatch, p, n, r):
+    calls = _counting_eigsh(monkeypatch)
+    x = 1e200 * substream(p, "rule").standard_normal((p, n))
+    assert np.isfinite(x).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (eigendecompose, leading_eigenvalues):
+            with pytest.raises(ValueError, match="sum of squares .* overflows"):
+                solve(x, r)
+    assert calls == []
 
 
 def test_wide_rank_deficiency_is_named_without_warnings():
