@@ -132,11 +132,14 @@ class ExperimentGrid:
         object.__setattr__(
             self, "variants", tuple(EstimatorVariant(v) for v in self.variants))
         object.__setattr__(self, "init_schemes", tuple(self.init_schemes))
-        # a repeated entry, or two schemes with one label (say mom in two
+        # a repeated entry (60 and np.int64(60) are one sweep value once
+        # coerced), or two schemes with one label (say mom in two
         # subtraction modes), would count the same cells twice in one row
         labels = [scheme.label for scheme in self.init_schemes]
-        if len(set(self.variants)) < len(self.variants) or len(set(labels)) < len(labels):
-            raise ValueError("variants and init_schemes must not repeat an entry")
+        for name, entries in (("sweep_values", self.sweep_values),
+                              ("variants", self.variants), ("init_schemes", labels)):
+            if len(set(entries)) < len(entries):
+                raise ValueError(f"{name} must not repeat an entry")
 
 
 @dataclass(frozen=True)
@@ -254,7 +257,14 @@ def aggregate(records: Sequence[ExperimentRecord]) -> list:
 # CSV serialization
 # ---------------------------------------------------------------------------
 
-def _format_value(value) -> str:
+def _field(value) -> str:
+    """One CSV field.  Text is quoted as RFC 4180 asks when it holds a
+    separator, a quote or a line break; a bool is 1 or 0, an integer is
+    printed as one and any other number as the repr of its float."""
+    if isinstance(value, str):
+        if any(c in value for c in ',"\r\n'):
+            return '"' + value.replace('"', '""') + '"'
+        return value
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -262,18 +272,12 @@ def _format_value(value) -> str:
     return repr(float(value))
 
 
-def _quote(text: str) -> str:
-    """One CSV field, quoted as RFC 4180 asks when it holds a separator,
-    a quote or a line break."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _write_csv(path, header: str, rows) -> None:
-    """Write ``header`` and one comma-joined line per row of fields,
-    every line ending in a bare line feed."""
-    lines = [header] + [",".join(fields) for fields in rows]
+    """Write ``header`` and one line per row, whose fields are the row's
+    attributes named in the header, every line ending in a bare line feed."""
+    names = header.split(",")
+    lines = [header] + [",".join(_field(getattr(row, name)) for name in names)
+                        for row in rows]
     with open(path, "w", encoding="utf8", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -284,32 +288,9 @@ def records_to_csv(records: Sequence[ExperimentRecord], path) -> None:
     ``failure`` is empty for a cell that ran and holds the exception's
     type and message for one that failed.
     """
-    _write_csv(path, RECORDS_HEADER, ([
-        rec.variant,
-        rec.init,
-        rec.sweep_name,
-        _format_value(rec.sweep_value),
-        str(rec.rep),
-        str(rec.seed),
-        _format_value(rec.error),
-        str(rec.iters_total),
-        _format_value(rec.fallback),
-        _format_value(rec.runtime_ms),
-        _quote(rec.failure),
-    ] for rec in records))
+    _write_csv(path, RECORDS_HEADER, records)
 
 
 def summary_to_csv(rows: Sequence[SummaryRow], path) -> None:
     """Write per-cell summaries with the fixed summary header."""
-    _write_csv(path, SUMMARY_HEADER, ([
-        row.variant,
-        row.init,
-        row.sweep_name,
-        _format_value(row.sweep_value),
-        str(row.n_ok),
-        str(row.n_fail),
-        _format_value(row.mean),
-        _format_value(row.median),
-        _format_value(row.q25),
-        _format_value(row.q75),
-    ] for row in rows))
+    _write_csv(path, SUMMARY_HEADER, rows)

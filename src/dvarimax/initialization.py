@@ -16,9 +16,10 @@ available for starting each column solve:
 
   project it onto the complement of the solved columns on both sides,
   and keep the slice whose top two singular values have the largest gap.
-  Its leading left singular vector is the initializer.  All N slices are
-  read from the fourth-moment statistic T of the scores at once, as
-  (1/3) reshape(T vec(G)) minus the subtraction.  The projected slices are
+  Its leading left singular vector is the initializer.  The subtraction is
+  linear in G too, so all N slices are one product with an r^2 x r^2 slice
+  operator K = T/3 - A, M(G) = reshape(vec(G)^T K), where T is the
+  fourth-moment statistic and A the Gaussian term.  The projected slices are
   symmetric, so their gaps come from batched eigenvalue solves (singular
   values are absolute eigenvalues), and only the chosen slice gets a full
   SVD.  Most slices are never solved: two batched products give each slice
@@ -35,6 +36,8 @@ expectation identity for whitened scores prescribes, (1/3) tr(G) I +
 covariance estimate ``sigma_u`` S_U = I + sigma_n_hat, which the
 ``mom_improved`` scheme passes, ``mom_init`` subtracts the noise-corrected
 S_U (G + G^T) S_U + tr(G S_U) S_U instead (1/3 of it if lemma_consistent).
+So in the ``lemma_consistent`` mode K is a third of T minus the Gaussian
+fourth moment with covariance S_U, or I without ``sigma_u``.
 """
 from __future__ import annotations
 
@@ -170,32 +173,31 @@ def multi_random_init(stat: FourthMoment, prior: np.ndarray, draws: int,
     return candidates[int(np.argmin(values))]
 
 
-def _subtracted(g: np.ndarray, sigma_u: Optional[np.ndarray],
-                subtraction: str) -> np.ndarray:
-    """The term a moment slice subtracts, for one G or a stack (..., r, r);
-    the noise-corrected term exactly when ``sigma_u`` is given."""
+def _slice_operator(stat: FourthMoment, sigma_u: Optional[np.ndarray],
+                    subtraction: str) -> np.ndarray:
+    """The r^2 x r^2 operator K = T/3 - A whose product with vec(G) is the
+    moment slice for G, M(G) = reshape(vec(G)^T K); linear in G.
+
+    A reads the subtracted term.  With S = ``sigma_u``, or I when none is
+    given, A = (I + P)(S^T (x) S) reads S (G + G^T) S, where P swaps the
+    two indices of a pair; for a symmetric S it is (S (x) S)(I + P).  A
+    gains vec(S^T) vec(S)^T, which reads tr(G S) S, when ``sigma_u`` is
+    given or the mode is ``lemma_consistent``, and is divided by 3 in that
+    mode.  The score-based reference is ``mom_matrix`` in ``tests/helpers.py``.
+    """
     _check_subtraction(subtraction)
-    r = g.shape[-1]
-    sym = g + np.swapaxes(g, -1, -2)
-    if sigma_u is None:
-        if subtraction == "as_written":
-            return sym
-        trace = np.trace(g, axis1=-2, axis2=-1)[..., None, None]
-        return (trace * np.eye(r) + sym) / 3.0
-    sigma_u = np.asarray(sigma_u, dtype=float)
-    if sigma_u.shape != (r, r):
+    r = stat.r
+    s = np.eye(r) if sigma_u is None else np.asarray(sigma_u, dtype=float)
+    if s.shape != (r, r):
         raise ValueError(f"sigma_u must be {r} x {r}")
-    trace = np.einsum("...ij,ji->...", g, sigma_u)[..., None, None]
-    term = sigma_u @ sym @ sigma_u + trace * sigma_u
-    return term if subtraction == "as_written" else term / 3.0
-
-
-def _mom_slices(stat: FourthMoment, g: np.ndarray, sigma_u: Optional[np.ndarray],
-                subtraction: str) -> np.ndarray:
-    """Moment slices M(G) for a stack (..., r, r), read from the statistic
-    as (1/3) reshape(T vec(G)) - <subtraction>; linear in G.  The
-    score-based reference is ``mom_matrix`` in ``tests/helpers.py``."""
-    return stat.contract(g) / 3.0 - _subtracted(g, sigma_u, subtraction)
+    # a[i, j, k, l] = S_ki S_jl reads S G S, its pair-swapped copy S G^T S
+    a = s.T[:, None, :, None] * s[None, :, None, :]
+    a = (a + a.transpose(1, 0, 2, 3)).reshape(r * r, r * r)
+    if sigma_u is not None or subtraction == "lemma_consistent":
+        a += np.outer(s.T, s)
+    if subtraction == "lemma_consistent":
+        a /= 3.0
+    return stat.matrix / 3.0 - a
 
 
 # Relative slack on each gap bound.  It covers the rounding of the bound's
@@ -264,7 +266,8 @@ def mom_init(stat: FourthMoment, prior: np.ndarray, n_slices: int,
 
     g = rng.standard_normal((n_slices, r, r))
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        m = proj @ _mom_slices(stat, g, sigma_u, subtraction) @ proj
+        slices = g.reshape(n_slices, r * r) @ _slice_operator(stat, sigma_u, subtraction)
+        m = proj @ slices.reshape(g.shape) @ proj
     if not np.isfinite(m).all():
         bad = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))
         raise DivergenceError(

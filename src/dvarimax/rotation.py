@@ -113,15 +113,6 @@ class FourthMoment:
     def r(self) -> int:
         return math.isqrt(self.matrix.shape[0])
 
-    def contract(self, m: np.ndarray) -> np.ndarray:
-        """reshape(T vec(M)) = (1/n) sum_t U_t U_t^T (U_t^T M U_t).
-
-        ``m`` is one r x r matrix or a stack of shape (..., r, r).
-        """
-        m = np.asarray(m, dtype=float)
-        flat = m.reshape(-1, self.r * self.r)
-        return (flat @ self.matrix).reshape(m.shape)
-
     def objective(self, q: np.ndarray) -> float:
         """Quartic objective -(1/12) vec(q q^T)^T T vec(q q^T) at unit q."""
         q = _check_point(q, self.r)

@@ -15,7 +15,7 @@ from itertools import permutations, product
 import numpy as np
 
 from dvarimax import DegenerateSlicingError, DivergenceError, complement_projector
-from dvarimax.initialization import _mom_slices, _subtracted
+from dvarimax.initialization import SUBTRACTION_MODES, _slice_operator
 from dvarimax.rotation import _MIN_ITERATE_NORM, _check_sigma_n, _check_unit
 
 
@@ -72,6 +72,24 @@ def corrected_gradient(q: np.ndarray, u: np.ndarray,
     return _plain_gradient(q, u) + _bias_term(q, sigma_n)
 
 
+def _subtracted(g: np.ndarray, sigma_u: np.ndarray | None, subtraction: str) -> np.ndarray:
+    """The term the moment slice for one r x r G subtracts; the
+    noise-corrected term exactly when ``sigma_u`` is given."""
+    if subtraction not in SUBTRACTION_MODES:
+        raise ValueError(f"unknown subtraction mode: {subtraction!r}")
+    r = g.shape[0]
+    sym = g + g.T
+    if sigma_u is None:
+        if subtraction == "as_written":
+            return sym
+        return (np.trace(g) * np.eye(r) + sym) / 3.0
+    sigma_u = np.asarray(sigma_u, dtype=float)
+    if sigma_u.shape != (r, r):
+        raise ValueError(f"sigma_u must be {r} x {r}")
+    term = sigma_u @ sym @ sigma_u + np.trace(g @ sigma_u) * sigma_u
+    return term if subtraction == "as_written" else term / 3.0
+
+
 def mom_matrix(u: np.ndarray, g: np.ndarray, sigma_u: np.ndarray | None = None,
                subtraction: str = "as_written") -> np.ndarray:
     """Fourth-moment slice (1/(3n)) sum_t U_t U_t^T (U_t^T G U_t) - <subtraction>.
@@ -93,6 +111,14 @@ def mom_matrix(u: np.ndarray, g: np.ndarray, sigma_u: np.ndarray | None = None,
     subtracted = _subtracted(g, sigma_u, subtraction)
     quad = np.einsum("it,ij,jt->t", u, g, u)
     return (u * quad) @ u.T / (3 * n) - subtracted
+
+
+def mom_slices(stat, g, sigma_u=None, subtraction="as_written"):
+    """The package's moment slices for a stack (S, r, r) of slicing
+    matrices, one product with its slice operator, as ``mom_init`` forms
+    them."""
+    flat = g.reshape(g.shape[0], stat.r ** 2)
+    return (flat @ _slice_operator(stat, sigma_u, subtraction)).reshape(g.shape)
 
 
 def reference_pgd_solve(q0, stat, config):
@@ -205,7 +231,7 @@ def batched_svd_mom_init(stat, prior, n_slices, sigma_u=None, *, rng,
     r = stat.r
     g = rng.standard_normal((n_slices, r, r))
     proj = complement_projector(prior)
-    m = proj @ _mom_slices(stat, g, sigma_u, subtraction) @ proj
+    m = proj @ mom_slices(stat, g, sigma_u, subtraction) @ proj
     left, singulars, _ = np.linalg.svd(m)
     gaps = singulars[:, 0] - singulars[:, 1]
     if np.max(gaps) < 1e-12:
@@ -224,7 +250,7 @@ def unpruned_mom_init(stat, prior, n_slices, sigma_u=None, *, rng,
         return np.ones(1)
     proj = complement_projector(prior)
     g = rng.standard_normal((n_slices, r, r))
-    m = proj @ _mom_slices(stat, g, sigma_u, subtraction) @ proj
+    m = proj @ mom_slices(stat, g, sigma_u, subtraction) @ proj
     singulars = np.sort(np.abs(np.linalg.eigvalsh(m)), axis=1)
     gaps = singulars[:, -1] - singulars[:, -2]
     if np.max(gaps) < 1e-12:

@@ -69,6 +69,20 @@ def test_resolve_config_type_errors():
         resolve_config({"variant": "fancy"})
 
 
+@pytest.mark.parametrize("text, value", [
+    ("true", True), ("Yes", True), ("1", True), ("ON", True),
+    ("false", False), ("no", False), ("0", False), ("Off", False)])
+def test_resolve_config_parses_boolean_keys(text, value):
+    config = resolve_config({"auto_fallback": text, "record_runtime": text})
+    assert config["auto_fallback"] is value and config["record_runtime"] is value
+
+
+def test_resolve_config_rejects_a_non_boolean():
+    for key in ("auto_fallback", "record_runtime"):
+        with pytest.raises(CliError, match=f"'{key}': not a boolean: 'maybe'"):
+            resolve_config({key: "maybe"})
+
+
 # ---------------------------------------------------------------------------
 # matrix CSV round trip
 # ---------------------------------------------------------------------------
@@ -176,6 +190,46 @@ def test_estimate_recovers_noiseless_fixture(tmp_path, simulated):
     assert diagnostics["resolved_config"]["seed"] == 8
     assert len(diagnostics["iterations"]) == 2
     assert diagnostics["fallback"] is False
+
+
+def test_seedless_estimate_is_reproduced_by_its_drawn_seed(tmp_path, simulated):
+    entries = dict(input_path=simulated / "X.csv", r=2, step_size=0.01)
+    drawn = tmp_path / "drawn"
+    assert _run("estimate", "--config",
+                _write_config(tmp_path, "drawn.cfg", output_path=drawn, **entries)) == 0
+    diagnostics = json.loads((drawn / "diagnostics.json").read_text())
+    seed = diagnostics["resolved_config"]["seed"]
+    assert isinstance(seed, int)
+    again = tmp_path / "again"
+    assert _run("estimate", "--config",
+                _write_config(tmp_path, "again.cfg", output_path=again, seed=seed,
+                              **entries)) == 0
+    for name in ("lambda_hat.csv", "q_check.csv", "z_hat.csv"):
+        assert (drawn / name).read_bytes() == (again / name).read_bytes()
+    rerun = json.loads((again / "diagnostics.json").read_text())
+    for payload, out in ((diagnostics, drawn), (rerun, again)):
+        assert payload["resolved_config"].pop("output_path") == str(out)
+        payload.pop("runtime_ms")
+    assert rerun == diagnostics
+
+
+def test_estimate_auto_fallback_key_reaches_the_estimator(tmp_path, capsys):
+    # p = r leaves no trailing eigenvalues, so the noise correction of the
+    # improved2 variant is infeasible; only auto_fallback lets it run base
+    x = np.random.default_rng(4).standard_normal((3, 200))
+    write_matrix_csv(tmp_path / "X.csv", x, "rows=3 cols=200")
+    entries = dict(input_path=tmp_path / "X.csv", r=3, seed=1, variant="improved2")
+    config = _write_config(tmp_path, "strict.cfg", output_path=tmp_path / "strict",
+                           **entries)
+    assert _run("estimate", "--config", config) == 2
+    assert "error:" in capsys.readouterr().err
+    config = _write_config(tmp_path, "fallback.cfg", output_path=tmp_path / "fallback",
+                           auto_fallback="yes", **entries)
+    assert _run("estimate", "--config", config) == 0
+    diagnostics = json.loads((tmp_path / "fallback" / "diagnostics.json").read_text())
+    assert diagnostics["fallback"] is True
+    assert diagnostics["effective_variant"] == "base"
+    assert diagnostics["resolved_config"]["auto_fallback"] is True
 
 
 def test_estimate_auto_rank(tmp_path, simulated):
@@ -314,7 +368,8 @@ def test_mom_subtraction_reaches_only_the_mom_schemes(tmp_path):
 
 
 @pytest.mark.parametrize("repeat", [dict(variants="base,base"),
-                                    dict(init_schemes="mom,mom")])
+                                    dict(init_schemes="mom,mom"),
+                                    dict(sweep_values="120,120")])
 def test_benchmark_rejects_repeated_entries(tmp_path, capsys, repeat):
     config = _benchmark_config(tmp_path, tmp_path / "bench", **repeat)
     assert _run("benchmark", "--config", config) == 2
@@ -331,6 +386,19 @@ def test_benchmark_byte_identical_across_runs_and_threads(tmp_path):
         outputs.append(((out / "records.csv").read_bytes(),
                         (out / "summary.csv").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_benchmark_record_runtime_key_fills_the_runtime_column(tmp_path):
+    runtimes = {}
+    for flag in ("on", "off"):
+        out = tmp_path / flag
+        config = _benchmark_config(tmp_path, out, record_runtime=flag, replications=2)
+        assert _run("benchmark", "--config", config) == 0
+        header, *rows = (out / "records.csv").read_text().splitlines()
+        column = header.split(",").index("runtime_ms")
+        runtimes[flag] = [float(row.split(",")[column]) for row in rows]
+    assert all(ms > 0 for ms in runtimes["on"])
+    assert runtimes["off"] == [0.0, 0.0]
 
 
 def test_benchmark_survives_cell_failures(tmp_path):
@@ -361,3 +429,17 @@ def test_unknown_cli_key_rejected(tmp_path, capsys):
                            whatever=3)
     assert _run("simulate", "--config", config) == 2
     assert "whatever" in capsys.readouterr().err
+
+
+def test_set_without_equals_sign_is_a_config_error(tmp_path, capsys):
+    config = _write_config(tmp_path, "s.cfg", n=10, p=4, r=2, seed=1,
+                           output_path=tmp_path / "out")
+    assert _run("simulate", "--config", config, "--set", "seed") == 2
+    assert "--set expects key=value, got 'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unreadable_config_is_a_config_error(tmp_path, capsys):
+    for path in (tmp_path / "missing.cfg", tmp_path):
+        assert _run("simulate", "--config", str(path)) == 2
+        assert f"error: cannot read config {path}" in capsys.readouterr().err

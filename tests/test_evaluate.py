@@ -230,6 +230,13 @@ def test_grid_validation():
     with pytest.raises(ValueError, match="repeat"):
         _small_grid(init_schemes=tuple(InitScheme.method_of_moments(subtraction=mode)
                                        for mode in SUBTRACTION_MODES))
+    # a repeated sweep value, also one that repeats only once coerced,
+    # would put the same cells twice into one summary row
+    for repeated in (dict(sweep_values=(60, 60)), dict(sweep_values=(60, np.int64(60))),
+                     dict(sweep_name="theta", sweep_values=(0.5, np.float32(0.5))),
+                     dict(sweep_name="theta", sweep_values=(1, 1.0))):
+        with pytest.raises(ValueError, match="sweep_values must not repeat"):
+            _small_grid(replications=2, **repeated)
     _small_grid(replications=np.int64(1), master_seed=np.int64(77),
                 sweep_values=(np.int64(120),))
 

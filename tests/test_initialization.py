@@ -3,8 +3,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from helpers import (batched_svd_mom_init, hand_instance, mom_matrix, objective,
-                     random_orthogonal, unit_columns, unpruned_mom_init)
+from helpers import (batched_svd_mom_init, hand_instance, mom_matrix, mom_slices,
+                     objective, random_orthogonal, unit_columns, unpruned_mom_init)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -335,6 +335,29 @@ def test_mom_init_projected_round_stays_in_complement():
     prior = np.eye(3)[:, :1]
     q0 = mom_init(fourth_moment(u), prior, 8, rng=rng)
     assert abs(q0[0]) <= 1e-10
+
+
+def test_mom_init_checks_the_slice_operator_settings():
+    stat = fourth_moment(substream(14, "init").standard_normal((3, 60)))
+    with pytest.raises(ValueError, match="sigma_u must be 3 x 3"):
+        mom_init(stat, _empty_prior(3), 4, np.eye(2), rng=substream(15, "init"))
+    with pytest.raises(ValueError, match="unknown subtraction mode: 'lemma-consistent'"):
+        mom_init(stat, _empty_prior(3), 4, rng=substream(15, "init"),
+                 subtraction="lemma-consistent")
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_slice_operator_reads_a_non_symmetric_sigma_u_as_the_formula_does(r):
+    # S (G + G^T) S + tr(G S) S for any S, not only the symmetric S_U a fit passes
+    rng = substream(16, "init", r)
+    u = rng.standard_normal((r, 80))
+    g = rng.standard_normal((4, r, r))
+    sigma_u = np.eye(r) + 0.5 * rng.standard_normal((r, r))
+    for mode in SUBTRACTION_MODES:
+        got = mom_slices(fourth_moment(u), g, sigma_u, mode)
+        for one, slice_ in zip(g, got):
+            assert np.allclose(slice_, mom_matrix(u, one, sigma_u, mode),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_mom_init_deterministic():

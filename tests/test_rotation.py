@@ -3,8 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
-from helpers import (corrected_gradient, hand_instance, mom_matrix, objective,
-                     population_gradient_h, population_objective,
+from helpers import (corrected_gradient, hand_instance, mom_matrix, mom_slices,
+                     objective, population_gradient_h, population_objective,
                      projected_finite_difference_gradient, random_orthogonal,
                      reference_pgd_solve, riemannian_gradient)
 from hypothesis import given, settings
@@ -15,7 +15,7 @@ from dvarimax import (DegenerateSolutionsError, DivergenceError, FourthMoment,
                       corrected_decomposition, deflate, derive_seed, eigendecompose,
                       fourth_moment, generate_dataset, generate_factors, mom_init,
                       pgd_solve, substream, symmetric_orthogonalize)
-from dvarimax.initialization import SUBTRACTION_MODES, _mom_slices
+from dvarimax.initialization import SUBTRACTION_MODES
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -154,7 +154,7 @@ def test_fourth_moment_matches_score_oracles(r, n, seed, log_scale):
                quartic + (1.0 + s_norm) * s_norm)]
     for corrected, mode in product((None, sigma_u), SUBTRACTION_MODES):
         kwargs = dict(sigma_u=corrected, subtraction=mode)
-        for one, got in zip(g, _mom_slices(stat, g, **kwargs)):
+        for one, got in zip(g, mom_slices(stat, g, **kwargs)):
             size = np.linalg.norm(one) * (quartic + 3.0 * np.linalg.norm(sigma_u) ** 2)
             checks.append((got, mom_matrix(u, one, **kwargs), size))
     for got, want, size in checks:
