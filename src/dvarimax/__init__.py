@@ -13,7 +13,7 @@ from .exceptions import (CorrectionInfeasibleError, DeflationVarimaxError,
                          RankDeficiencyError)
 from .initialization import (InitScheme, complement_projector,
                              make_init_provider, mom_init, multi_random_init,
-                             random_init)
+                             random_init, slice_operator)
 from .model import (GroundTruth, NoiseCovariance, ObservationMatrix,
                     SyntheticConfig, generate_dataset, generate_factors,
                     generate_loading, realize_noise_covariance)
@@ -39,7 +39,7 @@ __all__ = [
     "pgd_solve", "complement_basis", "deflate", "symmetric_orthogonalize",
     # initialization
     "InitScheme", "complement_projector", "random_init",
-    "multi_random_init", "mom_init", "make_init_provider",
+    "multi_random_init", "slice_operator", "mom_init", "make_init_provider",
     # estimator
     "EstimatorVariant", "EstimateDiagnostics", "LoadingEstimate",
     "estimate_loading", "loading_from_rotation", "predict_factors",

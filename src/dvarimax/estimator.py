@@ -68,11 +68,18 @@ class LoadingEstimate:
     diagnostics: EstimateDiagnostics
 
 
+def _check_rotation(decomposition: PcaDecomposition, q_check: np.ndarray) -> np.ndarray:
+    q_check = np.asarray(q_check, dtype=float)
+    if q_check.shape[0] != decomposition.r:
+        raise ValueError("rotation and decomposition dimensions differ")
+    return q_check
+
+
 def loading_from_rotation(decomposition: PcaDecomposition,
                           q_check: np.ndarray) -> np.ndarray:
     """Assemble V D^{1/2} Q and rescale it to unit operator norm."""
     basis = decomposition.eigvecs_r * np.sqrt(decomposition.eigvals)[None, :]
-    raw = basis @ q_check
+    raw = basis @ _check_rotation(decomposition, q_check)
     opnorm = np.linalg.norm(raw, 2)
     if opnorm <= 0:
         raise ValueError("degenerate loading with zero operator norm")
@@ -88,9 +95,7 @@ def predict_factors(decomposition: PcaDecomposition, q_check: np.ndarray) -> np.
     is the plain PCA, so every pipeline variant predicts from the
     uncorrected scores and eigenvalue.
     """
-    q_check = np.asarray(q_check, dtype=float)
-    if q_check.shape[0] != decomposition.r:
-        raise ValueError("rotation and decomposition dimensions differ")
+    q_check = _check_rotation(decomposition, q_check)
     return (q_check.T @ decomposition.scores) * np.sqrt(decomposition.eigvals[0])
 
 

@@ -2,8 +2,8 @@
 
 Every scheme reads the scores only through their fourth-moment statistic,
 the :class:`~dvarimax.rotation.FourthMoment` that ``estimate_loading``
-builds once per fit and shares with the rotation.  Three providers are
-available for starting each column solve:
+builds once per fit and shares with the rotation.  Three providers start
+the column solves, each called with only the prior columns:
 
 - ``random``: a standard-normal draw inside the orthogonal complement of
   the previously solved columns, normalized to the sphere.
@@ -19,14 +19,16 @@ available for starting each column solve:
   Its leading left singular vector is the initializer.  The subtraction is
   linear in G too, so all N slices are one product with an r^2 x r^2 slice
   operator K = T/3 - A, M(G) = reshape(vec(G)^T K), where T is the
-  fourth-moment statistic and A the Gaussian term.  The projected slices are
-  symmetric, so their gaps come from batched eigenvalue solves (singular
-  values are absolute eigenvalues), and only the chosen slice gets a full
-  SVD.  Most slices are never solved: two batched products give each slice
-  a proven upper bound on its gap (see ``_gap_bounds``).  A first pass
-  solves the slices with the largest bounds, a second pass only those
-  whose bound reaches the best gap found, and no slice left out can have
-  the largest gap, so the choice is that of solving every slice.
+  fourth-moment statistic and A the Gaussian term.  :func:`slice_operator`
+  forms K once per fit, in :func:`make_init_provider`, and every round's
+  :func:`mom_init` reads only K.  The projected slices are symmetric, so
+  their gaps come from batched eigenvalue solves (singular values are
+  absolute eigenvalues), and only the chosen slice gets a full SVD.  Most
+  slices are never solved: two batched products give each slice a proven
+  upper bound on its gap (see ``_gap_bounds``).  A first pass solves the
+  slices with the largest bounds, a second pass only those whose bound
+  reaches the best gap found, and no slice left out can have the largest
+  gap, so the choice is that of solving every slice.
 
 Two subtraction modes, ``InitScheme.subtraction``, are supported for the
 moment matrix.  The default ``as_written`` subtracts G + G^T.  The
@@ -34,13 +36,14 @@ alternative ``lemma_consistent`` subtracts exactly what the fourth-moment
 expectation identity for whitened scores prescribes, (1/3) tr(G) I +
 (1/3)(G + G^T); the modes differ by a symmetric residual.  Given a score
 covariance estimate ``sigma_u`` S_U = I + sigma_n_hat, which the
-``mom_improved`` scheme passes, ``mom_init`` subtracts the noise-corrected
+``mom_improved`` scheme passes, K subtracts the noise-corrected
 S_U (G + G^T) S_U + tr(G S_U) S_U instead (1/3 of it if lemma_consistent).
 So in the ``lemma_consistent`` mode K is a third of T minus the Gaussian
 fourth moment with covariance S_U, or I without ``sigma_u``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,6 +59,7 @@ __all__ = [
     "complement_projector",
     "random_init",
     "multi_random_init",
+    "slice_operator",
     "mom_init",
     "make_init_provider",
 ]
@@ -173,8 +177,8 @@ def multi_random_init(stat: FourthMoment, prior: np.ndarray, draws: int,
     return candidates[int(np.argmin(values))]
 
 
-def _slice_operator(stat: FourthMoment, sigma_u: Optional[np.ndarray],
-                    subtraction: str) -> np.ndarray:
+def slice_operator(stat: FourthMoment, sigma_u: Optional[np.ndarray] = None,
+                   subtraction: str = "as_written") -> np.ndarray:
     """The r^2 x r^2 operator K = T/3 - A whose product with vec(G) is the
     moment slice for G, M(G) = reshape(vec(G)^T K); linear in G.
 
@@ -232,18 +236,17 @@ def _gap_bounds(low: np.ndarray) -> np.ndarray:
         return top - np.sqrt(np.maximum(rest, 0.0) / (low.shape[-1] - 1))
 
 
-def mom_init(stat: FourthMoment, prior: np.ndarray, n_slices: int,
-             sigma_u: Optional[np.ndarray] = None, *, rng: np.random.Generator,
-             subtraction: str = "as_written") -> np.ndarray:
+def mom_init(operator: np.ndarray, prior: np.ndarray, n_slices: int, *,
+             rng: np.random.Generator) -> np.ndarray:
     """Method-of-moments initializer via multiple random slicings.
 
-    Draws ``n_slices`` standard-normal r x r matrices (one
-    (n_slices, r, r) draw, the same stream as n_slices separate ones),
-    reads each moment slice from ``stat``, projects it onto the
-    complement of the prior columns on both sides, and returns the leading
-    left singular vector of the slice with the largest top-two
-    singular-value gap (ties to the earliest slice).  The returned
-    vector's largest-magnitude entry is made positive.
+    Draws ``n_slices`` standard-normal r x r matrices (one (n_slices, r, r)
+    draw, the same stream as n_slices separate ones), reads each moment
+    slice from the fit's :func:`slice_operator` ``operator``, projects it
+    onto the complement of the prior columns on both sides, and returns the
+    leading left singular vector of the slice with the largest top-two
+    singular-value gap (ties to the earliest slice).  The returned vector's
+    largest-magnitude entry is made positive.
 
     Only slices that can have the largest gap are eigen-solved.  The
     max(4, n_slices // 64) slices with the largest gap bounds are solved
@@ -259,14 +262,19 @@ def mom_init(stat: FourthMoment, prior: np.ndarray, n_slices: int,
         If every slice has a gap below 1e-12.
     """
     _check_integer("n_slices", n_slices, 1)
-    r = stat.r
+    operator = np.asarray(operator, dtype=float)
+    r = math.isqrt(operator.shape[0]) if operator.ndim == 2 else 0
+    if r < 1 or operator.shape != (r * r, r * r):
+        raise ValueError(f"operator must be r^2 x r^2 for an r >= 1, got shape {operator.shape}")
+    proj = complement_projector(prior)
+    if proj.shape[0] != r:
+        raise ValueError(f"prior must have {r} rows, got {proj.shape[0]}")
     if r == 1:
         return np.ones(1)
-    proj = complement_projector(prior)
 
     g = rng.standard_normal((n_slices, r, r))
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        slices = g.reshape(n_slices, r * r) @ _slice_operator(stat, sigma_u, subtraction)
+        slices = g.reshape(n_slices, r * r) @ operator
         m = proj @ slices.reshape(g.shape) @ proj
     if not np.isfinite(m).all():
         bad = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))
@@ -302,22 +310,21 @@ def mom_init(stat: FourthMoment, prior: np.ndarray, n_slices: int,
 def make_init_provider(scheme: InitScheme, stat: FourthMoment,
                        rng: np.random.Generator, *,
                        sigma_u: Optional[np.ndarray] = None):
-    """Build the ``(k, prior) -> q0`` callable used by the deflation loop.
+    """Build the ``prior -> q0`` callable used by the deflation loop.
 
-    Every round reads the statistic ``stat``.  ``sigma_u``, the score
-    covariance estimate, is given exactly for the ``mom_improved`` scheme.
-    The provider consumes ``rng`` sequentially across rounds, so a fixed
-    seed fixes the whole initialization sequence.
+    Every round reads ``stat``, the ``mom`` schemes through its
+    :func:`slice_operator`, formed here once per fit.  ``sigma_u`` (the
+    score covariance estimate) is given exactly for ``mom_improved``.  A
+    fixed ``rng``, consumed in sequence across rounds, fixes every start.
     """
     if scheme.improved != (sigma_u is not None):
         raise ValueError("a score covariance estimate sigma_u is given exactly "
                          "for the mom_improved init scheme")
     r = stat.r
     if scheme.label == "random":
-        return lambda k, prior: random_init(prior, rng)
+        return lambda prior: random_init(prior, rng)
     if scheme.label == "multi_random":
         draws = scheme.draws_for(r)
-        return lambda k, prior: multi_random_init(stat, prior, draws, rng)
-    n_slices = scheme.slices_for(r)
-    return lambda k, prior: mom_init(stat, prior, n_slices, sigma_u, rng=rng,
-                                     subtraction=scheme.subtraction)
+        return lambda prior: multi_random_init(stat, prior, draws, rng)
+    operator, n_slices = slice_operator(stat, sigma_u, scheme.subtraction), scheme.slices_for(r)
+    return lambda prior: mom_init(operator, prior, n_slices, rng=rng)

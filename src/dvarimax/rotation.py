@@ -175,8 +175,8 @@ def fourth_moment(u: np.ndarray) -> FourthMoment:
     and r^2 n memory.
     """
     u = np.asarray(u, dtype=float)
-    if u.ndim != 2:
-        raise ValueError("score matrix must be 2-D (r x n)")
+    if u.ndim != 2 or u.shape[1] < 1:
+        raise ValueError(f"score matrix must be 2-D (r x n) with n >= 1, got shape {u.shape}")
     r, n = u.shape
     w = (u[:, None, :] * u[None, :, :]).reshape(r * r, n)
     return FourthMoment((w @ w.T) / n)
@@ -317,8 +317,8 @@ def deflate(stat: FourthMoment, init_provider,
     """Solve all ``stat.r`` rotation columns sequentially, then orthogonalize.
 
     ``stat`` is the :class:`FourthMoment` of the r x n scores.
-    ``init_provider(k, prior)`` must return a unit r-vector for round
-    k = 1..r given the r x (k-1) block of previously solved columns.
+    ``init_provider(prior)`` must return a unit r-vector for round
+    k = 1..r given only the r x (k-1) block ``prior`` of the solved columns.
     The column solves are unconstrained, except that when the smallest
     singular value of the stacked columns q_1..q_k falls below 0.1 (round
     k re-found an earlier direction) round k is solved again on the unit
@@ -338,7 +338,7 @@ def deflate(stat: FourthMoment, init_provider,
     iter_counts, grad_norms, flags, restricted = [], [], [], []
     for k in range(1, r + 1):
         prior = np.column_stack(columns) if columns else np.zeros((r, 0))
-        q0 = np.asarray(init_provider(k, prior), dtype=float)
+        q0 = np.asarray(init_provider(prior), dtype=float)
         try:
             q, iters, gnorm, converged = pgd_solve(q0, stat, config)
             duplicate = k > 1 and np.linalg.svd(

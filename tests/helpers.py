@@ -15,7 +15,7 @@ from itertools import permutations, product
 import numpy as np
 
 from dvarimax import DegenerateSlicingError, DivergenceError, complement_projector
-from dvarimax.initialization import SUBTRACTION_MODES, _slice_operator
+from dvarimax.initialization import SUBTRACTION_MODES
 from dvarimax.rotation import _MIN_ITERATE_NORM, _check_sigma_n, _check_unit
 
 
@@ -113,12 +113,11 @@ def mom_matrix(u: np.ndarray, g: np.ndarray, sigma_u: np.ndarray | None = None,
     return (u * quad) @ u.T / (3 * n) - subtracted
 
 
-def mom_slices(stat, g, sigma_u=None, subtraction="as_written"):
-    """The package's moment slices for a stack (S, r, r) of slicing
-    matrices, one product with its slice operator, as ``mom_init`` forms
+def mom_slices(operator, g):
+    """The moment slices for a stack (S, r, r) of slicing matrices, one
+    product with the package's slice ``operator``, as ``mom_init`` forms
     them."""
-    flat = g.reshape(g.shape[0], stat.r ** 2)
-    return (flat @ _slice_operator(stat, sigma_u, subtraction)).reshape(g.shape)
+    return (g.reshape(g.shape[0], -1) @ operator).reshape(g.shape)
 
 
 def reference_pgd_solve(q0, stat, config):
@@ -223,15 +222,14 @@ def full_eigh_decomposition(x, r):
     return eigvals, vecs[:, order[:r]], float(eigvals[r:].sum())
 
 
-def batched_svd_mom_init(stat, prior, n_slices, sigma_u=None, *, rng,
-                         subtraction="as_written"):
+def batched_svd_mom_init(operator, prior, n_slices, *, rng):
     """Reference method-of-moments selection: the same slice stack as
     ``mom_init``, a full SVD of every slice, and the leading left singular
     vector of the slice with the largest top-two gap, sign-fixed."""
-    r = stat.r
+    r = math.isqrt(operator.shape[0])
     g = rng.standard_normal((n_slices, r, r))
     proj = complement_projector(prior)
-    m = proj @ mom_slices(stat, g, sigma_u, subtraction) @ proj
+    m = proj @ mom_slices(operator, g) @ proj
     left, singulars, _ = np.linalg.svd(m)
     gaps = singulars[:, 0] - singulars[:, 1]
     if np.max(gaps) < 1e-12:
@@ -240,17 +238,16 @@ def batched_svd_mom_init(stat, prior, n_slices, sigma_u=None, *, rng,
     return -best if best[np.argmax(np.abs(best))] < 0 else best
 
 
-def unpruned_mom_init(stat, prior, n_slices, sigma_u=None, *, rng,
-                      subtraction="as_written"):
+def unpruned_mom_init(operator, prior, n_slices, *, rng):
     """Reference method-of-moments selection without gap bounds: one
     batched ``eigvalsh`` of every projected slice, the argmax of the
     top-two singular-value gaps, one SVD of that slice, sign-fixed."""
-    r = stat.r
+    r = math.isqrt(operator.shape[0])
     if r == 1:
         return np.ones(1)
     proj = complement_projector(prior)
     g = rng.standard_normal((n_slices, r, r))
-    m = proj @ mom_slices(stat, g, sigma_u, subtraction) @ proj
+    m = proj @ mom_slices(operator, g) @ proj
     singulars = np.sort(np.abs(np.linalg.eigvalsh(m)), axis=1)
     gaps = singulars[:, -1] - singulars[:, -2]
     if np.max(gaps) < 1e-12:

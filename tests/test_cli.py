@@ -142,6 +142,9 @@ def test_simulate_requires_seed(tmp_path, capsys):
     config = _write_config(tmp_path, "sim.cfg", n=10, p=4, r=2)
     assert _run("simulate", "--config", config) == 2
     assert "seed" in capsys.readouterr().err
+    config = _write_config(tmp_path, "auto.cfg", n=10, p=4, r="auto", seed=1)
+    assert _run("simulate", "--config", config) == 2
+    assert capsys.readouterr().err == "error: simulate requires a numeric r\n"
 
 
 @pytest.mark.parametrize("entries, message", [
@@ -290,6 +293,12 @@ def test_estimate_missing_input_is_io_error(tmp_path, capsys):
     code = _run("estimate", "--config", config)
     assert code == 1
     assert "nope.csv" in capsys.readouterr().err
+    # a file that exists but holds no data rows is a config error
+    (tmp_path / "empty.csv").write_text("# rows=0 cols=0\n")
+    config = _write_config(tmp_path, "empty.cfg", input_path=tmp_path / "empty.csv",
+                           output_path=tmp_path, r=2, seed=1)
+    assert _run("estimate", "--config", config) == 2
+    assert "empty.csv: no data rows" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +330,9 @@ def test_benchmark_requires_seed(tmp_path, capsys):
                            replications=1, output_path=out)
     assert _run("benchmark", "--config", config) == 2
     assert "seed" in capsys.readouterr().err
+    config = _benchmark_config(tmp_path, out, sweep_values="a,b")
+    assert _run("benchmark", "--config", config) == 2
+    assert "error: sweep_values: " in capsys.readouterr().err
 
 
 # base value of each sweepable parameter in _benchmark_config

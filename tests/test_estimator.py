@@ -40,6 +40,9 @@ def test_identity_rotation_reproduces_pca_columns():
     loading = loading_from_rotation(decomp, np.eye(3))
     raw = decomp.eigvecs_r * np.sqrt(decomp.eigvals)[None, :]
     assert np.allclose(loading, raw / np.linalg.norm(raw, 2), atol=1e-14)
+    for assemble in (loading_from_rotation, predict_factors):
+        with pytest.raises(ValueError, match="rotation and decomposition dimensions differ"):
+            assemble(decomp, np.eye(2))
 
 
 def test_every_variant_has_unit_operator_norm():

@@ -215,6 +215,8 @@ def test_grid_validation():
         _small_grid(replications=0)
     with pytest.raises(ValueError):
         _small_grid(sweep_values=())
+    with pytest.raises(ValueError, match="variants and init_schemes must be nonempty"):
+        _small_grid(variants=())
     with pytest.raises(ValueError, match="subtraction"):
         _small_grid(init_schemes=(InitScheme.method_of_moments(
             subtraction="lemma-consistent"),))

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvarimax import (DegenerateProjectorError, DegenerateSlicingError, DivergenceError,
-                      FourthMoment, InitScheme, RotationSolveConfig, complement_basis,
-                      complement_projector, deflate, fourth_moment, generate_factors,
-                      initialization, make_init_provider, mom_init, multi_random_init,
-                      random_init, substream)
+                      FourthMoment, InitScheme, RotationSolveConfig, SyntheticConfig,
+                      complement_basis, complement_projector, deflate, estimate_loading,
+                      fourth_moment, generate_dataset, generate_factors, initialization,
+                      make_init_provider, mom_init, multi_random_init, random_init,
+                      slice_operator, substream)
 from dvarimax.initialization import SUBTRACTION_MODES
 
 
@@ -273,7 +274,7 @@ def test_mom_matrix_improved_requires_sigma_u():
 # ---------------------------------------------------------------------------
 
 def test_mom_init_scalar_dimension():
-    q0 = mom_init(fourth_moment(np.ones((1, 10))), _empty_prior(1), 4,
+    q0 = mom_init(slice_operator(fourth_moment(np.ones((1, 10)))), _empty_prior(1), 4,
                   rng=substream(11, "init"))
     assert np.array_equal(q0, np.ones(1))
 
@@ -281,28 +282,28 @@ def test_mom_init_scalar_dimension():
 def test_mom_init_single_slice_is_leading_singular_vector():
     rng = substream(12, "init")
     u = rng.standard_normal((3, 60))
-    q0 = mom_init(fourth_moment(u), _empty_prior(3), 1, rng=substream(13, "init"))
+    operator = slice_operator(fourth_moment(u))
+    q0 = mom_init(operator, _empty_prior(3), 1, rng=substream(13, "init"))
     g = substream(13, "init").standard_normal((3, 3))
     m = mom_matrix(u, g)
     left = np.linalg.svd(m)[0][:, 0]
     if left[np.argmax(np.abs(left))] < 0:
         left = -left
     assert np.allclose(q0, left, atol=1e-12)
-    same = mom_init(fourth_moment(u), _empty_prior(3), np.int64(1),
-                    rng=substream(13, "init"))
+    same = mom_init(operator, _empty_prior(3), np.int64(1), rng=substream(13, "init"))
     assert np.array_equal(same, q0)
     for bad in (0, 2.5, True):
         with pytest.raises(ValueError, match="n_slices"):
-            mom_init(fourth_moment(u), _empty_prior(3), bad, rng=substream(13, "init"))
+            mom_init(operator, _empty_prior(3), bad, rng=substream(13, "init"))
     with pytest.raises(TypeError, match="rng"):
-        mom_init(fourth_moment(u), _empty_prior(3), 1)
+        mom_init(operator, _empty_prior(3), 1)
 
 
 def test_mom_init_gap_selection_dominates():
     rng = substream(14, "init")
     u = generate_factors(3, 5000, 0.2, rng) / np.sqrt(0.2)
     draws = substream(15, "init")
-    q0 = mom_init(fourth_moment(u), _empty_prior(3), 8, rng=draws)
+    q0 = mom_init(slice_operator(fourth_moment(u)), _empty_prior(3), 8, rng=draws)
     # recompute every slice's gap with an identical stream
     fresh = substream(15, "init")
     gaps, vectors = [], []
@@ -322,7 +323,7 @@ def test_mom_init_recovers_axes_noiseless():
     for seed in range(1, 51):
         rng = substream(seed, "mom-axis")
         u = generate_factors(2, 50000, 0.1, rng) / np.sqrt(0.1)
-        q0 = mom_init(fourth_moment(u), _empty_prior(2), 16, rng=rng)
+        q0 = mom_init(slice_operator(fourth_moment(u)), _empty_prior(2), 16, rng=rng)
         dist = min(min(np.linalg.norm(q0 - e), np.linalg.norm(q0 + e))
                    for e in np.eye(2))
         hits += dist <= 0.2
@@ -333,17 +334,22 @@ def test_mom_init_projected_round_stays_in_complement():
     rng = substream(16, "init")
     u = generate_factors(3, 4000, 0.2, rng) / np.sqrt(0.2)
     prior = np.eye(3)[:, :1]
-    q0 = mom_init(fourth_moment(u), prior, 8, rng=rng)
+    q0 = mom_init(slice_operator(fourth_moment(u)), prior, 8, rng=rng)
     assert abs(q0[0]) <= 1e-10
 
 
 def test_mom_init_checks_the_slice_operator_settings():
     stat = fourth_moment(substream(14, "init").standard_normal((3, 60)))
     with pytest.raises(ValueError, match="sigma_u must be 3 x 3"):
-        mom_init(stat, _empty_prior(3), 4, np.eye(2), rng=substream(15, "init"))
+        slice_operator(stat, np.eye(2))
     with pytest.raises(ValueError, match="unknown subtraction mode: 'lemma-consistent'"):
-        mom_init(stat, _empty_prior(3), 4, rng=substream(15, "init"),
-                 subtraction="lemma-consistent")
+        slice_operator(stat, subtraction="lemma-consistent")
+    operator = slice_operator(stat)
+    for bad in (operator[:8, :8], operator[:, :8], operator.ravel(), np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="operator must be r\\^2 x r\\^2"):
+            mom_init(bad, _empty_prior(3), 4, rng=substream(15, "init"))
+    with pytest.raises(ValueError, match="prior must have 3 rows, got 2"):
+        mom_init(operator, _empty_prior(2), 4, rng=substream(15, "init"))
 
 
 @pytest.mark.parametrize("r", [2, 3, 5])
@@ -354,7 +360,7 @@ def test_slice_operator_reads_a_non_symmetric_sigma_u_as_the_formula_does(r):
     g = rng.standard_normal((4, r, r))
     sigma_u = np.eye(r) + 0.5 * rng.standard_normal((r, r))
     for mode in SUBTRACTION_MODES:
-        got = mom_slices(fourth_moment(u), g, sigma_u, mode)
+        got = mom_slices(slice_operator(fourth_moment(u), sigma_u, mode), g)
         for one, slice_ in zip(g, got):
             assert np.allclose(slice_, mom_matrix(u, one, sigma_u, mode),
                                rtol=1e-12, atol=1e-12)
@@ -363,8 +369,9 @@ def test_slice_operator_reads_a_non_symmetric_sigma_u_as_the_formula_does(r):
 def test_mom_init_deterministic():
     rng_data = substream(17, "init")
     u = rng_data.standard_normal((4, 200))
-    a = mom_init(fourth_moment(u), _empty_prior(4), 8, rng=substream(18, "init"))
-    b = mom_init(fourth_moment(u), _empty_prior(4), 8, rng=substream(18, "init"))
+    operator = slice_operator(fourth_moment(u))
+    a = mom_init(operator, _empty_prior(4), 8, rng=substream(18, "init"))
+    b = mom_init(operator, _empty_prior(4), 8, rng=substream(18, "init"))
     assert np.array_equal(a, b)
 
 
@@ -379,8 +386,8 @@ def test_mom_init_picks_the_slice_a_loop_over_mom_matrix_picks(
     prior = random_orthogonal(r, rng)[:, :min(k, r - 2)]
     sigma_u = np.eye(r) + np.diag(rng.uniform(0.0, 0.5, r))
     kwargs = dict(sigma_u=sigma_u if improved else None, subtraction=mode)
-    got = mom_init(fourth_moment(u), prior, slices, rng=substream(seed, "batched"),
-                   **kwargs)
+    got = mom_init(slice_operator(fourth_moment(u), **kwargs), prior, slices,
+                   rng=substream(seed, "batched"))
     # the reference: one draw, one moment slice and one SVD per slice
     draws = substream(seed, "batched")
     proj = complement_projector(prior)
@@ -406,17 +413,16 @@ def test_mom_init_returns_the_batched_svd_selection_bitwise(
     prior = random_orthogonal(r, rng)[:, :min(k, r - 1)]
     sigma_u = np.eye(r) + np.diag(rng.uniform(0.0, 0.5, r))
     kwargs = dict(sigma_u=sigma_u if improved else None, subtraction=mode)
-    got = mom_init(fourth_moment(u), prior, slices, rng=substream(seed, "slices"),
-                   **kwargs)
-    want = batched_svd_mom_init(fourth_moment(u), prior, slices,
-                                rng=substream(seed, "slices"), **kwargs)
+    operator = slice_operator(fourth_moment(u), **kwargs)
+    got = mom_init(operator, prior, slices, rng=substream(seed, "slices"))
+    want = batched_svd_mom_init(operator, prior, slices, rng=substream(seed, "slices"))
     assert np.array_equal(got, want)
     # A stack whose every slice is zero has no gap to pick by.
-    zeros = dict(kwargs, sigma_u=np.zeros((r, r)))
+    zeros = slice_operator(fourth_moment(np.zeros((r, 300))),
+                           **dict(kwargs, sigma_u=np.zeros((r, r))))
     for init in (mom_init, batched_svd_mom_init):
         with pytest.raises(DegenerateSlicingError):
-            init(fourth_moment(np.zeros((r, 300))), prior, slices,
-                 rng=substream(seed, "slices"), **zeros)
+            init(zeros, prior, slices, rng=substream(seed, "slices"))
 
 
 class _FixedDraws:
@@ -448,8 +454,9 @@ def test_mom_init_returns_the_unpruned_selection_bitwise(
     sigma_u = np.eye(r) + np.diag(rng.uniform(0.0, 0.5, r))
     kwargs = dict(sigma_u=sigma_u if improved else None, subtraction=mode)
     g = rng.standard_normal((distinct, r, r))[np.arange(slices) % distinct]
-    got = mom_init(stat, prior, slices, rng=_FixedDraws(g), **kwargs)
-    want = unpruned_mom_init(stat, prior, slices, rng=_FixedDraws(g), **kwargs)
+    operator = slice_operator(stat, **kwargs)
+    got = mom_init(operator, prior, slices, rng=_FixedDraws(g))
+    want = unpruned_mom_init(operator, prior, slices, rng=_FixedDraws(g))
     assert np.array_equal(got, want)
 
 
@@ -467,8 +474,9 @@ def test_mom_init_bounds_the_triangle_that_eigvalsh_reads():
         noise = rng.standard_normal((r * r, r * r))
         stat = FourthMoment(3.0 * (eye + swap) + 5e-11 * (noise + noise.T))
         prior = unit_columns(r, int(rng.integers(0, r)), 0.05, rng)
-        got = mom_init(stat, prior, 4 * r * r, rng=np.random.default_rng(seed))
-        want = unpruned_mom_init(stat, prior, 4 * r * r, rng=np.random.default_rng(seed))
+        operator = slice_operator(stat)
+        got = mom_init(operator, prior, 4 * r * r, rng=np.random.default_rng(seed))
+        want = unpruned_mom_init(operator, prior, 4 * r * r, rng=np.random.default_rng(seed))
         assert np.array_equal(got, want), seed
 
 
@@ -481,15 +489,16 @@ def test_mom_init_breaks_exact_gap_ties_toward_the_earliest_slice(seed):
     r, slices = 4, 64
     g = np.zeros((slices, r, r))
     g[:, np.arange(r), np.arange(r)] = rng.integers(-3, 4, (slices, r))
-    stat, prior = fourth_moment(np.zeros((r, 10))), _empty_prior(r)
-    got = mom_init(stat, prior, slices, rng=_FixedDraws(g))
+    operator, prior = slice_operator(fourth_moment(np.zeros((r, 10)))), _empty_prior(r)
+    got = mom_init(operator, prior, slices, rng=_FixedDraws(g))
     diag = np.abs(g[:, np.arange(r), np.arange(r)])
     top = np.sort(diag, axis=1)
     gaps = top[:, -1] - top[:, -2]
     first = int(np.argmax(gaps))
     assert np.sum(gaps == gaps[first]) > 1
     assert np.array_equal(got, np.eye(r)[np.argmax(diag[first])])
-    assert np.array_equal(got, unpruned_mom_init(stat, prior, slices, rng=_FixedDraws(g)))
+    assert np.array_equal(got, unpruned_mom_init(operator, prior, slices,
+                                                 rng=_FixedDraws(g)))
 
 
 def test_mom_init_eigen_solves_under_half_of_the_slices(monkeypatch):
@@ -503,10 +512,11 @@ def test_mom_init_eigen_solves_under_half_of_the_slices(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     rng = substream(24, "init")
     stat = fourth_moment(generate_factors(10, 2000, 0.2, rng) / np.sqrt(0.2))
+    operator = slice_operator(stat)
     columns = unit_columns(10, 9, 0.05, rng)
     for k in range(10):
         solved.append(0)
-        mom_init(stat, columns[:, :k], 400, rng=rng)
+        mom_init(operator, columns[:, :k], 400, rng=rng)
     assert max(solved) < 200, solved
 
 
@@ -515,11 +525,12 @@ def test_mom_init_raises_divergence_on_a_non_finite_statistic(bad):
     stat = FourthMoment(np.full((9, 9), bad))
     with pytest.raises(DivergenceError, match="16 of 16 moment slices are not finite, "
                                               "at indices 0, 1, 2, 3, 4, ...$"):
-        mom_init(stat, _empty_prior(3), 16, rng=substream(25, "init"))
+        mom_init(slice_operator(stat), _empty_prior(3), 16, rng=substream(25, "init"))
     t = np.zeros((9, 9))
     t[0, 0] = bad
     with pytest.raises(DivergenceError, match="moment slices are not finite"):
-        mom_init(FourthMoment(t), _empty_prior(3), 16, rng=substream(25, "init"))
+        mom_init(slice_operator(FourthMoment(t)), _empty_prior(3), 16,
+                 rng=substream(25, "init"))
 
 
 def test_deflate_from_mom_init_on_overflowing_scores_raises_divergence():
@@ -542,8 +553,8 @@ def test_provider_outputs_unit_vectors():
                    InitScheme.method_of_moments(8)):
         provider = make_init_provider(scheme, fourth_moment(u), substream(20, scheme.label))
         prior = _empty_prior(3)
-        for k in (1, 2):
-            q0 = provider(k, prior)
+        for _ in range(2):
+            q0 = provider(prior)
             assert abs(np.linalg.norm(q0) - 1.0) <= 1e-12
             prior = np.column_stack([prior, q0]) if prior.size else q0[:, None]
 
@@ -569,6 +580,22 @@ def test_provider_reads_the_scheme_subtraction(mode):
     for improved, given in ((False, None), (True, sigma_u)):
         scheme = InitScheme.method_of_moments(8, improved, mode)
         provider = make_init_provider(scheme, stat, substream(23, "init"), sigma_u=given)
-        want = mom_init(stat, prior, 8, given, rng=substream(23, "init"),
-                        subtraction=mode)
-        assert np.array_equal(provider(1, prior), want)
+        want = mom_init(slice_operator(stat, given, mode), prior, 8,
+                        rng=substream(23, "init"))
+        assert np.array_equal(provider(prior), want)
+
+
+def test_a_mom_fit_forms_the_slice_operator_once(monkeypatch):
+    # all five rounds read the one operator that make_init_provider forms
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return slice_operator(*args, **kwargs)
+
+    monkeypatch.setattr(initialization, "slice_operator", counting)
+    observed, _ = generate_dataset(SyntheticConfig(n=400, p=12, r=5, seed=27))
+    est = estimate_loading(observed.data, 5, init_scheme=InitScheme.method_of_moments(),
+                           rng=substream(27, "init"))
+    assert est.diagnostics.iter_counts.shape == (5,)
+    assert len(calls) == 1

@@ -74,6 +74,8 @@ def test_loading_deterministic():
     a, da = generate_loading(20, 4, substream(11, "loading"))
     b, db = generate_loading(20, 4, substream(11, "loading"))
     assert np.array_equal(a, b) and np.array_equal(da, db)
+    with pytest.raises(TypeError, match="unsupported stream tag type: object"):
+        substream(1, object())
 
 
 def test_loading_rejects_r_above_p():

@@ -14,7 +14,7 @@ from dvarimax import (DegenerateSolutionsError, DivergenceError, FourthMoment,
                       RotationSolveConfig, SyntheticConfig, complement_basis,
                       corrected_decomposition, deflate, derive_seed, eigendecompose,
                       fourth_moment, generate_dataset, generate_factors, mom_init,
-                      pgd_solve, substream, symmetric_orthogonalize)
+                      pgd_solve, slice_operator, substream, symmetric_orthogonalize)
 from dvarimax.initialization import SUBTRACTION_MODES
 
 E1 = np.array([1.0, 0.0])
@@ -154,7 +154,7 @@ def test_fourth_moment_matches_score_oracles(r, n, seed, log_scale):
                quartic + (1.0 + s_norm) * s_norm)]
     for corrected, mode in product((None, sigma_u), SUBTRACTION_MODES):
         kwargs = dict(sigma_u=corrected, subtraction=mode)
-        for one, got in zip(g, mom_slices(stat, g, **kwargs)):
+        for one, got in zip(g, mom_slices(slice_operator(stat, **kwargs), g)):
             size = np.linalg.norm(one) * (quartic + 3.0 * np.linalg.norm(sigma_u) ** 2)
             checks.append((got, mom_matrix(u, one, **kwargs), size))
     for got, want, size in checks:
@@ -230,6 +230,10 @@ def test_fourth_moment_validates_when_built():
             FourthMoment(matrix)
     with pytest.raises(ValueError, match="shape \\(3, 3\\)"):
         FourthMoment(np.eye(3))
+    # a 1-D score vector, and a score matrix with no samples to average over
+    for scores in (np.ones(3), np.ones((3, 0))):
+        with pytest.raises(ValueError, match="score matrix must be 2-D \\(r x n\\) with n >= 1"):
+            fourth_moment(scores)
 
 
 def test_fourth_moment_keeps_a_private_copy_of_its_matrix():
@@ -444,7 +448,7 @@ def test_pgd_solve_matches_the_reference_over_a_long_non_converging_run():
     base = fourth_moment(decomp.scores)
     improved2 = fourth_moment(corrected.scores).bias_corrected(corrected.sigma_n_hat)
     rng = substream(18, "rot")
-    starts = [mom_init(base, np.zeros((5, 0)), 100, rng=rng),
+    starts = [mom_init(slice_operator(base), np.zeros((5, 0)), 100, rng=rng),
               _random_unit(5, rng), _random_unit(5, rng)]
     solve = RotationSolveConfig(step_size=1e-4, grad_tol=1e-6, max_iters=5000)
     for stat in (base, improved2):
@@ -513,7 +517,8 @@ def test_solve_config_validates():
 
 def test_deflate_on_hand_instance_recovers_signed_permutation():
     inits = {1: np.array([0.8, 0.6]), 2: np.array([0.6, -0.8])}
-    result = deflate(fourth_moment(hand_instance()), lambda k, prior: inits[k],
+    result = deflate(fourth_moment(hand_instance()),
+                     lambda prior: inits[prior.shape[1] + 1],
                      RotationSolveConfig(step_size=0.05, grad_tol=1e-12,
                                          max_iters=20000))
     q = result.q_check
@@ -526,7 +531,7 @@ def test_deflate_on_hand_instance_recovers_signed_permutation():
 def test_deflate_columns_are_unit_and_counts_recorded():
     rng = substream(10, "rot")
     u = rng.standard_normal((4, 60))
-    provider = lambda k, prior: _random_unit(4, rng)
+    provider = lambda prior: _random_unit(4, rng)
     result = deflate(fourth_moment(u), provider,
                      RotationSolveConfig(step_size=1e-3, max_iters=200))
     assert result.q_hat.shape == (4, 4)
@@ -541,9 +546,9 @@ def test_deflate_permutation_covariance():
     u = rng.standard_normal((3, 40))
     inits = [_random_unit(3, rng) for _ in range(3)]
     config = RotationSolveConfig(step_size=1e-3, max_iters=300)
-    direct = deflate(fourth_moment(u), lambda k, prior: inits[k - 1], config)
+    direct = deflate(fourth_moment(u), lambda prior: inits[prior.shape[1]], config)
     perm = [2, 0, 1]
-    permuted = deflate(fourth_moment(u), lambda k, prior: inits[perm[k - 1]], config)
+    permuted = deflate(fourth_moment(u), lambda prior: inits[perm[prior.shape[1]]], config)
     assert np.array_equal(permuted.q_hat, direct.q_hat[:, perm])
 
 
@@ -551,7 +556,8 @@ def test_deflate_resolves_a_duplicate_round_in_the_complement():
     # Round 2 descends from (0.8, 0.6) onto E1, which round 1 already holds,
     # so it is solved again on the complement of E1.
     inits = {1: E1, 2: np.array([0.8, 0.6])}
-    result = deflate(fourth_moment(hand_instance()), lambda k, prior: inits[k],
+    result = deflate(fourth_moment(hand_instance()),
+                     lambda prior: inits[prior.shape[1] + 1],
                      RotationSolveConfig(step_size=0.1))
     assert np.array_equal(result.restricted, [False, True])
     for got in (result.q_hat, result.q_check):
@@ -562,7 +568,7 @@ def test_deflate_resolves_a_duplicate_round_in_the_complement():
 def test_deflate_duplicate_round_with_no_complement_start_raises():
     # Round 2 starts exactly on E1, whose projection on the complement is 0.
     with pytest.raises(DegenerateSolutionsError):
-        deflate(fourth_moment(hand_instance()), lambda k, prior: E1,
+        deflate(fourth_moment(hand_instance()), lambda prior: E1,
                 RotationSolveConfig())
 
 
@@ -571,7 +577,7 @@ def test_deflate_divergence_carries_column_index():
     u = 1e200 * hand_instance()
     inits = {1: np.array([0.8, 0.6]), 2: np.array([0.6, -0.8])}
     with pytest.raises(DivergenceError) as info:
-        deflate(fourth_moment(u), lambda k, prior: inits[k],
+        deflate(fourth_moment(u), lambda prior: inits[prior.shape[1] + 1],
                 RotationSolveConfig(grad_tol=1e-300, max_iters=20))
     assert info.value.column == 1
 
@@ -586,6 +592,8 @@ def test_symmetric_orthogonalize_cases():
                        rot, atol=1e-12)
     column = _random_unit(3, rng)[:, None]
     assert np.allclose(symmetric_orthogonalize(column), column, atol=1e-12)
+    with pytest.raises(ValueError, match="r >= s"):
+        symmetric_orthogonalize(np.ones((2, 3)))
 
 
 def test_symmetric_orthogonalize_is_nearest():

@@ -92,6 +92,8 @@ def test_invalid_rank_rejected():
         for r in (0, 4, 3.0, True, "2"):
             with pytest.raises(ValueError):
                 solve(x, r)
+    with pytest.raises(ValueError, match="2-D"):
+        eigendecompose(np.ones(5), 1)
 
 
 def test_eigenvector_sign_convention():
@@ -470,6 +472,7 @@ def test_select_rank_examples():
     assert select_rank(np.array([100.0, 99.0, 1.0, 0.9]), 3) == 2
     assert select_rank(np.array([10.0, 1.0]), 1) == 1
     assert select_rank(np.array([4.0, 2.0, 1.0]), 2) == 1  # tie -> smallest
+    assert select_rank(np.array([3.0]), 2) == 1  # no ratio to compare
 
 
 def test_select_rank_zero_tail():
