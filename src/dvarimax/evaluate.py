@@ -18,7 +18,7 @@ grid points or reordering the grid does not perturb existing cells.
 """
 from __future__ import annotations
 
-import numbers
+import math
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Optional, Sequence
@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .estimator import EstimatorVariant, estimate_loading
-from .exceptions import _check_integer
+from .exceptions import _check_integer, _check_real
 from .initialization import InitScheme
 from .model import SyntheticConfig, generate_dataset
 from .rng import derive_seed, substream
@@ -119,8 +119,9 @@ class ExperimentGrid:
         for value in self.sweep_values:
             if self.sweep_name in INT_SWEEPS:
                 _check_integer(self.sweep_name, value)
-            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{self.sweep_name}={value!r} must be a real number")
+            else:
+                # no NaN or infinite theta or varepsilon2 makes a valid cell
+                _check_real(self.sweep_name, value, -math.inf, math.inf)
         _check_integer("replications", self.replications, 1)
         _check_integer("master_seed", self.master_seed)
         if not self.variants or not self.init_schemes:

@@ -1,5 +1,5 @@
-"""Error types raised by the estimation pipeline, and the integer check
-shared by its settings."""
+"""Error types raised by the estimation pipeline, and the integer and
+real-number checks shared by its settings."""
 from __future__ import annotations
 
 import numbers
@@ -13,6 +13,20 @@ def _check_integer(name: str, value, minimum: Optional[int] = None) -> None:
         raise ValueError(f"{name}={value!r} must be an integer")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name}={value} must be >= {minimum}")
+
+
+def _check_real(name: str, value, low: float, high: float, *,
+                low_closed: bool = False, high_closed: bool = False) -> None:
+    """Raise ValueError unless ``value`` is a real number (Python or numpy,
+    not a bool) inside the interval from ``low`` to ``high``, open at each
+    end unless that end is marked closed.  NaN lies in no interval."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not ((low <= value if low_closed else low < value)
+            and (value <= high if high_closed else value < high)):
+        interval = (f"{'[' if low_closed else '('}{low:g}, "
+                    f"{high:g}{']' if high_closed else ')'}")
+        raise ValueError(f"{name} must lie in {interval}")
 
 
 class DeflationVarimaxError(Exception):

@@ -11,11 +11,12 @@ Conventions
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import _check_integer
+from .exceptions import _check_integer, _check_real
 from .rng import substream
 
 __all__ = [
@@ -118,10 +119,11 @@ class NoiseCovariance:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown noise covariance kind: {self.kind!r}")
-        if self.kind == "heteroscedastic" and not 0.0 <= self.alpha < np.inf:
-            raise ValueError("heteroscedastic exponent alpha must be finite and >= 0")
-        if self.kind == "toeplitz" and not 0.0 < self.rho < 1.0:
-            raise ValueError("toeplitz decay rho must lie in (0, 1)")
+        if self.kind == "heteroscedastic":
+            _check_real("heteroscedastic exponent alpha", self.alpha, 0, math.inf,
+                        low_closed=True)
+        if self.kind == "toeplitz":
+            _check_real("toeplitz decay rho", self.rho, 0, 1)
 
     @classmethod
     def identity(cls) -> "NoiseCovariance":
@@ -129,11 +131,11 @@ class NoiseCovariance:
 
     @classmethod
     def heteroscedastic(cls, alpha: float) -> "NoiseCovariance":
-        return cls("heteroscedastic", alpha=float(alpha))
+        return cls("heteroscedastic", alpha=alpha)
 
     @classmethod
     def toeplitz(cls, rho: float) -> "NoiseCovariance":
-        return cls("toeplitz", rho=float(rho))
+        return cls("toeplitz", rho=rho)
 
 
 @dataclass(frozen=True)
@@ -159,10 +161,8 @@ class SyntheticConfig:
         _check_integer("seed", self.seed, 0)
         if self.r > min(self.p, self.n):
             raise ValueError(f"r={self.r} exceeds min(p, n)={min(self.p, self.n)}")
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError("theta must lie in (0, 1]")
-        if not (np.isfinite(self.varepsilon2) and self.varepsilon2 >= 0):
-            raise ValueError("varepsilon2 must be finite and nonnegative")
+        _check_real("theta", self.theta, 0, 1, high_closed=True)
+        _check_real("varepsilon2", self.varepsilon2, 0, math.inf, low_closed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +201,7 @@ def generate_factors(r: int, n: int, theta: float, rng: np.random.Generator) -> 
     independent.  Coordinates have second moment theta and excess
     kurtosis ``(3/theta - 3) / 3``.
     """
-    if not 0.0 < theta <= 1.0:
-        raise ValueError("theta must lie in (0, 1]")
+    _check_real("theta", theta, 0, 1, high_closed=True)
     mask = rng.random((r, n)) < theta
     gauss = rng.standard_normal((r, n))
     return gauss * mask

@@ -46,7 +46,7 @@ import numpy as np
 from scipy.linalg.blas import daxpy, ddot, dgemv, dscal
 
 from .exceptions import (DegenerateProjectorError, DegenerateSolutionsError,
-                         DivergenceError, _check_integer)
+                         DivergenceError, _check_integer, _check_real)
 
 __all__ = [
     "RotationSolveConfig",
@@ -191,10 +191,8 @@ class RotationSolveConfig:
     max_iters: int = 5000
 
     def __post_init__(self):
-        if not 0 < self.step_size < math.inf:
-            raise ValueError("step_size must be positive and finite")
-        if not 0 < self.grad_tol < math.inf:
-            raise ValueError("grad_tol must be positive and finite")
+        _check_real("step_size", self.step_size, 0, math.inf)
+        _check_real("grad_tol", self.grad_tol, 0, math.inf)
         _check_integer("max_iters", self.max_iters, 1)
 
 

@@ -2,15 +2,22 @@
 
 The decomposition is of (1/n) X X^T and computes only what the estimator
 reads: the leading r eigenpairs and the sum of the trailing eigenvalues.
-Large shapes (``_gram_free_pays``) first try Lanczos on the p x p
-operator v -> X (X^T v) / n, which never forms a Gram matrix and returns
-p-side vectors; its restarts are bounded so a slow convergence costs
-about one Gram formation before the Gram route takes over.  The Gram
-route solves the top r pairs of the shorter side's Gram matrix,
-(1/n) X X^T for p <= n and (1/n) X^T X for p > n, by Lanczos or a partial
-LAPACK solve (``_lanczos_pays`` picks); for p > n the vectors W map to
-the p side as X W / sqrt(n lambda).  The tail sum is the trace minus the
-leading sum, and the trace doubles as the check that X is finite.
+``_leading_spectrum`` takes the pairs from the first of three solvers
+that returns them:
+
+1. if ``_gram_free_pays`` (40 max(2r + 1, 20) <= min(p, n)), Lanczos
+   (``scipy.sparse.linalg.eigsh`` from a fixed start vector) on the p x p
+   operator v -> X (X^T v) / n, which never forms a Gram matrix and
+   returns p-side vectors; its restarts are bounded so a slow convergence
+   costs about one Gram formation;
+2. if ``_lanczos_pays`` (20 r <= min(p, n)), Lanczos on the shorter
+   side's Gram matrix, (1/n) X X^T for p <= n and (1/n) X^T X for p > n;
+3. LAPACK's subset solve of that Gram matrix.
+
+A Lanczos solve that does not converge returns nothing and the next
+solver runs.  For p > n the Gram vectors W map to the p side as
+X W / sqrt(n lambda).  The tail sum is the trace minus the leading sum,
+and the trace doubles as the check that X is finite.
 Whitened scores satisfy U_r @ U_r.T = n * I to the accuracy of the solve,
 which degrades like eps * lambda_1 / lambda_r near rank deficiency.  When
 the noise is close to isotropic, the mean trailing eigenvalue estimates
@@ -202,15 +209,24 @@ def _checked_trace(x: np.ndarray, trace: float) -> float:
 def _leading_spectrum(x: np.ndarray, k: int):
     """The k leading eigenvalues of (1/n) X X^T (nonincreasing, floored at
     0), their eigenvectors as columns, and the sum of the remaining
-    eigenvalues.  The eigenvectors are those of (1/n) X^T X (n rows) when
-    the p > n Gram route solved them, else those of (1/n) X X^T (p rows).
+    eigenvalues, by the solver chain of the module docstring.  The
+    eigenvectors are those of (1/n) X^T X (n rows) when the p > n Gram
+    matrix was solved, else those of (1/n) X X^T (p rows).
 
     Raises ValueError, before any solve, if the trace is not finite."""
     p, n = x.shape
+    size = min(p, n)
     pairs = None
     if _gram_free_pays(p, n, k):
         trace = _checked_trace(x, np.vdot(x, x) / n)
-        pairs = _gram_free_eigenpairs(x, k)
+        # ARPACK's first pass takes ncv + 1 products and each restart at
+        # most ncv - k more; the budget is size / 30 products, about one
+        # Gram formation (see ``_gram_free_pays``), and at least one restart.
+        ncv = _lanczos_basis_size(k)
+        restarts = max(1, (size // 30 - ncv - 1) // (ncv - k))
+        operator = scipy.sparse.linalg.LinearOperator(
+            (p, p), matvec=lambda v: x @ (x.T @ v) / n, dtype=x.dtype)
+        pairs = _lanczos(operator, k, ncv=ncv, maxiter=restarts)
     if pairs is None:
         # Either product goes through syrk, so the Gram matrix is exactly
         # symmetric.  A huge finite x overflows it; the trace check names
@@ -219,7 +235,12 @@ def _leading_spectrum(x: np.ndarray, k: int):
             gram = x @ x.T if p <= n else x.T @ x
         gram /= n
         trace = _checked_trace(x, np.trace(gram))
-        pairs = _top_eigenpairs(gram, k)
+        if _lanczos_pays(size, k):
+            pairs = _lanczos(gram, k)
+    if pairs is None:
+        # A subset of a standard symmetric problem is solved by LAPACK dsyevr.
+        pairs = scipy.linalg.eigh(gram, subset_by_index=[size - k, size - 1],
+                                  overwrite_a=True, check_finite=False)
     vals, vecs = pairs
     eigvals = np.maximum(vals[::-1], 0.0)
     return eigvals, vecs[:, ::-1], max(trace - float(eigvals.sum()), 0.0)
@@ -227,61 +248,25 @@ def _leading_spectrum(x: np.ndarray, k: int):
 
 def _lanczos(a, k: int, **kwargs):
     """``eigsh`` for the k largest eigenpairs of the symmetric ``a`` (an
-    array or a ``LinearOperator``) from the fixed start vector."""
+    array or a ``LinearOperator``) from the fixed start vector, values
+    nondecreasing; None if ARPACK does not converge."""
     v0 = np.random.default_rng(_LANCZOS_START_SEED).standard_normal(a.shape[0])
-    return scipy.sparse.linalg.eigsh(a, k, which="LA", tol=0, v0=v0, **kwargs)
-
-
-def _gram_free_eigenpairs(x: np.ndarray, k: int):
-    """The k largest eigenpairs of (1/n) X X^T, nondecreasing, by Lanczos
-    on v -> X (X^T v) / n; None if it does not converge within about the
-    cost of one Gram formation.
-
-    ARPACK's first pass takes ncv + 1 products and each restart at most
-    ncv - k more; the budget is min(p, n) / 30 products (see
-    ``_gram_free_pays``), and at least one restart."""
-    p, n = x.shape
-    ncv = _lanczos_basis_size(k)
-    restarts = max(1, (min(p, n) // 30 - ncv - 1) // (ncv - k))
-    gram = scipy.sparse.linalg.LinearOperator(
-        (p, p), matvec=lambda v: x @ (x.T @ v) / n, dtype=x.dtype)
     try:
-        return _lanczos(gram, k, ncv=ncv, maxiter=restarts)
+        return scipy.sparse.linalg.eigsh(a, k, which="LA", tol=0, v0=v0, **kwargs)
     except scipy.sparse.linalg.ArpackNoConvergence:
         return None
-
-
-def _top_eigenpairs(gram: np.ndarray, k: int):
-    """The k largest eigenvalues of the symmetric ``gram``, nondecreasing,
-    and their eigenvectors as columns; may overwrite ``gram``."""
-    size = gram.shape[0]
-    if _lanczos_pays(size, k):
-        try:
-            return _lanczos(gram, k)
-        except scipy.sparse.linalg.ArpackNoConvergence:
-            pass
-    # A subset of a standard symmetric problem is solved by LAPACK dsyevr.
-    return scipy.linalg.eigh(gram, subset_by_index=[size - k, size - 1],
-                             overwrite_a=True, check_finite=False)
 
 
 def eigendecompose(x: np.ndarray, r: int) -> PcaDecomposition:
     """Eigendecompose (1/n) X X^T and whiten the leading r components.
 
-    Only the top r pairs are solved for.  When 40 max(2r + 1, 20) <=
-    min(p, n), Lanczos (``scipy.sparse.linalg.eigsh`` from a fixed start
-    vector) first runs on v -> X (X^T v) / n, with at most about a Gram
-    formation's worth of products.  Otherwise, or if that does not
-    converge, it solves the shorter side's Gram matrix: (1/n) X X^T when
-    p <= n, else (1/n) X^T X, whose eigenvectors W give the p-side ones as
-    X W / sqrt(n lambda).  That solver is Lanczos when 20 r <= min(p, n),
-    else, or if Lanczos does not converge, LAPACK's subset solve
-    (``scipy.linalg.eigh(subset_by_index=...)``).  Signs are
-    fixed so the largest-magnitude entry of each column is positive.
-    Near rank deficiency the mapped vectors lose orthonormality like
-    eps * lambda_1 / lambda_r, as the p <= n whitening does: at lambda_r /
-    lambda_1 = 1e-8 and p=400, n=60 the orthonormality error was 1.3e-8
-    and the whitening error 2.6e-8 n, against 1.3e-8 n for p=60, n=400.
+    Only the top r pairs are solved for, by the solver chain of the module
+    docstring.  Signs are fixed so the largest-magnitude entry of each
+    column is positive.  Near rank deficiency the vectors mapped from the
+    p > n Gram matrix lose orthonormality like eps * lambda_1 / lambda_r,
+    as the p <= n whitening does: at lambda_r / lambda_1 = 1e-8 and p=400,
+    n=60 the orthonormality error was 1.3e-8 and the whitening error
+    2.6e-8 n, against 1.3e-8 n for p=60, n=400.
 
     Raises
     ------

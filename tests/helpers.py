@@ -256,6 +256,18 @@ def unpruned_mom_init(operator, prior, n_slices, *, rng):
     return -best if best[np.argmax(np.abs(best))] < 0 else best
 
 
+class ZeroDraws:
+    """Generator stand-in whose normal draws are all zero."""
+
+    @staticmethod
+    def standard_normal(size):
+        return np.zeros(size)
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.full(size, low)
+
+
 def unit_columns(r, k, tilt, rng):
     """k unit r-vectors as columns: orthonormal ones plus ``tilt`` times a
     Gaussian draw, normalized.  Like the solved columns a deflation round

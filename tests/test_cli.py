@@ -42,6 +42,8 @@ def test_parse_config_rejects_duplicates_and_garbage():
         parse_config_text("n = 1\nn = 2\n")
     with pytest.raises(CliError, match="key = value"):
         parse_config_text("just some words\n")
+    with pytest.raises(CliError, match="<config>:1: empty key"):
+        parse_config_text("= 5\n")
 
 
 def test_resolve_config_rejects_unknown_keys():
@@ -67,6 +69,8 @@ def test_resolve_config_type_errors():
         resolve_config({"n": "many"})
     with pytest.raises(CliError, match="variant"):
         resolve_config({"variant": "fancy"})
+    with pytest.raises(CliError, match="'variants': empty list"):
+        resolve_config({"variants": ","})
 
 
 @pytest.mark.parametrize("text, value", [

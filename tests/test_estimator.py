@@ -43,6 +43,8 @@ def test_identity_rotation_reproduces_pca_columns():
     for assemble in (loading_from_rotation, predict_factors):
         with pytest.raises(ValueError, match="rotation and decomposition dimensions differ"):
             assemble(decomp, np.eye(2))
+    with pytest.raises(ValueError, match="zero operator norm"):
+        loading_from_rotation(decomp, np.zeros((3, 3)))
 
 
 def test_every_variant_has_unit_operator_norm():

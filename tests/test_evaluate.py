@@ -228,6 +228,12 @@ def test_grid_validation():
                 dict(sweep_name="theta", sweep_values=(np.True_,))):
         with pytest.raises(ValueError):
             _small_grid(**bad)
+    # no NaN or infinite theta or varepsilon2 makes a valid cell, and two
+    # NaNs would pass the repeat check below, since nan != nan
+    for name in ("theta", "varepsilon2"):
+        for values in ((np.nan, 0.3), (np.nan, float("nan")), (np.inf,), (-np.inf,)):
+            with pytest.raises(ValueError, match=name):
+                _small_grid(sweep_name=name, sweep_values=values)
     # records.csv could not tell apart two mom schemes with one label
     with pytest.raises(ValueError, match="repeat"):
         _small_grid(init_schemes=tuple(InitScheme.method_of_moments(subtraction=mode)

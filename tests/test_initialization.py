@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from helpers import (batched_svd_mom_init, hand_instance, mom_matrix, mom_slices,
+from helpers import (ZeroDraws, batched_svd_mom_init, hand_instance, mom_matrix, mom_slices,
                      objective, random_orthogonal, unit_columns, unpruned_mom_init)
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,6 +112,11 @@ def test_complement_basis_spans_orthocomplement():
 def test_complement_basis_full_prior_raises():
     with pytest.raises(DegenerateProjectorError):
         complement_basis(np.eye(3))
+    with pytest.raises(ValueError, match="2-D"):
+        complement_basis(np.ones(3))
+    # a draw of zeros has no direction to normalize
+    with pytest.raises(DegenerateProjectorError, match="zero norm"):
+        random_init(_empty_prior(3), ZeroDraws())
 
 
 # ---------------------------------------------------------------------------

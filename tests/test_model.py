@@ -1,6 +1,7 @@
 """Tests for the domain types and synthetic generators."""
 import numpy as np
 import pytest
+from helpers import ZeroDraws
 
 from dvarimax import (GroundTruth, NoiseCovariance, ObservationMatrix,
                       SyntheticConfig, generate_dataset, generate_factors,
@@ -34,6 +35,14 @@ def test_noise_covariance_validates():
     for alpha in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             NoiseCovariance.heteroscedastic(alpha)
+    # a bool or a string is no exponent or decay, also through the named
+    # constructors
+    for kind, name, value in (("heteroscedastic", "alpha", True),
+                              ("heteroscedastic", "alpha", "1"), ("toeplitz", "rho", "0.5")):
+        with pytest.raises(ValueError, match=name):
+            NoiseCovariance(kind, **{name: value})
+        with pytest.raises(ValueError, match=name):
+            getattr(NoiseCovariance, kind)(value)
 
 
 def test_synthetic_config_validates():
@@ -50,6 +59,11 @@ def test_synthetic_config_validates():
         with pytest.raises(ValueError):
             SyntheticConfig(**{**dict(n=10, p=4, r=2, seed=1), **bad})
     SyntheticConfig(n=np.int64(10), p=np.int32(4), r=np.int64(2), seed=np.int64(1))
+    # theta=True would draw Gaussian factors, as theta=1 does
+    for bad in (dict(theta=True), dict(theta=np.True_), dict(varepsilon2=True),
+                dict(theta="0.5"), dict(varepsilon2="0.1")):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SyntheticConfig(**{**dict(n=10, p=4, r=2, seed=1), **bad})
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +90,17 @@ def test_loading_deterministic():
     assert np.array_equal(a, b) and np.array_equal(da, db)
     with pytest.raises(TypeError, match="unsupported stream tag type: object"):
         substream(1, object())
+    # a bool tag keys the stream of the integer it equals
+    assert np.array_equal(substream(1, True).random(3), substream(1, 1).random(3))
 
 
 def test_loading_rejects_r_above_p():
     with pytest.raises(ValueError):
         generate_loading(3, 4, substream(0, "loading"))
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        generate_loading(3, 0, substream(0, "loading"))
+    with pytest.raises(ValueError, match="zero operator norm"):
+        generate_loading(3, 2, ZeroDraws())
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +109,8 @@ def test_loading_rejects_r_above_p():
 
 def test_factors_rejects_bad_theta():
     rng = substream(0, "factors")
-    for theta in (0.0, -0.2, 1.5):
-        with pytest.raises(ValueError):
+    for theta in (0.0, -0.2, 1.5, True, "0.5"):
+        with pytest.raises(ValueError, match="theta"):
             generate_factors(2, 10, theta, rng)
 
 
@@ -137,6 +157,8 @@ def test_factors_rows_uncorrelated():
 def test_identity_covariance():
     sigma = realize_noise_covariance(NoiseCovariance.identity(), 3, substream(0, "cov"))
     assert np.array_equal(sigma, np.eye(3))
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        realize_noise_covariance(NoiseCovariance.identity(), 0, substream(0, "cov"))
 
 
 def test_heteroscedastic_alpha_zero_is_identity():

@@ -354,6 +354,11 @@ def test_pgd_divergence_reports_iteration():
         pgd_solve(np.array([0.8, 0.6]), fourth_moment(u),
                   RotationSolveConfig(grad_tol=1e-300, max_iters=50))
     assert info.value.iteration == 0
+    # a finite gradient whose step overflows the iterate
+    with pytest.raises(DivergenceError, match="iterate norm") as info:
+        pgd_solve(np.array([0.8, 0.6]), fourth_moment(1e20 * hand_instance()),
+                  RotationSolveConfig(step_size=1e300))
+    assert info.value.iteration == 1
 
 
 def _iterates(q0, u, count, correction=None):
@@ -508,6 +513,11 @@ def test_solve_config_validates():
                 dict(step_size=np.inf), dict(step_size=np.nan),
                 dict(grad_tol=np.inf), dict(grad_tol=np.nan)):
         with pytest.raises(ValueError):
+            RotationSolveConfig(**bad)
+    # grad_tol=True would be a tolerance of 1.0
+    for bad in (dict(step_size=True), dict(step_size=np.True_), dict(grad_tol=True),
+                dict(grad_tol="1e-6")):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             RotationSolveConfig(**bad)
 
 

@@ -322,20 +322,29 @@ def test_wide_rank_deficiency_is_named_without_warnings():
 
 
 def test_lanczos_no_convergence_falls_back_to_the_dense_solve(monkeypatch):
-    x = substream(24, "oracle").standard_normal((300, 900))
-
     def fails(a, k, **kwargs):
         raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", None, None)
 
-    calls = _counting_eigsh(monkeypatch, fails)
-    got = eigendecompose(x, 5)
-    assert calls == [(300, 5)]
-    monkeypatch.setattr(spectral, "_lanczos_pays", lambda size, k: False)
-    want = eigendecompose(x, 5)
-    assert calls == [(300, 5)]
-    assert np.array_equal(got.eigvals, want.eigvals)
-    assert np.array_equal(got.eigvecs_r, want.eigvecs_r)
-    assert got.tail_sum == want.tail_sum
+    # (300, 900, 5) tries Lanczos on the Gram matrix; (1000, 2000, 10) tries
+    # the operator, then the Gram matrix.
+    for (p, n, r), tries in [((300, 900, 5), 1), ((1000, 2000, 10), 2)]:
+        x = substream(24, "oracle").standard_normal((p, n))
+        with monkeypatch.context() as patch:
+            operands = []
+            calls = _counting_eigsh(patch, fails, operands)
+            got = eigendecompose(x, r)
+            assert calls == [(p, r)] * tries
+            assert isinstance(operands[-1], np.ndarray)
+            assert all(isinstance(a, scipy.sparse.linalg.LinearOperator)
+                       for a in operands[:-1])
+            patch.setattr(spectral, "_gram_free_pays", lambda p, n, k: False)
+            patch.setattr(spectral, "_lanczos_pays", lambda size, k: False)
+            want = eigendecompose(x, r)
+            assert calls == [(p, r)] * tries
+        assert np.array_equal(got.eigvals, want.eigvals)
+        assert np.array_equal(got.eigvecs_r, want.eigvecs_r)
+        assert np.array_equal(got.scores, want.scores)
+        assert got.tail_sum == want.tail_sum
 
 
 def test_lanczos_solve_ignores_global_random_state():
