@@ -14,7 +14,7 @@ from .exceptions import (CorrectionInfeasibleError, DeflationVarimaxError,
 from .initialization import (InitScheme, complement_projector,
                              make_init_provider, mom_init, multi_random_init,
                              random_init, slice_operator)
-from .model import (GroundTruth, NoiseCovariance, ObservationMatrix,
+from .model import (NOISE_KINDS, GroundTruth, ObservationMatrix,
                     SyntheticConfig, generate_dataset, generate_factors,
                     generate_loading, realize_noise_covariance)
 from .rng import derive_seed, substream
@@ -27,7 +27,7 @@ from .spectral import (PcaDecomposition, corrected_decomposition, eigendecompose
 __all__ = [
     "__version__",
     # model
-    "ObservationMatrix", "GroundTruth", "NoiseCovariance", "SyntheticConfig",
+    "ObservationMatrix", "GroundTruth", "NOISE_KINDS", "SyntheticConfig",
     "generate_loading", "generate_factors", "realize_noise_covariance",
     "generate_dataset",
     # spectral

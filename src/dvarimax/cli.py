@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .evaluate import (INT_SWEEPS, SWEEPABLE_PARAMETERS, ExperimentGrid,
                        summary_to_csv)
 from .exceptions import DeflationVarimaxError
 from .initialization import SUBTRACTION_MODES, InitScheme
-from .model import NoiseCovariance, SyntheticConfig, generate_dataset
+from .model import NOISE_KINDS, SyntheticConfig, generate_dataset
 from .rng import substream
 from .rotation import RotationSolveConfig
 from .spectral import leading_eigenvalues, select_rank
@@ -79,11 +79,12 @@ def _parse_rank(text: str):
 
 def _default(cls, name: str):
     """Default value of the dataclass field ``name`` of ``cls``."""
-    spec = next(spec for spec in fields(cls) if spec.name == name)
-    return spec.default if spec.default is not MISSING else spec.default_factory()
+    return next(spec.default for spec in fields(cls) if spec.name == name)
 
 
 _VARIANTS = tuple(variant.value for variant in EstimatorVariant)
+# Synthetic settings with a library default, passed to SyntheticConfig as given.
+_SYNTHETIC_KEYS = ("theta", "varepsilon2", "noise_kind", "noise_alpha", "noise_rho")
 # Every solver setting is a config key with the library's type and default.
 _SOLVE_FIELDS = fields(RotationSolveConfig)
 
@@ -98,7 +99,7 @@ _KEY_PARSERS = {
     "r_max": int,
     "theta": float,
     "varepsilon2": float,
-    "noise_kind": _parse_choice(NoiseCovariance.KINDS),
+    "noise_kind": _parse_choice(NOISE_KINDS),
     "noise_alpha": float,
     "noise_rho": float,
     **{spec.name: type(spec.default) for spec in _SOLVE_FIELDS},
@@ -118,10 +119,7 @@ _KEY_PARSERS = {
 
 _DEFAULTS = {
     "output_path": ".",
-    **{key: _default(SyntheticConfig, key) for key in ("theta", "varepsilon2")},
-    "noise_kind": _default(SyntheticConfig, "noise_kind").kind,
-    "noise_alpha": _default(NoiseCovariance, "alpha"),
-    "noise_rho": _default(NoiseCovariance, "rho"),
+    **{key: _default(SyntheticConfig, key) for key in _SYNTHETIC_KEYS},
     **{spec.name: spec.default for spec in _SOLVE_FIELDS},
     "variant": _default(ExperimentGrid, "variants")[0].value,
     "init": _default(ExperimentGrid, "init_schemes")[0].label,
@@ -238,11 +236,8 @@ def _synthetic_config(config: dict, command: str) -> SyntheticConfig:
     if r == "auto":
         raise CliError(f"{command} requires a numeric r")
     seed = _require(config, "seed", command)
-    noise_kind = NoiseCovariance(config["noise_kind"], config["noise_alpha"],
-                                 config["noise_rho"])
-    return SyntheticConfig(n=n, p=p, r=r, theta=config["theta"],
-                           varepsilon2=config["varepsilon2"],
-                           noise_kind=noise_kind, seed=seed)
+    return SyntheticConfig(n=n, p=p, r=r, seed=seed,
+                           **{key: config[key] for key in _SYNTHETIC_KEYS})
 
 
 def cmd_simulate(config: dict) -> int:

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import CorrectionInfeasibleError
+from .exceptions import CorrectionInfeasibleError, _check_type
 from .initialization import InitScheme, make_init_provider
 from .rotation import RotationSolveConfig, deflate, fourth_moment
 from .spectral import PcaDecomposition, corrected_decomposition, eigendecompose
@@ -134,6 +134,9 @@ def estimate_loading(x: np.ndarray, r: int,
     CorrectionInfeasibleError
         If an improved variant is requested, the correction cannot be
         formed, and ``auto_fallback`` is off.
+    ValueError
+        If ``init_scheme`` or ``solve_config`` is given and is not an
+        ``InitScheme`` or a ``RotationSolveConfig``.
     """
     t_start = time.perf_counter()
     x = np.asarray(x, dtype=float)
@@ -142,6 +145,8 @@ def estimate_loading(x: np.ndarray, r: int,
         init_scheme = InitScheme.method_of_moments()
     if solve_config is None:
         solve_config = RotationSolveConfig()
+    _check_type("init_scheme", init_scheme, InitScheme)
+    _check_type("solve_config", solve_config, RotationSolveConfig)
     if rng is None:
         rng = np.random.default_rng()
 

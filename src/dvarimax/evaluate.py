@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .estimator import EstimatorVariant, estimate_loading
-from .exceptions import _check_integer, _check_real
+from .exceptions import _check_integer, _check_real, _check_type
 from .initialization import InitScheme
 from .model import SyntheticConfig, generate_dataset
 from .rng import derive_seed, substream
@@ -112,6 +112,8 @@ class ExperimentGrid:
     record_runtime: bool = False
 
     def __post_init__(self):
+        _check_type("base", self.base, SyntheticConfig)
+        _check_type("solve_config", self.solve_config, RotationSolveConfig)
         if self.sweep_name not in SWEEPABLE_PARAMETERS:
             raise ValueError(f"sweep_name must be one of {SWEEPABLE_PARAMETERS}")
         if not self.sweep_values:
@@ -133,6 +135,8 @@ class ExperimentGrid:
         object.__setattr__(
             self, "variants", tuple(EstimatorVariant(v) for v in self.variants))
         object.__setattr__(self, "init_schemes", tuple(self.init_schemes))
+        for scheme in self.init_schemes:
+            _check_type("init_schemes entry", scheme, InitScheme)
         # a repeated entry (60 and np.int64(60) are one sweep value once
         # coerced), or two schemes with one label (say mom in two
         # subtraction modes), would count the same cells twice in one row

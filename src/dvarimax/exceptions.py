@@ -1,5 +1,5 @@
-"""Error types raised by the estimation pipeline, and the integer and
-real-number checks shared by its settings."""
+"""Error types raised by the estimation pipeline, and the integer,
+real-number and type checks shared by its settings."""
 from __future__ import annotations
 
 import numbers
@@ -29,6 +29,12 @@ def _check_real(name: str, value, low: float, high: float, *,
         raise ValueError(f"{name} must lie in {interval}")
 
 
+def _check_type(name: str, value, cls: type) -> None:
+    """Raise ValueError unless ``value`` is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be of type {cls.__name__}, got {value!r}")
+
+
 class DeflationVarimaxError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -45,7 +51,7 @@ class CorrectionInfeasibleError(DeflationVarimaxError):
 
 
 class DivergenceError(DeflationVarimaxError):
-    """Projected gradient descent produced a non-finite or vanishing iterate,
+    """Projected gradient descent produced a non-finite gradient or iterate,
     or a method-of-moments initializer read a non-finite moment slice."""
 
     def __init__(self, message: str, iteration: int | None = None,

@@ -12,7 +12,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .rng import substream
 __all__ = [
     "ObservationMatrix",
     "GroundTruth",
-    "NoiseCovariance",
+    "NOISE_KINDS",
     "SyntheticConfig",
     "generate_loading",
     "generate_factors",
@@ -97,45 +97,7 @@ class GroundTruth:
             raise ValueError("inconsistent ground-truth shapes")
 
 
-@dataclass(frozen=True)
-class NoiseCovariance:
-    """Noise covariance family for the synthetic generator.
-
-    One of three tagged choices:
-
-    - ``identity``: Sigma_E = I_p.
-    - ``heteroscedastic(alpha)``: diagonal with entries
-      ``p * v_j**alpha / sum(v**alpha)`` for v_j i.i.d. Uniform[0, 1];
-      ``alpha`` controls the spread and the trace is exactly p.
-    - ``toeplitz(rho)``: entries ``rho ** |i - j|``.
-    """
-
-    kind: str
-    alpha: float = 0.1
-    rho: float = 0.5
-
-    KINDS = ("identity", "heteroscedastic", "toeplitz")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown noise covariance kind: {self.kind!r}")
-        if self.kind == "heteroscedastic":
-            _check_real("heteroscedastic exponent alpha", self.alpha, 0, math.inf,
-                        low_closed=True)
-        if self.kind == "toeplitz":
-            _check_real("toeplitz decay rho", self.rho, 0, 1)
-
-    @classmethod
-    def identity(cls) -> "NoiseCovariance":
-        return cls("identity")
-
-    @classmethod
-    def heteroscedastic(cls, alpha: float) -> "NoiseCovariance":
-        return cls("heteroscedastic", alpha=alpha)
-
-    @classmethod
-    def toeplitz(cls, rho: float) -> "NoiseCovariance":
-        return cls("toeplitz", rho=rho)
+NOISE_KINDS = ("identity", "heteroscedastic", "toeplitz")
 
 
 @dataclass(frozen=True)
@@ -143,7 +105,17 @@ class SyntheticConfig:
     """Parameters of one synthetic draw of (X, ground truth).
 
     ``varepsilon2`` scales the noise in the simulation parameterization:
-    noise columns are i.i.d. N(0, varepsilon2 * Sigma_E / p).
+    noise columns are i.i.d. N(0, varepsilon2 * Sigma_E / p), where
+    Sigma_E is drawn from the family ``noise_kind``, one of ``NOISE_KINDS``:
+
+    - ``identity``: Sigma_E = I_p.
+    - ``heteroscedastic``: diagonal with entries
+      ``p * v_j**noise_alpha / sum(v**noise_alpha)`` for v_j i.i.d.
+      Uniform[0, 1]; ``noise_alpha`` controls the spread and the trace is
+      exactly p.
+    - ``toeplitz``: entries ``noise_rho ** |i - j|``.
+
+    ``noise_alpha`` and ``noise_rho`` are checked whatever the kind.
     """
 
     n: int
@@ -151,7 +123,9 @@ class SyntheticConfig:
     r: int
     theta: float = 0.1
     varepsilon2: float = 0.1
-    noise_kind: NoiseCovariance = field(default_factory=NoiseCovariance.identity)
+    noise_kind: str = "identity"
+    noise_alpha: float = 0.1
+    noise_rho: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -163,6 +137,12 @@ class SyntheticConfig:
             raise ValueError(f"r={self.r} exceeds min(p, n)={min(self.p, self.n)}")
         _check_real("theta", self.theta, 0, 1, high_closed=True)
         _check_real("varepsilon2", self.varepsilon2, 0, math.inf, low_closed=True)
+        if self.noise_kind not in NOISE_KINDS:
+            raise ValueError(f"noise_kind must be one of {', '.join(NOISE_KINDS)}, "
+                             f"got {self.noise_kind!r}")
+        _check_real("heteroscedastic exponent alpha", self.noise_alpha, 0, math.inf,
+                    low_closed=True)
+        _check_real("toeplitz decay rho", self.noise_rho, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +187,19 @@ def generate_factors(r: int, n: int, theta: float, rng: np.random.Generator) -> 
     return gauss * mask
 
 
-def realize_noise_covariance(kind: NoiseCovariance, p: int,
+def realize_noise_covariance(config: SyntheticConfig,
                              rng: np.random.Generator) -> np.ndarray:
-    """Realize a p x p noise covariance matrix from the given family."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if kind.kind == "identity":
+    """Realize the p x p noise covariance of ``config.noise_kind``."""
+    p = config.p
+    if config.noise_kind == "identity":
         return np.eye(p)
-    if kind.kind == "heteroscedastic":
+    if config.noise_kind == "heteroscedastic":
         v = rng.random(p)
-        weights = v ** kind.alpha
+        weights = v ** config.noise_alpha
         gamma2 = p * weights / weights.sum()
         return np.diag(gamma2)
     idx = np.arange(p)
-    return kind.rho ** np.abs(idx[:, None] - idx[None, :])
+    return config.noise_rho ** np.abs(idx[:, None] - idx[None, :])
 
 
 def generate_dataset(config: SyntheticConfig):
@@ -234,12 +213,12 @@ def generate_dataset(config: SyntheticConfig):
     p, n, r = config.p, config.n, config.r
     loading, _ = generate_loading(p, r, substream(config.seed, "loading"))
     factors = generate_factors(r, n, config.theta, substream(config.seed, "factors"))
-    sigma_e = realize_noise_covariance(config.noise_kind, p, substream(config.seed, "noise-cov"))
+    sigma_e = realize_noise_covariance(config, substream(config.seed, "noise-cov"))
 
     if config.varepsilon2 > 0:
         gauss = substream(config.seed, "noise").standard_normal((p, n))
         scale = np.sqrt(config.varepsilon2 / p)
-        if config.noise_kind.kind in ("identity", "heteroscedastic"):
+        if config.noise_kind in ("identity", "heteroscedastic"):
             noise = scale * np.sqrt(np.diag(sigma_e))[:, None] * gauss
         else:
             noise = scale * (np.linalg.cholesky(sigma_e) @ gauss)

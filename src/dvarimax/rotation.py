@@ -264,8 +264,9 @@ def pgd_solve(q0: np.ndarray, stat: FourthMoment, config: RotationSolveConfig):
     Raises
     ------
     DivergenceError
-        If an iterate becomes non-finite or its norm collapses below
-        1e-14 before renormalization.
+        If the gradient or the iterate's norm before renormalization is
+        not finite.  That norm cannot collapse: g is tangent to q, so it
+        is sqrt(1 + step_size**2 |g|^2) up to rounding.
     """
     q = _check_point(q0, stat.r)
     # A private contiguous float64 copy, which the loop updates in place.
@@ -286,9 +287,9 @@ def pgd_solve(q0: np.ndarray, stat: FourthMoment, config: RotationSolveConfig):
             break
         daxpy(g, q, r, step)
         nrm = math.sqrt(ddot(q, q))
-        if not math.isfinite(nrm) or nrm < _MIN_ITERATE_NORM:
+        if not math.isfinite(nrm):
             raise DivergenceError(
-                f"iterate norm collapsed at iteration {iters + 1}",
+                f"iterate norm is not finite at iteration {iters + 1}",
                 iteration=iters + 1)
         dscal(1.0 / nrm, q)
     return q, config.max_iters, gnorm, False

@@ -1,14 +1,16 @@
 """Tests for the command-line front end and its file formats."""
 import json
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dvarimax import (EstimatorVariant, InitScheme, NoiseCovariance,
+from dvarimax import (NOISE_KINDS, EstimatorVariant, InitScheme,
                       RotationSolveConfig, signed_permutation_error)
-from dvarimax.cli import (CliError, main, parse_config_text, read_matrix_csv,
-                          resolve_config, write_matrix_csv)
+from dvarimax.cli import (_KEY_PARSERS, CliError, main, parse_config_text,
+                          read_matrix_csv, resolve_config, write_matrix_csv)
 from dvarimax.evaluate import SWEEPABLE_PARAMETERS
 
 
@@ -87,6 +89,16 @@ def test_resolve_config_rejects_a_non_boolean():
             resolve_config({key: "maybe"})
 
 
+def test_readme_cli_section_names_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    # a key counts as named in backticks, on a config line or in a --set
+    missing = [key for key in _KEY_PARSERS
+               if f"`{key}`" not in section and f"--set {key}=" not in section
+               and not re.search(rf"^{key} = ", section, flags=re.MULTILINE)]
+    assert not missing, f"README's CLI section does not name {missing}"
+
+
 # ---------------------------------------------------------------------------
 # matrix CSV round trip
 # ---------------------------------------------------------------------------
@@ -154,6 +166,8 @@ def test_simulate_requires_seed(tmp_path, capsys):
 @pytest.mark.parametrize("entries, message", [
     (dict(theta=2), "theta must lie in (0, 1]"),
     (dict(noise_kind="toeplitz", noise_rho=1.5), "toeplitz decay rho must lie in (0, 1)"),
+    # every noise setting is checked, also one that the kind does not read
+    (dict(noise_kind="identity", noise_rho=1.5), "toeplitz decay rho must lie in (0, 1)"),
 ])
 def test_simulate_reports_the_library_message(tmp_path, capsys, entries, message):
     config = _write_config(tmp_path, "sim.cfg", n=10, p=4, r=2, seed=1,
@@ -344,7 +358,7 @@ _SWEEP_BASE = {"n": 120, "p": 8, "r": 2, "theta": 0.3, "varepsilon2": 0.05}
 _CHOICES = (
     [{"variant": variant.value} for variant in EstimatorVariant]
     + [{key: label} for label in InitScheme.LABELS for key in ("init", "init_schemes")]
-    + [{"noise_kind": kind} for kind in NoiseCovariance.KINDS]
+    + [{"noise_kind": kind} for kind in NOISE_KINDS]
     + [{"sweep_name": name, "sweep_values": _SWEEP_BASE[name]}
        for name in SWEEPABLE_PARAMETERS]
     + [{"mom_subtraction": "lemma_consistent"}]
@@ -392,7 +406,7 @@ def test_benchmark_rejects_repeated_entries(tmp_path, capsys, repeat):
     assert "repeat" in capsys.readouterr().err
 
 
-def test_benchmark_byte_identical_across_runs_and_threads(tmp_path):
+def test_benchmark_byte_identical_across_runs(tmp_path):
     outputs = []
     for sub in ("t1", "t1b"):
         out = tmp_path / sub

@@ -83,6 +83,11 @@ def test_estimate_deterministic():
     b = estimate_loading(observed.data, 3, "base", MOM, FAST, substream(9, "est"))
     assert np.array_equal(a.lambda_hat, b.lambda_hat)
     assert np.array_equal(a.q_check, b.q_check)
+    # a mis-typed settings object is named, not read as an attribute
+    for name, bad in (("init_scheme", dict(init_scheme="mom")),
+                      ("solve_config", dict(solve_config={"step_size": 1e-2}))):
+        with pytest.raises(ValueError, match=name):
+            estimate_loading(observed.data, 3, "base", rng=substream(9, "est"), **bad)
 
 
 def test_column_space_matches_pca_subspace():

@@ -228,6 +228,12 @@ def test_grid_validation():
                 dict(sweep_name="theta", sweep_values=(np.True_,))):
         with pytest.raises(ValueError):
             _small_grid(**bad)
+    # a mis-typed settings object fails at construction, not in every cell
+    for name, bad in (("base", dict(base={"n": 50})),
+                      ("init_schemes", dict(init_schemes=("mom",))),
+                      ("solve_config", dict(solve_config={"step_size": 1e-2}))):
+        with pytest.raises(ValueError, match=name):
+            _small_grid(**bad)
     # no NaN or infinite theta or varepsilon2 makes a valid cell, and two
     # NaNs would pass the repeat check below, since nan != nan
     for name in ("theta", "varepsilon2"):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from helpers import ZeroDraws
 
-from dvarimax import (GroundTruth, NoiseCovariance, ObservationMatrix,
+from dvarimax import (NOISE_KINDS, GroundTruth, ObservationMatrix,
                       SyntheticConfig, generate_dataset, generate_factors,
                       generate_loading, realize_noise_covariance, substream)
 
@@ -25,24 +25,25 @@ def test_observation_matrix_validates():
 
 
 def test_noise_covariance_validates():
-    NoiseCovariance.identity()
-    NoiseCovariance.heteroscedastic(0.1)
-    NoiseCovariance.toeplitz(0.5)
+    base = dict(n=10, p=4, r=2, seed=1)
+    for kind in NOISE_KINDS:
+        SyntheticConfig(**base, noise_kind=kind)
+    with pytest.raises(ValueError, match="noise_kind"):
+        SyntheticConfig(**base, noise_kind="weird")
     with pytest.raises(ValueError):
-        NoiseCovariance("weird")
-    with pytest.raises(ValueError):
-        NoiseCovariance.toeplitz(1.0)
+        SyntheticConfig(**base, noise_kind="toeplitz", noise_rho=1.0)
     for alpha in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
-            NoiseCovariance.heteroscedastic(alpha)
-    # a bool or a string is no exponent or decay, also through the named
-    # constructors
+            SyntheticConfig(**base, noise_kind="heteroscedastic", noise_alpha=alpha)
+    # a bool or a string is no exponent or decay
     for kind, name, value in (("heteroscedastic", "alpha", True),
                               ("heteroscedastic", "alpha", "1"), ("toeplitz", "rho", "0.5")):
         with pytest.raises(ValueError, match=name):
-            NoiseCovariance(kind, **{name: value})
+            SyntheticConfig(**base, noise_kind=kind, **{f"noise_{name}": value})
+    # a setting that the kind does not read is checked too
+    for name, value in (("rho", 1.5), ("alpha", "x")):
         with pytest.raises(ValueError, match=name):
-            getattr(NoiseCovariance, kind)(value)
+            SyntheticConfig(**base, noise_kind="identity", **{f"noise_{name}": value})
 
 
 def test_synthetic_config_validates():
@@ -154,35 +155,40 @@ def test_factors_rows_uncorrelated():
 # realize_noise_covariance
 # ---------------------------------------------------------------------------
 
+def _noise(p, kind, **settings):
+    """A config that draws a p x p noise covariance of the given kind."""
+    return SyntheticConfig(n=2, p=p, r=1, noise_kind=kind, **settings)
+
+
 def test_identity_covariance():
-    sigma = realize_noise_covariance(NoiseCovariance.identity(), 3, substream(0, "cov"))
+    sigma = realize_noise_covariance(_noise(3, "identity"), substream(0, "cov"))
     assert np.array_equal(sigma, np.eye(3))
-    with pytest.raises(ValueError, match="p must be >= 1"):
-        realize_noise_covariance(NoiseCovariance.identity(), 0, substream(0, "cov"))
 
 
 def test_heteroscedastic_alpha_zero_is_identity():
-    sigma = realize_noise_covariance(NoiseCovariance.heteroscedastic(0.0), 4,
+    sigma = realize_noise_covariance(_noise(4, "heteroscedastic", noise_alpha=0.0),
                                      substream(1, "cov"))
     assert np.allclose(sigma, np.eye(4), atol=1e-12)
 
 
 def test_heteroscedastic_trace_is_p():
     for seed in range(5):
-        sigma = realize_noise_covariance(NoiseCovariance.heteroscedastic(0.7), 31,
+        sigma = realize_noise_covariance(_noise(31, "heteroscedastic", noise_alpha=0.7),
                                          substream(seed, "cov"))
         assert abs(np.trace(sigma) - 31) <= 1e-10
         assert np.all(np.diag(sigma) >= 0)
 
 
 def test_toeplitz_explicit_values():
-    sigma = realize_noise_covariance(NoiseCovariance.toeplitz(0.5), 3, substream(2, "cov"))
+    sigma = realize_noise_covariance(_noise(3, "toeplitz", noise_rho=0.5),
+                                     substream(2, "cov"))
     expected = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
     assert np.allclose(sigma, expected, atol=1e-15)
 
 
 def test_toeplitz_positive_semidefinite():
-    sigma = realize_noise_covariance(NoiseCovariance.toeplitz(0.9), 40, substream(3, "cov"))
+    sigma = realize_noise_covariance(_noise(40, "toeplitz", noise_rho=0.9),
+                                     substream(3, "cov"))
     assert np.min(np.linalg.eigvalsh(sigma)) > 0
     assert np.allclose(sigma, sigma.T)
 
@@ -211,7 +217,7 @@ def test_dataset_paper_grid_point_shapes():
 
 def test_dataset_deterministic():
     config = SyntheticConfig(n=50, p=8, r=2, seed=77,
-                             noise_kind=NoiseCovariance.toeplitz(0.5))
+                             noise_kind="toeplitz", noise_rho=0.5)
     obs_a, truth_a = generate_dataset(config)
     obs_b, truth_b = generate_dataset(config)
     assert np.array_equal(obs_a.data, obs_b.data)

@@ -359,6 +359,7 @@ def test_pgd_divergence_reports_iteration():
         pgd_solve(np.array([0.8, 0.6]), fourth_moment(1e20 * hand_instance()),
                   RotationSolveConfig(step_size=1e300))
     assert info.value.iteration == 1
+    assert "not finite" in str(info.value)
 
 
 def _iterates(q0, u, count, correction=None):
