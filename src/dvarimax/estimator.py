@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import CorrectionInfeasibleError, _check_type
+from .exceptions import CorrectionInfeasibleError, _check_bool, _check_type
 from .initialization import InitScheme, make_init_provider
 from .rotation import RotationSolveConfig, deflate, fourth_moment
 from .spectral import PcaDecomposition, corrected_decomposition, eigendecompose
@@ -136,7 +136,8 @@ def estimate_loading(x: np.ndarray, r: int,
         formed, and ``auto_fallback`` is off.
     ValueError
         If ``init_scheme`` or ``solve_config`` is given and is not an
-        ``InitScheme`` or a ``RotationSolveConfig``.
+        ``InitScheme`` or a ``RotationSolveConfig``, or ``auto_fallback``
+        is not a bool.
     """
     t_start = time.perf_counter()
     x = np.asarray(x, dtype=float)
@@ -147,6 +148,7 @@ def estimate_loading(x: np.ndarray, r: int,
         solve_config = RotationSolveConfig()
     _check_type("init_scheme", init_scheme, InitScheme)
     _check_type("solve_config", solve_config, RotationSolveConfig)
+    _check_bool("auto_fallback", auto_fallback)
     if rng is None:
         rng = np.random.default_rng()
 

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .estimator import EstimatorVariant, estimate_loading
-from .exceptions import _check_integer, _check_real, _check_type
+from .exceptions import _check_bool, _check_integer, _check_real, _check_type
 from .initialization import InitScheme
 from .model import SyntheticConfig, generate_dataset
 from .rng import derive_seed, substream
@@ -126,6 +126,8 @@ class ExperimentGrid:
                 _check_real(self.sweep_name, value, -math.inf, math.inf)
         _check_integer("replications", self.replications, 1)
         _check_integer("master_seed", self.master_seed)
+        _check_bool("auto_fallback", self.auto_fallback)
+        _check_bool("record_runtime", self.record_runtime)
         if not self.variants or not self.init_schemes:
             raise ValueError("variants and init_schemes must be nonempty")
         # Seeds key on the value, so 1, 1.0 and np.int64(1) must be one value.

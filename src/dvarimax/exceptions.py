@@ -1,9 +1,11 @@
 """Error types raised by the estimation pipeline, and the integer,
-real-number and type checks shared by its settings."""
+real-number, boolean and type checks shared by its settings."""
 from __future__ import annotations
 
 import numbers
 from typing import Optional
+
+import numpy as np
 
 
 def _check_integer(name: str, value, minimum: Optional[int] = None) -> None:
@@ -27,6 +29,13 @@ def _check_real(name: str, value, low: float, high: float, *,
         interval = (f"{'[' if low_closed else '('}{low:g}, "
                     f"{high:g}{']' if high_closed else ')'}")
         raise ValueError(f"{name} must lie in {interval}")
+
+
+def _check_bool(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a bool (Python or numpy); a
+    truthy string, integer or None would silently pick a behaviour."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 def _check_type(name: str, value, cls: type) -> None:

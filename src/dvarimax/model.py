@@ -71,6 +71,10 @@ class ObservationMatrix:
 class GroundTruth:
     """Everything a synthetic draw knows about itself.
 
+    The noise is not stored: it is ``X - loading @ factors`` (up to the
+    rounding of that sum), and ``generate_dataset`` draws it straight into
+    the buffer that becomes X.
+
     Attributes
     ----------
     eps2 : float
@@ -86,14 +90,12 @@ class GroundTruth:
 
     loading: np.ndarray        # p x r
     factors: np.ndarray        # r x n
-    noise: np.ndarray          # p x n
     eps2: float
     theta: float
     kappa: float
 
     def __post_init__(self):
-        p, r = self.loading.shape
-        if self.factors.shape[0] != r or self.noise.shape != (p, self.factors.shape[1]):
+        if self.factors.shape[0] != self.loading.shape[1]:
             raise ValueError("inconsistent ground-truth shapes")
 
 
@@ -187,6 +189,14 @@ def generate_factors(r: int, n: int, theta: float, rng: np.random.Generator) -> 
     return gauss * mask
 
 
+def _heteroscedastic_variances(p: int, alpha: float,
+                               rng: np.random.Generator) -> np.ndarray:
+    """The p heteroscedastic noise variances ``p * v**alpha / sum(v**alpha)``
+    for v_j i.i.d. Uniform[0, 1]; they sum to p."""
+    weights = rng.random(p) ** alpha
+    return p * weights / weights.sum()
+
+
 def realize_noise_covariance(config: SyntheticConfig,
                              rng: np.random.Generator) -> np.ndarray:
     """Realize the p x p noise covariance of ``config.noise_kind``."""
@@ -194,12 +204,45 @@ def realize_noise_covariance(config: SyntheticConfig,
     if config.noise_kind == "identity":
         return np.eye(p)
     if config.noise_kind == "heteroscedastic":
-        v = rng.random(p)
-        weights = v ** config.noise_alpha
-        gamma2 = p * weights / weights.sum()
-        return np.diag(gamma2)
+        return np.diag(_heteroscedastic_variances(p, config.noise_alpha, rng))
     idx = np.arange(p)
     return config.noise_rho ** np.abs(idx[:, None] - idx[None, :])
+
+
+# Entries of Gaussian noise drawn, scaled and added at a time: 256 KiB of
+# doubles, so a draw holds no p x n noise array beside X.
+_NOISE_BLOCK = 1 << 15
+
+
+def _add_noise(config: SyntheticConfig, x: np.ndarray) -> None:
+    """Add the p x n noise of ``config``, columns i.i.d.
+    N(0, varepsilon2 * Sigma_E / p), to ``x`` in place.
+
+    For a diagonal Sigma_E (identity, heteroscedastic) the standard
+    normal draw comes in blocks of rows, each scaled in place by its rows'
+    standard deviations and added to x, and Sigma_E is never formed; the
+    stream yields the same numbers as one p x n draw.  The Toeplitz kind
+    multiplies the whole p x n draw by the Cholesky factor of Sigma_E.
+    """
+    p, n = x.shape
+    cov_rng = substream(config.seed, "noise-cov")
+    rng = substream(config.seed, "noise")
+    scale = np.sqrt(config.varepsilon2 / p)
+    if config.noise_kind == "toeplitz":
+        chol = np.linalg.cholesky(realize_noise_covariance(config, cov_rng))
+        noise = chol @ rng.standard_normal((p, n))
+        noise *= scale
+        x += noise
+        return
+    if config.noise_kind == "heteroscedastic":
+        row_scale = scale * np.sqrt(_heteroscedastic_variances(p, config.noise_alpha, cov_rng))
+    else:
+        row_scale = np.full(p, scale)
+    rows = max(1, _NOISE_BLOCK // n)
+    for start in range(0, p, rows):
+        block = rng.standard_normal((min(rows, p - start), n))
+        block *= row_scale[start:start + rows, None]
+        x[start:start + rows] += block
 
 
 def generate_dataset(config: SyntheticConfig):
@@ -209,28 +252,30 @@ def generate_dataset(config: SyntheticConfig):
     N(0, varepsilon2 * Sigma_E / p).  The loading, factor, covariance and
     noise draws use four independent streams derived from ``config.seed``,
     so e.g. changing ``varepsilon2`` does not perturb the loading draw.
+
+    A draw with identity or heteroscedastic noise holds one p x n buffer:
+    the product ``loading @ factors`` becomes X, and the noise is drawn and
+    added into it a block of rows at a time, with no p x p Sigma_E.  The
+    Toeplitz kind still forms Sigma_E, its Cholesky factor and a p x n
+    noise array; an O(pn) AR(1) recursion would avoid them but round its
+    draws differently.  Each entry of X is rounded as the one sum of the
+    product and the noise.  No copy of the noise is kept: it is
+    X - loading @ factors.
     """
     p, n, r = config.p, config.n, config.r
     loading, _ = generate_loading(p, r, substream(config.seed, "loading"))
     factors = generate_factors(r, n, config.theta, substream(config.seed, "factors"))
-    sigma_e = realize_noise_covariance(config, substream(config.seed, "noise-cov"))
-
+    # One matmul over the whole shape: a BLAS can round an entry of the same
+    # product differently when it is taken in row blocks, or accumulated
+    # into the noise by another BLAS build (scipy's dgemm with beta = 1 did
+    # on a p=300, n=900, r=5 draw with two threads).
+    x = loading @ factors
     if config.varepsilon2 > 0:
-        gauss = substream(config.seed, "noise").standard_normal((p, n))
-        scale = np.sqrt(config.varepsilon2 / p)
-        if config.noise_kind in ("identity", "heteroscedastic"):
-            noise = scale * np.sqrt(np.diag(sigma_e))[:, None] * gauss
-        else:
-            noise = scale * (np.linalg.cholesky(sigma_e) @ gauss)
-    else:
-        noise = np.zeros((p, n))
-
-    x = loading @ factors + noise
+        _add_noise(config, x)
 
     truth = GroundTruth(
         loading=loading,
         factors=factors,
-        noise=noise,
         eps2=config.varepsilon2 / (p * config.theta),
         theta=config.theta,
         kappa=(3.0 / config.theta - 3.0) / 3.0,

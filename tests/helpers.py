@@ -5,7 +5,9 @@ slices from the fourth-moment statistic T only.  The score-based versions
 here compute the same quantities from the scores U directly, and serve as
 the reference implementations the statistic is checked against.
 ``reference_pgd_solve`` is the PGD loop on the reshape-and-matvec form of
-the statistic's gradient, the reference for ``pgd_solve``.
+the statistic's gradient, the reference for ``pgd_solve``, and
+``reference_generate_dataset`` draws X through the p x p noise covariance
+and a separate noise array, the reference for ``generate_dataset``.
 """
 from __future__ import annotations
 
@@ -14,7 +16,9 @@ from itertools import permutations, product
 
 import numpy as np
 
-from dvarimax import DegenerateSlicingError, DivergenceError, complement_projector
+from dvarimax import (DegenerateSlicingError, DivergenceError, complement_projector,
+                      generate_factors, generate_loading, realize_noise_covariance,
+                      substream)
 from dvarimax.initialization import SUBTRACTION_MODES
 from dvarimax.rotation import _MIN_ITERATE_NORM, _check_sigma_n, _check_unit
 
@@ -149,6 +153,26 @@ def reference_pgd_solve(q0, stat, config):
                                   iteration=iters + 1)
         q = step / nrm
     return q, config.max_iters, gnorm, False
+
+
+def reference_generate_dataset(config):
+    """(X, loading, factors) for ``config``, drawn as the plain reading of
+    the model: the p x p Sigma_E, a p x n noise array scaled from one
+    Gaussian draw, and ``loading @ factors + noise``."""
+    p, n, r = config.p, config.n, config.r
+    loading, _ = generate_loading(p, r, substream(config.seed, "loading"))
+    factors = generate_factors(r, n, config.theta, substream(config.seed, "factors"))
+    sigma_e = realize_noise_covariance(config, substream(config.seed, "noise-cov"))
+    if config.varepsilon2 > 0:
+        gauss = substream(config.seed, "noise").standard_normal((p, n))
+        scale = np.sqrt(config.varepsilon2 / p)
+        if config.noise_kind in ("identity", "heteroscedastic"):
+            noise = scale * np.sqrt(np.diag(sigma_e))[:, None] * gauss
+        else:
+            noise = scale * (np.linalg.cholesky(sigma_e) @ gauss)
+    else:
+        noise = np.zeros((p, n))
+    return loading @ factors + noise, loading, factors
 
 
 def brute_force_signed_permutation_error(lambda_hat, lambda_true):

@@ -83,11 +83,18 @@ def test_estimate_deterministic():
     b = estimate_loading(observed.data, 3, "base", MOM, FAST, substream(9, "est"))
     assert np.array_equal(a.lambda_hat, b.lambda_hat)
     assert np.array_equal(a.q_check, b.q_check)
-    # a mis-typed settings object is named, not read as an attribute
+    # a mis-typed settings object is named, not read as an attribute, and a
+    # truthy non-bool does not switch the fallback on
     for name, bad in (("init_scheme", dict(init_scheme="mom")),
-                      ("solve_config", dict(solve_config={"step_size": 1e-2}))):
+                      ("solve_config", dict(solve_config={"step_size": 1e-2})),
+                      ("auto_fallback", dict(auto_fallback="no")),
+                      ("auto_fallback", dict(auto_fallback=1)),
+                      ("auto_fallback", dict(auto_fallback=None))):
         with pytest.raises(ValueError, match=name):
             estimate_loading(observed.data, 3, "base", rng=substream(9, "est"), **bad)
+    c = estimate_loading(observed.data, 3, "base", MOM, FAST, substream(9, "est"),
+                         auto_fallback=np.False_)
+    assert np.array_equal(a.lambda_hat, c.lambda_hat)
 
 
 def test_column_space_matches_pca_subspace():

@@ -228,12 +228,17 @@ def test_grid_validation():
                 dict(sweep_name="theta", sweep_values=(np.True_,))):
         with pytest.raises(ValueError):
             _small_grid(**bad)
-    # a mis-typed settings object fails at construction, not in every cell
+    # a mis-typed settings object fails at construction, not in every cell,
+    # and so does a flag that is truthy without being a bool
     for name, bad in (("base", dict(base={"n": 50})),
                       ("init_schemes", dict(init_schemes=("mom",))),
-                      ("solve_config", dict(solve_config={"step_size": 1e-2}))):
+                      ("solve_config", dict(solve_config={"step_size": 1e-2})),
+                      *((flag, {flag: value})
+                        for flag in ("record_runtime", "auto_fallback")
+                        for value in ("no", 1, None))):
         with pytest.raises(ValueError, match=name):
             _small_grid(**bad)
+    _small_grid(record_runtime=np.True_, auto_fallback=np.False_)
     # no NaN or infinite theta or varepsilon2 makes a valid cell, and two
     # NaNs would pass the repeat check below, since nan != nan
     for name in ("theta", "varepsilon2"):

@@ -1,7 +1,10 @@
 """Tests for the domain types and synthetic generators."""
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
-from helpers import ZeroDraws
+from helpers import ZeroDraws, reference_generate_dataset
 
 from dvarimax import (NOISE_KINDS, GroundTruth, ObservationMatrix,
                       SyntheticConfig, generate_dataset, generate_factors,
@@ -222,7 +225,6 @@ def test_dataset_deterministic():
     obs_b, truth_b = generate_dataset(config)
     assert np.array_equal(obs_a.data, obs_b.data)
     assert np.array_equal(truth_a.loading, truth_b.loading)
-    assert np.array_equal(truth_a.noise, truth_b.noise)
 
 
 def test_ground_truth_svd_reconstruction_and_scaling():
@@ -235,4 +237,42 @@ def test_ground_truth_svd_reconstruction_and_scaling():
 def test_ground_truth_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         GroundTruth(loading=np.zeros((4, 2)), factors=np.zeros((3, 5)),
-                    noise=np.zeros((4, 5)), eps2=0.0, theta=0.1, kappa=9.0)
+                    eps2=0.0, theta=0.1, kappa=9.0)
+
+
+@pytest.mark.parametrize("p,n,r", [
+    (40, 7, 3),        # p > n
+    (1, 30, 1),        # p = 1: numpy multiplies a row vector by the factors
+    (25, 60, 1),       # r = 1
+    (3, 2, 2),         # n = 2
+    (700, 100, 4),     # several noise blocks, the last one short
+    (3, 40000, 2),     # rows longer than a noise block
+    (300, 900, 5),     # where a two-thread scipy dgemm rounds unlike numpy
+    (400, 450, 385),   # an inner dimension that a BLAS sums in pieces
+])
+def test_dataset_matches_the_reference_bytewise(p, n, r):
+    settings = itertools.product(NOISE_KINDS, (0.0, 0.1, 0.8), (0.0, 0.7, 4.0), (0.5, 0.9))
+    for seed, (kind, eps2, alpha, rho) in enumerate(settings):
+        config = SyntheticConfig(n=n, p=p, r=r, varepsilon2=eps2, noise_kind=kind,
+                                 noise_alpha=alpha, noise_rho=rho, seed=seed)
+        observed, truth = generate_dataset(config)
+        x, loading, factors = reference_generate_dataset(config)
+        assert observed.data.tobytes() == x.tobytes(), config
+        assert truth.loading.tobytes() == loading.tobytes(), config
+        assert truth.factors.tobytes() == factors.tobytes(), config
+
+
+@pytest.mark.parametrize("kind", ["identity", "heteroscedastic"])
+@pytest.mark.parametrize("p,n", [(2000, 200), (200, 2000)])
+def test_dataset_holds_one_data_sized_buffer(kind, p, n):
+    # a p x n noise array or product beside X would take the peak to twice
+    # X's bytes, and a p x p Sigma_E at p = 2000 to over ten times
+    config = SyntheticConfig(n=n, p=p, r=5, noise_kind=kind, seed=3)
+    generate_dataset(config)
+    tracemalloc.start()
+    try:
+        observed, _ = generate_dataset(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * observed.data.nbytes
