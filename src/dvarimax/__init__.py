@@ -16,7 +16,7 @@ from .initialization import (InitScheme, complement_projector,
                              random_init, slice_operator)
 from .model import (NOISE_KINDS, GroundTruth, ObservationMatrix,
                     SyntheticConfig, generate_dataset, generate_factors,
-                    generate_loading, realize_noise_covariance)
+                    generate_loading)
 from .rng import derive_seed, substream
 from .rotation import (FourthMoment, RotationResult, RotationSolveConfig,
                        complement_basis, deflate, fourth_moment, pgd_solve,
@@ -28,8 +28,7 @@ __all__ = [
     "__version__",
     # model
     "ObservationMatrix", "GroundTruth", "NOISE_KINDS", "SyntheticConfig",
-    "generate_loading", "generate_factors", "realize_noise_covariance",
-    "generate_dataset",
+    "generate_loading", "generate_factors", "generate_dataset",
     # spectral
     "PcaDecomposition", "eigendecompose", "leading_eigenvalues",
     "noise_variance_estimate",

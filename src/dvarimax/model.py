@@ -26,7 +26,6 @@ __all__ = [
     "SyntheticConfig",
     "generate_loading",
     "generate_factors",
-    "realize_noise_covariance",
     "generate_dataset",
 ]
 
@@ -72,8 +71,8 @@ class GroundTruth:
     """Everything a synthetic draw knows about itself.
 
     The noise is not stored: it is ``X - loading @ factors`` (up to the
-    rounding of that sum), and ``generate_dataset`` draws it straight into
-    the buffer that becomes X.
+    rounding of that sum), and ``generate_dataset`` draws it, of every
+    noise kind, straight into the buffer that becomes X.
 
     Attributes
     ----------
@@ -163,6 +162,8 @@ def generate_loading(p: int, r: int, rng: np.random.Generator):
     (loading, d) : (np.ndarray, np.ndarray)
         The normalized p x r loading and the raw column scales.
     """
+    _check_integer("p", p, 1)
+    _check_integer("r", r)
     if r > p:
         raise ValueError(f"r={r} exceeds p={p}")
     if r < 1:
@@ -183,6 +184,8 @@ def generate_factors(r: int, n: int, theta: float, rng: np.random.Generator) -> 
     independent.  Coordinates have second moment theta and excess
     kurtosis ``(3/theta - 3) / 3``.
     """
+    _check_integer("r", r, 1)
+    _check_integer("n", n, 1)
     _check_real("theta", theta, 0, 1, high_closed=True)
     mask = rng.random((r, n)) < theta
     gauss = rng.standard_normal((r, n))
@@ -197,18 +200,6 @@ def _heteroscedastic_variances(p: int, alpha: float,
     return p * weights / weights.sum()
 
 
-def realize_noise_covariance(config: SyntheticConfig,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Realize the p x p noise covariance of ``config.noise_kind``."""
-    p = config.p
-    if config.noise_kind == "identity":
-        return np.eye(p)
-    if config.noise_kind == "heteroscedastic":
-        return np.diag(_heteroscedastic_variances(p, config.noise_alpha, rng))
-    idx = np.arange(p)
-    return config.noise_rho ** np.abs(idx[:, None] - idx[None, :])
-
-
 # Entries of Gaussian noise drawn, scaled and added at a time: 256 KiB of
 # doubles, so a draw holds no p x n noise array beside X.
 _NOISE_BLOCK = 1 << 15
@@ -218,29 +209,34 @@ def _add_noise(config: SyntheticConfig, x: np.ndarray) -> None:
     """Add the p x n noise of ``config``, columns i.i.d.
     N(0, varepsilon2 * Sigma_E / p), to ``x`` in place.
 
-    For a diagonal Sigma_E (identity, heteroscedastic) the standard
-    normal draw comes in blocks of rows, each scaled in place by its rows'
-    standard deviations and added to x, and Sigma_E is never formed; the
-    stream yields the same numbers as one p x n draw.  The Toeplitz kind
-    multiplies the whole p x n draw by the Cholesky factor of Sigma_E.
+    The standard normal draw comes in blocks of rows, and Sigma_E is never
+    formed; the stream yields the same numbers as one p x n draw.  For the
+    Toeplitz kind each row g_i first becomes e_i = rho e_{i-1} +
+    sqrt(1 - rho^2) g_i with e_0 = g_0, the AR(1) recursion that applies
+    the Cholesky factor of [rho^|i-j|] one row at a time.  Each block is
+    then scaled in place by its rows' standard deviations and added to x.
     """
     p, n = x.shape
-    cov_rng = substream(config.seed, "noise-cov")
     rng = substream(config.seed, "noise")
     scale = np.sqrt(config.varepsilon2 / p)
-    if config.noise_kind == "toeplitz":
-        chol = np.linalg.cholesky(realize_noise_covariance(config, cov_rng))
-        noise = chol @ rng.standard_normal((p, n))
-        noise *= scale
-        x += noise
-        return
     if config.noise_kind == "heteroscedastic":
-        row_scale = scale * np.sqrt(_heteroscedastic_variances(p, config.noise_alpha, cov_rng))
+        row_scale = scale * np.sqrt(_heteroscedastic_variances(
+            p, config.noise_alpha, substream(config.seed, "noise-cov")))
     else:
         row_scale = np.full(p, scale)
+    rho = config.noise_rho
+    innovation = math.sqrt(1.0 - rho * rho)
     rows = max(1, _NOISE_BLOCK // n)
+    prev = None
     for start in range(0, p, rows):
         block = rng.standard_normal((min(rows, p - start), n))
+        if config.noise_kind == "toeplitz":
+            for row in block:
+                if prev is not None:
+                    row *= innovation
+                    row += rho * prev
+                prev = row
+            prev = prev.copy()  # the block is scaled in place below
         block *= row_scale[start:start + rows, None]
         x[start:start + rows] += block
 
@@ -249,17 +245,16 @@ def generate_dataset(config: SyntheticConfig):
     """Draw one (X, ground truth) pair according to ``config``.
 
     X = loading @ factors + noise, with noise columns i.i.d.
-    N(0, varepsilon2 * Sigma_E / p).  The loading, factor, covariance and
-    noise draws use four independent streams derived from ``config.seed``,
-    so e.g. changing ``varepsilon2`` does not perturb the loading draw.
+    N(0, varepsilon2 * Sigma_E / p).  The loading, factor and noise draws
+    use independent streams derived from ``config.seed``, and the
+    heteroscedastic variances a fourth, so e.g. changing ``varepsilon2``
+    does not perturb the loading draw.
 
-    A draw with identity or heteroscedastic noise holds one p x n buffer:
-    the product ``loading @ factors`` becomes X, and the noise is drawn and
-    added into it a block of rows at a time, with no p x p Sigma_E.  The
-    Toeplitz kind still forms Sigma_E, its Cholesky factor and a p x n
-    noise array; an O(pn) AR(1) recursion would avoid them but round its
-    draws differently.  Each entry of X is rounded as the one sum of the
-    product and the noise.  No copy of the noise is kept: it is
+    A draw of any noise kind holds one p x n buffer and never forms the
+    p x p Sigma_E: the product ``loading @ factors`` becomes X, and the
+    noise is drawn and added into it a block of rows at a time, Toeplitz
+    rows by their AR(1) recursion.  Each entry of X is rounded as the one
+    sum of the product and the noise.  No copy of the noise is kept: it is
     X - loading @ factors.
     """
     p, n, r = config.p, config.n, config.r

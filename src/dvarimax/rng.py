@@ -12,6 +12,8 @@ import zlib
 
 import numpy as np
 
+from .exceptions import _check_integer
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -32,6 +34,7 @@ def _tag_to_int(tag) -> int:
 
 def substream(seed: int, *tags) -> np.random.Generator:
     """Return an independent generator keyed by ``(seed, *tags)``."""
+    _check_integer("seed", seed)
     entropy = [int(seed) & _MASK64] + [_tag_to_int(t) for t in tags]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
@@ -42,6 +45,7 @@ def derive_seed(seed: int, *tags) -> int:
     Used to stamp derived seeds into output records so that any single
     unit of work can be re-run standalone.
     """
+    _check_integer("seed", seed)
     entropy = [int(seed) & _MASK64] + [_tag_to_int(t) for t in tags]
     state = np.random.SeedSequence(entropy).generate_state(2, np.uint32)
     return int(state[0]) | (int(state[1]) << 32)

@@ -214,7 +214,7 @@ def _check_prior(prior: np.ndarray) -> np.ndarray:
         raise ValueError("prior columns must form a 2-D r x k array")
     if prior.shape[1]:
         norms = np.linalg.norm(prior, axis=0)
-        if np.max(np.abs(norms - 1.0)) > _UNIT_TOL:
+        if not np.max(np.abs(norms - 1.0)) <= _UNIT_TOL:  # a NaN norm fails too
             raise ValueError("prior columns must be unit-norm")
     return prior
 

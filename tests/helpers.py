@@ -6,8 +6,9 @@ here compute the same quantities from the scores U directly, and serve as
 the reference implementations the statistic is checked against.
 ``reference_pgd_solve`` is the PGD loop on the reshape-and-matvec form of
 the statistic's gradient, the reference for ``pgd_solve``, and
-``reference_generate_dataset`` draws X through the p x p noise covariance
-and a separate noise array, the reference for ``generate_dataset``.
+``reference_generate_dataset`` draws X through the p x p noise covariance,
+built from its documented formulas, and a separate noise array, the
+reference for ``generate_dataset``.
 """
 from __future__ import annotations
 
@@ -17,8 +18,7 @@ from itertools import permutations, product
 import numpy as np
 
 from dvarimax import (DegenerateSlicingError, DivergenceError, complement_projector,
-                      generate_factors, generate_loading, realize_noise_covariance,
-                      substream)
+                      generate_factors, generate_loading, substream)
 from dvarimax.initialization import SUBTRACTION_MODES
 from dvarimax.rotation import _MIN_ITERATE_NORM, _check_sigma_n, _check_unit
 
@@ -157,12 +157,22 @@ def reference_pgd_solve(q0, stat, config):
 
 def reference_generate_dataset(config):
     """(X, loading, factors) for ``config``, drawn as the plain reading of
-    the model: the p x p Sigma_E, a p x n noise array scaled from one
-    Gaussian draw, and ``loading @ factors + noise``."""
+    the model: the p x p Sigma_E from its documented formulas (I,
+    diag(p v^alpha / sum(v^alpha)) for v_j i.i.d. Uniform[0, 1] from the
+    ``noise-cov`` stream, or rho^|i - j|), a p x n noise array scaled from
+    one Gaussian draw by the Cholesky factor of Sigma_E, and
+    ``loading @ factors + noise``."""
     p, n, r = config.p, config.n, config.r
     loading, _ = generate_loading(p, r, substream(config.seed, "loading"))
     factors = generate_factors(r, n, config.theta, substream(config.seed, "factors"))
-    sigma_e = realize_noise_covariance(config, substream(config.seed, "noise-cov"))
+    if config.noise_kind == "identity":
+        sigma_e = np.eye(p)
+    elif config.noise_kind == "heteroscedastic":
+        weights = substream(config.seed, "noise-cov").random(p) ** config.noise_alpha
+        sigma_e = np.diag(p * weights / weights.sum())
+    else:
+        idx = np.arange(p)
+        sigma_e = config.noise_rho ** np.abs(idx[:, None] - idx[None, :])
     if config.varepsilon2 > 0:
         gauss = substream(config.seed, "noise").standard_normal((p, n))
         scale = np.sqrt(config.varepsilon2 / p)

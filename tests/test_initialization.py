@@ -114,6 +114,14 @@ def test_complement_basis_full_prior_raises():
         complement_basis(np.eye(3))
     with pytest.raises(ValueError, match="2-D"):
         complement_basis(np.ones(3))
+    # a non-finite column has no norm to check, and no complement
+    for bad in (np.nan, np.inf):
+        prior = np.eye(3)[:, :2]
+        prior[0, 1] = bad
+        for call in (complement_basis, complement_projector,
+                     lambda prior: random_init(prior, substream(0, "init"))):
+            with pytest.raises(ValueError, match="unit-norm"):
+                call(prior)
     # a draw of zeros has no direction to normalize
     with pytest.raises(DegenerateProjectorError, match="zero norm"):
         random_init(_empty_prior(3), ZeroDraws())

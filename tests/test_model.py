@@ -7,8 +7,9 @@ import pytest
 from helpers import ZeroDraws, reference_generate_dataset
 
 from dvarimax import (NOISE_KINDS, GroundTruth, ObservationMatrix,
-                      SyntheticConfig, generate_dataset, generate_factors,
-                      generate_loading, realize_noise_covariance, substream)
+                      SyntheticConfig, derive_seed, generate_dataset,
+                      generate_factors, generate_loading, substream)
+from dvarimax.model import _heteroscedastic_variances
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +97,12 @@ def test_loading_deterministic():
         substream(1, object())
     # a bool tag keys the stream of the integer it equals
     assert np.array_equal(substream(1, True).random(3), substream(1, 1).random(3))
+    # a seed is an integer, of any sign; 1.5 would key the stream of 1
+    for bad in (1.5, 1.0, True, "1", None):
+        for derive in (substream, derive_seed):
+            with pytest.raises(ValueError, match="seed"):
+                derive(bad, "a")
+    assert derive_seed(np.int64(-3), "x") == derive_seed(-3, "x")
 
 
 def test_loading_rejects_r_above_p():
@@ -105,6 +112,9 @@ def test_loading_rejects_r_above_p():
         generate_loading(3, 0, substream(0, "loading"))
     with pytest.raises(ValueError, match="zero operator norm"):
         generate_loading(3, 2, ZeroDraws())
+    for p, r in ((2.5, 1), (3, 1.0), (0, 0), (True, 1), (3, "1")):
+        with pytest.raises(ValueError, match="p=|r="):
+            generate_loading(p, r, substream(0, "loading"))
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +126,10 @@ def test_factors_rejects_bad_theta():
     for theta in (0.0, -0.2, 1.5, True, "0.5"):
         with pytest.raises(ValueError, match="theta"):
             generate_factors(2, 10, theta, rng)
+    # so are the shape arguments: integers, each at least 1
+    for r, n in ((2, 5.0), (-1, 5), (0, 5), (2, 0), (True, 5)):
+        with pytest.raises(ValueError, match="r=|n="):
+            generate_factors(r, n, 0.5, rng)
 
 
 def test_factors_theta_one_is_gaussian():
@@ -155,45 +169,19 @@ def test_factors_rows_uncorrelated():
 
 
 # ---------------------------------------------------------------------------
-# realize_noise_covariance
+# heteroscedastic noise variances
 # ---------------------------------------------------------------------------
 
-def _noise(p, kind, **settings):
-    """A config that draws a p x p noise covariance of the given kind."""
-    return SyntheticConfig(n=2, p=p, r=1, noise_kind=kind, **settings)
-
-
-def test_identity_covariance():
-    sigma = realize_noise_covariance(_noise(3, "identity"), substream(0, "cov"))
-    assert np.array_equal(sigma, np.eye(3))
-
-
 def test_heteroscedastic_alpha_zero_is_identity():
-    sigma = realize_noise_covariance(_noise(4, "heteroscedastic", noise_alpha=0.0),
-                                     substream(1, "cov"))
-    assert np.allclose(sigma, np.eye(4), atol=1e-12)
+    variances = _heteroscedastic_variances(4, 0.0, substream(1, "cov"))
+    assert np.allclose(variances, np.ones(4), atol=1e-12)
 
 
 def test_heteroscedastic_trace_is_p():
     for seed in range(5):
-        sigma = realize_noise_covariance(_noise(31, "heteroscedastic", noise_alpha=0.7),
-                                         substream(seed, "cov"))
-        assert abs(np.trace(sigma) - 31) <= 1e-10
-        assert np.all(np.diag(sigma) >= 0)
-
-
-def test_toeplitz_explicit_values():
-    sigma = realize_noise_covariance(_noise(3, "toeplitz", noise_rho=0.5),
-                                     substream(2, "cov"))
-    expected = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
-    assert np.allclose(sigma, expected, atol=1e-15)
-
-
-def test_toeplitz_positive_semidefinite():
-    sigma = realize_noise_covariance(_noise(40, "toeplitz", noise_rho=0.9),
-                                     substream(3, "cov"))
-    assert np.min(np.linalg.eigvalsh(sigma)) > 0
-    assert np.allclose(sigma, sigma.T)
+        variances = _heteroscedastic_variances(31, 0.7, substream(seed, "cov"))
+        assert abs(variances.sum() - 31) <= 1e-10
+        assert np.all(variances >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,22 +239,31 @@ def test_ground_truth_shape_mismatch_rejected():
     (400, 450, 385),   # an inner dimension that a BLAS sums in pieces
 ])
 def test_dataset_matches_the_reference_bytewise(p, n, r):
-    settings = itertools.product(NOISE_KINDS, (0.0, 0.1, 0.8), (0.0, 0.7, 4.0), (0.5, 0.9))
+    # Toeplitz rows come from the AR(1) recursion, which applies the
+    # Cholesky factor of the oracle's Sigma_E one row at a time and so
+    # rounds its noise differently; every other draw is the same bytes.
+    settings = itertools.product(NOISE_KINDS, (0.0, 0.1, 0.8), (0.0, 0.7, 4.0),
+                                 (0.5, 0.9, 0.99))
     for seed, (kind, eps2, alpha, rho) in enumerate(settings):
         config = SyntheticConfig(n=n, p=p, r=r, varepsilon2=eps2, noise_kind=kind,
                                  noise_alpha=alpha, noise_rho=rho, seed=seed)
         observed, truth = generate_dataset(config)
         x, loading, factors = reference_generate_dataset(config)
-        assert observed.data.tobytes() == x.tobytes(), config
+        if kind == "toeplitz" and eps2 > 0:
+            noise = np.max(np.abs(x - loading @ factors))
+            assert np.max(np.abs(observed.data - x)) <= 1e-12 * noise, config
+        else:
+            assert observed.data.tobytes() == x.tobytes(), config
         assert truth.loading.tobytes() == loading.tobytes(), config
         assert truth.factors.tobytes() == factors.tobytes(), config
 
 
-@pytest.mark.parametrize("kind", ["identity", "heteroscedastic"])
+@pytest.mark.parametrize("kind", NOISE_KINDS)
 @pytest.mark.parametrize("p,n", [(2000, 200), (200, 2000)])
 def test_dataset_holds_one_data_sized_buffer(kind, p, n):
     # a p x n noise array or product beside X would take the peak to twice
-    # X's bytes, and a p x p Sigma_E at p = 2000 to over ten times
+    # X's bytes, and a p x p Sigma_E or its Cholesky factor at p = 2000 to
+    # over ten times
     config = SyntheticConfig(n=n, p=p, r=5, noise_kind=kind, seed=3)
     generate_dataset(config)
     tracemalloc.start()
