@@ -15,7 +15,7 @@ the orthogonalized rotation), rescaled to unit operator norm.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -119,15 +119,14 @@ def estimate_loading(x: np.ndarray, r: int,
         corrected eigenvalues positive.
     init_scheme : InitScheme
         Initializer with all its settings (default: ``mom`` with the
-        default slice count and subtraction mode).  ``mom_improved`` needs
-        the noise correction as the improved variants do.
+        default slice count and subtraction mode).
     auto_fallback : bool
         When the correction is infeasible, fall back to the base variant
-        (and from ``mom_improved`` to ``mom`` with the same settings)
         instead of raising; the fallback is flagged in the diagnostics.
     rng : np.random.Generator
-        Drives every random draw of the initialization scheme.  The
-        output is a pure function of (x, r, options, rng state).
+        Drives every random draw of the initialization scheme (default: a
+        fresh ``np.random.default_rng()``).  The output is a pure function
+        of (x, r, options, rng state).
 
     Raises
     ------
@@ -135,9 +134,9 @@ def estimate_loading(x: np.ndarray, r: int,
         If an improved variant is requested, the correction cannot be
         formed, and ``auto_fallback`` is off.
     ValueError
-        If ``init_scheme`` or ``solve_config`` is given and is not an
-        ``InitScheme`` or a ``RotationSolveConfig``, or ``auto_fallback``
-        is not a bool.
+        If ``init_scheme``, ``solve_config`` or ``rng`` is given and is not
+        an ``InitScheme``, a ``RotationSolveConfig`` or a
+        ``np.random.Generator``, or ``auto_fallback`` is not a bool.
     """
     t_start = time.perf_counter()
     x = np.asarray(x, dtype=float)
@@ -151,28 +150,25 @@ def estimate_loading(x: np.ndarray, r: int,
     _check_bool("auto_fallback", auto_fallback)
     if rng is None:
         rng = np.random.default_rng()
+    _check_type("rng", rng, np.random.Generator)
 
     decomp = eigendecompose(x, r)
     corrected = None
     effective_variant = variant
-    effective_scheme = init_scheme
     fallback = False
-    if variant != EstimatorVariant.BASE or init_scheme.improved:
+    if variant != EstimatorVariant.BASE:
         try:
             corrected = corrected_decomposition(decomp)
         except CorrectionInfeasibleError:
             if not auto_fallback:
                 raise
             effective_variant = EstimatorVariant.BASE
-            if init_scheme.improved:
-                effective_scheme = replace(init_scheme, label="mom")
             fallback = True
 
     fitted = decomp if effective_variant == EstimatorVariant.BASE else corrected
-    sigma_u = np.eye(r) + corrected.sigma_n_hat if effective_scheme.improved else None
     # The rotation stage reads the scores only through this statistic.
     stat = fourth_moment(fitted.scores)
-    provider = make_init_provider(effective_scheme, stat, rng, sigma_u=sigma_u)
+    provider = make_init_provider(init_scheme, stat, rng)
     if effective_variant == EstimatorVariant.IMPROVED2:
         stat = stat.bias_corrected(fitted.sigma_n_hat)
     rotation = deflate(stat, provider, solve_config)
@@ -186,7 +182,7 @@ def estimate_loading(x: np.ndarray, r: int,
         noise_var_hat=None if corrected is None else corrected.noise_var_hat,
         requested_variant=variant.value,
         effective_variant=effective_variant.value,
-        init_label=effective_scheme.label,
+        init_label=init_scheme.label,
         fallback=fallback,
         near_duplicate=bool(np.any(rotation.restricted)),
         runtime_ms=(time.perf_counter() - t_start) * 1000.0,

@@ -30,7 +30,7 @@ from .estimator import EstimatorVariant, estimate_loading
 from .exceptions import _check_bool, _check_integer, _check_real, _check_type
 from .initialization import InitScheme
 from .model import SyntheticConfig, generate_dataset
-from .rng import derive_seed, substream
+from .rng import _MASK64, derive_seed, substream
 from .rotation import RotationSolveConfig
 
 __all__ = [
@@ -125,7 +125,7 @@ class ExperimentGrid:
                 # no NaN or infinite theta or varepsilon2 makes a valid cell
                 _check_real(self.sweep_name, value, -math.inf, math.inf)
         _check_integer("replications", self.replications, 1)
-        _check_integer("master_seed", self.master_seed)
+        _check_integer("master_seed", self.master_seed, 0, _MASK64)
         _check_bool("auto_fallback", self.auto_fallback)
         _check_bool("record_runtime", self.record_runtime)
         if not self.variants or not self.init_schemes:

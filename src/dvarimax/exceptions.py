@@ -8,13 +8,16 @@ from typing import Optional
 import numpy as np
 
 
-def _check_integer(name: str, value, minimum: Optional[int] = None) -> None:
+def _check_integer(name: str, value, minimum: Optional[int] = None,
+                   maximum: Optional[int] = None) -> None:
     """Raise ValueError unless ``value`` is an integer (Python or numpy, not
-    a bool) and, if ``minimum`` is given, at least ``minimum``."""
+    a bool) and at least ``minimum`` and at most ``maximum`` where given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name}={value!r} must be an integer")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name}={value} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name}={value} must be <= {maximum}")
 
 
 def _check_real(name: str, value, low: float, high: float, *,

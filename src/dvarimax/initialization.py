@@ -34,12 +34,9 @@ Two subtraction modes, ``InitScheme.subtraction``, are supported for the
 moment matrix.  The default ``as_written`` subtracts G + G^T.  The
 alternative ``lemma_consistent`` subtracts exactly what the fourth-moment
 expectation identity for whitened scores prescribes, (1/3) tr(G) I +
-(1/3)(G + G^T); the modes differ by a symmetric residual.  Given a score
-covariance estimate ``sigma_u`` S_U = I + sigma_n_hat, which the
-``mom_improved`` scheme passes, K subtracts the noise-corrected
-S_U (G + G^T) S_U + tr(G S_U) S_U instead (1/3 of it if lemma_consistent).
-So in the ``lemma_consistent`` mode K is a third of T minus the Gaussian
-fourth moment with covariance S_U, or I without ``sigma_u``.
+(1/3)(G + G^T); the modes differ by a symmetric residual.  So in the
+``lemma_consistent`` mode K is a third of T minus the standard Gaussian
+fourth moment.
 """
 from __future__ import annotations
 
@@ -77,9 +74,9 @@ class InitScheme:
     """Tagged choice of initialization scheme with every setting it takes.
 
     ``label`` is one of ``LABELS``.  ``draws`` (multi_random) defaults to
-    r^2 and ``slices`` (mom, mom_improved) to max(16, 4 r^2) when left
-    unset; both resolve against the score dimension at run time.
-    ``subtraction`` (mom, mom_improved) is one of ``SUBTRACTION_MODES``.
+    r^2 and ``slices`` (mom) to max(16, 4 r^2) when left unset; both
+    resolve against the score dimension at run time.  ``subtraction``
+    (mom) is one of ``SUBTRACTION_MODES``.
     A scheme rejects a non-default setting that it does not use.
     """
 
@@ -88,7 +85,7 @@ class InitScheme:
     slices: Optional[int] = None
     subtraction: str = "as_written"
 
-    LABELS = ("random", "multi_random", "mom", "mom_improved")
+    LABELS = ("random", "multi_random", "mom")
 
     def __post_init__(self):
         if self.label not in self.LABELS:
@@ -100,9 +97,8 @@ class InitScheme:
                 raise ValueError("draws applies only to the multi_random scheme")
         if self.slices is not None:
             _check_integer("slices", self.slices, 1)
-        if not self.label.startswith("mom") and (
-                self.slices is not None or self.subtraction != "as_written"):
-            raise ValueError("slices and subtraction apply only to the mom schemes")
+        if self.label != "mom" and (self.slices is not None or self.subtraction != "as_written"):
+            raise ValueError("slices and subtraction apply only to the mom scheme")
 
     @classmethod
     def random(cls) -> "InitScheme":
@@ -113,10 +109,9 @@ class InitScheme:
         return cls("multi_random", draws=draws)
 
     @classmethod
-    def method_of_moments(cls, slices: Optional[int] = None, improved: bool = False,
+    def method_of_moments(cls, slices: Optional[int] = None,
                           subtraction: str = "as_written") -> "InitScheme":
-        return cls("mom_improved" if improved else "mom", slices=slices,
-                   subtraction=subtraction)
+        return cls("mom", slices=slices, subtraction=subtraction)
 
     @classmethod
     def from_label(cls, label: str, draws: Optional[int] = None,
@@ -125,14 +120,9 @@ class InitScheme:
         """The scheme ``label`` with only the settings it uses."""
         if label == "multi_random":
             return cls.multi_random(draws)
-        if label in ("mom", "mom_improved"):
-            return cls(label, slices=slices, subtraction=subtraction)
+        if label == "mom":
+            return cls.method_of_moments(slices, subtraction)
         return cls(label)
-
-    @property
-    def improved(self) -> bool:
-        """Whether the moment slices subtract the noise-corrected term."""
-        return self.label == "mom_improved"
 
     def draws_for(self, r: int) -> int:
         return self.draws if self.draws is not None else r * r
@@ -177,29 +167,23 @@ def multi_random_init(stat: FourthMoment, prior: np.ndarray, draws: int,
     return candidates[int(np.argmin(values))]
 
 
-def slice_operator(stat: FourthMoment, sigma_u: Optional[np.ndarray] = None,
-                   subtraction: str = "as_written") -> np.ndarray:
+def slice_operator(stat: FourthMoment, subtraction: str = "as_written") -> np.ndarray:
     """The r^2 x r^2 operator K = T/3 - A whose product with vec(G) is the
     moment slice for G, M(G) = reshape(vec(G)^T K); linear in G.
 
-    A reads the subtracted term.  With S = ``sigma_u``, or I when none is
-    given, A = (I + P)(S^T (x) S) reads S (G + G^T) S, where P swaps the
-    two indices of a pair; for a symmetric S it is (S (x) S)(I + P).  A
-    gains vec(S^T) vec(S)^T, which reads tr(G S) S, when ``sigma_u`` is
-    given or the mode is ``lemma_consistent``, and is divided by 3 in that
-    mode.  The score-based reference is ``mom_matrix`` in ``tests/helpers.py``.
+    A reads the subtracted term.  A = I + P reads G + G^T, where P swaps
+    the two indices of a pair.  In the ``lemma_consistent`` mode A gains
+    vec(I) vec(I)^T, which reads tr(G) I, and is divided by 3.  The
+    score-based reference is ``mom_matrix`` in ``tests/helpers.py``.
     """
     _check_subtraction(subtraction)
     r = stat.r
-    s = np.eye(r) if sigma_u is None else np.asarray(sigma_u, dtype=float)
-    if s.shape != (r, r):
-        raise ValueError(f"sigma_u must be {r} x {r}")
-    # a[i, j, k, l] = S_ki S_jl reads S G S, its pair-swapped copy S G^T S
-    a = s.T[:, None, :, None] * s[None, :, None, :]
+    eye = np.eye(r)
+    # a[i, j, k, l] = I_ki I_jl reads G, its pair-swapped copy G^T
+    a = eye[:, None, :, None] * eye[None, :, None, :]
     a = (a + a.transpose(1, 0, 2, 3)).reshape(r * r, r * r)
-    if sigma_u is not None or subtraction == "lemma_consistent":
-        a += np.outer(s.T, s)
     if subtraction == "lemma_consistent":
+        a += np.outer(eye, eye)
         a /= 3.0
     return stat.matrix / 3.0 - a
 
@@ -308,23 +292,18 @@ def mom_init(operator: np.ndarray, prior: np.ndarray, n_slices: int, *,
 
 
 def make_init_provider(scheme: InitScheme, stat: FourthMoment,
-                       rng: np.random.Generator, *,
-                       sigma_u: Optional[np.ndarray] = None):
+                       rng: np.random.Generator):
     """Build the ``prior -> q0`` callable used by the deflation loop.
 
-    Every round reads ``stat``, the ``mom`` schemes through its
-    :func:`slice_operator`, formed here once per fit.  ``sigma_u`` (the
-    score covariance estimate) is given exactly for ``mom_improved``.  A
-    fixed ``rng``, consumed in sequence across rounds, fixes every start.
+    Every round reads ``stat``, the ``mom`` scheme through its
+    :func:`slice_operator`, formed here once per fit.  A fixed ``rng``,
+    consumed in sequence across rounds, fixes every start.
     """
-    if scheme.improved != (sigma_u is not None):
-        raise ValueError("a score covariance estimate sigma_u is given exactly "
-                         "for the mom_improved init scheme")
     r = stat.r
     if scheme.label == "random":
         return lambda prior: random_init(prior, rng)
     if scheme.label == "multi_random":
         draws = scheme.draws_for(r)
         return lambda prior: multi_random_init(stat, prior, draws, rng)
-    operator, n_slices = slice_operator(stat, sigma_u, scheme.subtraction), scheme.slices_for(r)
+    operator, n_slices = slice_operator(stat, scheme.subtraction), scheme.slices_for(r)
     return lambda prior: mom_init(operator, prior, n_slices, rng=rng)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import _check_integer, _check_real
-from .rng import substream
+from .rng import _MASK64, substream
 
 __all__ = [
     "ObservationMatrix",
@@ -133,7 +133,7 @@ class SyntheticConfig:
         _check_integer("n", self.n, 2)
         _check_integer("p", self.p, 1)
         _check_integer("r", self.r, 1)
-        _check_integer("seed", self.seed, 0)
+        _check_integer("seed", self.seed, 0, _MASK64)
         if self.r > min(self.p, self.n):
             raise ValueError(f"r={self.r} exceeds min(p, n)={min(self.p, self.n)}")
         _check_real("theta", self.theta, 0, 1, high_closed=True)

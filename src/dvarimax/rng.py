@@ -1,10 +1,11 @@
 """Reproducible random-stream derivation.
 
 Every random draw in this package flows through a counter-based Philox
-generator keyed by a user seed plus a sequence of purpose tags.  Streams
-derived from distinct tag sequences are statistically independent, so any
-single draw can be reproduced in isolation and parallel execution
-schedules cannot reorder or perturb them.
+generator keyed by a user seed, an integer in [0, 2**64) passed as it is,
+plus a sequence of purpose tags.  Streams derived from distinct seeds or
+tag sequences are statistically independent, so any single draw can be
+reproduced in isolation and parallel execution schedules cannot reorder
+or perturb them.
 """
 from __future__ import annotations
 
@@ -34,8 +35,8 @@ def _tag_to_int(tag) -> int:
 
 def substream(seed: int, *tags) -> np.random.Generator:
     """Return an independent generator keyed by ``(seed, *tags)``."""
-    _check_integer("seed", seed)
-    entropy = [int(seed) & _MASK64] + [_tag_to_int(t) for t in tags]
+    _check_integer("seed", seed, 0, _MASK64)
+    entropy = [int(seed)] + [_tag_to_int(t) for t in tags]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
@@ -45,7 +46,7 @@ def derive_seed(seed: int, *tags) -> int:
     Used to stamp derived seeds into output records so that any single
     unit of work can be re-run standalone.
     """
-    _check_integer("seed", seed)
-    entropy = [int(seed) & _MASK64] + [_tag_to_int(t) for t in tags]
+    _check_integer("seed", seed, 0, _MASK64)
+    entropy = [int(seed)] + [_tag_to_int(t) for t in tags]
     state = np.random.SeedSequence(entropy).generate_state(2, np.uint32)
     return int(state[0]) | (int(state[1]) << 32)

@@ -76,34 +76,22 @@ def corrected_gradient(q: np.ndarray, u: np.ndarray,
     return _plain_gradient(q, u) + _bias_term(q, sigma_n)
 
 
-def _subtracted(g: np.ndarray, sigma_u: np.ndarray | None, subtraction: str) -> np.ndarray:
-    """The term the moment slice for one r x r G subtracts; the
-    noise-corrected term exactly when ``sigma_u`` is given."""
+def _subtracted(g: np.ndarray, subtraction: str) -> np.ndarray:
+    """The term the moment slice for one r x r G subtracts."""
     if subtraction not in SUBTRACTION_MODES:
         raise ValueError(f"unknown subtraction mode: {subtraction!r}")
-    r = g.shape[0]
     sym = g + g.T
-    if sigma_u is None:
-        if subtraction == "as_written":
-            return sym
-        return (np.trace(g) * np.eye(r) + sym) / 3.0
-    sigma_u = np.asarray(sigma_u, dtype=float)
-    if sigma_u.shape != (r, r):
-        raise ValueError(f"sigma_u must be {r} x {r}")
-    term = sigma_u @ sym @ sigma_u + np.trace(g @ sigma_u) * sigma_u
-    return term if subtraction == "as_written" else term / 3.0
+    if subtraction == "as_written":
+        return sym
+    return (np.trace(g) * np.eye(g.shape[0]) + sym) / 3.0
 
 
-def mom_matrix(u: np.ndarray, g: np.ndarray, sigma_u: np.ndarray | None = None,
-               subtraction: str = "as_written") -> np.ndarray:
+def mom_matrix(u: np.ndarray, g: np.ndarray, subtraction: str = "as_written") -> np.ndarray:
     """Fourth-moment slice (1/(3n)) sum_t U_t U_t^T (U_t^T G U_t) - <subtraction>.
 
-    Plain form subtracts G + G^T; given ``sigma_u`` (the score covariance
-    estimate S_U = I + sigma_n_hat) the improved form subtracts
-    S_U (G + G^T) S_U + tr(G S_U) S_U.  With ``subtraction =
-    "lemma_consistent"`` both subtracted terms carry a factor 1/3 and the
-    plain form gains a (1/3) tr(G) I term, matching the exact whitened
-    fourth-moment expectation.  The map G -> M(G) is linear either way.
+    ``as_written`` subtracts G + G^T.  ``lemma_consistent`` subtracts
+    (1/3)(tr(G) I + G + G^T), the exact whitened fourth-moment
+    expectation.  The map G -> M(G) is linear either way.
     """
     u = np.asarray(u, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -112,7 +100,7 @@ def mom_matrix(u: np.ndarray, g: np.ndarray, sigma_u: np.ndarray | None = None,
     r, n = u.shape
     if g.shape != (r, r):
         raise ValueError(f"g must be {r} x {r}")
-    subtracted = _subtracted(g, sigma_u, subtraction)
+    subtracted = _subtracted(g, subtraction)
     quad = np.einsum("it,ij,jt->t", u, g, u)
     return (u * quad) @ u.T / (3 * n) - subtracted
 

@@ -12,6 +12,7 @@ from dvarimax import (NOISE_KINDS, EstimatorVariant, InitScheme,
 from dvarimax.cli import (_KEY_PARSERS, CliError, main, parse_config_text,
                           read_matrix_csv, resolve_config, write_matrix_csv)
 from dvarimax.evaluate import SWEEPABLE_PARAMETERS
+from dvarimax.initialization import SUBTRACTION_MODES
 
 
 def _write_config(tmp_path, name, **entries):
@@ -89,14 +90,26 @@ def test_resolve_config_rejects_a_non_boolean():
             resolve_config({key: "maybe"})
 
 
-def test_readme_cli_section_names_every_config_key():
+def _readme_cli_section() -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf8")
-    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_section_names_every_config_key():
+    section = _readme_cli_section()
     # a key counts as named in backticks, on a config line or in a --set
     missing = [key for key in _KEY_PARSERS
                if f"`{key}`" not in section and f"--set {key}=" not in section
                and not re.search(rf"^{key} = ", section, flags=re.MULTILINE)]
     assert not missing, f"README's CLI section does not name {missing}"
+
+
+@pytest.mark.parametrize("choice", [
+    *(variant.value for variant in EstimatorVariant), *InitScheme.LABELS, *NOISE_KINDS,
+    *SWEEPABLE_PARAMETERS, *SUBTRACTION_MODES])
+def test_readme_cli_section_names_every_choice(choice):
+    # every value a choice key accepts is named in backticks
+    assert f"`{choice}`" in _readme_cli_section()
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +181,15 @@ def test_simulate_requires_seed(tmp_path, capsys):
     (dict(noise_kind="toeplitz", noise_rho=1.5), "toeplitz decay rho must lie in (0, 1)"),
     # every noise setting is checked, also one that the kind does not read
     (dict(noise_kind="identity", noise_rho=1.5), "toeplitz decay rho must lie in (0, 1)"),
+    # a seed is an integer in [0, 2**64), never reduced modulo 2**64
+    (dict(seed=-1), "seed=-1 must be >= 0"),
+    (dict(seed=2 ** 64), f"seed={2 ** 64} must be <= {2 ** 64 - 1}"),
+    (dict(init="mom_improved"),
+     "config key 'init': must be one of random, multi_random, mom (got 'mom_improved')"),
 ])
 def test_simulate_reports_the_library_message(tmp_path, capsys, entries, message):
-    config = _write_config(tmp_path, "sim.cfg", n=10, p=4, r=2, seed=1,
-                           output_path=tmp_path / "out", **entries)
+    config = _write_config(tmp_path, "sim.cfg", **{
+        **dict(n=10, p=4, r=2, seed=1, output_path=tmp_path / "out"), **entries})
     assert _run("simulate", "--config", config) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
@@ -387,7 +405,7 @@ def test_mom_subtraction_reaches_only_the_mom_schemes(tmp_path):
     for mode in ("as_written", "lemma_consistent"):
         out = tmp_path / mode
         config = _benchmark_config(tmp_path, out, mom_subtraction=mode,
-                                   init_schemes="random,multi_random,mom,mom_improved",
+                                   init_schemes="random,multi_random,mom",
                                    replications=2)
         assert _run("benchmark", "--config", config) == 0
         for line in (out / "records.csv").read_text().splitlines()[1:]:

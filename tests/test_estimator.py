@@ -87,11 +87,12 @@ def test_estimate_deterministic():
     # truthy non-bool does not switch the fallback on
     for name, bad in (("init_scheme", dict(init_scheme="mom")),
                       ("solve_config", dict(solve_config={"step_size": 1e-2})),
+                      ("rng", dict(rng=5)),
                       ("auto_fallback", dict(auto_fallback="no")),
                       ("auto_fallback", dict(auto_fallback=1)),
                       ("auto_fallback", dict(auto_fallback=None))):
         with pytest.raises(ValueError, match=name):
-            estimate_loading(observed.data, 3, "base", rng=substream(9, "est"), **bad)
+            estimate_loading(observed.data, 3, "base", **{"rng": substream(9, "est"), **bad})
     c = estimate_loading(observed.data, 3, "base", MOM, FAST, substream(9, "est"),
                          auto_fallback=np.False_)
     assert np.array_equal(a.lambda_hat, c.lambda_hat)
@@ -184,19 +185,6 @@ def test_improved_with_fallback_runs_base():
     assert diag.effective_variant == "base"
 
 
-def test_mom_improved_falls_back_to_mom_with_its_settings():
-    x = _infeasible_input()
-    scheme = InitScheme.method_of_moments(8, improved=True, subtraction="lemma_consistent")
-    with pytest.raises(CorrectionInfeasibleError):
-        estimate_loading(x, 3, "base", scheme, FAST, substream(6, "est"))
-    est = estimate_loading(x, 3, "base", scheme, FAST, substream(6, "est"),
-                           auto_fallback=True)
-    assert est.diagnostics.fallback and est.diagnostics.init_label == "mom"
-    plain = estimate_loading(x, 3, "base", replace(scheme, label="mom"), FAST,
-                             substream(6, "est"))
-    assert np.array_equal(est.lambda_hat, plain.lambda_hat)
-
-
 def test_infeasible_correction_falls_back():
     # Because the eigenvalues are sorted, the tail mean can only reach the
     # r-th eigenvalue when the spectrum is flat across it, e.g. for
@@ -242,9 +230,7 @@ def test_corrected_fit_keeps_the_plain_decomposition(variant):
     # estimate hands back the plain PCA, and predict_factors reads it.
     observed, _ = _dataset(eps2=0.3, seed=16)
     plain = eigendecompose(observed.data, 3)
-    est = estimate_loading(observed.data, 3, variant,
-                           InitScheme.method_of_moments(improved=True), FAST,
-                           substream(13, "est"))
+    est = estimate_loading(observed.data, 3, variant, MOM, FAST, substream(13, "est"))
     assert est.diagnostics.noise_var_hat > 0.0
     assert est.decomposition.noise_var_hat is None
     assert np.array_equal(est.decomposition.eigvals, plain.eigvals)

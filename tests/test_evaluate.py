@@ -222,6 +222,7 @@ def test_grid_validation():
             subtraction="lemma-consistent"),))
     for bad in (dict(replications=2.5), dict(replications=True),
                 dict(master_seed=1.5), dict(master_seed=False),
+                dict(master_seed=-1), dict(master_seed=2 ** 64),
                 dict(sweep_values=(120.7,)), dict(sweep_values=(True,)),
                 dict(sweep_name="theta", sweep_values=("0.5",)),
                 dict(sweep_name="theta", sweep_values=(True,)),

@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from helpers import (ZeroDraws, batched_svd_mom_init, hand_instance, mom_matrix, mom_slices,
+from helpers import (ZeroDraws, batched_svd_mom_init, hand_instance, mom_matrix,
                      objective, random_orthogonal, unit_columns, unpruned_mom_init)
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,17 +31,15 @@ def test_init_scheme_defaults_and_labels():
     assert InitScheme.multi_random(7).draws_for(5) == 7
     assert InitScheme.method_of_moments().slices_for(5) == 100
     assert InitScheme.method_of_moments().slices_for(1) == 16
-    assert InitScheme.method_of_moments(improved=True).label == "mom_improved"
-    assert InitScheme("mom_improved").improved and not InitScheme("mom").improved
     assert InitScheme.method_of_moments().subtraction == "as_written"
     assert [spec.name for spec in fields(InitScheme)] == [
         "label", "draws", "slices", "subtraction"]
     with pytest.raises(ValueError):
         InitScheme("bogus")
     for mode in SUBTRACTION_MODES:
-        assert InitScheme("mom_improved", subtraction=mode).subtraction == mode
+        assert InitScheme("mom", subtraction=mode).subtraction == mode
     for label in ("random", "multi_random"):
-        with pytest.raises(ValueError, match="apply only to the mom schemes"):
+        with pytest.raises(ValueError, match="apply only to the mom scheme"):
             InitScheme(label, subtraction="lemma_consistent")
     with pytest.raises(ValueError, match="unknown subtraction mode"):
         InitScheme.method_of_moments(subtraction="lemma-consistent")
@@ -68,14 +66,19 @@ def test_from_label_inverts_label(label):
                                    subtraction="lemma_consistent")
     assert scheme.label == label
     assert scheme.draws == (3 if label == "multi_random" else None)
-    assert scheme.slices == (5 if label.startswith("mom") else None)
-    assert scheme.subtraction == ("lemma_consistent" if label.startswith("mom")
-                                  else "as_written")
+    assert scheme.slices == (5 if label == "mom" else None)
+    assert scheme.subtraction == ("lemma_consistent" if label == "mom" else "as_written")
 
 
 def test_from_label_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown init scheme"):
-        InitScheme.from_label("bogus")
+    for label in ("bogus", "mom_improved"):
+        with pytest.raises(ValueError, match="unknown init scheme"):
+            InitScheme.from_label(label)
+        with pytest.raises(ValueError, match="unknown init scheme"):
+            InitScheme(label)
+    # the removed positional ``improved`` flag must not bind to ``subtraction``
+    with pytest.raises(ValueError, match="unknown subtraction mode"):
+        InitScheme.method_of_moments(8, True)
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +234,7 @@ def test_mom_matrix_linear_in_slice():
     u = rng.standard_normal((4, 50))
     g1 = rng.standard_normal((4, 4))
     g2 = rng.standard_normal((4, 4))
-    sigma_u = np.eye(4) + np.diag(rng.uniform(0.0, 0.5, 4))
-    for kwargs in ({}, {"subtraction": "lemma_consistent"},
-                   {"sigma_u": sigma_u},
-                   {"sigma_u": sigma_u, "subtraction": "lemma_consistent"}):
+    for kwargs in ({}, {"subtraction": "lemma_consistent"}):
         combo = mom_matrix(u, 2.0 * g1 - 3.0 * g2, **kwargs)
         parts = 2.0 * mom_matrix(u, g1, **kwargs) - 3.0 * mom_matrix(u, g2, **kwargs)
         assert np.linalg.norm(combo - parts) <= 1e-10 * max(np.linalg.norm(parts), 1.0)
@@ -270,16 +270,6 @@ def test_mom_matrix_expectation_oracle():
     expect_lemma = kappa_term
     assert np.max(np.abs(acc_written / resamples - expect_written)) <= 0.35
     assert np.max(np.abs(acc_lemma / resamples - expect_lemma)) <= 0.35
-
-
-def test_mom_matrix_improved_requires_sigma_u():
-    # the noise-corrected slice is formed from sigma_u and needs it r x r;
-    # with S_U = I it subtracts G + G^T + tr(G) I rather than G + G^T
-    u = hand_instance()
-    with pytest.raises(ValueError, match="sigma_u"):
-        mom_matrix(u, np.eye(2), sigma_u=np.eye(3))
-    got = mom_matrix(u, np.eye(2), sigma_u=np.eye(2))
-    assert np.allclose(got, np.diag([-10.0 / 3.0, -10.0 / 3.0]), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +343,6 @@ def test_mom_init_projected_round_stays_in_complement():
 
 def test_mom_init_checks_the_slice_operator_settings():
     stat = fourth_moment(substream(14, "init").standard_normal((3, 60)))
-    with pytest.raises(ValueError, match="sigma_u must be 3 x 3"):
-        slice_operator(stat, np.eye(2))
     with pytest.raises(ValueError, match="unknown subtraction mode: 'lemma-consistent'"):
         slice_operator(stat, subtraction="lemma-consistent")
     operator = slice_operator(stat)
@@ -363,20 +351,6 @@ def test_mom_init_checks_the_slice_operator_settings():
             mom_init(bad, _empty_prior(3), 4, rng=substream(15, "init"))
     with pytest.raises(ValueError, match="prior must have 3 rows, got 2"):
         mom_init(operator, _empty_prior(2), 4, rng=substream(15, "init"))
-
-
-@pytest.mark.parametrize("r", [2, 3, 5])
-def test_slice_operator_reads_a_non_symmetric_sigma_u_as_the_formula_does(r):
-    # S (G + G^T) S + tr(G S) S for any S, not only the symmetric S_U a fit passes
-    rng = substream(16, "init", r)
-    u = rng.standard_normal((r, 80))
-    g = rng.standard_normal((4, r, r))
-    sigma_u = np.eye(r) + 0.5 * rng.standard_normal((r, r))
-    for mode in SUBTRACTION_MODES:
-        got = mom_slices(slice_operator(fourth_moment(u), sigma_u, mode), g)
-        for one, slice_ in zip(g, got):
-            assert np.allclose(slice_, mom_matrix(u, one, sigma_u, mode),
-                               rtol=1e-12, atol=1e-12)
 
 
 def test_mom_init_deterministic():
@@ -390,23 +364,20 @@ def test_mom_init_deterministic():
 
 @settings(max_examples=20)
 @given(r=st.integers(2, 8), k=st.integers(0, 7), slices=st.integers(1, 40),
-       seed=st.integers(0, 2 ** 32 - 1), improved=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1),
        mode=st.sampled_from(["as_written", "lemma_consistent"]))
-def test_mom_init_picks_the_slice_a_loop_over_mom_matrix_picks(
-        r, k, slices, seed, improved, mode):
+def test_mom_init_picks_the_slice_a_loop_over_mom_matrix_picks(r, k, slices, seed, mode):
     rng = np.random.default_rng(seed)
     u = generate_factors(r, 400, 0.2, rng) / np.sqrt(0.2)
     prior = random_orthogonal(r, rng)[:, :min(k, r - 2)]
-    sigma_u = np.eye(r) + np.diag(rng.uniform(0.0, 0.5, r))
-    kwargs = dict(sigma_u=sigma_u if improved else None, subtraction=mode)
-    got = mom_init(slice_operator(fourth_moment(u), **kwargs), prior, slices,
+    got = mom_init(slice_operator(fourth_moment(u), mode), prior, slices,
                    rng=substream(seed, "batched"))
     # the reference: one draw, one moment slice and one SVD per slice
     draws = substream(seed, "batched")
     proj = complement_projector(prior)
     gaps, leading = [], []
     for _ in range(slices):
-        m = proj @ mom_matrix(u, draws.standard_normal((r, r)), **kwargs) @ proj
+        m = proj @ mom_matrix(u, draws.standard_normal((r, r)), mode) @ proj
         left, singulars, _ = np.linalg.svd(m)
         gaps.append(singulars[0] - singulars[1])
         leading.append(left[:, 0])
@@ -417,22 +388,18 @@ def test_mom_init_picks_the_slice_a_loop_over_mom_matrix_picks(
 
 @settings(max_examples=30)
 @given(r=st.integers(2, 10), k=st.integers(0, 9), slices=st.integers(1, 400),
-       seed=st.integers(0, 2 ** 32 - 1), improved=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1),
        mode=st.sampled_from(["as_written", "lemma_consistent"]))
-def test_mom_init_returns_the_batched_svd_selection_bitwise(
-        r, k, slices, seed, improved, mode):
+def test_mom_init_returns_the_batched_svd_selection_bitwise(r, k, slices, seed, mode):
     rng = np.random.default_rng(seed)
     u = generate_factors(r, 300, 0.2, rng) / np.sqrt(0.2)
     prior = random_orthogonal(r, rng)[:, :min(k, r - 1)]
-    sigma_u = np.eye(r) + np.diag(rng.uniform(0.0, 0.5, r))
-    kwargs = dict(sigma_u=sigma_u if improved else None, subtraction=mode)
-    operator = slice_operator(fourth_moment(u), **kwargs)
+    operator = slice_operator(fourth_moment(u), mode)
     got = mom_init(operator, prior, slices, rng=substream(seed, "slices"))
     want = batched_svd_mom_init(operator, prior, slices, rng=substream(seed, "slices"))
     assert np.array_equal(got, want)
     # A stack whose every slice is zero has no gap to pick by.
-    zeros = slice_operator(fourth_moment(np.zeros((r, 300))),
-                           **dict(kwargs, sigma_u=np.zeros((r, r))))
+    zeros = np.zeros((r * r, r * r))
     for init in (mom_init, batched_svd_mom_init):
         with pytest.raises(DegenerateSlicingError):
             init(zeros, prior, slices, rng=substream(seed, "slices"))
@@ -454,9 +421,9 @@ class _FixedDraws:
 @given(r=st.integers(1, 10), k=st.integers(0, 9), slices=st.integers(1, 400),
        distinct=st.integers(1, 400), tilt=st.sampled_from([0.0, 0.05, 1.0]),
        scale=st.sampled_from([1.0, 1e40]), seed=st.integers(0, 2 ** 32 - 1),
-       improved=st.booleans(), mode=st.sampled_from(["as_written", "lemma_consistent"]))
+       mode=st.sampled_from(["as_written", "lemma_consistent"]))
 def test_mom_init_returns_the_unpruned_selection_bitwise(
-        r, k, slices, distinct, tilt, scale, seed, improved, mode):
+        r, k, slices, distinct, tilt, scale, seed, mode):
     # Priors are unit columns that need not be orthogonal, as deflate
     # passes them.  The slicing matrices repeat with period ``distinct``,
     # so when it is below ``slices`` the stack holds exactly tied slices.
@@ -464,10 +431,8 @@ def test_mom_init_returns_the_unpruned_selection_bitwise(
     rng = np.random.default_rng(seed)
     stat = fourth_moment(scale * generate_factors(r, 300, 0.2, rng) / np.sqrt(0.2))
     prior = unit_columns(r, min(k, r - 1), tilt, rng)
-    sigma_u = np.eye(r) + np.diag(rng.uniform(0.0, 0.5, r))
-    kwargs = dict(sigma_u=sigma_u if improved else None, subtraction=mode)
     g = rng.standard_normal((distinct, r, r))[np.arange(slices) % distinct]
-    operator = slice_operator(stat, **kwargs)
+    operator = slice_operator(stat, mode)
     got = mom_init(operator, prior, slices, rng=_FixedDraws(g))
     want = unpruned_mom_init(operator, prior, slices, rng=_FixedDraws(g))
     assert np.array_equal(got, want)
@@ -572,30 +537,15 @@ def test_provider_outputs_unit_vectors():
             prior = np.column_stack([prior, q0]) if prior.size else q0[:, None]
 
 
-def test_provider_improved_requires_sigma_u():
-    # the score covariance estimate goes with mom_improved and no other scheme
-    stat = fourth_moment(hand_instance())
-    with pytest.raises(ValueError, match="sigma_u"):
-        make_init_provider(InitScheme.method_of_moments(improved=True), stat,
-                           substream(21, "init"))
-    for scheme in (InitScheme.random(), InitScheme.multi_random(),
-                   InitScheme.method_of_moments()):
-        with pytest.raises(ValueError, match="sigma_u"):
-            make_init_provider(scheme, stat, substream(21, "init"), sigma_u=np.eye(2))
-
-
 @pytest.mark.parametrize("mode", SUBTRACTION_MODES)
 def test_provider_reads_the_scheme_subtraction(mode):
     rng = substream(22, "init")
     u = generate_factors(3, 2000, 0.3, rng) / np.sqrt(0.3)
-    sigma_u = np.eye(3) + np.diag(rng.uniform(0.0, 0.5, 3))
     stat, prior = fourth_moment(u), _empty_prior(3)
-    for improved, given in ((False, None), (True, sigma_u)):
-        scheme = InitScheme.method_of_moments(8, improved, mode)
-        provider = make_init_provider(scheme, stat, substream(23, "init"), sigma_u=given)
-        want = mom_init(slice_operator(stat, given, mode), prior, 8,
-                        rng=substream(23, "init"))
-        assert np.array_equal(provider(prior), want)
+    scheme = InitScheme.method_of_moments(8, mode)
+    provider = make_init_provider(scheme, stat, substream(23, "init"))
+    want = mom_init(slice_operator(stat, mode), prior, 8, rng=substream(23, "init"))
+    assert np.array_equal(provider(prior), want)
 
 
 def test_a_mom_fit_forms_the_slice_operator_once(monkeypatch):

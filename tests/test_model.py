@@ -60,7 +60,7 @@ def test_synthetic_config_validates():
         with pytest.raises(ValueError):
             SyntheticConfig(n=10, p=4, r=2, varepsilon2=eps2, seed=1)
     for bad in (dict(n=100.5), dict(r=2.0), dict(seed=1.5), dict(p=True),
-                dict(seed=-1)):
+                dict(seed=-1), dict(seed=2 ** 64)):
         with pytest.raises(ValueError):
             SyntheticConfig(**{**dict(n=10, p=4, r=2, seed=1), **bad})
     SyntheticConfig(n=np.int64(10), p=np.int32(4), r=np.int64(2), seed=np.int64(1))
@@ -97,12 +97,14 @@ def test_loading_deterministic():
         substream(1, object())
     # a bool tag keys the stream of the integer it equals
     assert np.array_equal(substream(1, True).random(3), substream(1, 1).random(3))
-    # a seed is an integer, of any sign; 1.5 would key the stream of 1
-    for bad in (1.5, 1.0, True, "1", None):
+    # a seed is an integer in [0, 2**64), passed as it is: 1.5 would key the
+    # stream of 1, and -1 or 2**64 that of 2**64 - 1 or 0 under a 64-bit mask
+    for bad in (1.5, 1.0, True, "1", None, -1, 2 ** 64):
         for derive in (substream, derive_seed):
             with pytest.raises(ValueError, match="seed"):
                 derive(bad, "a")
-    assert derive_seed(np.int64(-3), "x") == derive_seed(-3, "x")
+    assert derive_seed(np.int64(3), "x") == derive_seed(3, "x")
+    assert derive_seed(np.uint64(2 ** 64 - 1), "x") == derive_seed(2 ** 64 - 1, "x")
 
 
 def test_loading_rejects_r_above_p():
