@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .estimator import (EstimateDiagnostics, EstimatorVariant, LoadingEstimate,
-                        estimate_loading, loading_from_rotation, predict_factors)
+from .estimator import (EstimatorVariant, LoadingEstimate, estimate_loading,
+                        loading_from_rotation, predict_factors)
 from .evaluate import (ExperimentGrid, ExperimentRecord, SummaryRow, aggregate,
                        records_to_csv, run_experiment, signed_permutation_error,
                        summary_to_csv)
@@ -40,7 +40,7 @@ __all__ = [
     "InitScheme", "complement_projector", "random_init",
     "multi_random_init", "slice_operator", "mom_init", "make_init_provider",
     # estimator
-    "EstimatorVariant", "EstimateDiagnostics", "LoadingEstimate",
+    "EstimatorVariant", "LoadingEstimate",
     "estimate_loading", "loading_from_rotation", "predict_factors",
     # evaluation
     "ExperimentGrid", "ExperimentRecord", "SummaryRow",

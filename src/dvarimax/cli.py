@@ -1,16 +1,17 @@
 """Command-line front end: simulate, estimate, benchmark.
 
 Configuration is a flat UTF-8 text file of ``key = value`` lines with
-``#`` comments.  Unknown keys are rejected; missing keys take documented
-defaults.  ``--set key=value`` overrides file entries.  Matrices on disk
-are CSV with one comment line of metadata, one row per feature and one
-column per sample, values printed with 17 significant digits so binary64
-round-trips exactly.
+``#`` comments; an inline comment's ``#`` follows whitespace.  Unknown
+keys are rejected; missing keys take documented defaults.  ``--set
+key=value`` overrides file entries.  Matrices on disk are CSV with one
+comment line of metadata, one row per feature and one column per sample,
+values printed with 17 significant digits so binary64 round-trips exactly.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -128,11 +129,16 @@ _DEFAULTS = {
 }
 
 
+# A comment starts at a '#' that begins the line or follows whitespace, so a
+# value such as runs/#3 keeps its '#'.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Parse ``key = value`` lines into a raw string-to-string mapping."""
     raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT.split(line, 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
@@ -256,32 +262,30 @@ def cmd_simulate(config: dict) -> int:
 
 
 def cmd_estimate(config: dict) -> int:
+    # Every setting is checked before the input is read or anything solved.
     input_path = _require(config, "input_path", "estimate")
-    x = read_matrix_csv(input_path)
-    p, n = x.shape
-
+    r = _require(config, "r", "estimate")
+    if r == "auto" and config.get("r_max", 1) < 1:
+        raise CliError("r_max must be >= 1")
     seed = config.get("seed")
     if seed is None:
         seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
+    rng = substream(seed, "estimate")
+    variant = EstimatorVariant(config["variant"])
+    scheme = _build_init_scheme(config, config["init"])
+    solve_config = _build_solve_config(config)
 
-    r = _require(config, "r", "estimate")
+    x = read_matrix_csv(input_path)
+    p, n = x.shape
     selected_rank = None
     if r == "auto":
-        r_max = config.get("r_max", min(p, n) - 1 if min(p, n) > 1 else 1)
-        # select_rank checks r_max too, but only after the solve, whose k
-        # is derived from r_max; reject a bad r_max before solving.
-        if r_max < 1:
-            raise CliError("r_max must be >= 1")
+        r_max = config.get("r_max", max(min(p, n) - 1, 1))
         # select_rank reads the eigenvalues up to index r_max (0-based).
         eigvals = leading_eigenvalues(x, min(r_max + 1, min(p, n)))
-        r = select_rank(eigvals, r_max)
-        selected_rank = r
+        r = selected_rank = select_rank(eigvals, r_max)
 
-    scheme = _build_init_scheme(config, config["init"])
-    estimate = estimate_loading(
-        x, r, EstimatorVariant(config["variant"]), scheme,
-        _build_solve_config(config), substream(seed, "estimate"),
-        **_given(config, "auto_fallback"))
+    estimate = estimate_loading(x, r, variant, scheme, solve_config, rng,
+                                **_given(config, "auto_fallback"))
     z_hat = predict_factors(estimate.decomposition, estimate.q_check)
 
     outdir = Path(config["output_path"])
@@ -293,23 +297,23 @@ def cmd_estimate(config: dict) -> int:
     write_matrix_csv(outdir / "z_hat.csv", z_hat,
                      f"rows={r} cols={n} kind=z_hat")
 
-    diag = estimate.diagnostics
+    rotation = estimate.diagnostics
     resolved = {key: config[key] for key in sorted(config)}
     resolved["r"] = r
     resolved["seed"] = seed
     payload = {
         "resolved_config": resolved,
         "selected_rank": selected_rank,
-        "noise_var_hat": diag.noise_var_hat,
-        "iterations": [int(i) for i in diag.iter_counts],
-        "grad_norms": [float(g) for g in diag.grad_norms],
-        "converged": [bool(c) for c in diag.converged_flags],
-        "requested_variant": diag.requested_variant,
-        "effective_variant": diag.effective_variant,
-        "init": diag.init_label,
-        "fallback": diag.fallback,
-        "near_duplicate": diag.near_duplicate,
-        "runtime_ms": diag.runtime_ms,
+        "noise_var_hat": estimate.noise_var_hat,
+        "iterations": [int(i) for i in rotation.iter_counts],
+        "grad_norms": [float(g) for g in rotation.grad_norms],
+        "converged": [bool(c) for c in rotation.converged_flags],
+        "requested_variant": config["variant"],
+        "effective_variant": estimate.effective_variant,
+        "init": scheme.label,
+        "fallback": estimate.fallback,
+        "near_duplicate": bool(rotation.restricted.any()),
+        "runtime_ms": estimate.runtime_ms,
     }
     with open(outdir / "diagnostics.json", "w", encoding="utf8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)

@@ -23,12 +23,11 @@ import numpy as np
 
 from .exceptions import CorrectionInfeasibleError, _check_bool, _check_type
 from .initialization import InitScheme, make_init_provider
-from .rotation import RotationSolveConfig, deflate, fourth_moment
+from .rotation import RotationResult, RotationSolveConfig, deflate, fourth_moment
 from .spectral import PcaDecomposition, corrected_decomposition, eigendecompose
 
 __all__ = [
     "EstimatorVariant",
-    "EstimateDiagnostics",
     "LoadingEstimate",
     "estimate_loading",
     "loading_from_rotation",
@@ -43,29 +42,21 @@ class EstimatorVariant(str, Enum):
 
 
 @dataclass(frozen=True)
-class EstimateDiagnostics:
-    """Per-run bookkeeping for the estimation pipeline."""
-
-    iter_counts: np.ndarray
-    grad_norms: np.ndarray
-    converged_flags: np.ndarray
-    noise_var_hat: Optional[float]
-    requested_variant: str
-    effective_variant: str
-    init_label: str
-    fallback: bool
-    near_duplicate: bool         # a deflation round was re-solved in the complement
-    runtime_ms: float
-
-
-@dataclass(frozen=True)
 class LoadingEstimate:
-    """Estimated loading matrix with its rotation and PCA byproducts."""
+    """Estimated loading matrix with the rotation that produced it."""
 
     lambda_hat: np.ndarray       # p x r, unit operator norm
-    q_check: np.ndarray          # r x r, orthogonal
     decomposition: PcaDecomposition  # the plain PCA, for every variant
-    diagnostics: EstimateDiagnostics
+    diagnostics: RotationResult  # deflate's own per-column record
+    noise_var_hat: Optional[float]  # None unless the correction was formed
+    effective_variant: str       # base after a fallback, else the requested one
+    fallback: bool
+    runtime_ms: float
+
+    @property
+    def q_check(self) -> np.ndarray:
+        """The r x r orthogonalized rotation."""
+        return self.diagnostics.q_check
 
 
 def _check_rotation(decomposition: PcaDecomposition, q_check: np.ndarray) -> np.ndarray:
@@ -122,7 +113,7 @@ def estimate_loading(x: np.ndarray, r: int,
         default slice count and subtraction mode).
     auto_fallback : bool
         When the correction is infeasible, fall back to the base variant
-        instead of raising; the fallback is flagged in the diagnostics.
+        instead of raising; the estimate's ``fallback`` flags it.
     rng : np.random.Generator
         Drives every random draw of the initialization scheme (default: a
         fresh ``np.random.default_rng()``).  The output is a pure function
@@ -172,24 +163,12 @@ def estimate_loading(x: np.ndarray, r: int,
     if effective_variant == EstimatorVariant.IMPROVED2:
         stat = stat.bias_corrected(fitted.sigma_n_hat)
     rotation = deflate(stat, provider, solve_config)
-
-    lambda_hat = loading_from_rotation(fitted, rotation.q_check)
-
-    diagnostics = EstimateDiagnostics(
-        iter_counts=rotation.iter_counts,
-        grad_norms=rotation.grad_norms,
-        converged_flags=rotation.converged_flags,
-        noise_var_hat=None if corrected is None else corrected.noise_var_hat,
-        requested_variant=variant.value,
-        effective_variant=effective_variant.value,
-        init_label=init_scheme.label,
-        fallback=fallback,
-        near_duplicate=bool(np.any(rotation.restricted)),
-        runtime_ms=(time.perf_counter() - t_start) * 1000.0,
-    )
     return LoadingEstimate(
-        lambda_hat=lambda_hat,
-        q_check=rotation.q_check,
+        lambda_hat=loading_from_rotation(fitted, rotation.q_check),
         decomposition=decomp,
-        diagnostics=diagnostics,
+        diagnostics=rotation,
+        noise_var_hat=None if corrected is None else corrected.noise_var_hat,
+        effective_variant=effective_variant.value,
+        fallback=fallback,
+        runtime_ms=(time.perf_counter() - t_start) * 1000.0,
     )

@@ -160,14 +160,10 @@ class ExperimentRecord:
     rep: int
     seed: int
     error: float
-    iter_counts: tuple = ()
+    iters_total: int = 0
     fallback: bool = False
     runtime_ms: float = 0.0
     failure: str = ""
-
-    @property
-    def iters_total(self) -> int:
-        return int(sum(self.iter_counts))
 
 
 @dataclass(frozen=True)
@@ -212,12 +208,11 @@ def run_experiment(grid: ExperimentGrid) -> list:
                 observed.data, config.r, variant, scheme, grid.solve_config,
                 est_rng, auto_fallback=grid.auto_fallback)
             error, _ = signed_permutation_error(estimate.lambda_hat, truth.loading)
-            diag = estimate.diagnostics
             return ExperimentRecord(
                 error=error,
-                iter_counts=tuple(int(i) for i in diag.iter_counts),
-                fallback=diag.fallback,
-                runtime_ms=diag.runtime_ms if grid.record_runtime else 0.0,
+                iters_total=int(estimate.diagnostics.iter_counts.sum()),
+                fallback=estimate.fallback,
+                runtime_ms=estimate.runtime_ms if grid.record_runtime else 0.0,
                 **common)
         except Exception as exc:  # failures must never abort the sweep
             return ExperimentRecord(

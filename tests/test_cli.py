@@ -1,14 +1,14 @@
 """Tests for the command-line front end and its file formats."""
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dvarimax import (NOISE_KINDS, EstimatorVariant, InitScheme,
-                      RotationSolveConfig, signed_permutation_error)
+                      RotationSolveConfig, deflate, signed_permutation_error)
 from dvarimax.cli import (_KEY_PARSERS, CliError, main, parse_config_text,
                           read_matrix_csv, resolve_config, write_matrix_csv)
 from dvarimax.evaluate import SWEEPABLE_PARAMETERS
@@ -36,8 +36,14 @@ def test_parse_config_text_comments_and_spacing():
 n = 900   # inline comment
 p=300
 theta =  0.1
+output_path = runs/#3
 """)
-    assert raw == {"n": "900", "p": "300", "theta": "0.1"}
+    assert raw == {"n": "900", "p": "300", "theta": "0.1", "output_path": "runs/#3"}
+    # a '#' inside a value is kept, so a bad integer is reported, not cut off
+    raw = parse_config_text("seed = 7#8\n")
+    assert raw == {"seed": "7#8"}
+    with pytest.raises(CliError, match="config key 'seed'"):
+        resolve_config(raw)
 
 
 def test_parse_config_rejects_duplicates_and_garbage():
@@ -267,7 +273,10 @@ def test_estimate_auto_fallback_key_reaches_the_estimator(tmp_path, capsys):
     assert _run("estimate", "--config", config) == 0
     diagnostics = json.loads((tmp_path / "fallback" / "diagnostics.json").read_text())
     assert diagnostics["fallback"] is True
+    assert diagnostics["requested_variant"] == "improved2"
     assert diagnostics["effective_variant"] == "base"
+    assert diagnostics["init"] == "mom"
+    assert diagnostics["near_duplicate"] is False
     assert diagnostics["resolved_config"]["auto_fallback"] is True
 
 
@@ -302,6 +311,38 @@ def test_estimate_auto_rank_rejects_r_max_below_one(tmp_path, simulated, capsys,
                            output_path=tmp_path / "x", r="auto", r_max=r_max, seed=1)
     assert _run("estimate", "--config", config) == 2
     assert "r_max must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("seed", -1, "seed=-1 must be >= 0"),
+    ("seed", 2**64, f"seed={2**64} must be <="),
+    ("init_slices", 0, "slices=0 must be >= 1"),
+    ("step_size", 0, "step_size must lie in"),
+    ("max_iters", 0, "max_iters=0 must be >= 1"),
+], ids=["seed=-1", "seed=2**64", "init_slices=0", "step_size=0", "max_iters=0"])
+def test_estimate_checks_every_setting_before_reading_input(tmp_path, capsys,
+                                                            monkeypatch, key,
+                                                            value, message):
+    def no_read(path):
+        raise AssertionError("input read before the settings were checked")
+    monkeypatch.setattr("dvarimax.cli.read_matrix_csv", no_read)
+    config = _write_config(tmp_path, "early.cfg", input_path=tmp_path / "X.csv",
+                           output_path=tmp_path / "out", r="auto", **{key: value})
+    assert _run("estimate", "--config", config) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_estimate_near_duplicate_reads_the_restricted_rounds(tmp_path, simulated,
+                                                             monkeypatch):
+    def one_restricted(*args):
+        result = deflate(*args)
+        return replace(result, restricted=np.array([False, True]))
+    monkeypatch.setattr("dvarimax.estimator.deflate", one_restricted)
+    out = tmp_path / "est"
+    config = _write_config(tmp_path, "est.cfg", input_path=simulated / "X.csv",
+                           output_path=out, r=2, seed=8, step_size=0.01)
+    assert _run("estimate", "--config", config) == 0
+    assert json.loads((out / "diagnostics.json").read_text())["near_duplicate"] is True
 
 
 def test_estimate_rejects_oversized_rank(tmp_path, simulated, capsys):

@@ -1,5 +1,5 @@
 """Tests for the end-to-end loading estimation pipelines."""
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvarimax import (CorrectionInfeasibleError, EstimatorVariant, InitScheme,
-                      PcaDecomposition, RotationSolveConfig, SyntheticConfig,
-                      derive_seed, eigendecompose, estimate_loading, generate_dataset,
+                      LoadingEstimate, PcaDecomposition, RotationResult,
+                      RotationSolveConfig, SyntheticConfig, deflate, derive_seed,
+                      eigendecompose, estimate_loading, generate_dataset,
                       generate_factors, loading_from_rotation, predict_factors,
-                      signed_permutation_error, substream)
+                      signed_permutation_error, substream, symmetric_orthogonalize)
 
 FAST = RotationSolveConfig(step_size=1e-2, grad_tol=1e-6, max_iters=5000)
 MOM = InitScheme.method_of_moments()
@@ -114,7 +115,7 @@ def test_noiseless_improved1_equals_base_bitwise():
     for variant in ("improved1", "improved2"):
         improved = estimate_loading(observed.data, 3, variant, MOM, FAST,
                                     substream(3, "est"))
-        assert improved.diagnostics.noise_var_hat == 0.0
+        assert improved.noise_var_hat == 0.0
         assert np.array_equal(base.lambda_hat, improved.lambda_hat)
         assert np.array_equal(base.q_check, improved.q_check)
 
@@ -179,10 +180,8 @@ def test_improved_with_fallback_runs_base():
     x = _infeasible_input()
     est = estimate_loading(x, 3, "improved2", MOM, FAST, substream(5, "est"),
                            auto_fallback=True)
-    diag = est.diagnostics
-    assert diag.fallback
-    assert diag.requested_variant == "improved2"
-    assert diag.effective_variant == "base"
+    assert est.fallback
+    assert est.effective_variant == "base"
 
 
 def test_infeasible_correction_falls_back():
@@ -197,7 +196,7 @@ def test_infeasible_correction_falls_back():
         corrected_decomposition(decomp)
     est = estimate_loading(x, 2, "improved1", MOM, FAST, substream(7, "est"),
                            auto_fallback=True)
-    assert est.diagnostics.fallback
+    assert est.fallback
 
 
 def test_diagnostics_fields_populated():
@@ -208,9 +207,28 @@ def test_diagnostics_fields_populated():
     assert diag.iter_counts.shape == (3,)
     assert diag.grad_norms.shape == (3,)
     assert diag.converged_flags.shape == (3,)
-    assert diag.noise_var_hat is not None and diag.noise_var_hat >= 0
-    assert diag.runtime_ms > 0
-    assert isinstance(diag.near_duplicate, bool)
+    assert diag.restricted.shape == (3,) and diag.restricted.dtype == bool
+    assert est.noise_var_hat is not None and est.noise_var_hat >= 0
+    assert est.runtime_ms > 0
+
+
+def test_diagnostics_is_deflates_own_result(monkeypatch):
+    returned = []
+
+    def keep(*args):
+        returned.append(deflate(*args))
+        return returned[-1]
+
+    monkeypatch.setattr("dvarimax.estimator.deflate", keep)
+    observed, _ = _dataset(seed=13)
+    est = estimate_loading(observed.data, 3, "improved1", MOM, FAST,
+                           substream(8, "est"))
+    assert len(returned) == 1 and est.diagnostics is returned[0]
+    assert type(est.diagnostics) is RotationResult
+    assert np.array_equal(symmetric_orthogonalize(est.diagnostics.q_hat), est.q_check)
+    assert [spec.name for spec in fields(LoadingEstimate)] == [
+        "lambda_hat", "decomposition", "diagnostics", "noise_var_hat",
+        "effective_variant", "fallback", "runtime_ms"]
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +249,7 @@ def test_corrected_fit_keeps_the_plain_decomposition(variant):
     observed, _ = _dataset(eps2=0.3, seed=16)
     plain = eigendecompose(observed.data, 3)
     est = estimate_loading(observed.data, 3, variant, MOM, FAST, substream(13, "est"))
-    assert est.diagnostics.noise_var_hat > 0.0
+    assert est.noise_var_hat > 0.0
     assert est.decomposition.noise_var_hat is None
     assert np.array_equal(est.decomposition.eigvals, plain.eigvals)
     assert np.array_equal(est.decomposition.scores, plain.scores)

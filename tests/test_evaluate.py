@@ -1,5 +1,6 @@
 """Tests for the error metric and the benchmark harness."""
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from dvarimax import (EstimatorVariant, ExperimentGrid, ExperimentRecord,
                       InitScheme, RotationSolveConfig, SyntheticConfig, aggregate,
-                      records_to_csv, run_experiment, signed_permutation_error,
-                      substream, summary_to_csv)
+                      estimate_loading, generate_dataset, records_to_csv,
+                      run_experiment, signed_permutation_error, substream,
+                      summary_to_csv)
 from dvarimax.evaluate import RECORDS_HEADER, SUMMARY_HEADER
 from dvarimax.initialization import SUBTRACTION_MODES
 
@@ -132,6 +134,20 @@ def test_single_cell_single_record():
     assert rec.variant == "base" and rec.init == "mom"
     assert np.isfinite(rec.error) and rec.error >= 0
     assert rec.iters_total > 0
+
+
+def test_record_iters_total_sums_the_fits_own_iterations():
+    grid = _small_grid()
+    (rec,) = run_experiment(grid)
+    scheme = grid.init_schemes[0]
+    config = replace(grid.base, n=120, seed=rec.seed)
+    observed, _ = generate_dataset(config)
+    est = estimate_loading(observed.data, config.r, "base", scheme,
+                           grid.solve_config,
+                           substream(grid.master_seed, "estimate", "base",
+                                     scheme.label, "n", 120, 0))
+    assert isinstance(rec.iters_total, int)
+    assert rec.iters_total == est.diagnostics.iter_counts.sum() > 0
 
 
 def test_experiment_deterministic_and_thread_invariant():
