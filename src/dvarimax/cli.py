@@ -23,7 +23,7 @@ from .estimator import EstimatorVariant, estimate_loading, predict_factors
 from .evaluate import (INT_SWEEPS, SWEEPABLE_PARAMETERS, ExperimentGrid,
                        aggregate, records_to_csv, run_experiment,
                        summary_to_csv)
-from .exceptions import DeflationVarimaxError
+from .exceptions import DeflationVarimaxError, _check_integer
 from .initialization import SUBTRACTION_MODES, InitScheme
 from .model import NOISE_KINDS, SyntheticConfig, generate_dataset
 from .rng import substream
@@ -176,9 +176,20 @@ def _build_solve_config(config: dict) -> RotationSolveConfig:
     return RotationSolveConfig(**{spec.name: config[spec.name] for spec in _SOLVE_FIELDS})
 
 
-def _build_init_scheme(config: dict, label: str) -> InitScheme:
-    return InitScheme.from_label(label, config.get("init_draws"),
-                                 config.get("init_slices"), config["mom_subtraction"])
+def _init_settings(config: dict) -> tuple:
+    """``init_draws``, ``init_slices`` and ``mom_subtraction``, in the order
+    ``InitScheme`` takes them."""
+    return config.get("init_draws"), config.get("init_slices"), config["mom_subtraction"]
+
+
+def _build_init_schemes(config: dict, labels) -> tuple:
+    """One scheme per label with the init settings it uses.  A setting that
+    some of the schemes ignore is allowed, but it must be in range."""
+    for key in ("init_draws", "init_slices"):
+        if key in config:
+            _check_integer(key, config[key], 1)
+    return tuple(InitScheme.from_label(label, *_init_settings(config))
+                 for label in labels)
 
 
 def _given(config: dict, key: str) -> dict:
@@ -265,14 +276,15 @@ def cmd_estimate(config: dict) -> int:
     # Every setting is checked before the input is read or anything solved.
     input_path = _require(config, "input_path", "estimate")
     r = _require(config, "r", "estimate")
-    if r == "auto" and config.get("r_max", 1) < 1:
+    if config.get("r_max", 1) < 1:
         raise CliError("r_max must be >= 1")
     seed = config.get("seed")
     if seed is None:
         seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
     rng = substream(seed, "estimate")
     variant = EstimatorVariant(config["variant"])
-    scheme = _build_init_scheme(config, config["init"])
+    # The one scheme takes every init setting, so it rejects one it does not use.
+    scheme = InitScheme(config["init"], *_init_settings(config))
     solve_config = _build_solve_config(config)
 
     x = read_matrix_csv(input_path)
@@ -340,8 +352,7 @@ def cmd_benchmark(config: dict) -> int:
 
     base = _synthetic_config(config, "benchmark")
     variants = config.get("variants", (config["variant"],))
-    schemes = tuple(_build_init_scheme(config, label)
-                    for label in config.get("init_schemes", (config["init"],)))
+    schemes = _build_init_schemes(config, config.get("init_schemes", (config["init"],)))
 
     grid = ExperimentGrid(
         base=base, sweep_name=sweep_name, sweep_values=values,

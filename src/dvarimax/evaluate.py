@@ -7,7 +7,7 @@ minimum is a linear assignment problem with cost
 
     c[j, k] = min(|est_k - true_j|^2, |est_k + true_j|^2),
 
-solved by the Hungarian method.
+solved exactly by the Hungarian method in ``_assignment``.
 
 The harness sweeps one parameter of a synthetic configuration over a grid
 of (variant x init scheme x replication) cells.  All variants and init
@@ -24,7 +24,6 @@ from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .estimator import EstimatorVariant, estimate_loading
 from .exceptions import _check_bool, _check_integer, _check_real, _check_type
@@ -62,6 +61,43 @@ SUMMARY_HEADER = ("variant,init,sweep_name,sweep_value,n_ok,n_fail,"
 # Error metric
 # ---------------------------------------------------------------------------
 
+def _assignment(cost: np.ndarray) -> list:
+    """The column of each row in a minimum-cost assignment of the square,
+    finite ``cost``: Kuhn's Hungarian method with row and column
+    potentials, which seats one row at a time along a shortest augmenting
+    path (the Jonker-Volgenant form), O(r^3).  Column r is the path's root."""
+    c = cost.tolist()
+    r = len(c)
+    u, v, owner = [0.0] * r, [0.0] * (r + 1), [-1] * (r + 1)
+    for i in range(r):
+        owner[r], j0 = i, r
+        dist, via, done = [math.inf] * r, [r] * r, [False] * r + [True]
+        while owner[j0] >= 0:
+            done[j0] = True
+            row, base = c[owner[j0]], u[owner[j0]]
+            delta, j1 = math.inf, -1
+            for j in range(r):
+                if not done[j]:
+                    d = row[j] - base - v[j]
+                    if d < dist[j]:
+                        dist[j], via[j] = d, j0
+                    if dist[j] < delta:
+                        delta, j1 = dist[j], j
+            for j in range(r + 1):
+                if done[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
+            j0 = j1
+        while j0 != r:
+            owner[j0], j0 = owner[via[j0]], via[j0]
+    cols = [0] * r
+    for j in range(r):
+        cols[owner[j]] = j
+    return cols
+
+
 def signed_permutation_error(lambda_hat: np.ndarray, lambda_true: np.ndarray):
     """Exact min over signed permutations P of |lambda_hat - lambda_true @ P|_F.
 
@@ -70,21 +106,33 @@ def signed_permutation_error(lambda_hat: np.ndarray, lambda_true: np.ndarray):
     (error, p_opt) : (float, np.ndarray)
         The minimal Frobenius distance and an optimal r x r signed
         permutation matrix achieving it.
+
+    Raises
+    ------
+    ValueError
+        If the shapes differ or are not 2-D, an argument holds NaN or Inf,
+        or the per-column costs overflow double precision.
     """
     est = np.asarray(lambda_hat, dtype=float)
     true = np.asarray(lambda_true, dtype=float)
     if est.ndim != 2 or est.shape != true.shape:
         raise ValueError(f"shape mismatch: {est.shape} vs {true.shape}")
+    for name, value in (("lambda_hat", est), ("lambda_true", true)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} contains NaN or Inf entries")
     r = est.shape[1]
 
-    inner = true.T @ est                      # inner[j, k] = true_j . est_k
-    est_sq = np.sum(est ** 2, axis=0)
-    true_sq = np.sum(true ** 2, axis=0)
-    cost = true_sq[:, None] + est_sq[None, :] - 2.0 * np.abs(inner)
-    rows, cols = linear_sum_assignment(cost)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = true.T @ est                  # inner[j, k] = true_j . est_k
+        est_sq = np.sum(est ** 2, axis=0)
+        true_sq = np.sum(true ** 2, axis=0)
+        cost = true_sq[:, None] + est_sq[None, :] - 2.0 * np.abs(inner)
+    if not np.isfinite(cost).all():
+        raise ValueError("the column costs overflow double precision; "
+                         "rescale the loadings")
 
     p_opt = np.zeros((r, r))
-    for j, k in zip(rows, cols):
+    for j, k in enumerate(_assignment(cost)):
         p_opt[j, k] = 1.0 if inner[j, k] >= 0 else -1.0
     # evaluate the distance directly so a perfect match is exactly zero
     # (the expanded per-column costs above cancel only approximately)

@@ -18,6 +18,8 @@ A Lanczos solve that does not converge returns nothing and the next
 solver runs.  For p > n the Gram vectors W map to the p side as
 X W / sqrt(n lambda).  The tail sum is the trace minus the leading sum,
 and the trace doubles as the check that X is finite.
+``scipy.sparse.linalg`` is imported by the two Lanczos routes only, so
+a process whose shapes all take the dense solve never loads it.
 Whitened scores satisfy U_r @ U_r.T = n * I to the accuracy of the solve,
 which degrades like eps * lambda_1 / lambda_r near rank deficiency.  When
 the noise is close to isotropic, the mean trailing eigenvalue estimates
@@ -33,7 +35,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .exceptions import (CorrectionInfeasibleError, NoSignalError, RankDeficiencyError,
                          _check_integer)
@@ -224,7 +225,8 @@ def _leading_spectrum(x: np.ndarray, k: int):
         # Gram formation (see ``_gram_free_pays``), and at least one restart.
         ncv = _lanczos_basis_size(k)
         restarts = max(1, (size // 30 - ncv - 1) // (ncv - k))
-        operator = scipy.sparse.linalg.LinearOperator(
+        from scipy.sparse import linalg as sparse_linalg
+        operator = sparse_linalg.LinearOperator(
             (p, p), matvec=lambda v: x @ (x.T @ v) / n, dtype=x.dtype)
         pairs = _lanczos(operator, k, ncv=ncv, maxiter=restarts)
     if pairs is None:
@@ -250,10 +252,11 @@ def _lanczos(a, k: int, **kwargs):
     """``eigsh`` for the k largest eigenpairs of the symmetric ``a`` (an
     array or a ``LinearOperator``) from the fixed start vector, values
     nondecreasing; None if ARPACK does not converge."""
+    from scipy.sparse import linalg as sparse_linalg
     v0 = np.random.default_rng(_LANCZOS_START_SEED).standard_normal(a.shape[0])
     try:
-        return scipy.sparse.linalg.eigsh(a, k, which="LA", tol=0, v0=v0, **kwargs)
-    except scipy.sparse.linalg.ArpackNoConvergence:
+        return sparse_linalg.eigsh(a, k, which="LA", tol=0, v0=v0, **kwargs)
+    except sparse_linalg.ArpackNoConvergence:
         return None
 
 

@@ -313,21 +313,29 @@ def test_estimate_auto_rank_rejects_r_max_below_one(tmp_path, simulated, capsys,
     assert "r_max must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("seed", -1, "seed=-1 must be >= 0"),
-    ("seed", 2**64, f"seed={2**64} must be <="),
-    ("init_slices", 0, "slices=0 must be >= 1"),
-    ("step_size", 0, "step_size must lie in"),
-    ("max_iters", 0, "max_iters=0 must be >= 1"),
-], ids=["seed=-1", "seed=2**64", "init_slices=0", "step_size=0", "max_iters=0"])
+@pytest.mark.parametrize("settings, message", [
+    ({"seed": -1}, "seed=-1 must be >= 0"),
+    ({"seed": 2**64}, f"seed={2**64} must be <="),
+    ({"init_slices": 0}, "slices=0 must be >= 1"),
+    ({"step_size": 0}, "step_size must lie in"),
+    ({"max_iters": 0}, "max_iters=0 must be >= 1"),
+    # settings that the random scheme does not use, out of range as well
+    ({"init": "random", "init_slices": 0, "init_draws": -4,
+      "mom_subtraction": "lemma_consistent"}, "draws=-4 must be >= 1"),
+    ({"init": "random", "init_slices": 4},
+     "slices and subtraction apply only to the mom scheme"),
+    ({"r": 3, "r_max": 0}, "r_max must be >= 1"),
+], ids=["seed=-1", "seed=2**64", "init_slices=0", "step_size=0", "max_iters=0",
+        "random-with-unused-bad-settings", "random-with-init_slices", "r=3-r_max=0"])
 def test_estimate_checks_every_setting_before_reading_input(tmp_path, capsys,
-                                                            monkeypatch, key,
-                                                            value, message):
+                                                            monkeypatch, settings,
+                                                            message):
     def no_read(path):
         raise AssertionError("input read before the settings were checked")
     monkeypatch.setattr("dvarimax.cli.read_matrix_csv", no_read)
     config = _write_config(tmp_path, "early.cfg", input_path=tmp_path / "X.csv",
-                           output_path=tmp_path / "out", r="auto", **{key: value})
+                           output_path=tmp_path / "out",
+                           **{"r": "auto", **settings})
     assert _run("estimate", "--config", config) == 2
     assert message in capsys.readouterr().err
 
@@ -454,6 +462,15 @@ def test_mom_subtraction_reaches_only_the_mom_schemes(tmp_path):
     for label, lines in rows.items():
         written, lemma = lines[:2], lines[2:]
         assert (written == lemma) == (label in ("random", "multi_random"))
+
+
+@pytest.mark.parametrize("key, value", [("init_draws", 0), ("init_slices", -2)])
+def test_benchmark_rejects_out_of_range_init_settings(tmp_path, capsys, key, value):
+    # the check holds even for a setting that no listed scheme reads
+    config = _benchmark_config(tmp_path, tmp_path / "bench", init_schemes="random",
+                               **{key: value})
+    assert _run("benchmark", "--config", config) == 2
+    assert f"{key}={value} must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("repeat", [dict(variants="base,base"),

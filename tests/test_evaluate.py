@@ -13,7 +13,7 @@ from dvarimax import (EstimatorVariant, ExperimentGrid, ExperimentRecord,
                       estimate_loading, generate_dataset, records_to_csv,
                       run_experiment, signed_permutation_error, substream,
                       summary_to_csv)
-from dvarimax.evaluate import RECORDS_HEADER, SUMMARY_HEADER
+from dvarimax.evaluate import RECORDS_HEADER, SUMMARY_HEADER, _assignment
 from dvarimax.initialization import SUBTRACTION_MODES
 
 
@@ -106,6 +106,46 @@ def test_error_matches_brute_force(r):
 def test_error_shape_mismatch():
     with pytest.raises(ValueError):
         signed_permutation_error(np.zeros((3, 2)), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("argument", ["lambda_hat", "lambda_true"])
+def test_error_rejects_non_finite_entries_by_argument(argument, bad):
+    rng = substream(5, "eval")
+    args = {"lambda_hat": rng.standard_normal((5, 3)),
+            "lambda_true": rng.standard_normal((5, 3))}
+    args[argument][2, 1] = bad
+    with pytest.raises(ValueError, match=f"{argument} contains NaN or Inf"):
+        signed_permutation_error(**args)
+
+
+def test_error_rejects_column_costs_that_overflow():
+    huge = np.full((4, 2), 1e200)
+    with pytest.raises(ValueError, match="overflow"):
+        signed_permutation_error(huge, -huge)
+
+
+def test_assignment_matches_scipy_on_continuous_costs():
+    # With continuous costs the optimum is unique, so every exact solver
+    # returns the same column for every row.
+    from scipy.optimize import linear_sum_assignment
+    rng = substream(6, "eval")
+    for r in range(1, 13):
+        for _ in range(40):
+            cost = rng.standard_normal((r, r)) * 10.0 ** rng.integers(-3, 4)
+            assert _assignment(cost) == linear_sum_assignment(cost)[1].tolist()
+
+
+def test_assignment_reaches_the_minimum_on_tied_integer_costs():
+    from scipy.optimize import linear_sum_assignment
+    rng = substream(7, "eval")
+    for r in range(1, 13):
+        for _ in range(40):
+            cost = rng.integers(0, 4, size=(r, r)).astype(float)
+            cols = _assignment(cost)
+            assert sorted(cols) == list(range(r))
+            rows, best = linear_sum_assignment(cost)
+            assert cost[range(r), cols].sum() == cost[rows, best].sum()
 
 
 # ---------------------------------------------------------------------------
