@@ -127,10 +127,11 @@ def estimate_loading(x: np.ndarray, r: int,
     ValueError
         If ``init_scheme``, ``solve_config`` or ``rng`` is given and is not
         an ``InitScheme``, a ``RotationSolveConfig`` or a
-        ``np.random.Generator``, or ``auto_fallback`` is not a bool.
+        ``np.random.Generator``, or ``auto_fallback`` is not a bool; then
+        if :func:`eigendecompose` rejects ``x`` or r (a complex ``x``
+        before any cast).
     """
     t_start = time.perf_counter()
-    x = np.asarray(x, dtype=float)
     variant = EstimatorVariant(variant)
     if init_scheme is None:
         init_scheme = InitScheme.method_of_moments()

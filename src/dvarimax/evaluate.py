@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .estimator import EstimatorVariant, estimate_loading
-from .exceptions import _check_bool, _check_integer, _check_real, _check_type
+from .exceptions import _check_bool, _check_integer, _check_real, _check_type, _real_array
 from .initialization import InitScheme
 from .model import SyntheticConfig, generate_dataset
 from .rng import _MASK64, derive_seed, substream
@@ -110,11 +110,12 @@ def signed_permutation_error(lambda_hat: np.ndarray, lambda_true: np.ndarray):
     Raises
     ------
     ValueError
-        If the shapes differ or are not 2-D, an argument holds NaN or Inf,
-        or the per-column costs overflow double precision.
+        If an argument is complex, the shapes differ or are not 2-D, an
+        argument holds NaN or Inf, or the per-column costs overflow double
+        precision.
     """
-    est = np.asarray(lambda_hat, dtype=float)
-    true = np.asarray(lambda_true, dtype=float)
+    est = _real_array("lambda_hat", lambda_hat)
+    true = _real_array("lambda_true", lambda_true)
     if est.ndim != 2 or est.shape != true.shape:
         raise ValueError(f"shape mismatch: {est.shape} vs {true.shape}")
     for name, value in (("lambda_hat", est), ("lambda_true", true)):

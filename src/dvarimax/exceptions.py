@@ -1,5 +1,6 @@
-"""Error types raised by the estimation pipeline, and the integer,
-real-number, boolean and type checks shared by its settings."""
+"""Error types raised by the estimation pipeline, the integer,
+real-number, boolean and type checks shared by its settings, and the
+real-matrix cast shared by its data entry points."""
 from __future__ import annotations
 
 import numbers
@@ -45,6 +46,15 @@ def _check_type(name: str, value, cls: type) -> None:
     """Raise ValueError unless ``value`` is an instance of ``cls``."""
     if not isinstance(value, cls):
         raise ValueError(f"{name} must be of type {cls.__name__}, got {value!r}")
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array; ValueError naming the dtype if it is
+    complex, which a cast to float would cut to its real part."""
+    array = np.asarray(value)
+    if np.iscomplexobj(array):
+        raise ValueError(f"{name} must be real, got dtype {array.dtype}")
+    return np.asarray(array, dtype=float)
 
 
 class DeflationVarimaxError(Exception):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import _check_integer, _check_real
+from .exceptions import _check_integer, _check_real, _real_array
 from .rng import _MASK64, substream
 
 __all__ = [
@@ -48,7 +48,7 @@ class ObservationMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
+        data = _real_array("observation matrix", self.data)
         if data.ndim != 2:
             raise ValueError("observation matrix must be 2-D (features x samples)")
         if data.shape[0] < 1 or data.shape[1] < 2:

@@ -25,7 +25,10 @@ and the gradient -(1/3) P_q reshape(T vec(q q^T)) q three chained
 matrix-vector products on T's buffer read in place as an r^3 x r matrix.
 So a PGD iteration costs O(r^4) whatever n is, and is call overhead, not
 flops: nine positional BLAS calls (three ``dgemv``, three ``ddot``, two
-``daxpy``, one ``dscal``) into buffers allocated once per solve.
+``daxpy``, one ``dscal``) into buffers allocated once per solve.  The
+wrappers are those of scipy's f2py extension ``scipy.linalg._fblas``,
+loaded by ``_fortran`` without the scipy.linalg package init; they are
+the objects ``scipy.linalg.blas`` exports.
 Reference implementations from U directly, and the PGD loop on the
 reshape-and-matvec gradient, live in the test suite (``tests/helpers.py``).
 
@@ -43,10 +46,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import daxpy, ddot, dgemv, dscal
 
+from ._fortran import load
 from .exceptions import (DegenerateProjectorError, DegenerateSolutionsError,
-                         DivergenceError, _check_integer, _check_real)
+                         DivergenceError, _check_integer, _check_real, _real_array)
 
 __all__ = [
     "RotationSolveConfig",
@@ -58,6 +61,9 @@ __all__ = [
     "deflate",
     "symmetric_orthogonalize",
 ]
+
+_fblas = load("_fblas")
+daxpy, ddot, dgemv, dscal = _fblas.daxpy, _fblas.ddot, _fblas.dgemv, _fblas.dscal
 
 _UNIT_TOL = 1e-8       # how far |q|_2 may sit from 1 on input
 _MIN_ITERATE_NORM = 1e-14
@@ -172,9 +178,9 @@ def fourth_moment(u: np.ndarray) -> FourthMoment:
     """Fourth-moment statistic of the r x n score matrix ``u``.
 
     Built as (W W^T) / n with W[i*r + j, t] = U_it U_jt, in O(n r^4) time
-    and r^2 n memory.
+    and r^2 n memory.  A complex ``u`` raises ValueError.
     """
-    u = np.asarray(u, dtype=float)
+    u = _real_array("score matrix", u)
     if u.ndim != 2 or u.shape[1] < 1:
         raise ValueError(f"score matrix must be 2-D (r x n) with n >= 1, got shape {u.shape}")
     r, n = u.shape

@@ -12,14 +12,20 @@ that returns them:
    costs about one Gram formation;
 2. if ``_lanczos_pays`` (20 r <= min(p, n)), Lanczos on the shorter
    side's Gram matrix, (1/n) X X^T for p <= n and (1/n) X^T X for p > n;
-3. LAPACK's subset solve of that Gram matrix.
+3. LAPACK's subset solve of that Gram matrix: ``dsyevr`` with the
+   arguments and workspace sizes that ``scipy.linalg.eigh(subset_by_index=
+   ..., overwrite_a=True, check_finite=False)`` passes it, so the pairs
+   are eigh's bit for bit.
 
 A Lanczos solve that does not converge returns nothing and the next
 solver runs.  For p > n the Gram vectors W map to the p side as
 X W / sqrt(n lambda).  The tail sum is the trace minus the leading sum,
 and the trace doubles as the check that X is finite.
 ``scipy.sparse.linalg`` is imported by the two Lanczos routes only, so
-a process whose shapes all take the dense solve never loads it.
+a process whose shapes all take the dense solve never loads it; the
+dense solve takes ``dsyevr`` from scipy's f2py extension
+``scipy.linalg._flapack`` (see ``_fortran``), so it never runs the
+scipy.linalg package init either.
 Whitened scores satisfy U_r @ U_r.T = n * I to the accuracy of the solve,
 which degrades like eps * lambda_1 / lambda_r near rank deficiency.  When
 the noise is close to isotropic, the mean trailing eigenvalue estimates
@@ -34,10 +40,10 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
+from ._fortran import load
 from .exceptions import (CorrectionInfeasibleError, NoSignalError, RankDeficiencyError,
-                         _check_integer)
+                         _check_integer, _real_array)
 
 __all__ = [
     "PcaDecomposition",
@@ -59,6 +65,8 @@ EIGENVALUE_FLOOR = 1e-12
 # a leading eigenvector orthogonal to the all-ones vector, and only
 # rounding error would bring that eigenvector into the Krylov space.
 _LANCZOS_START_SEED = 20231016
+
+_flapack = load("_flapack")
 
 
 def _lanczos_pays(size: int, k: int) -> bool:
@@ -182,7 +190,7 @@ class PcaDecomposition:
 
 
 def _checked_observations(x: np.ndarray, k: int, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    x = _real_array("x", x)
     if x.ndim != 2:
         raise ValueError("x must be a 2-D array")
     p, n = x.shape
@@ -240,12 +248,24 @@ def _leading_spectrum(x: np.ndarray, k: int):
         if _lanczos_pays(size, k):
             pairs = _lanczos(gram, k)
     if pairs is None:
-        # A subset of a standard symmetric problem is solved by LAPACK dsyevr.
-        pairs = scipy.linalg.eigh(gram, subset_by_index=[size - k, size - 1],
-                                  overwrite_a=True, check_finite=False)
+        pairs = _dense_subset(gram, k)
     vals, vecs = pairs
     eigvals = np.maximum(vals[::-1], 0.0)
     return eigvals, vecs[:, ::-1], max(trace - float(eigvals.sum()), 0.0)
+
+
+def _dense_subset(gram: np.ndarray, k: int):
+    """The k largest eigenpairs of the symmetric ``gram`` (its lower
+    triangle is read and overwritten), values nondecreasing, by solver 3
+    of the module docstring."""
+    size = gram.shape[0]
+    lwork, liwork, _ = _flapack.dsyevr_lwork(size, lower=1)
+    w, v, m, _, info = _flapack.dsyevr(gram, compute_v=1, lower=1, range="I",
+                                       il=size - k + 1, iu=size, overwrite_a=1,
+                                       lwork=int(lwork), liwork=int(liwork))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dsyevr failed with info={info}")
+    return w[:m], v[:, :m]
 
 
 def _lanczos(a, k: int, **kwargs):
@@ -274,8 +294,8 @@ def eigendecompose(x: np.ndarray, r: int) -> PcaDecomposition:
     Raises
     ------
     ValueError
-        If ``x`` is not 2-D or holds NaN or Inf, its sum of squares
-        overflows, or r exceeds min(p, n).
+        If ``x`` is complex, not 2-D or holds NaN or Inf, its sum of
+        squares overflows, or r exceeds min(p, n).
     RankDeficiencyError
         If the r-th eigenvalue is at or below ``EIGENVALUE_FLOOR`` times
         the largest one.
@@ -309,8 +329,8 @@ def leading_eigenvalues(x: np.ndarray, k: int) -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``x`` is not 2-D or holds NaN or Inf, its sum of squares
-        overflows, or k is outside [1, min(p, n)].
+        If ``x`` is complex, not 2-D or holds NaN or Inf, its sum of
+        squares overflows, or k is outside [1, min(p, n)].
     """
     x = _checked_observations(x, k, "k")
     return _leading_spectrum(x, k)[0]

@@ -78,6 +78,14 @@ def test_non_finite_input_rejected(bad):
         estimate_loading(x, 3, "base", MOM, FAST, substream(0, "est"))
 
 
+def test_complex_input_rejected_by_dtype():
+    # A cast to float would keep only the real part, with a ComplexWarning.
+    rng = substream(0, "complex")
+    x = rng.standard_normal((5, 200)) + 1j * rng.standard_normal((5, 200))
+    with pytest.raises(ValueError, match="x must be real, got dtype complex128"):
+        estimate_loading(x, 2, "base", MOM, FAST, substream(0, "est"))
+
+
 def test_estimate_deterministic():
     observed, _ = _dataset(seed=5)
     a = estimate_loading(observed.data, 3, "base", MOM, FAST, substream(9, "est"))

@@ -119,6 +119,16 @@ def test_error_rejects_non_finite_entries_by_argument(argument, bad):
         signed_permutation_error(**args)
 
 
+@pytest.mark.parametrize("argument", ["lambda_hat", "lambda_true"])
+def test_error_rejects_complex_entries_by_argument(argument):
+    rng = substream(5, "eval")
+    args = {"lambda_hat": rng.standard_normal((5, 3)),
+            "lambda_true": rng.standard_normal((5, 3))}
+    args[argument] = args[argument] + 1j
+    with pytest.raises(ValueError, match=f"{argument} must be real, got dtype complex128"):
+        signed_permutation_error(**args)
+
+
 def test_error_rejects_column_costs_that_overflow():
     huge = np.full((4, 2), 1e200)
     with pytest.raises(ValueError, match="overflow"):

@@ -24,6 +24,8 @@ def test_observation_matrix_validates():
         ObservationMatrix(np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError):
         ObservationMatrix(np.zeros(4))               # not 2-D
+    with pytest.raises(ValueError, match="must be real, got dtype complex128"):
+        ObservationMatrix(np.ones((2, 3)) + 1j)
     obs = ObservationMatrix(np.ones((2, 3)))
     assert (obs.p, obs.n) == (2, 3)
 

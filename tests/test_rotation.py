@@ -232,6 +232,8 @@ def test_fourth_moment_validates_when_built():
     for scores in (np.ones(3), np.ones((3, 0))):
         with pytest.raises(ValueError, match="score matrix must be 2-D \\(r x n\\) with n >= 1"):
             fourth_moment(scores)
+    with pytest.raises(ValueError, match="score matrix must be real, got dtype complex128"):
+        fourth_moment(np.ones((2, 5)) + 1j)
 
 
 def test_fourth_moment_keeps_a_private_copy_of_its_matrix():

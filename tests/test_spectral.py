@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 from helpers import full_eigh_decomposition
 
@@ -275,6 +276,65 @@ def test_gapless_input_falls_back_to_the_gram_route_bitwise(monkeypatch):
     assert np.array_equal(got.eigvecs_r, want.eigvecs_r)
     assert np.array_equal(got.scores, want.scores)
     assert got.tail_sum == want.tail_sum
+
+
+def _symmetric_test_matrix(kind, size):
+    rng = substream(size, "dense", kind)
+    if kind == "random":
+        x = rng.standard_normal((size, 2 * size))
+        return x @ x.T / (2 * size)
+    if kind == "tied":
+        basis = np.linalg.qr(rng.standard_normal((size, size)))[0]
+        values = np.repeat([3.0, 1.0], [size - size // 2, size // 2])
+        return (basis * values) @ basis.T
+    if kind == "zero":
+        return np.zeros((size, size))
+    x = rng.standard_normal((size, 2)) @ rng.standard_normal((2, 3 * size))  # rank 2
+    return x @ x.T / (3 * size)
+
+
+@pytest.mark.parametrize("kind", ["random", "tied", "zero", "low_rank"])
+def test_dense_subset_matches_eigh_bitwise(kind):
+    # The dense step calls dsyevr as eigh(subset_by_index=...) does, so its
+    # pairs are eigh's to the bit, k = size included.
+    for size in (1, 2, 3, 5, 20, 60, 150):
+        gram = _symmetric_test_matrix(kind, size)
+        for k in sorted({1, min(2, size), (size + 1) // 2, size}):
+            want_vals, want_vecs = scipy.linalg.eigh(
+                gram.copy(), subset_by_index=[size - k, size - 1],
+                overwrite_a=True, check_finite=False)
+            got_vals, got_vecs = spectral._dense_subset(gram.copy(), k)
+            assert got_vals.shape == (k,) and got_vecs.shape == (size, k)
+            assert got_vals.tobytes() == want_vals.tobytes(), (size, k)
+            assert got_vecs.tobytes() == want_vecs.tobytes(), (size, k)
+
+
+def test_dense_subset_failure_raises_linalg_error(monkeypatch):
+    real = spectral._flapack
+
+    class Failing:
+        dsyevr_lwork = real.dsyevr_lwork
+
+        @staticmethod
+        def dsyevr(a, **kwargs):
+            *out, _ = real.dsyevr(a, **kwargs)
+            return (*out, 3)
+
+    monkeypatch.setattr(spectral, "_flapack", Failing)
+    with pytest.raises(np.linalg.LinAlgError, match="info=3"):
+        eigendecompose(substream(5, "rule").standard_normal((30, 100)), 3)
+
+
+@pytest.mark.parametrize("solve", [eigendecompose, leading_eigenvalues])
+def test_complex_input_is_rejected_by_dtype(monkeypatch, solve):
+    calls = _counting_eigsh(monkeypatch)
+    rng = substream(6, "complex")
+    x = rng.standard_normal((5, 200)) + 1j * rng.standard_normal((5, 200))
+    with pytest.raises(ValueError, match="x must be real, got dtype complex128"):
+        solve(x, 2)
+    with pytest.raises(ValueError, match="got dtype complex64"):
+        solve(x.astype(np.complex64), 2)
+    assert calls == []
 
 
 # One shape per route: Lanczos on the operator, Lanczos on the Gram, the

@@ -1,13 +1,17 @@
 """The package loads only the scipy modules that a fit runs.
 
-The test process has already imported scipy.optimize (the oracle tests
-use it), so the checks run in a fresh interpreter.
+The test process has already imported scipy.optimize and scipy.linalg
+(the oracle tests use them), so the checks of what a fit loads run in a
+fresh interpreter.
 """
+import importlib.machinery
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -34,13 +38,74 @@ print(json.dumps(report))
 """
 
 
-def test_import_and_dense_fits_leave_optimize_and_sparse_linalg_unloaded():
+def _fresh_report(probe):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    run = subprocess.run([sys.executable, "-c", _PROBE], env=env,
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
-    report = json.loads(run.stdout.splitlines()[-1])
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_import_and_dense_fits_leave_optimize_and_sparse_linalg_unloaded():
+    report = _fresh_report(_PROBE)
     assert report["import"] == {"scipy.optimize": False, "scipy.sparse.linalg": False}
     # 20 x 500 takes the dense subset solve
     assert report["dense"] == {"scipy.optimize": False, "scipy.sparse.linalg": False}
     # 800 x 800 with r = 5 takes the Gram-free Lanczos route
     assert report["gram_free"] == {"scipy.optimize": False, "scipy.sparse.linalg": True}
+
+
+# The same fits, watching scipy.linalg and what its package init imports;
+# it also records whether the two extensions are registered under their
+# dotted names at import, and whether scipy.linalg, once the Lanczos fit
+# has loaded it, holds the very objects the package loaded.
+_LINALG_PROBE = _PROBE.replace(
+    '("scipy.optimize", "scipy.sparse.linalg")',
+    '("scipy.linalg", "numpy.f2py", "numpy.testing")'
+).replace(
+    'report = {"import": loaded()}',
+    'report = {"import": loaded(), "registered": [\n'
+    '    sys.modules.get("scipy.linalg._fblas") is dvarimax.rotation._fblas,\n'
+    '    sys.modules.get("scipy.linalg._flapack") is dvarimax.spectral._flapack]}'
+).replace(
+    "print(json.dumps(report))",
+    "import scipy.linalg.blas, scipy.linalg.lapack\n"
+    "report['one_copy'] = [scipy.linalg.blas.dgemv is dvarimax.rotation.dgemv,\n"
+    "                      scipy.linalg.blas._fblas is dvarimax.rotation._fblas,\n"
+    "                      scipy.linalg.lapack._flapack is dvarimax.spectral._flapack]\n"
+    "print(json.dumps(report))")
+
+
+def test_import_and_dense_fits_leave_scipy_linalg_unloaded():
+    report = _fresh_report(_LINALG_PROBE)
+    unloaded = {"scipy.linalg": False, "numpy.f2py": False, "numpy.testing": False}
+    assert report["import"] == unloaded
+    assert report["registered"] == [True, True]
+    # 20 x 500 takes the dense subset solve, dsyevr included
+    assert report["dense"] == unloaded
+    # the Gram-free Lanczos route imports scipy.sparse.linalg, which loads
+    # scipy.linalg, and that reuses the extensions already loaded
+    assert report["gram_free"]["scipy.linalg"]
+    assert report["one_copy"] == [True, True, True]
+
+
+def test_loader_falls_back_to_a_plain_import(monkeypatch):
+    from dvarimax import _fortran, rotation
+    lookups = []
+
+    class NoFile(importlib.machinery.FileFinder):
+        def find_spec(self, fullname, target=None):
+            lookups.append(fullname)
+
+    # The plain import also binds the new module as an attribute of the
+    # scipy.linalg package; both entries are restored afterwards.
+    import scipy.linalg
+    monkeypatch.delitem(sys.modules, "scipy.linalg._fblas")
+    monkeypatch.setattr(scipy.linalg, "_fblas", None, raising=False)
+    monkeypatch.setattr(_fortran, "FileFinder", NoFile)
+    fblas = _fortran.load("_fblas")
+    assert lookups == ["scipy.linalg._fblas"]
+    assert fblas.__name__ == "scipy.linalg._fblas"
+    assert sys.modules["scipy.linalg._fblas"] is fblas
+    rng = np.random.default_rng(3)
+    a, v = rng.standard_normal((7, 4)), rng.standard_normal(4)
+    assert fblas.dgemv(1.0, a, v).tobytes() == rotation.dgemv(1.0, a, v).tobytes()
