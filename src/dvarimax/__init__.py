@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .estimator import (EstimatorVariant, LoadingEstimate, estimate_loading,
+from .estimator import (VARIANTS, LoadingEstimate, estimate_loading,
                         loading_from_rotation, predict_factors)
 from .evaluate import (ExperimentGrid, ExperimentRecord, SummaryRow, aggregate,
                        records_to_csv, run_experiment, signed_permutation_error,
@@ -13,7 +13,7 @@ from .exceptions import (CorrectionInfeasibleError, DeflationVarimaxError,
                          RankDeficiencyError)
 from .initialization import (InitScheme, complement_projector,
                              make_init_provider, mom_init, multi_random_init,
-                             random_init, slice_operator)
+                             slice_operator)
 from .model import (NOISE_KINDS, GroundTruth, ObservationMatrix,
                     SyntheticConfig, generate_dataset, generate_factors,
                     generate_loading)
@@ -37,10 +37,10 @@ __all__ = [
     "RotationSolveConfig", "RotationResult", "FourthMoment", "fourth_moment",
     "pgd_solve", "complement_basis", "deflate", "symmetric_orthogonalize",
     # initialization
-    "InitScheme", "complement_projector", "random_init",
-    "multi_random_init", "slice_operator", "mom_init", "make_init_provider",
+    "InitScheme", "complement_projector", "multi_random_init",
+    "slice_operator", "mom_init", "make_init_provider",
     # estimator
-    "EstimatorVariant", "LoadingEstimate",
+    "VARIANTS", "LoadingEstimate",
     "estimate_loading", "loading_from_rotation", "predict_factors",
     # evaluation
     "ExperimentGrid", "ExperimentRecord", "SummaryRow",

@@ -1,7 +1,8 @@
 """Command-line front end: simulate, estimate, benchmark.
 
 Configuration is a flat UTF-8 text file of ``key = value`` lines with
-``#`` comments; an inline comment's ``#`` follows whitespace.  Unknown
+``#`` comments; an inline comment's ``#`` follows whitespace.  A leading
+byte-order mark is skipped, in config files and matrix CSVs alike.  Unknown
 keys are rejected; missing keys take documented defaults.  ``--set
 key=value`` overrides file entries.  Matrices on disk are CSV with one
 comment line of metadata, one row per feature and one column per sample,
@@ -19,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimator import EstimatorVariant, estimate_loading, predict_factors
+from .estimator import VARIANTS, estimate_loading, predict_factors
 from .evaluate import (INT_SWEEPS, SWEEPABLE_PARAMETERS, ExperimentGrid,
                        aggregate, records_to_csv, run_experiment,
                        summary_to_csv)
-from .exceptions import DeflationVarimaxError, _check_integer
+from .exceptions import DeflationVarimaxError, _check_choice, _real_array
 from .initialization import SUBTRACTION_MODES, InitScheme
 from .model import NOISE_KINDS, SyntheticConfig, generate_dataset
 from .rng import substream
@@ -54,8 +55,7 @@ def _parse_bool(text: str) -> bool:
 
 def _parse_choice(options):
     def parse(text: str) -> str:
-        if text not in options:
-            raise ValueError(f"must be one of {', '.join(options)} (got {text!r})")
+        _check_choice("value", text, options)
         return text
     return parse
 
@@ -83,7 +83,6 @@ def _default(cls, name: str):
     return next(spec.default for spec in fields(cls) if spec.name == name)
 
 
-_VARIANTS = tuple(variant.value for variant in EstimatorVariant)
 # Synthetic settings with a library default, passed to SyntheticConfig as given.
 _SYNTHETIC_KEYS = ("theta", "varepsilon2", "noise_kind", "noise_alpha", "noise_rho")
 # Every solver setting is a config key with the library's type and default.
@@ -104,7 +103,7 @@ _KEY_PARSERS = {
     "noise_alpha": float,
     "noise_rho": float,
     **{spec.name: type(spec.default) for spec in _SOLVE_FIELDS},
-    "variant": _parse_choice(_VARIANTS),
+    "variant": _parse_choice(VARIANTS),
     "init": _parse_choice(InitScheme.LABELS),
     "init_draws": int,
     "init_slices": int,
@@ -112,7 +111,7 @@ _KEY_PARSERS = {
     "auto_fallback": _parse_bool,
     "sweep_name": _parse_choice(SWEEPABLE_PARAMETERS),
     "sweep_values": _parse_list,
-    "variants": _parse_choices(_VARIANTS),
+    "variants": _parse_choices(VARIANTS),
     "init_schemes": _parse_choices(InitScheme.LABELS),
     "replications": int,
     "record_runtime": _parse_bool,
@@ -122,7 +121,7 @@ _DEFAULTS = {
     "output_path": ".",
     **{key: _default(SyntheticConfig, key) for key in _SYNTHETIC_KEYS},
     **{spec.name: spec.default for spec in _SOLVE_FIELDS},
-    "variant": _default(ExperimentGrid, "variants")[0].value,
+    "variant": _default(ExperimentGrid, "variants")[0],
     "init": _default(ExperimentGrid, "init_schemes")[0].label,
     "mom_subtraction": _default(InitScheme, "subtraction"),
     **{key: _default(ExperimentGrid, key) for key in ("replications", "record_runtime")},
@@ -176,20 +175,23 @@ def _build_solve_config(config: dict) -> RotationSolveConfig:
     return RotationSolveConfig(**{spec.name: config[spec.name] for spec in _SOLVE_FIELDS})
 
 
-def _init_settings(config: dict) -> tuple:
-    """``init_draws``, ``init_slices`` and ``mom_subtraction``, in the order
-    ``InitScheme`` takes them."""
-    return config.get("init_draws"), config.get("init_slices"), config["mom_subtraction"]
+# Each init setting's config key and the InitScheme field it sets.
+_INIT_SETTINGS = {"init_draws": "draws", "init_slices": "slices",
+                  "mom_subtraction": "subtraction"}
 
 
 def _build_init_schemes(config: dict, labels) -> tuple:
-    """One scheme per label with the init settings it uses.  A setting that
-    some of the schemes ignore is allowed, but it must be in range."""
-    for key in ("init_draws", "init_slices"):
-        if key in config:
-            _check_integer(key, config[key], 1)
-    return tuple(InitScheme.from_label(label, *_init_settings(config))
-                 for label in labels)
+    """One scheme per label with the init settings it uses; ``InitScheme``
+    checks their ranges.  A setting given away from its default must be
+    used by some scheme of the list."""
+    settings = {field: config.get(key, _default(InitScheme, field))
+                for key, field in _INIT_SETTINGS.items()}
+    schemes = tuple(InitScheme.from_label(label, **settings) for label in labels)
+    for key, field in _INIT_SETTINGS.items():
+        if all(getattr(scheme, field) != settings[field] for scheme in schemes):
+            raise CliError(f"{key} = {settings[field]} is used by none of the "
+                           f"init schemes {', '.join(labels)}")
+    return schemes
 
 
 def _given(config: dict, key: str) -> dict:
@@ -203,7 +205,7 @@ def _given(config: dict, key: str) -> dict:
 
 def write_matrix_csv(path, matrix: np.ndarray, comment: str) -> None:
     """Write a matrix as CSV with a leading ``#`` metadata line."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    matrix = np.atleast_2d(_real_array("matrix", matrix))
     lines = [f"# {comment}"]
     for row in matrix:
         lines.append(",".join(f"{value:.17g}" for value in row))
@@ -218,7 +220,7 @@ def read_matrix_csv(path) -> np.ndarray:
     """
     rows = []
     width = None
-    with open(path, "r", encoding="utf8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -282,9 +284,7 @@ def cmd_estimate(config: dict) -> int:
     if seed is None:
         seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
     rng = substream(seed, "estimate")
-    variant = EstimatorVariant(config["variant"])
-    # The one scheme takes every init setting, so it rejects one it does not use.
-    scheme = InitScheme(config["init"], *_init_settings(config))
+    scheme = _build_init_schemes(config, (config["init"],))[0]
     solve_config = _build_solve_config(config)
 
     x = read_matrix_csv(input_path)
@@ -296,7 +296,7 @@ def cmd_estimate(config: dict) -> int:
         eigvals = leading_eigenvalues(x, min(r_max + 1, min(p, n)))
         r = selected_rank = select_rank(eigvals, r_max)
 
-    estimate = estimate_loading(x, r, variant, scheme, solve_config, rng,
+    estimate = estimate_loading(x, r, config["variant"], scheme, solve_config, rng,
                                 **_given(config, "auto_fallback"))
     z_hat = predict_factors(estimate.decomposition, estimate.q_check)
 
@@ -385,7 +385,7 @@ def _load_config(args) -> dict:
     if args.config is not None:
         path = Path(args.config)
         try:
-            text = path.read_text(encoding="utf8")
+            text = path.read_text(encoding="utf-8-sig")
         except OSError as err:
             raise CliError(f"cannot read config {path}: {err}") from err
         raw.update(parse_config_text(text, source=str(path)))

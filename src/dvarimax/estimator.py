@@ -16,29 +16,25 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .exceptions import CorrectionInfeasibleError, _check_bool, _check_type
+from .exceptions import (CorrectionInfeasibleError, _check_bool, _check_choice, _check_type,
+                         _real_array)
 from .initialization import InitScheme, make_init_provider
 from .rotation import RotationResult, RotationSolveConfig, deflate, fourth_moment
 from .spectral import PcaDecomposition, corrected_decomposition, eigendecompose
 
 __all__ = [
-    "EstimatorVariant",
+    "VARIANTS",
     "LoadingEstimate",
     "estimate_loading",
     "loading_from_rotation",
     "predict_factors",
 ]
 
-
-class EstimatorVariant(str, Enum):
-    BASE = "base"
-    IMPROVED1 = "improved1"
-    IMPROVED2 = "improved2"
+VARIANTS = ("base", "improved1", "improved2")
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,7 @@ class LoadingEstimate:
 
 
 def _check_rotation(decomposition: PcaDecomposition, q_check: np.ndarray) -> np.ndarray:
-    q_check = np.asarray(q_check, dtype=float)
+    q_check = _real_array("q_check", q_check, ndim=2)
     if q_check.shape[0] != decomposition.r:
         raise ValueError("rotation and decomposition dimensions differ")
     return q_check
@@ -91,7 +87,7 @@ def predict_factors(decomposition: PcaDecomposition, q_check: np.ndarray) -> np.
 
 
 def estimate_loading(x: np.ndarray, r: int,
-                     variant: EstimatorVariant | str = EstimatorVariant.BASE,
+                     variant: str = "base",
                      init_scheme: Optional[InitScheme] = None,
                      solve_config: Optional[RotationSolveConfig] = None,
                      rng: Optional[np.random.Generator] = None,
@@ -105,9 +101,9 @@ def estimate_loading(x: np.ndarray, r: int,
 
     Parameters
     ----------
-    variant : EstimatorVariant or str
-        Pipeline variant; the improved variants require p > r and all
-        corrected eigenvalues positive.
+    variant : str
+        Pipeline variant, one of ``VARIANTS``; the improved variants
+        require p > r and all corrected eigenvalues positive.
     init_scheme : InitScheme
         Initializer with all its settings (default: ``mom`` with the
         default slice count and subtraction mode).
@@ -125,14 +121,15 @@ def estimate_loading(x: np.ndarray, r: int,
         If an improved variant is requested, the correction cannot be
         formed, and ``auto_fallback`` is off.
     ValueError
-        If ``init_scheme``, ``solve_config`` or ``rng`` is given and is not
-        an ``InitScheme``, a ``RotationSolveConfig`` or a
-        ``np.random.Generator``, or ``auto_fallback`` is not a bool; then
+        If ``variant`` is not one of ``VARIANTS``; if ``init_scheme``,
+        ``solve_config`` or ``rng`` is given and is not an ``InitScheme``,
+        a ``RotationSolveConfig`` or a ``np.random.Generator``, or
+        ``auto_fallback`` is not a bool; then
         if :func:`eigendecompose` rejects ``x`` or r (a complex ``x``
         before any cast).
     """
     t_start = time.perf_counter()
-    variant = EstimatorVariant(variant)
+    _check_choice("variant", variant, VARIANTS)
     if init_scheme is None:
         init_scheme = InitScheme.method_of_moments()
     if solve_config is None:
@@ -148,20 +145,20 @@ def estimate_loading(x: np.ndarray, r: int,
     corrected = None
     effective_variant = variant
     fallback = False
-    if variant != EstimatorVariant.BASE:
+    if variant != "base":
         try:
             corrected = corrected_decomposition(decomp)
         except CorrectionInfeasibleError:
             if not auto_fallback:
                 raise
-            effective_variant = EstimatorVariant.BASE
+            effective_variant = "base"
             fallback = True
 
-    fitted = decomp if effective_variant == EstimatorVariant.BASE else corrected
+    fitted = decomp if effective_variant == "base" else corrected
     # The rotation stage reads the scores only through this statistic.
     stat = fourth_moment(fitted.scores)
     provider = make_init_provider(init_scheme, stat, rng)
-    if effective_variant == EstimatorVariant.IMPROVED2:
+    if effective_variant == "improved2":
         stat = stat.bias_corrected(fitted.sigma_n_hat)
     rotation = deflate(stat, provider, solve_config)
     return LoadingEstimate(
@@ -169,7 +166,7 @@ def estimate_loading(x: np.ndarray, r: int,
         decomposition=decomp,
         diagnostics=rotation,
         noise_var_hat=None if corrected is None else corrected.noise_var_hat,
-        effective_variant=effective_variant.value,
+        effective_variant=effective_variant,
         fallback=fallback,
         runtime_ms=(time.perf_counter() - t_start) * 1000.0,
     )

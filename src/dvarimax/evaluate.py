@@ -25,8 +25,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimator import EstimatorVariant, estimate_loading
-from .exceptions import _check_bool, _check_integer, _check_real, _check_type, _real_array
+from .estimator import VARIANTS, estimate_loading
+from .exceptions import (_check_bool, _check_choice, _check_integer, _check_real, _check_type,
+                         _real_array)
 from .initialization import InitScheme
 from .model import SyntheticConfig, generate_dataset
 from .rng import _MASK64, derive_seed, substream
@@ -114,9 +115,9 @@ def signed_permutation_error(lambda_hat: np.ndarray, lambda_true: np.ndarray):
         argument holds NaN or Inf, or the per-column costs overflow double
         precision.
     """
-    est = _real_array("lambda_hat", lambda_hat)
-    true = _real_array("lambda_true", lambda_true)
-    if est.ndim != 2 or est.shape != true.shape:
+    est = _real_array("lambda_hat", lambda_hat, ndim=2)
+    true = _real_array("lambda_true", lambda_true, ndim=2)
+    if est.shape != true.shape:
         raise ValueError(f"shape mismatch: {est.shape} vs {true.shape}")
     for name, value in (("lambda_hat", est), ("lambda_true", true)):
         if not np.isfinite(value).all():
@@ -152,7 +153,7 @@ class ExperimentGrid:
     base: SyntheticConfig
     sweep_name: str
     sweep_values: tuple
-    variants: tuple = (EstimatorVariant.BASE,)
+    variants: tuple = ("base",)
     init_schemes: tuple = (InitScheme.method_of_moments(),)
     replications: int = 100
     master_seed: int = 0
@@ -163,8 +164,7 @@ class ExperimentGrid:
     def __post_init__(self):
         _check_type("base", self.base, SyntheticConfig)
         _check_type("solve_config", self.solve_config, RotationSolveConfig)
-        if self.sweep_name not in SWEEPABLE_PARAMETERS:
-            raise ValueError(f"sweep_name must be one of {SWEEPABLE_PARAMETERS}")
+        _check_choice("sweep_name", self.sweep_name, SWEEPABLE_PARAMETERS)
         if not self.sweep_values:
             raise ValueError("sweep_values must be nonempty")
         for value in self.sweep_values:
@@ -183,9 +183,10 @@ class ExperimentGrid:
         typed = int if self.sweep_name in INT_SWEEPS else float
         object.__setattr__(self, "sweep_values",
                            tuple(typed(value) for value in self.sweep_values))
-        object.__setattr__(
-            self, "variants", tuple(EstimatorVariant(v) for v in self.variants))
+        object.__setattr__(self, "variants", tuple(self.variants))
         object.__setattr__(self, "init_schemes", tuple(self.init_schemes))
+        for variant in self.variants:
+            _check_choice("variant", variant, VARIANTS)
         for scheme in self.init_schemes:
             _check_type("init_schemes entry", scheme, InitScheme)
         # a repeated entry (60 and np.int64(60) are one sweep value once
@@ -245,13 +246,13 @@ def run_experiment(grid: ExperimentGrid) -> list:
     def run_cell(value, variant, scheme, rep) -> ExperimentRecord:
         data_seed = derive_seed(grid.master_seed, "data", grid.sweep_name,
                                 value, rep)
-        common = dict(variant=variant.value, init=scheme.label,
+        common = dict(variant=variant, init=scheme.label,
                       sweep_name=grid.sweep_name, sweep_value=value,
                       rep=rep, seed=data_seed)
         try:
             config = replace(grid.base, **{grid.sweep_name: value, "seed": data_seed})
             observed, truth = generate_dataset(config)
-            est_rng = substream(grid.master_seed, "estimate", variant.value,
+            est_rng = substream(grid.master_seed, "estimate", variant,
                                 scheme.label, grid.sweep_name, value, rep)
             estimate = estimate_loading(
                 observed.data, config.r, variant, scheme, grid.solve_config,

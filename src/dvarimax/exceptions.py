@@ -1,6 +1,6 @@
 """Error types raised by the estimation pipeline, the integer,
-real-number, boolean and type checks shared by its settings, and the
-real-matrix cast shared by its data entry points."""
+real-number, boolean, choice and type checks shared by its settings, and
+the real-array cast shared by its array arguments."""
 from __future__ import annotations
 
 import numbers
@@ -42,18 +42,27 @@ def _check_bool(name: str, value) -> None:
         raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
+def _check_choice(name: str, value, choices: tuple) -> None:
+    """Raise ValueError unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+
+
 def _check_type(name: str, value, cls: type) -> None:
     """Raise ValueError unless ``value`` is an instance of ``cls``."""
     if not isinstance(value, cls):
         raise ValueError(f"{name} must be of type {cls.__name__}, got {value!r}")
 
 
-def _real_array(name: str, value) -> np.ndarray:
+def _real_array(name: str, value, ndim: Optional[int] = None) -> np.ndarray:
     """``value`` as a float array; ValueError naming the dtype if it is
-    complex, which a cast to float would cut to its real part."""
+    complex, which a cast to float would cut to its real part, or naming
+    the shape if it does not have ``ndim`` dimensions where given."""
     array = np.asarray(value)
     if np.iscomplexobj(array):
         raise ValueError(f"{name} must be real, got dtype {array.dtype}")
+    if ndim is not None and array.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {array.shape}")
     return np.asarray(array, dtype=float)
 
 

@@ -2,26 +2,30 @@
 
 Every scheme reads the scores only through their fourth-moment statistic,
 the :class:`~dvarimax.rotation.FourthMoment` that ``estimate_loading``
-builds once per fit and shares with the rotation.  Three providers start
-the column solves, each called with only the prior columns:
+builds once per fit and shares with the rotation.  Three schemes start
+the column solves, each through a provider called with only the prior
+columns:
 
-- ``random``: a standard-normal draw inside the orthogonal complement of
-  the previously solved columns, normalized to the sphere.
-- ``multi_random``: several such draws, keeping the one with the lowest
-  quartic objective value.
+- ``multi_random``: several standard-normal draws inside the orthogonal
+  complement of the previously solved columns, normalized to the sphere,
+  keeping the one with the lowest quartic objective value.
+- ``random``: ``multi_random`` with one draw.
 - ``mom`` (method of moments): random slicings of a fourth-moment matrix.
   For each of N standard-normal r x r matrices G, form
 
       M(G) = (1/(3 n)) * sum_t U_t U_t^T (U_t^T G U_t)  -  <subtraction>,
 
-  project it onto the complement of the solved columns on both sides,
-  and keep the slice whose top two singular values have the largest gap.
-  Its leading left singular vector is the initializer.  The subtraction is
+  multiply it on both sides by I - Q Q^T, Q the solved columns, and keep
+  the slice whose top two singular values have the largest gap.  Its
+  leading left singular vector is the initializer.  I - Q Q^T is the
+  orthogonal projector onto the complement of the solved columns only
+  when they are orthonormal, which unconstrained deflation columns need
+  not be (ROADMAP item 5a).  The subtraction is
   linear in G too, so all N slices are one product with an r^2 x r^2 slice
   operator K = T/3 - A, M(G) = reshape(vec(G)^T K), where T is the
   fourth-moment statistic and A the Gaussian term.  :func:`slice_operator`
   forms K once per fit, in :func:`make_init_provider`, and every round's
-  :func:`mom_init` reads only K.  The projected slices are symmetric, so
+  :func:`mom_init` reads only K.  The two-sided products are symmetric, so
   their gaps come from batched eigenvalue solves (singular values are
   absolute eigenvalues), and only the chosen slice gets a full SVD.  Most
   slices are never solved: two batched products give each slice a proven
@@ -47,14 +51,13 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import (DegenerateProjectorError, DegenerateSlicingError, DivergenceError,
-                         _check_integer)
+                         _check_choice, _check_integer, _real_array)
 from .rotation import FourthMoment, _check_prior, complement_basis
 
 __all__ = [
     "InitScheme",
     "SUBTRACTION_MODES",
     "complement_projector",
-    "random_init",
     "multi_random_init",
     "slice_operator",
     "mom_init",
@@ -64,11 +67,6 @@ __all__ = [
 SUBTRACTION_MODES = ("as_written", "lemma_consistent")
 
 
-def _check_subtraction(subtraction: str) -> None:
-    if subtraction not in SUBTRACTION_MODES:
-        raise ValueError(f"unknown subtraction mode: {subtraction!r}")
-
-
 @dataclass(frozen=True)
 class InitScheme:
     """Tagged choice of initialization scheme with every setting it takes.
@@ -76,7 +74,8 @@ class InitScheme:
     ``label`` is one of ``LABELS``.  ``draws`` (multi_random) defaults to
     r^2 and ``slices`` (mom) to max(16, 4 r^2) when left unset; both
     resolve against the score dimension at run time.  ``subtraction``
-    (mom) is one of ``SUBTRACTION_MODES``.
+    (mom) is one of ``SUBTRACTION_MODES``.  The random scheme is
+    multi_random with one draw.
     A scheme rejects a non-default setting that it does not use.
     """
 
@@ -88,9 +87,8 @@ class InitScheme:
     LABELS = ("random", "multi_random", "mom")
 
     def __post_init__(self):
-        if self.label not in self.LABELS:
-            raise ValueError(f"unknown init scheme: {self.label!r}")
-        _check_subtraction(self.subtraction)
+        _check_choice("label", self.label, self.LABELS)
+        _check_choice("subtraction", self.subtraction, SUBTRACTION_MODES)
         if self.draws is not None:
             _check_integer("draws", self.draws, 1)
             if self.label != "multi_random":
@@ -125,6 +123,8 @@ class InitScheme:
         return cls(label)
 
     def draws_for(self, r: int) -> int:
+        if self.label == "random":
+            return 1
         return self.draws if self.draws is not None else r * r
 
     def slices_for(self, r: int) -> int:
@@ -137,32 +137,22 @@ def complement_projector(prior: np.ndarray) -> np.ndarray:
     return np.eye(prior.shape[0]) - prior @ prior.T
 
 
-def random_init(prior: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Normalized standard-normal draw inside the complement of the priors."""
-    return _draw_in(complement_basis(prior), rng)
-
-
-def _draw_in(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Normalized standard-normal draw in the span of the orthonormal columns
-    of ``basis``."""
-    g = rng.standard_normal(basis.shape[1])
-    v = basis @ g
-    nrm = np.linalg.norm(v)
-    if nrm < 1e-14:
-        raise DegenerateProjectorError("random complement draw has zero norm")
-    return v / nrm
-
-
 def multi_random_init(stat: FourthMoment, prior: np.ndarray, draws: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Best of ``draws`` random initializers by the quartic objective that
-    ``stat`` gives.  Ties break toward the earliest draw.  The draws are
-    those of ``draws`` successive :func:`random_init` calls, from one
-    complement basis.
+    ``stat`` gives.  Ties break toward the earliest draw.  Each draw is a
+    standard-normal vector in the orthonormal complement basis of the prior
+    columns (computed once), mapped back and normalized to the sphere.
     """
     _check_integer("draws", draws, 1)
     basis = complement_basis(prior)
-    candidates = [_draw_in(basis, rng) for _ in range(draws)]
+    candidates = []
+    for _ in range(draws):
+        v = basis @ rng.standard_normal(basis.shape[1])
+        nrm = np.linalg.norm(v)
+        if nrm < 1e-14:
+            raise DegenerateProjectorError("random complement draw has zero norm")
+        candidates.append(v / nrm)
     values = [stat.objective(c) for c in candidates]
     return candidates[int(np.argmin(values))]
 
@@ -176,7 +166,7 @@ def slice_operator(stat: FourthMoment, subtraction: str = "as_written") -> np.nd
     vec(I) vec(I)^T, which reads tr(G) I, and is divided by 3.  The
     score-based reference is ``mom_matrix`` in ``tests/helpers.py``.
     """
-    _check_subtraction(subtraction)
+    _check_choice("subtraction", subtraction, SUBTRACTION_MODES)
     r = stat.r
     eye = np.eye(r)
     # a[i, j, k, l] = I_ki I_jl reads G, its pair-swapped copy G^T
@@ -226,10 +216,11 @@ def mom_init(operator: np.ndarray, prior: np.ndarray, n_slices: int, *,
 
     Draws ``n_slices`` standard-normal r x r matrices (one (n_slices, r, r)
     draw, the same stream as n_slices separate ones), reads each moment
-    slice from the fit's :func:`slice_operator` ``operator``, projects it
-    onto the complement of the prior columns on both sides, and returns the
-    leading left singular vector of the slice with the largest top-two
-    singular-value gap (ties to the earliest slice).  The returned vector's
+    slice from the fit's :func:`slice_operator` ``operator``, multiplies it
+    on both sides by :func:`complement_projector` of the prior columns (a
+    projector only for orthonormal priors; see ROADMAP item 5a), and
+    returns the leading left singular vector of the slice with the largest
+    top-two singular-value gap (ties to the earliest slice).  The returned vector's
     largest-magnitude entry is made positive.
 
     Only slices that can have the largest gap are eigen-solved.  The
@@ -241,13 +232,13 @@ def mom_init(operator: np.ndarray, prior: np.ndarray, n_slices: int, *,
     Raises
     ------
     DivergenceError
-        If a projected slice has a NaN or infinite entry.
+        If a multiplied slice has a NaN or infinite entry.
     DegenerateSlicingError
         If every slice has a gap below 1e-12.
     """
     _check_integer("n_slices", n_slices, 1)
-    operator = np.asarray(operator, dtype=float)
-    r = math.isqrt(operator.shape[0]) if operator.ndim == 2 else 0
+    operator = _real_array("operator", operator, ndim=2)
+    r = math.isqrt(operator.shape[0])
     if r < 1 or operator.shape != (r * r, r * r):
         raise ValueError(f"operator must be r^2 x r^2 for an r >= 1, got shape {operator.shape}")
     proj = complement_projector(prior)
@@ -300,9 +291,7 @@ def make_init_provider(scheme: InitScheme, stat: FourthMoment,
     consumed in sequence across rounds, fixes every start.
     """
     r = stat.r
-    if scheme.label == "random":
-        return lambda prior: random_init(prior, rng)
-    if scheme.label == "multi_random":
+    if scheme.label != "mom":
         draws = scheme.draws_for(r)
         return lambda prior: multi_random_init(stat, prior, draws, rng)
     operator, n_slices = slice_operator(stat, scheme.subtraction), scheme.slices_for(r)

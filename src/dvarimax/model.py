@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import _check_integer, _check_real, _real_array
+from .exceptions import _check_choice, _check_integer, _check_real, _real_array
 from .rng import _MASK64, substream
 
 __all__ = [
@@ -41,16 +41,14 @@ class ObservationMatrix:
     Raises
     ------
     ValueError
-        If the matrix is not 2-D, contains non-finite entries, or has
-        fewer than two samples.
+        If the matrix is complex or not 2-D, contains non-finite entries,
+        or has fewer than two samples.
     """
 
     data: np.ndarray
 
     def __post_init__(self):
-        data = _real_array("observation matrix", self.data)
-        if data.ndim != 2:
-            raise ValueError("observation matrix must be 2-D (features x samples)")
+        data = _real_array("observation matrix", self.data, ndim=2)
         if data.shape[0] < 1 or data.shape[1] < 2:
             raise ValueError("need p >= 1 features and n >= 2 samples")
         if not np.all(np.isfinite(data)):
@@ -138,9 +136,7 @@ class SyntheticConfig:
             raise ValueError(f"r={self.r} exceeds min(p, n)={min(self.p, self.n)}")
         _check_real("theta", self.theta, 0, 1, high_closed=True)
         _check_real("varepsilon2", self.varepsilon2, 0, math.inf, low_closed=True)
-        if self.noise_kind not in NOISE_KINDS:
-            raise ValueError(f"noise_kind must be one of {', '.join(NOISE_KINDS)}, "
-                             f"got {self.noise_kind!r}")
+        _check_choice("noise_kind", self.noise_kind, NOISE_KINDS)
         _check_real("heteroscedastic exponent alpha", self.noise_alpha, 0, math.inf,
                     low_closed=True)
         _check_real("toeplitz decay rho", self.noise_rho, 0, 1)

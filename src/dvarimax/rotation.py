@@ -74,9 +74,7 @@ _NEAR_DUPLICATE_THRESHOLD = 0.1
 
 
 def _check_unit(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 1:
-        raise ValueError("q must be a 1-D vector")
+    q = _real_array("q", q, ndim=1)
     nrm = np.linalg.norm(q)
     if not np.isfinite(nrm) or abs(nrm - 1.0) > _UNIT_TOL:
         raise ValueError(f"q must be unit-norm (got |q| = {nrm!r})")
@@ -95,8 +93,9 @@ class FourthMoment:
     """Fourth-moment statistic of an r x n score matrix U.
 
     ``matrix`` is T[i*r + j, k*r + l] = (1/n) sum_t U_it U_jt U_kt U_lt.  It
-    must be r^2 x r^2 and, to 1e-10 max|T|, symmetric as a matrix and under
-    i <-> j, as the gradient needs; else ValueError, but NaN and inf pass.
+    must be real, r^2 x r^2 and, to 1e-10 max|T|, symmetric as a matrix and
+    under i <-> j, as the gradient needs; else ValueError, but NaN and inf
+    pass.
     ``matrix`` is a private copy, so a later write to the array passed in
     cannot break the symmetries.
     """
@@ -104,8 +103,8 @@ class FourthMoment:
     matrix: np.ndarray   # r^2 x r^2
 
     def __post_init__(self):
-        t = np.array(self.matrix, dtype=float, order="C")
-        r = math.isqrt(t.shape[0]) if t.ndim == 2 else 0
+        t = _real_array("matrix", self.matrix, ndim=2).copy()
+        r = math.isqrt(t.shape[0])
         if r < 1 or t.shape != (r * r, r * r):
             raise ValueError(f"matrix must be r^2 x r^2 for an r >= 1, got shape {t.shape}")
         swapped = t.reshape(r, r, -1).transpose(1, 0, 2).reshape(t.shape)
@@ -170,6 +169,7 @@ class FourthMoment:
     def restrict(self, basis: np.ndarray) -> "FourthMoment":
         """Statistic of the scores B^T U for an r x m basis B:
         (B (x) B)^T T (B (x) B)."""
+        basis = _real_array("basis", basis, ndim=2)
         kron = np.kron(basis, basis)
         return FourthMoment(kron.T @ self.matrix @ kron)
 
@@ -215,9 +215,7 @@ class RotationResult:
 
 
 def _check_prior(prior: np.ndarray) -> np.ndarray:
-    prior = np.asarray(prior, dtype=float)
-    if prior.ndim != 2:
-        raise ValueError("prior columns must form a 2-D r x k array")
+    prior = _real_array("prior", prior, ndim=2)
     if prior.shape[1]:
         norms = np.linalg.norm(prior, axis=0)
         if not np.max(np.abs(norms - 1.0)) <= _UNIT_TOL:  # a NaN norm fails too
@@ -244,7 +242,7 @@ def complement_basis(prior: np.ndarray) -> np.ndarray:
 
 
 def _check_sigma_n(r: int, sigma_n) -> np.ndarray:
-    sigma_n = np.asarray(sigma_n, dtype=float)
+    sigma_n = _real_array("sigma_n", sigma_n)
     if sigma_n.shape != (r, r):
         raise ValueError("sigma_n must be r x r")
     if np.max(np.abs(sigma_n - sigma_n.T)) > 1e-10:
@@ -343,7 +341,7 @@ def deflate(stat: FourthMoment, init_provider,
     iter_counts, grad_norms, flags, restricted = [], [], [], []
     for k in range(1, r + 1):
         prior = np.column_stack(columns) if columns else np.zeros((r, 0))
-        q0 = np.asarray(init_provider(prior), dtype=float)
+        q0 = init_provider(prior)
         try:
             q, iters, gnorm, converged = pgd_solve(q0, stat, config)
             duplicate = k > 1 and np.linalg.svd(
@@ -383,8 +381,8 @@ def symmetric_orthogonalize(q_hat: np.ndarray) -> np.ndarray:
         If ``q_hat`` is numerically rank deficient, which signals that
         two solved columns (nearly) coincide.
     """
-    q_hat = np.asarray(q_hat, dtype=float)
-    if q_hat.ndim != 2 or q_hat.shape[0] < q_hat.shape[1] or q_hat.shape[1] < 1:
+    q_hat = _real_array("q_hat", q_hat, ndim=2)
+    if q_hat.shape[0] < q_hat.shape[1] or q_hat.shape[1] < 1:
         raise ValueError("q_hat must be r x s with r >= s >= 1")
     left, singulars, right_t = np.linalg.svd(q_hat, full_matrices=False)
     if singulars[-1] <= 1e-12 * singulars[0]:

@@ -190,9 +190,7 @@ class PcaDecomposition:
 
 
 def _checked_observations(x: np.ndarray, k: int, name: str) -> np.ndarray:
-    x = _real_array("x", x)
-    if x.ndim != 2:
-        raise ValueError("x must be a 2-D array")
+    x = _real_array("x", x, ndim=2)
     p, n = x.shape
     _check_integer(name, k, 1)
     if k > min(p, n):
@@ -404,7 +402,7 @@ def select_rank(eigvals: np.ndarray, r_max: int) -> int:
     the smallest index.  Denominators are floored at ``EIGENVALUE_FLOOR``
     times the top eigenvalue so a zero tail cannot divide by zero.
     """
-    eigvals = np.asarray(eigvals, dtype=float)
+    eigvals = _real_array("eigvals", eigvals, ndim=1)
     _check_integer("r_max", r_max, 1)
     if eigvals.size == 0 or not np.all(np.isfinite(eigvals)) or eigvals[0] <= 0:
         raise NoSignalError("all eigenvalues are at or below zero")

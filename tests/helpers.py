@@ -17,8 +17,9 @@ from itertools import permutations, product
 
 import numpy as np
 
-from dvarimax import (DegenerateSlicingError, DivergenceError, complement_projector,
-                      generate_factors, generate_loading, substream)
+from dvarimax import (DegenerateSlicingError, DivergenceError, complement_basis,
+                      complement_projector, generate_factors, generate_loading,
+                      substream)
 from dvarimax.initialization import SUBTRACTION_MODES
 from dvarimax.rotation import _MIN_ITERATE_NORM, _check_sigma_n, _check_unit
 
@@ -186,6 +187,15 @@ def brute_force_signed_permutation_error(lambda_hat, lambda_true):
                 p[perm[k], k] = signs[k]
             best = min(best, np.linalg.norm(est - true @ p))
     return best
+
+
+def random_draw(prior, rng):
+    """One random start as the ``random`` scheme defines it: a
+    standard-normal draw in the complement basis of the prior columns,
+    mapped back and normalized to the sphere."""
+    basis = complement_basis(prior)
+    v = basis @ rng.standard_normal(basis.shape[1])
+    return v / np.linalg.norm(v)
 
 
 def random_orthogonal(r, rng):

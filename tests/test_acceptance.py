@@ -14,7 +14,7 @@ from helpers import (brute_force_signed_permutation_error, corrected_gradient,
                      population_objective, projected_finite_difference_gradient,
                      random_orthogonal, riemannian_gradient)
 
-from dvarimax import (EstimatorVariant, ExperimentGrid, InitScheme,
+from dvarimax import (VARIANTS, ExperimentGrid, InitScheme,
                       RotationSolveConfig, SyntheticConfig, eigendecompose,
                       estimate_loading, fourth_moment, generate_dataset,
                       generate_factors, pgd_solve, run_experiment,
@@ -80,10 +80,10 @@ def test_criterion_02_whitening_and_orthogonality():
     ]
     for case in cases:
         observed, _ = generate_dataset(SyntheticConfig(**case))
-        for variant in EstimatorVariant:
+        for variant in VARIANTS:
             est = estimate_loading(observed.data, case["r"], variant,
                                    InitScheme.method_of_moments(16), FAST_SOLVE,
-                                   substream(case["seed"], "acc2", variant.value),
+                                   substream(case["seed"], "acc2", variant),
                                    auto_fallback=True)
             scores = est.decomposition.scores
             r = case["r"]
@@ -245,7 +245,7 @@ def test_criterion_08_rate_trend_in_n():
                              seed=0),
         sweep_name="n",
         sweep_values=(100, 300, 900),
-        variants=(EstimatorVariant.BASE,),
+        variants=("base",),
         init_schemes=(InitScheme.method_of_moments(),),
         replications=20,
         master_seed=108,
@@ -276,7 +276,7 @@ def test_criterion_09_structured_noise_improvement():
                              seed=0),
         sweep_name="varepsilon2",
         sweep_values=(0.8,),
-        variants=(EstimatorVariant.BASE, EstimatorVariant.IMPROVED2),
+        variants=("base", "improved2"),
         init_schemes=(InitScheme.method_of_moments(),),
         replications=50,
         master_seed=109,
@@ -315,7 +315,7 @@ def test_criterion_10_initialization_interchangeability():
                              seed=0),
         sweep_name="n",
         sweep_values=(900,),
-        variants=(EstimatorVariant.BASE,),
+        variants=("base",),
         init_schemes=schemes,
         replications=20,
         master_seed=110,

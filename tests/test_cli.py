@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dvarimax import (NOISE_KINDS, EstimatorVariant, InitScheme,
+from dvarimax import (NOISE_KINDS, VARIANTS, InitScheme,
                       RotationSolveConfig, deflate, signed_permutation_error)
-from dvarimax.cli import (_KEY_PARSERS, CliError, main, parse_config_text,
+from dvarimax.cli import (_DEFAULTS, _KEY_PARSERS, CliError, main, parse_config_text,
                           read_matrix_csv, resolve_config, write_matrix_csv)
 from dvarimax.evaluate import SWEEPABLE_PARAMETERS
 from dvarimax.initialization import SUBTRACTION_MODES
@@ -111,11 +111,32 @@ def test_readme_cli_section_names_every_config_key():
 
 
 @pytest.mark.parametrize("choice", [
-    *(variant.value for variant in EstimatorVariant), *InitScheme.LABELS, *NOISE_KINDS,
+    *VARIANTS, *InitScheme.LABELS, *NOISE_KINDS,
     *SWEEPABLE_PARAMETERS, *SUBTRACTION_MODES])
 def test_readme_cli_section_names_every_choice(choice):
     # every value a choice key accepts is named in backticks
     assert f"`{choice}`" in _readme_cli_section()
+
+
+def test_readme_cli_defaults_match_the_resolved_config():
+    # every default the README gives as "`key` (value)" is the one a
+    # config without that key resolves to
+    listed = dict(re.findall(r"`(\w+)`\s+\(([^,)]+)", _readme_cli_section()))
+    documented = {key: text for key, text in listed.items() if key in _DEFAULTS}
+    assert {"step_size", "variant", "mom_subtraction", "record_runtime",
+            "noise_rho"} <= set(documented)
+    resolved = resolve_config({})
+    for key, text in documented.items():
+        assert _KEY_PARSERS[key](text) == resolved[key], key
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_text(f"n = 10\np = 4\nr = 2\nseed = 1\noutput_path = {tmp_path / 'out'}\n",
+                    encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert _run("simulate", "--config", str(path)) == 0
+    assert read_matrix_csv(tmp_path / "out" / "X.csv").shape == (4, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +150,14 @@ def test_matrix_roundtrip_is_lossless(tmp_path):
     write_matrix_csv(path, matrix, "rows=4 cols=7")
     back = read_matrix_csv(path)
     assert np.array_equal(back, matrix)
+
+
+def test_matrix_csv_may_start_with_a_byte_order_mark(tmp_path):
+    matrix = np.arange(6.0).reshape(2, 3)
+    path = tmp_path / "bom.csv"
+    write_matrix_csv(path, matrix, "p=2 n=3")
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert np.array_equal(read_matrix_csv(path), matrix)
 
 
 def test_matrix_parse_error_location(tmp_path):
@@ -191,7 +220,7 @@ def test_simulate_requires_seed(tmp_path, capsys):
     (dict(seed=-1), "seed=-1 must be >= 0"),
     (dict(seed=2 ** 64), f"seed={2 ** 64} must be <= {2 ** 64 - 1}"),
     (dict(init="mom_improved"),
-     "config key 'init': must be one of random, multi_random, mom (got 'mom_improved')"),
+     "config key 'init': value must be one of random, multi_random, mom, got 'mom_improved'"),
 ])
 def test_simulate_reports_the_library_message(tmp_path, capsys, entries, message):
     config = _write_config(tmp_path, "sim.cfg", **{
@@ -321,9 +350,10 @@ def test_estimate_auto_rank_rejects_r_max_below_one(tmp_path, simulated, capsys,
     ({"max_iters": 0}, "max_iters=0 must be >= 1"),
     # settings that the random scheme does not use, out of range as well
     ({"init": "random", "init_slices": 0, "init_draws": -4,
-      "mom_subtraction": "lemma_consistent"}, "draws=-4 must be >= 1"),
+      "mom_subtraction": "lemma_consistent"},
+     "init_draws = -4 is used by none of the init schemes random"),
     ({"init": "random", "init_slices": 4},
-     "slices and subtraction apply only to the mom scheme"),
+     "init_slices = 4 is used by none of the init schemes random"),
     ({"r": 3, "r_max": 0}, "r_max must be >= 1"),
 ], ids=["seed=-1", "seed=2**64", "init_slices=0", "step_size=0", "max_iters=0",
         "random-with-unused-bad-settings", "random-with-init_slices", "r=3-r_max=0"])
@@ -396,6 +426,9 @@ def _benchmark_config(tmp_path, out, **overrides):
                    init_slices=8, step_size=0.01, max_iters=2000,
                    output_path=out)
     entries.update(overrides)
+    if "init_slices" not in overrides and "mom" not in entries.get(
+            "init_schemes", entries.get("init", "mom")):
+        del entries["init_slices"]  # no listed scheme uses it
     return _write_config(tmp_path, f"bench_{len(str(out))}.cfg", **entries)
 
 
@@ -423,7 +456,7 @@ def test_benchmark_requires_seed(tmp_path, capsys):
 # base value of each sweepable parameter in _benchmark_config
 _SWEEP_BASE = {"n": 120, "p": 8, "r": 2, "theta": 0.3, "varepsilon2": 0.05}
 _CHOICES = (
-    [{"variant": variant.value} for variant in EstimatorVariant]
+    [{"variant": variant} for variant in VARIANTS]
     + [{key: label} for label in InitScheme.LABELS for key in ("init", "init_schemes")]
     + [{"noise_kind": kind} for kind in NOISE_KINDS]
     + [{"sweep_name": name, "sweep_values": _SWEEP_BASE[name]}
@@ -466,11 +499,31 @@ def test_mom_subtraction_reaches_only_the_mom_schemes(tmp_path):
 
 @pytest.mark.parametrize("key, value", [("init_draws", 0), ("init_slices", -2)])
 def test_benchmark_rejects_out_of_range_init_settings(tmp_path, capsys, key, value):
-    # the check holds even for a setting that no listed scheme reads
-    config = _benchmark_config(tmp_path, tmp_path / "bench", init_schemes="random",
-                               **{key: value})
+    # InitScheme checks the range, in the scheme that uses the setting
+    config = _benchmark_config(tmp_path, tmp_path / "bench",
+                               init_schemes="random,multi_random,mom", **{key: value})
     assert _run("benchmark", "--config", config) == 2
-    assert f"{key}={value} must be >= 1" in capsys.readouterr().err
+    assert f"{key.removeprefix('init_')}={value} must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "benchmark"])
+@pytest.mark.parametrize("settings, key", [
+    (dict(init_schemes="random", init_slices=8, mom_subtraction="lemma_consistent"),
+     "init_slices"),
+    (dict(init_schemes="random,mom", init_draws=4), "init_draws"),
+    (dict(init_schemes="multi_random", mom_subtraction="lemma_consistent"),
+     "mom_subtraction"),
+], ids=["slices-to-random", "draws-to-mom", "subtraction-to-multi_random"])
+def test_an_init_setting_no_listed_scheme_uses_is_an_error(tmp_path, capsys, command,
+                                                           settings, key):
+    if command == "estimate":
+        settings = dict(settings, input_path=tmp_path / "X.csv")
+        settings["init"] = settings.pop("init_schemes").split(",")[0]
+    config = _benchmark_config(tmp_path, tmp_path / "out", **settings)
+    assert _run(command, "--config", config) == 2
+    err = capsys.readouterr().err
+    assert f"error: {key} = " in err and "is used by none of the init schemes" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("repeat", [dict(variants="base,base"),

@@ -8,8 +8,8 @@ from helpers import brute_force_signed_permutation_error, random_orthogonal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvarimax import (EstimatorVariant, ExperimentGrid, ExperimentRecord,
-                      InitScheme, RotationSolveConfig, SyntheticConfig, aggregate,
+from dvarimax import (ExperimentGrid, ExperimentRecord, InitScheme,
+                      RotationSolveConfig, SyntheticConfig, aggregate,
                       estimate_loading, generate_dataset, records_to_csv,
                       run_experiment, signed_permutation_error, substream,
                       summary_to_csv)
@@ -167,7 +167,7 @@ def _small_grid(**overrides):
         base=SyntheticConfig(n=120, p=8, r=2, theta=0.3, varepsilon2=0.05, seed=0),
         sweep_name="n",
         sweep_values=(120,),
-        variants=(EstimatorVariant.BASE,),
+        variants=("base",),
         init_schemes=(InitScheme.method_of_moments(8),),
         replications=1,
         master_seed=77,
@@ -209,7 +209,7 @@ def test_experiment_deterministic_and_thread_invariant():
 
 def test_grid_rejects_repeated_entries():
     with pytest.raises(ValueError, match="repeat"):
-        _small_grid(variants=(EstimatorVariant.BASE, "base"))
+        _small_grid(variants=("base", "base"))
     # schemes that differ only in a setting still share one label
     with pytest.raises(ValueError, match="repeat"):
         _small_grid(init_schemes=(InitScheme.method_of_moments(8),
@@ -217,7 +217,7 @@ def test_grid_rejects_repeated_entries():
 
 
 def test_datasets_shared_across_variants():
-    grid = _small_grid(variants=(EstimatorVariant.BASE, EstimatorVariant.IMPROVED1),
+    grid = _small_grid(variants=("base", "improved1"),
                        replications=2)
     records = run_experiment(grid)
     by_variant = {}
@@ -246,7 +246,7 @@ def test_failures_recorded_not_raised():
 
 def test_lexicographic_output_order():
     grid = _small_grid(sweep_values=(80, 120), replications=2,
-                       variants=(EstimatorVariant.BASE, EstimatorVariant.IMPROVED1))
+                       variants=("base", "improved1"))
     records = run_experiment(grid)
     keys = [(rec.sweep_value, rec.variant, rec.init, rec.rep) for rec in records]
     expected = [(value, variant, "mom", rep)

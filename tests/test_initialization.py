@@ -4,7 +4,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from helpers import (ZeroDraws, batched_svd_mom_init, hand_instance, mom_matrix,
-                     objective, random_orthogonal, unit_columns, unpruned_mom_init)
+                     objective, random_draw, random_orthogonal, unit_columns,
+                     unpruned_mom_init)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,13 +13,19 @@ from dvarimax import (DegenerateProjectorError, DegenerateSlicingError, Divergen
                       FourthMoment, InitScheme, RotationSolveConfig, SyntheticConfig,
                       complement_basis, complement_projector, deflate, estimate_loading,
                       fourth_moment, generate_dataset, generate_factors, initialization,
-                      make_init_provider, mom_init, multi_random_init, random_init,
-                      slice_operator, substream)
+                      make_init_provider, mom_init, multi_random_init, slice_operator,
+                      substream)
 from dvarimax.initialization import SUBTRACTION_MODES
 
 
 def _empty_prior(r):
     return np.zeros((r, 0))
+
+
+def _random_start(prior, rng):
+    """The start that the ``random`` scheme's provider draws for ``prior``."""
+    stat = fourth_moment(substream(0, "stat").standard_normal((prior.shape[0], 30)))
+    return make_init_provider(InitScheme.random(), stat, rng)(prior)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +48,7 @@ def test_init_scheme_defaults_and_labels():
     for label in ("random", "multi_random"):
         with pytest.raises(ValueError, match="apply only to the mom scheme"):
             InitScheme(label, subtraction="lemma_consistent")
-    with pytest.raises(ValueError, match="unknown subtraction mode"):
+    with pytest.raises(ValueError, match="subtraction must be one of"):
         InitScheme.method_of_moments(subtraction="lemma-consistent")
     with pytest.raises(ValueError):
         InitScheme.multi_random(0)
@@ -72,12 +79,12 @@ def test_from_label_inverts_label(label):
 
 def test_from_label_rejects_unknown():
     for label in ("bogus", "mom_improved"):
-        with pytest.raises(ValueError, match="unknown init scheme"):
+        with pytest.raises(ValueError, match="label must be one of"):
             InitScheme.from_label(label)
-        with pytest.raises(ValueError, match="unknown init scheme"):
+        with pytest.raises(ValueError, match="label must be one of"):
             InitScheme(label)
     # the removed positional ``improved`` flag must not bind to ``subtraction``
-    with pytest.raises(ValueError, match="unknown subtraction mode"):
+    with pytest.raises(ValueError, match="subtraction must be one of"):
         InitScheme.method_of_moments(8, True)
 
 
@@ -122,29 +129,29 @@ def test_complement_basis_full_prior_raises():
         prior = np.eye(3)[:, :2]
         prior[0, 1] = bad
         for call in (complement_basis, complement_projector,
-                     lambda prior: random_init(prior, substream(0, "init"))):
+                     lambda prior: _random_start(prior, substream(0, "init"))):
             with pytest.raises(ValueError, match="unit-norm"):
                 call(prior)
     # a draw of zeros has no direction to normalize
     with pytest.raises(DegenerateProjectorError, match="zero norm"):
-        random_init(_empty_prior(3), ZeroDraws())
+        _random_start(_empty_prior(3), ZeroDraws())
 
 
 # ---------------------------------------------------------------------------
-# random_init
+# the random scheme
 # ---------------------------------------------------------------------------
 
 def test_random_init_unconstrained_is_normalized_gaussian():
     rng_a = substream(2, "init")
     rng_b = substream(2, "init")
-    q0 = random_init(_empty_prior(4), rng_a)
+    q0 = _random_start(_empty_prior(4), rng_a)
     g = rng_b.standard_normal(4)
     assert np.allclose(q0, g / np.linalg.norm(g), atol=1e-15)
 
 
 def test_random_init_one_dimensional_complement():
     rng = substream(3, "init")
-    q0 = random_init(np.eye(2)[:, :1], rng)
+    q0 = _random_start(np.eye(2)[:, :1], rng)
     assert abs(abs(q0[1]) - 1.0) <= 1e-12
     assert abs(q0[0]) <= 1e-12
 
@@ -153,7 +160,7 @@ def test_random_init_orthogonal_to_orthonormal_priors():
     rng = substream(4, "init")
     for _ in range(10):
         prior = random_orthogonal(6, rng)[:, :3]
-        q0 = random_init(prior, rng)
+        q0 = _random_start(prior, rng)
         assert abs(np.linalg.norm(q0) - 1.0) <= 1e-12
         assert np.max(np.abs(prior.T @ q0)) <= 1e-10
 
@@ -163,10 +170,20 @@ def test_random_init_orthogonal_to_orthonormal_priors():
 # ---------------------------------------------------------------------------
 
 def test_multi_random_single_draw_equals_random_init():
+    # The random scheme is multi_random with one draw: both give the
+    # reference draw, and the same fit bit for bit.
     u = hand_instance()
     a = multi_random_init(fourth_moment(u), _empty_prior(2), 1, substream(5, "init"))
-    b = random_init(_empty_prior(2), substream(5, "init"))
+    b = random_draw(_empty_prior(2), substream(5, "init"))
     assert np.array_equal(a, b)
+    assert np.array_equal(_random_start(_empty_prior(2), substream(5, "init")), b)
+    assert InitScheme.random().draws_for(5) == 1
+    observed, _ = generate_dataset(SyntheticConfig(n=300, p=12, r=3, varepsilon2=0.3, seed=5))
+    fits = [estimate_loading(observed.data, 3, "improved2", scheme,
+                             RotationSolveConfig(step_size=1e-2), substream(5, "fit"))
+            for scheme in (InitScheme.random(), InitScheme.multi_random(1))]
+    assert np.array_equal(fits[0].lambda_hat, fits[1].lambda_hat)
+    assert np.array_equal(fits[0].diagnostics.iter_counts, fits[1].diagnostics.iter_counts)
     c = multi_random_init(fourth_moment(u), _empty_prior(2), np.int64(1),
                           substream(5, "init"))
     assert np.array_equal(c, b)
@@ -180,21 +197,21 @@ def test_multi_random_selects_argmin_objective():
     chosen = multi_random_init(fourth_moment(u), _empty_prior(2), 64, substream(6, "init"))
     # reproduce the candidate sequence with an identical stream
     rng = substream(6, "init")
-    candidates = [random_init(_empty_prior(2), rng) for _ in range(64)]
+    candidates = [random_draw(_empty_prior(2), rng) for _ in range(64)]
     values = [objective(c, u) for c in candidates]
     assert objective(chosen, u) == min(values)
     assert np.array_equal(chosen, candidates[int(np.argmin(values))])
 
 
 def test_multi_random_with_a_prior_draws_from_one_complement_basis(monkeypatch):
-    # The chosen start is the one the per-draw random_init loop picks, and
+    # The chosen start is the one the per-draw reference loop picks, and
     # the complement of the prior columns is computed once for all draws.
     rng = substream(8, "init")
     r, draws = 5, 25
     stat = fourth_moment(generate_factors(r, 300, 0.2, rng))
     prior = np.linalg.qr(rng.standard_normal((r, 2)))[0]
     loop_rng = substream(9, "init")
-    candidates = [random_init(prior, loop_rng) for _ in range(draws)]
+    candidates = [random_draw(prior, loop_rng) for _ in range(draws)]
     want = candidates[int(np.argmin([stat.objective(c) for c in candidates]))]
     calls = []
 
@@ -343,12 +360,15 @@ def test_mom_init_projected_round_stays_in_complement():
 
 def test_mom_init_checks_the_slice_operator_settings():
     stat = fourth_moment(substream(14, "init").standard_normal((3, 60)))
-    with pytest.raises(ValueError, match="unknown subtraction mode: 'lemma-consistent'"):
+    with pytest.raises(ValueError, match="subtraction must be one of as_written, "
+                                         "lemma_consistent, got 'lemma-consistent'"):
         slice_operator(stat, subtraction="lemma-consistent")
     operator = slice_operator(stat)
-    for bad in (operator[:8, :8], operator[:, :8], operator.ravel(), np.zeros((0, 0))):
+    for bad in (operator[:8, :8], operator[:, :8], np.zeros((0, 0))):
         with pytest.raises(ValueError, match="operator must be r\\^2 x r\\^2"):
             mom_init(bad, _empty_prior(3), 4, rng=substream(15, "init"))
+    with pytest.raises(ValueError, match="operator must be 2-D, got shape \\(81,\\)"):
+        mom_init(operator.ravel(), _empty_prior(3), 4, rng=substream(15, "init"))
     with pytest.raises(ValueError, match="prior must have 3 rows, got 2"):
         mom_init(operator, _empty_prior(2), 4, rng=substream(15, "init"))
 

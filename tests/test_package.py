@@ -3,7 +3,15 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import dvarimax
+from dvarimax import (FourthMoment, InitScheme, RotationSolveConfig, complement_basis,
+                      complement_projector, deflate, eigendecompose, fourth_moment,
+                      loading_from_rotation, make_init_provider, mom_init,
+                      multi_random_init, pgd_solve, predict_factors, select_rank,
+                      slice_operator, substream, symmetric_orthogonalize)
 
 
 def test_every_listed_export_resolves():
@@ -26,3 +34,39 @@ def test_readme_library_quick_start_runs():
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
     assert 0 <= namespace["error"] < 1
+
+
+def _complex_calls() -> dict:
+    """One call per public array entry point, each given one complex array
+    whose imaginary part is zero, so only its dtype is wrong."""
+    stat = fourth_moment(substream(3, "complex").standard_normal((3, 40)))
+    decomp = eigendecompose(substream(4, "complex").standard_normal((6, 40)), 3)
+    start = np.eye(3)[:, 0] + 0j
+    prior = np.eye(3)[:, :1] + 0j
+    solve = RotationSolveConfig(step_size=1e-2)
+    rng = substream(5, "complex")
+    return {
+        "pgd_solve": lambda: pgd_solve(start, stat, solve),
+        "FourthMoment": lambda: FourthMoment(stat.matrix + 0j),
+        "objective": lambda: stat.objective(start),
+        "gradient": lambda: stat.gradient(start),
+        "bias_corrected": lambda: stat.bias_corrected(np.eye(3) + 0j),
+        "restrict": lambda: stat.restrict(complement_basis(prior.real) + 0j),
+        "complement_basis": lambda: complement_basis(prior),
+        "complement_projector": lambda: complement_projector(prior),
+        "symmetric_orthogonalize": lambda: symmetric_orthogonalize(np.eye(3) + 0j),
+        "select_rank": lambda: select_rank(decomp.eigvals + 0j, 2),
+        "mom_init": lambda: mom_init(slice_operator(stat) + 0j, prior.real, 8, rng=rng),
+        "random scheme": lambda: make_init_provider(InitScheme.random(), stat, rng)(prior),
+        "multi_random_init": lambda: multi_random_init(stat, prior, 4, rng),
+        "loading_from_rotation": lambda: loading_from_rotation(decomp, np.eye(3) + 0j),
+        "predict_factors": lambda: predict_factors(decomp, np.eye(3) + 0j),
+        "deflate": lambda: deflate(stat, lambda prior: start, solve),
+    }
+
+
+@pytest.mark.parametrize("entry_point", list(_complex_calls()))
+def test_every_array_entry_point_rejects_a_complex_dtype(entry_point):
+    # A cast to float would keep only the real part, with a ComplexWarning.
+    with pytest.raises(ValueError, match="must be real, got dtype complex128"):
+        _complex_calls()[entry_point]()
