@@ -2,11 +2,12 @@
 
 Configuration is a flat UTF-8 text file of ``key = value`` lines with
 ``#`` comments; an inline comment's ``#`` follows whitespace.  A leading
-byte-order mark is skipped, in config files and matrix CSVs alike.  Unknown
-keys are rejected; missing keys take documented defaults.  ``--set
-key=value`` overrides file entries.  Matrices on disk are CSV with one
-comment line of metadata, one row per feature and one column per sample,
-values printed with 17 significant digits so binary64 round-trips exactly.
+byte-order mark is skipped, in config files and matrix CSVs alike.  Each
+command has its own keys; any other key is rejected, and a missing key takes
+its documented default.  ``--set key=value`` overrides file entries.
+Matrices on disk are CSV with one comment line of metadata, one row per
+feature and one column per sample, values printed with 17 significant
+digits so binary64 round-trips exactly.
 """
 from __future__ import annotations
 
@@ -32,8 +33,6 @@ from .rotation import RotationSolveConfig
 from .spectral import leading_eigenvalues, select_rank
 
 __all__ = ["main", "CliError", "read_matrix_csv", "write_matrix_csv"]
-
-COMMANDS = ("simulate", "estimate", "benchmark")
 
 
 class CliError(Exception):
@@ -84,46 +83,41 @@ def _default(cls, name: str):
 
 
 # Synthetic settings with a library default, passed to SyntheticConfig as given.
-_SYNTHETIC_KEYS = ("theta", "varepsilon2", "noise_kind", "noise_alpha", "noise_rho")
+_SYNTHETIC_KEYS = {"theta": float, "varepsilon2": float, "noise_alpha": float,
+                   "noise_rho": float, "noise_kind": _parse_choice(NOISE_KINDS)}
 # Every solver setting is a config key with the library's type and default.
 _SOLVE_FIELDS = fields(RotationSolveConfig)
 
-# Every accepted key with its value parser.
+# The key groups with their value parsers: synthetic keys for simulate and
+# benchmark, solver and init keys for estimate and benchmark.
+_COMMON = {"seed": int, "output_path": str, "r": _parse_rank}
+_SYNTHETIC = {"n": int, "p": int, **_SYNTHETIC_KEYS}
+_SOLVER = {**{spec.name: type(spec.default) for spec in _SOLVE_FIELDS},
+           "init_draws": int, "init_slices": int,
+           "mom_subtraction": _parse_choice(SUBTRACTION_MODES), "auto_fallback": _parse_bool}
+
+# Each command's keys; a config may set no other.
 _KEY_PARSERS = {
-    "seed": int,
-    "input_path": str,
-    "output_path": str,
-    "n": int,
-    "p": int,
-    "r": _parse_rank,
-    "r_max": int,
-    "theta": float,
-    "varepsilon2": float,
-    "noise_kind": _parse_choice(NOISE_KINDS),
-    "noise_alpha": float,
-    "noise_rho": float,
-    **{spec.name: type(spec.default) for spec in _SOLVE_FIELDS},
-    "variant": _parse_choice(VARIANTS),
-    "init": _parse_choice(InitScheme.LABELS),
-    "init_draws": int,
-    "init_slices": int,
-    "mom_subtraction": _parse_choice(SUBTRACTION_MODES),
-    "auto_fallback": _parse_bool,
-    "sweep_name": _parse_choice(SWEEPABLE_PARAMETERS),
-    "sweep_values": _parse_list,
-    "variants": _parse_choices(VARIANTS),
-    "init_schemes": _parse_choices(InitScheme.LABELS),
-    "replications": int,
-    "record_runtime": _parse_bool,
+    "simulate": {**_COMMON, **_SYNTHETIC},
+    "estimate": {**_COMMON, **_SOLVER, "input_path": str, "r_max": int,
+                 "variant": _parse_choice(VARIANTS), "init": _parse_choice(InitScheme.LABELS)},
+    "benchmark": {**_COMMON, **_SYNTHETIC, **_SOLVER,
+                  "sweep_name": _parse_choice(SWEEPABLE_PARAMETERS), "sweep_values": _parse_list,
+                  "variants": _parse_choices(VARIANTS),
+                  "init_schemes": _parse_choices(InitScheme.LABELS),
+                  "replications": int, "record_runtime": _parse_bool},
 }
 
+# The library default of each key that has one; a command takes those of its keys.
 _DEFAULTS = {
     "output_path": ".",
     **{key: _default(SyntheticConfig, key) for key in _SYNTHETIC_KEYS},
     **{spec.name: spec.default for spec in _SOLVE_FIELDS},
+    "mom_subtraction": _default(InitScheme, "subtraction"),
     "variant": _default(ExperimentGrid, "variants")[0],
     "init": _default(ExperimentGrid, "init_schemes")[0].label,
-    "mom_subtraction": _default(InitScheme, "subtraction"),
+    "variants": _default(ExperimentGrid, "variants"),
+    "init_schemes": tuple(scheme.label for scheme in _default(ExperimentGrid, "init_schemes")),
     **{key: _default(ExperimentGrid, key) for key in ("replications", "record_runtime")},
 }
 
@@ -151,13 +145,15 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     return raw
 
 
-def resolve_config(raw: dict) -> dict:
-    """Validate keys, coerce values, and fill in defaults."""
-    resolved = dict(_DEFAULTS)
+def resolve_config(raw: dict, command: str) -> dict:
+    """Check that ``command`` reads every key, coerce the values, and fill
+    in the defaults of the command's other keys."""
+    parsers = _KEY_PARSERS[command]
+    resolved = {key: value for key, value in _DEFAULTS.items() if key in parsers}
     for key, text in raw.items():
-        parser = _KEY_PARSERS.get(key)
+        parser = parsers.get(key)
         if parser is None:
-            raise CliError(f"unknown config key: {key!r}")
+            raise CliError(f"config key {key!r} is not read by {command}")
         try:
             resolved[key] = parser(text)
         except ValueError as err:
@@ -278,8 +274,11 @@ def cmd_estimate(config: dict) -> int:
     # Every setting is checked before the input is read or anything solved.
     input_path = _require(config, "input_path", "estimate")
     r = _require(config, "r", "estimate")
-    if config.get("r_max", 1) < 1:
-        raise CliError("r_max must be >= 1")
+    if r == "auto":
+        if config.get("r_max", 1) < 1:
+            raise CliError("r_max must be >= 1")
+    elif "r_max" in config:
+        raise CliError(f"r_max = {config['r_max']} is used only by r = auto, not r = {r}")
     seed = config.get("seed")
     if seed is None:
         seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
@@ -351,12 +350,11 @@ def cmd_benchmark(config: dict) -> int:
                                  sweep_name)
 
     base = _synthetic_config(config, "benchmark")
-    variants = config.get("variants", (config["variant"],))
-    schemes = _build_init_schemes(config, config.get("init_schemes", (config["init"],)))
+    schemes = _build_init_schemes(config, config["init_schemes"])
 
     grid = ExperimentGrid(
         base=base, sweep_name=sweep_name, sweep_values=values,
-        variants=variants, init_schemes=schemes,
+        variants=config["variants"], init_schemes=schemes,
         replications=config["replications"], master_seed=config["seed"],
         solve_config=_build_solve_config(config),
         record_runtime=config["record_runtime"],
@@ -394,14 +392,14 @@ def _load_config(args) -> dict:
             raise CliError(f"--set expects key=value, got {override!r}")
         key, value = (part.strip() for part in override.split("=", 1))
         raw[key] = value
-    return resolve_config(raw)
+    return resolve_config(raw, args.command)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dvarimax",
         description="PCA with deflation varimax: simulate, estimate, benchmark.")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=tuple(_KEY_PARSERS))
     parser.add_argument("--config", help="path to a key = value config file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config entry (repeatable)")

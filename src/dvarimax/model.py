@@ -6,7 +6,7 @@ Conventions
 - The loading matrix has shape p x r and unit operator norm.
 - Factor entries follow a Bernoulli-Gaussian law: Z = B * W with
   B ~ Bernoulli(theta) and W ~ N(0, 1), so each coordinate has second
-  moment theta and excess kurtosis (3/theta - 3) / 3 > 0 for theta < 1.
+  moment theta and excess kurtosis 3/theta - 3 > 0 for theta < 1.
 - All generators are pure functions of (parameters, generator state).
 """
 from __future__ import annotations
@@ -74,21 +74,14 @@ class GroundTruth:
 
     Attributes
     ----------
-    eps2 : float
-        Reciprocal signal-to-noise ratio after factoring out the factor
-        second moment ``theta``: noise columns have covariance
-        ``theta * eps2 * Sigma_E``.
-    theta : float
-        Bernoulli probability of the factor entries, which is also the
-        second moment of each factor coordinate.
     kappa : float
-        Excess kurtosis of each factor coordinate, ``(3/theta - 3) / 3``.
+        ``(3/theta - 3) / 3``, one third of the excess kurtosis of each
+        factor coordinate: the kappa of the population objective
+        ``-(kappa * |A^T q|_4^4 + ...) / 4``.
     """
 
     loading: np.ndarray        # p x r
     factors: np.ndarray        # r x n
-    eps2: float
-    theta: float
     kappa: float
 
     def __post_init__(self):
@@ -178,7 +171,7 @@ def generate_factors(r: int, n: int, theta: float, rng: np.random.Generator) -> 
 
     Each entry is B * W with B ~ Bernoulli(theta) and W ~ N(0, 1), all
     independent.  Coordinates have second moment theta and excess
-    kurtosis ``(3/theta - 3) / 3``.
+    kurtosis ``3/theta - 3``.
     """
     _check_integer("r", r, 1)
     _check_integer("n", n, 1)
@@ -267,8 +260,6 @@ def generate_dataset(config: SyntheticConfig):
     truth = GroundTruth(
         loading=loading,
         factors=factors,
-        eps2=config.varepsilon2 / (p * config.theta),
-        theta=config.theta,
         kappa=(3.0 / config.theta - 3.0) / 3.0,
     )
     return ObservationMatrix(x), truth

@@ -313,8 +313,8 @@ def population_objective(q: np.ndarray, a: np.ndarray, kappa: float,
     """Exact expectation of the quartic objective under the factor model.
 
     For scores A Z + N with unit-variance independent factor coordinates
-    of excess kurtosis ``kappa``, an orthogonal A, and Gaussian noise with
-    covariance ``sigma_n``:
+    whose excess kurtosis is ``3 * kappa``, an orthogonal A, and Gaussian
+    noise with covariance ``sigma_n``:
 
         f(q) = -(1/4) * (kappa * |A^T q|_4^4 + 1 + 2 t + t^2),
         t = q^T sigma_n q.

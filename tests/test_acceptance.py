@@ -344,10 +344,12 @@ def test_criterion_10_initialization_interchangeability():
 # ---------------------------------------------------------------------------
 
 def test_criterion_11_determinism(tmp_path):
-    def write_config(name, out, extra):
-        entries = dict(n=150, p=10, r=2, theta=0.3, varepsilon2=0.1, seed=31,
-                       output_path=out, step_size=0.01, max_iters=1500)
-        entries.update(extra)
+    # each command is given only the keys it reads
+    synthetic = dict(n=150, p=10, r=2, theta=0.3, varepsilon2=0.1, seed=31)
+    solver = dict(step_size=0.01, max_iters=1500)
+
+    def write_config(name, out, entries):
+        entries = dict(entries, output_path=out)
         path = tmp_path / name
         path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
         return str(path)
@@ -357,7 +359,7 @@ def test_criterion_11_determinism(tmp_path):
     for sub in ("s1", "s2"):
         out = tmp_path / sub
         assert cli_main(["simulate", "--config",
-                         write_config(f"{sub}.cfg", out, {})]) == 0
+                         write_config(f"{sub}.cfg", out, synthetic)]) == 0
         sim_bytes.append(tuple((out / f).read_bytes()
                                for f in ("X.csv", "lambda_true.csv", "z_true.csv")))
     # estimate twice from the same input
@@ -366,17 +368,18 @@ def test_criterion_11_determinism(tmp_path):
         out = tmp_path / sub
         assert cli_main(["estimate", "--config",
                          write_config(f"{sub}.cfg", out,
-                                      {"input_path": tmp_path / "s1" / "X.csv"})]) == 0
+                                      dict(solver, r=2, seed=31,
+                                           input_path=tmp_path / "s1" / "X.csv"))]) == 0
         est_bytes.append(tuple((out / f).read_bytes()
                                for f in ("lambda_hat.csv", "q_check.csv", "z_hat.csv")))
     # benchmark across reruns
     bench_bytes = []
     for sub in ("b1", "b2"):
         out = tmp_path / sub
-        extra = {"sweep_name": "n", "sweep_values": "100,150",
-                 "replications": 2, "init_slices": 8}
+        entries = dict(synthetic, **solver, sweep_name="n", sweep_values="100,150",
+                       replications=2, init_slices=8)
         assert cli_main(["benchmark", "--config",
-                         write_config(f"{sub}.cfg", out, extra)]) == 0
+                         write_config(f"{sub}.cfg", out, entries)]) == 0
         bench_bytes.append(tuple((out / f).read_bytes()
                                  for f in ("records.csv", "summary.csv")))
     ok = (sim_bytes[0] == sim_bytes[1] and est_bytes[0] == est_bytes[1]

@@ -1,6 +1,7 @@
 """Tests for the command-line front end and its file formats."""
 import json
 import re
+import shlex
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -43,7 +44,7 @@ output_path = runs/#3
     raw = parse_config_text("seed = 7#8\n")
     assert raw == {"seed": "7#8"}
     with pytest.raises(CliError, match="config key 'seed'"):
-        resolve_config(raw)
+        resolve_config(raw, "simulate")
 
 
 def test_parse_config_rejects_duplicates_and_garbage():
@@ -56,44 +57,51 @@ def test_parse_config_rejects_duplicates_and_garbage():
 
 
 def test_resolve_config_rejects_unknown_keys():
-    with pytest.raises(CliError, match="unknown config key"):
-        resolve_config({"banana": "1"})
+    for command in _KEY_PARSERS:
+        with pytest.raises(CliError, match=f"^config key 'banana' is not read by {command}$"):
+            resolve_config({"banana": "1"}, command)
 
 
 def test_resolve_config_defaults():
-    config = resolve_config({"n": "10"})
-    assert config["step_size"] == 1e-5
-    assert config["grad_tol"] == 1e-6
-    assert config["max_iters"] == 5000
-    # every solver setting is a CLI key carrying the library default
-    for spec in fields(RotationSolveConfig):
-        assert config[spec.name] == spec.default
-    assert config["variant"] == "base"
-    assert config["init"] == "mom"
-    assert config["n"] == 10
+    for command in ("estimate", "benchmark"):
+        config = resolve_config({}, command)
+        assert config["step_size"] == 1e-5
+        assert config["grad_tol"] == 1e-6
+        assert config["max_iters"] == 5000
+        # every solver setting is a CLI key carrying the library default
+        for spec in fields(RotationSolveConfig):
+            assert config[spec.name] == spec.default
+    assert resolve_config({}, "estimate")["variant"] == "base"
+    assert resolve_config({}, "estimate")["init"] == "mom"
+    assert resolve_config({}, "benchmark")["variants"] == ("base",)
+    assert resolve_config({}, "benchmark")["init_schemes"] == ("mom",)
+    assert resolve_config({"n": "10"}, "simulate")["n"] == 10
+    # a command fills in the defaults of its own keys only
+    for command, parsers in _KEY_PARSERS.items():
+        assert set(resolve_config({}, command)) <= set(parsers)
 
 
 def test_resolve_config_type_errors():
     with pytest.raises(CliError, match="'n'"):
-        resolve_config({"n": "many"})
+        resolve_config({"n": "many"}, "simulate")
     with pytest.raises(CliError, match="variant"):
-        resolve_config({"variant": "fancy"})
+        resolve_config({"variant": "fancy"}, "estimate")
     with pytest.raises(CliError, match="'variants': empty list"):
-        resolve_config({"variants": ","})
+        resolve_config({"variants": ","}, "benchmark")
 
 
 @pytest.mark.parametrize("text, value", [
     ("true", True), ("Yes", True), ("1", True), ("ON", True),
     ("false", False), ("no", False), ("0", False), ("Off", False)])
 def test_resolve_config_parses_boolean_keys(text, value):
-    config = resolve_config({"auto_fallback": text, "record_runtime": text})
+    config = resolve_config({"auto_fallback": text, "record_runtime": text}, "benchmark")
     assert config["auto_fallback"] is value and config["record_runtime"] is value
 
 
 def test_resolve_config_rejects_a_non_boolean():
     for key in ("auto_fallback", "record_runtime"):
         with pytest.raises(CliError, match=f"'{key}': not a boolean: 'maybe'"):
-            resolve_config({key: "maybe"})
+            resolve_config({key: "maybe"}, "benchmark")
 
 
 def _readme_cli_section() -> str:
@@ -101,13 +109,20 @@ def _readme_cli_section() -> str:
     return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
 
 
+def _readme_key_table() -> dict:
+    """``{key: (commands marked, default cell)}`` of the README's key table."""
+    rows = re.findall(r"^\| `(\w+)` \|([^|]*)\|([^|]*)\|([^|]*)\| ([^|]*) \|$",
+                      _readme_cli_section(), flags=re.MULTILINE)
+    return {key: ({command for command, mark in zip(_KEY_PARSERS, marks) if mark.strip()},
+                  default) for key, *marks, default in rows}
+
+
 def test_readme_cli_section_names_every_config_key():
-    section = _readme_cli_section()
-    # a key counts as named in backticks, on a config line or in a --set
-    missing = [key for key in _KEY_PARSERS
-               if f"`{key}`" not in section and f"--set {key}=" not in section
-               and not re.search(rf"^{key} = ", section, flags=re.MULTILINE)]
-    assert not missing, f"README's CLI section does not name {missing}"
+    # the table marks exactly the keys each command reads
+    table = _readme_key_table()
+    for command, parsers in _KEY_PARSERS.items():
+        listed = {key for key, (commands, _) in table.items() if command in commands}
+        assert listed == set(parsers), command
 
 
 @pytest.mark.parametrize("choice", [
@@ -119,15 +134,44 @@ def test_readme_cli_section_names_every_choice(choice):
 
 
 def test_readme_cli_defaults_match_the_resolved_config():
-    # every default the README gives as "`key` (value)" is the one a
-    # config without that key resolves to
-    listed = dict(re.findall(r"`(\w+)`\s+\(([^,)]+)", _readme_cli_section()))
-    documented = {key: text for key, text in listed.items() if key in _DEFAULTS}
-    assert {"step_size", "variant", "mom_subtraction", "record_runtime",
-            "noise_rho"} <= set(documented)
-    resolved = resolve_config({})
-    for key, text in documented.items():
-        assert _KEY_PARSERS[key](text) == resolved[key], key
+    # a key's default cell opens with a value in backticks exactly when the
+    # CLI fills one in, and that value is the one each command resolves to
+    for key, (commands, cell) in _readme_key_table().items():
+        value = re.match(r"`([^`]+)`", cell)
+        assert (value is not None) == (key in _DEFAULTS), key
+        for command in commands:
+            if value is not None:
+                parsed = _KEY_PARSERS[command][key](value[1])
+                assert parsed == resolve_config({}, command)[key], (command, key)
+
+
+def _readme_cli_steps():
+    """The README's CLI shell block: its heredoc config files, and each
+    ``dvarimax`` line's arguments with the files its ``# ->`` line lists."""
+    block = _readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
+    configs = dict(re.findall(r"^cat > (\S+) <<EOF\n(.*?)^EOF$", block,
+                              flags=re.MULTILINE | re.DOTALL))
+    steps = []
+    for line in block.replace("\\\n", "").splitlines():
+        if line.startswith("dvarimax "):
+            steps.append((shlex.split(line)[1:], []))
+        elif line.startswith("# -> "):
+            folder, names = re.fullmatch(r"# -> (\S+)/\{(.*)\}", line).groups()
+            steps[-1][1].extend(Path(folder) / name.strip() for name in names.split(","))
+    return configs, steps
+
+
+def test_readme_cli_example_runs_as_written(tmp_path, monkeypatch):
+    configs, steps = _readme_cli_steps()
+    assert set(configs) == {"sim.cfg", "est.cfg"} and len(steps) == 3
+    monkeypatch.chdir(tmp_path)
+    for name, text in configs.items():
+        Path(name).write_text(text, encoding="utf8")
+    for argv, outputs in steps:
+        assert outputs, argv
+        assert main(argv) == 0, argv
+        for path in outputs:
+            assert path.is_file(), path
 
 
 def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
@@ -219,8 +263,6 @@ def test_simulate_requires_seed(tmp_path, capsys):
     # a seed is an integer in [0, 2**64), never reduced modulo 2**64
     (dict(seed=-1), "seed=-1 must be >= 0"),
     (dict(seed=2 ** 64), f"seed={2 ** 64} must be <= {2 ** 64 - 1}"),
-    (dict(init="mom_improved"),
-     "config key 'init': value must be one of random, multi_random, mom, got 'mom_improved'"),
 ])
 def test_simulate_reports_the_library_message(tmp_path, capsys, entries, message):
     config = _write_config(tmp_path, "sim.cfg", **{
@@ -354,9 +396,15 @@ def test_estimate_auto_rank_rejects_r_max_below_one(tmp_path, simulated, capsys,
      "init_draws = -4 is used by none of the init schemes random"),
     ({"init": "random", "init_slices": 4},
      "init_slices = 4 is used by none of the init schemes random"),
-    ({"r": 3, "r_max": 0}, "r_max must be >= 1"),
+    # r_max is read only with r = auto
+    ({"r": 3, "r_max": 0}, "r_max = 0 is used only by r = auto, not r = 3"),
+    ({"r": 3, "r_max": 1}, "r_max = 1 is used only by r = auto, not r = 3"),
+    # a label that is no longer a scheme
+    ({"init": "mom_improved"},
+     "config key 'init': value must be one of random, multi_random, mom, got 'mom_improved'"),
 ], ids=["seed=-1", "seed=2**64", "init_slices=0", "step_size=0", "max_iters=0",
-        "random-with-unused-bad-settings", "random-with-init_slices", "r=3-r_max=0"])
+        "random-with-unused-bad-settings", "random-with-init_slices", "r=3-r_max=0",
+        "r=3-r_max=1", "init=mom_improved"])
 def test_estimate_checks_every_setting_before_reading_input(tmp_path, capsys,
                                                             monkeypatch, settings,
                                                             message):
@@ -368,6 +416,7 @@ def test_estimate_checks_every_setting_before_reading_input(tmp_path, capsys,
                            **{"r": "auto", **settings})
     assert _run("estimate", "--config", config) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_estimate_near_duplicate_reads_the_restricted_rounds(tmp_path, simulated,
@@ -426,8 +475,7 @@ def _benchmark_config(tmp_path, out, **overrides):
                    init_slices=8, step_size=0.01, max_iters=2000,
                    output_path=out)
     entries.update(overrides)
-    if "init_slices" not in overrides and "mom" not in entries.get(
-            "init_schemes", entries.get("init", "mom")):
+    if "init_slices" not in overrides and "mom" not in entries.get("init_schemes", "mom"):
         del entries["init_slices"]  # no listed scheme uses it
     return _write_config(tmp_path, f"bench_{len(str(out))}.cfg", **entries)
 
@@ -456,30 +504,46 @@ def test_benchmark_requires_seed(tmp_path, capsys):
 # base value of each sweepable parameter in _benchmark_config
 _SWEEP_BASE = {"n": 120, "p": 8, "r": 2, "theta": 0.3, "varepsilon2": 0.05}
 _CHOICES = (
-    [{"variant": variant} for variant in VARIANTS]
-    + [{key: label} for label in InitScheme.LABELS for key in ("init", "init_schemes")]
+    [{"variants": variant} for variant in VARIANTS]
+    + [{"init_schemes": label} for label in InitScheme.LABELS]
+    + [{"init": label} for label in InitScheme.LABELS]
     + [{"noise_kind": kind} for kind in NOISE_KINDS]
     + [{"sweep_name": name, "sweep_values": _SWEEP_BASE[name]}
        for name in SWEEPABLE_PARAMETERS]
     + [{"mom_subtraction": "lemma_consistent"}]
 )
 # records.csv column that echoes each choice
-_CHOICE_COLUMN = {"variant": 0, "init": 1, "init_schemes": 1, "sweep_name": 2}
+_CHOICE_COLUMN = {"variants": 0, "init_schemes": 1, "sweep_name": 2}
 
 
 @pytest.mark.parametrize(
     "choice", _CHOICES,
     ids=["-".join(f"{k}={v}" for k, v in c.items()) for c in _CHOICES])
 def test_benchmark_accepts_every_library_choice(tmp_path, choice):
+    # An `init` row lists its label among every scheme; seeds derive from
+    # labels, not grid positions, so its rows equal those it has listed alone.
+    label = choice.get("init")
+    overrides = ({"init_schemes": ",".join(InitScheme.LABELS)} if label
+                 else choice)
     out = tmp_path / "bench"
     assert _run("benchmark", "--config",
-                _benchmark_config(tmp_path, out, **choice)) == 0
-    record = (out / "records.csv").read_text().splitlines()[1].split(",")
-    summary = (out / "summary.csv").read_text().splitlines()[1].split(",")
-    assert summary[5] == "0"   # n_fail
+                _benchmark_config(tmp_path, out, **overrides)) == 0
+    records = [line.split(",")
+               for line in (out / "records.csv").read_text().splitlines()[1:]]
+    summary = [line.split(",")
+               for line in (out / "summary.csv").read_text().splitlines()[1:]]
+    assert all(row[5] == "0" for row in summary)   # n_fail
     for key, value in choice.items():
         if key in _CHOICE_COLUMN:
-            assert record[_CHOICE_COLUMN[key]] == value
+            assert records[0][_CHOICE_COLUMN[key]] == value
+    if label:
+        alone = tmp_path / "bench_alone"
+        assert _run("benchmark", "--config",
+                    _benchmark_config(tmp_path, alone, init_schemes=label)) == 0
+        listed = [row for row in records if row[1] == label]
+        assert listed and listed == [
+            line.split(",")
+            for line in (alone / "records.csv").read_text().splitlines()[1:]]
 
 
 def test_mom_subtraction_reaches_only_the_mom_schemes(tmp_path):
@@ -517,9 +581,12 @@ def test_benchmark_rejects_out_of_range_init_settings(tmp_path, capsys, key, val
 def test_an_init_setting_no_listed_scheme_uses_is_an_error(tmp_path, capsys, command,
                                                            settings, key):
     if command == "estimate":
-        settings = dict(settings, input_path=tmp_path / "X.csv")
-        settings["init"] = settings.pop("init_schemes").split(",")[0]
-    config = _benchmark_config(tmp_path, tmp_path / "out", **settings)
+        settings = dict(settings, init=settings["init_schemes"].split(",")[0])
+        del settings["init_schemes"]
+        config = _write_config(tmp_path, "est.cfg", input_path=tmp_path / "X.csv", r=2,
+                               seed=1, output_path=tmp_path / "out", **settings)
+    else:
+        config = _benchmark_config(tmp_path, tmp_path / "out", **settings)
     assert _run(command, "--config", config) == 2
     err = capsys.readouterr().err
     assert f"error: {key} = " in err and "is used by none of the init schemes" in err
@@ -588,6 +655,52 @@ def test_unknown_cli_key_rejected(tmp_path, capsys):
                            whatever=3)
     assert _run("simulate", "--config", config) == 2
     assert "whatever" in capsys.readouterr().err
+
+
+# A value of each key that the command reading it accepts.
+_VALID_TEXT = {
+    **{spec.name: str(spec.default) for spec in fields(RotationSolveConfig)},
+    "input_path": "X.csv", "r_max": "2", "variant": "improved2", "init": "random",
+    "n": "10", "p": "4", "theta": "0.5", "varepsilon2": "0.2", "noise_kind": "toeplitz",
+    "noise_alpha": "0.2", "noise_rho": "0.3", "init_draws": "4", "init_slices": "8",
+    "mom_subtraction": "lemma_consistent", "auto_fallback": "yes", "sweep_name": "n",
+    "sweep_values": "10,20", "variants": "improved2", "init_schemes": "mom",
+    "replications": "3", "record_runtime": "true",
+}
+# A config of each command's own keys.
+_OWN_ENTRIES = {
+    "simulate": dict(n=10, p=4, r=2, seed=1),
+    "estimate": dict(input_path="X.csv", r=2, seed=1),
+    "benchmark": dict(n=10, p=4, r=2, seed=1, sweep_name="n", sweep_values="10"),
+}
+_FOREIGN_KEYS = [
+    (command, {key: _VALID_TEXT[key]})
+    for command, parsers in _KEY_PARSERS.items()
+    for key in sorted({key for table in _KEY_PARSERS.values() for key in table} - set(parsers))
+] + [
+    # configs that each ran and ignored the keys that are not the command's
+    ("estimate", dict(variants="improved2", r=3, r_max=1, sweep_values="1,2")),
+    ("benchmark", dict(variant="improved2", variants="base", init="random",
+                       init_schemes="mom")),
+    ("simulate", dict(variant="improved2", init_schemes="mom", replications=3)),
+]
+
+
+@pytest.mark.parametrize(
+    "command, entries", _FOREIGN_KEYS,
+    ids=[f"{command}-" + "-".join(entries) for command, entries in _FOREIGN_KEYS])
+def test_a_key_the_command_does_not_read_is_an_error(tmp_path, capsys, command, entries):
+    # each value is one that a command reading its key accepts
+    for key, text in entries.items():
+        reader = next(other for other, table in _KEY_PARSERS.items() if key in table)
+        _KEY_PARSERS[reader][key](str(text))
+    entries = {**_OWN_ENTRIES[command], **entries, "output_path": tmp_path / "out"}
+    config = _write_config(tmp_path, "foreign.cfg", **entries)
+    assert _run(command, "--config", config) == 2
+    first = next(key for key in entries if key not in _KEY_PARSERS[command])
+    assert capsys.readouterr().err == (
+        f"error: config key {first!r} is not read by {command}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_set_without_equals_sign_is_a_config_error(tmp_path, capsys):

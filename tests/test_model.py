@@ -141,19 +141,19 @@ def test_factors_theta_one_is_gaussian():
     assert np.all(z != 0)  # no mask zeros
     m2 = np.mean(z ** 2)
     m4 = np.mean(z ** 4)
-    excess = (m4 / m2 ** 2 - 3.0) / 3.0
-    assert abs(excess) < 0.05
+    kappa = (m4 / m2 ** 2 - 3.0) / 3.0
+    assert abs(kappa) < 0.05
 
 
 def test_factors_excess_kurtosis_matches_moment_identity():
     # For mask probability theta: E[Z^2] = theta, E[Z^4] = 3 theta, so the
-    # excess kurtosis (m4 / m2^2 - 3) / 3 equals (3/theta - 3) / 3 = 9 at
-    # theta = 0.1.  Monte-Carlo on 10^6 draws.
+    # excess kurtosis m4 / m2^2 - 3 is 3/theta - 3, and kappa, one third of
+    # it, is (3/theta - 3) / 3 = 9 at theta = 0.1.  Monte-Carlo on 10^6 draws.
     z = generate_factors(1, 1_000_000, 0.1, substream(42, "factors"))
     m2 = np.mean(z ** 2)
     m4 = np.mean(z ** 4)
-    excess = (m4 / m2 ** 2 - 3.0) / 3.0
-    assert abs(excess - 9.0) <= 0.5
+    kappa = (m4 / m2 ** 2 - 3.0) / 3.0
+    assert abs(kappa - 9.0) <= 0.5
 
 
 def test_factors_zero_fraction():
@@ -206,8 +206,6 @@ def test_dataset_paper_grid_point_shapes():
     assert truth.loading.shape == (300, 5)
     assert truth.factors.shape == (5, 900)
     assert truth.kappa == pytest.approx(9.0)
-    assert truth.theta == pytest.approx(0.1)
-    assert truth.eps2 == pytest.approx(0.1 / (300 * 0.1))
 
 
 def test_dataset_deterministic():
@@ -228,8 +226,7 @@ def test_ground_truth_svd_reconstruction_and_scaling():
 
 def test_ground_truth_shape_mismatch_rejected():
     with pytest.raises(ValueError):
-        GroundTruth(loading=np.zeros((4, 2)), factors=np.zeros((3, 5)),
-                    eps2=0.0, theta=0.1, kappa=9.0)
+        GroundTruth(loading=np.zeros((4, 2)), factors=np.zeros((3, 5)), kappa=9.0)
 
 
 @pytest.mark.parametrize("p,n,r", [

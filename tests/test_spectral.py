@@ -528,7 +528,8 @@ def test_corrected_sigma_n_matches_truth_oracle():
     config = SyntheticConfig(n=4000, p=60, r=3, theta=0.2, varepsilon2=0.5, seed=14)
     observed, truth = generate_dataset(config)
     decomp = corrected_decomposition(eigendecompose(observed.data, 3))
-    oracle = truth.eps2 / np.linalg.svd(truth.loading, compute_uv=False) ** 2
+    eps2 = config.varepsilon2 / (config.p * config.theta)
+    oracle = eps2 / np.linalg.svd(truth.loading, compute_uv=False) ** 2
     est = np.diag(decomp.sigma_n_hat)
     assert np.max(np.abs(est - oracle)) <= 0.25 * np.max(oracle)
 
