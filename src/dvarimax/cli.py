@@ -25,7 +25,7 @@ from .estimator import VARIANTS, estimate_loading, predict_factors
 from .evaluate import (INT_SWEEPS, SWEEPABLE_PARAMETERS, ExperimentGrid,
                        aggregate, records_to_csv, run_experiment,
                        summary_to_csv)
-from .exceptions import DeflationVarimaxError, _check_choice, _real_array
+from .exceptions import DeflationVarimaxError, _check_choice, _check_integer, _real_array
 from .initialization import SUBTRACTION_MODES, InitScheme
 from .model import NOISE_KINDS, SyntheticConfig, generate_dataset
 from .rng import substream
@@ -177,15 +177,18 @@ _INIT_SETTINGS = {"init_draws": "draws", "init_slices": "slices",
 
 
 def _build_init_schemes(config: dict, labels) -> tuple:
-    """One scheme per label with the init settings it uses; ``InitScheme``
-    checks their ranges.  A setting given away from its default must be
-    used by some scheme of the list."""
-    settings = {field: config.get(key, _default(InitScheme, field))
-                for key, field in _INIT_SETTINGS.items()}
-    schemes = tuple(InitScheme.from_label(label, **settings) for label in labels)
+    """One scheme per label with the given init settings that
+    ``InitScheme.READS`` names for it; ``InitScheme`` checks their ranges.
+    A setting given away from its default must be read by some scheme of
+    the list."""
+    given = {field: config[key] for key, field in _INIT_SETTINGS.items()
+             if key in config and config[key] != _default(InitScheme, field)}
+    schemes = tuple(InitScheme(label, **{field: given[field] for field in InitScheme.READS[label]
+                                         if field in given})
+                    for label in labels)
     for key, field in _INIT_SETTINGS.items():
-        if all(getattr(scheme, field) != settings[field] for scheme in schemes):
-            raise CliError(f"{key} = {settings[field]} is used by none of the "
+        if field in given and not any(field in InitScheme.READS[label] for label in labels):
+            raise CliError(f"{key} = {given[field]} is used by none of the "
                            f"init schemes {', '.join(labels)}")
     return schemes
 
@@ -202,11 +205,8 @@ def _given(config: dict, key: str) -> dict:
 def write_matrix_csv(path, matrix: np.ndarray, comment: str) -> None:
     """Write a matrix as CSV with a leading ``#`` metadata line."""
     matrix = np.atleast_2d(_real_array("matrix", matrix))
-    lines = [f"# {comment}"]
-    for row in matrix:
-        lines.append(",".join(f"{value:.17g}" for value in row))
     with open(path, "w", encoding="utf8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        np.savetxt(handle, matrix, fmt="%.17g", delimiter=",", header=comment, comments="# ")
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -277,8 +277,10 @@ def cmd_estimate(config: dict) -> int:
     if r == "auto":
         if config.get("r_max", 1) < 1:
             raise CliError("r_max must be >= 1")
-    elif "r_max" in config:
-        raise CliError(f"r_max = {config['r_max']} is used only by r = auto, not r = {r}")
+    else:
+        _check_integer("r", r, 1)
+        if "r_max" in config:
+            raise CliError(f"r_max = {config['r_max']} is used only by r = auto, not r = {r}")
     seed = config.get("seed")
     if seed is None:
         seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])

@@ -19,7 +19,7 @@ grid points or reordering the grid does not perturb existing cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
 from typing import Optional, Sequence
 
@@ -51,11 +51,6 @@ __all__ = [
 SWEEPABLE_PARAMETERS = ("n", "p", "r", "varepsilon2", "theta")
 # Sweepable parameters that take integer values; the rest are floats.
 INT_SWEEPS = ("n", "p", "r")
-
-RECORDS_HEADER = ("variant,init,sweep_name,sweep_value,rep,seed,error,"
-                  "iters_total,fallback,runtime_ms,failure")
-SUMMARY_HEADER = ("variant,init,sweep_name,sweep_value,n_ok,n_fail,"
-                  "mean,median,q25,q75")
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +225,10 @@ class SummaryRow:
     median: float
     q25: float
     q75: float
+
+
+RECORDS_HEADER = ",".join(spec.name for spec in fields(ExperimentRecord))
+SUMMARY_HEADER = ",".join(spec.name for spec in fields(SummaryRow))
 
 
 def run_experiment(grid: ExperimentGrid) -> list:

@@ -4,7 +4,7 @@ Every scheme reads the scores only through their fourth-moment statistic,
 the :class:`~dvarimax.rotation.FourthMoment` that ``estimate_loading``
 builds once per fit and shares with the rotation.  Three schemes start
 the column solves, each through a provider called with only the prior
-columns:
+columns, and ``InitScheme.READS`` names the settings each one reads:
 
 - ``multi_random``: several standard-normal draws inside the orthogonal
   complement of the previously solved columns, normalized to the sphere,
@@ -45,7 +45,7 @@ fourth moment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -71,32 +71,33 @@ SUBTRACTION_MODES = ("as_written", "lemma_consistent")
 class InitScheme:
     """Tagged choice of initialization scheme with every setting it takes.
 
-    ``label`` is one of ``LABELS``.  ``draws`` (multi_random) defaults to
-    r^2 and ``slices`` (mom) to max(16, 4 r^2) when left unset; both
-    resolve against the score dimension at run time.  ``subtraction``
-    (mom) is one of ``SUBTRACTION_MODES``.  The random scheme is
-    multi_random with one draw.
-    A scheme rejects a non-default setting that it does not use.
+    ``label`` is one of ``LABELS``, and ``READS`` names the settings each
+    label reads.  ``draws`` (multi_random) defaults to r^2 and ``slices``
+    (mom) to max(16, 4 r^2) when left unset; both resolve against the
+    score dimension at run time.  ``subtraction`` (mom) is one of
+    ``SUBTRACTION_MODES``.  The random scheme is multi_random with one draw.
+    A scheme rejects a setting away from its default that it does not read.
     """
 
     label: str
     draws: Optional[int] = None
     slices: Optional[int] = None
-    subtraction: str = "as_written"
+    subtraction: str = SUBTRACTION_MODES[0]
 
-    LABELS = ("random", "multi_random", "mom")
+    READS = {"random": (), "multi_random": ("draws",), "mom": ("slices", "subtraction")}
+    LABELS = tuple(READS)
 
     def __post_init__(self):
         _check_choice("label", self.label, self.LABELS)
         _check_choice("subtraction", self.subtraction, SUBTRACTION_MODES)
-        if self.draws is not None:
-            _check_integer("draws", self.draws, 1)
-            if self.label != "multi_random":
-                raise ValueError("draws applies only to the multi_random scheme")
-        if self.slices is not None:
-            _check_integer("slices", self.slices, 1)
-        if self.label != "mom" and (self.slices is not None or self.subtraction != "as_written"):
-            raise ValueError("slices and subtraction apply only to the mom scheme")
+        for name in ("draws", "slices"):
+            if getattr(self, name) is not None:
+                _check_integer(name, getattr(self, name), 1)
+        for spec in fields(self)[1:]:
+            if (spec.name not in self.READS[self.label]
+                    and getattr(self, spec.name) != spec.default):
+                reader = next(label for label, read in self.READS.items() if spec.name in read)
+                raise ValueError(f"{spec.name} applies only to the {reader} scheme")
 
     @classmethod
     def random(cls) -> "InitScheme":
@@ -108,19 +109,8 @@ class InitScheme:
 
     @classmethod
     def method_of_moments(cls, slices: Optional[int] = None,
-                          subtraction: str = "as_written") -> "InitScheme":
+                          subtraction: str = SUBTRACTION_MODES[0]) -> "InitScheme":
         return cls("mom", slices=slices, subtraction=subtraction)
-
-    @classmethod
-    def from_label(cls, label: str, draws: Optional[int] = None,
-                   slices: Optional[int] = None,
-                   subtraction: str = "as_written") -> "InitScheme":
-        """The scheme ``label`` with only the settings it uses."""
-        if label == "multi_random":
-            return cls.multi_random(draws)
-        if label == "mom":
-            return cls.method_of_moments(slices, subtraction)
-        return cls(label)
 
     def draws_for(self, r: int) -> int:
         if self.label == "random":
@@ -157,7 +147,7 @@ def multi_random_init(stat: FourthMoment, prior: np.ndarray, draws: int,
     return candidates[int(np.argmin(values))]
 
 
-def slice_operator(stat: FourthMoment, subtraction: str = "as_written") -> np.ndarray:
+def slice_operator(stat: FourthMoment, subtraction: str = SUBTRACTION_MODES[0]) -> np.ndarray:
     """The r^2 x r^2 operator K = T/3 - A whose product with vec(G) is the
     moment slice for G, M(G) = reshape(vec(G)^T K); linear in G.
 

@@ -12,7 +12,7 @@ from dvarimax import (NOISE_KINDS, VARIANTS, InitScheme,
                       RotationSolveConfig, deflate, signed_permutation_error)
 from dvarimax.cli import (_DEFAULTS, _KEY_PARSERS, CliError, main, parse_config_text,
                           read_matrix_csv, resolve_config, write_matrix_csv)
-from dvarimax.evaluate import SWEEPABLE_PARAMETERS
+from dvarimax.evaluate import RECORDS_HEADER, SUMMARY_HEADER, SWEEPABLE_PARAMETERS
 from dvarimax.initialization import SUBTRACTION_MODES
 
 
@@ -125,12 +125,36 @@ def test_readme_cli_section_names_every_config_key():
         assert listed == set(parsers), command
 
 
-@pytest.mark.parametrize("choice", [
-    *VARIANTS, *InitScheme.LABELS, *NOISE_KINDS,
-    *SWEEPABLE_PARAMETERS, *SUBTRACTION_MODES])
+# A README sentence that gives the values of one or more choice keys, such
+# as "`noise_kind` is `identity`, `heteroscedastic` or `toeplitz`".
+_CHOICE_SENTENCE = re.compile(
+    r"(`\w+`(?:\s+and\s+`\w+`)*)\s+(?:is|take)(?:\s+one\s+of|\s+the\s+labels)?\s+"
+    r"(`[^`]+`(?:(?:,|,?\s+or|,?\s+and)\s+`[^`]+`)*)")
+
+
+_CHOICE_KEYS = {"variant": VARIANTS, "variants": VARIANTS,
+                "init": InitScheme.LABELS, "init_schemes": InitScheme.LABELS,
+                "noise_kind": NOISE_KINDS, "sweep_name": SWEEPABLE_PARAMETERS,
+                "mom_subtraction": SUBTRACTION_MODES}
+
+
+@pytest.mark.parametrize("choice", sorted(set().union(*_CHOICE_KEYS.values())))
 def test_readme_cli_section_names_every_choice(choice):
-    # every value a choice key accepts is named in backticks
-    assert f"`{choice}`" in _readme_cli_section()
+    # each key that takes ``choice`` has one sentence that gives its values,
+    # and that sentence lists exactly the library's tuple
+    sentences = _CHOICE_SENTENCE.findall(_readme_cli_section())
+    keys = [key for key, choices in _CHOICE_KEYS.items() if choice in choices]
+    for key in keys:
+        given = [sorted(re.findall(r"`([^`]+)`", values))
+                 for names, values in sentences if f"`{key}`" in names.split()]
+        assert given == [sorted(_CHOICE_KEYS[key])], key
+    assert keys
+
+
+def test_readme_csv_headers_match_the_writers():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf8")
+    for name, header in (("records", RECORDS_HEADER), ("summary", SUMMARY_HEADER)):
+        assert re.findall(rf"`{name}\.csv` header:\s*`([^`]+)`", readme) == [header]
 
 
 def test_readme_cli_defaults_match_the_resolved_config():
@@ -194,6 +218,18 @@ def test_matrix_roundtrip_is_lossless(tmp_path):
     write_matrix_csv(path, matrix, "rows=4 cols=7")
     back = read_matrix_csv(path)
     assert np.array_equal(back, matrix)
+
+
+def test_matrix_csv_text(tmp_path):
+    # %.17g per value, special values included; a 1-D array is one row
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, np.array([[0.0, -0.0, np.nan], [np.inf, -np.inf, 5e-324],
+                                     [1e16, 1e-5, 0.1]]), "rows=3 cols=3")
+    assert path.read_bytes() == (
+        b"# rows=3 cols=3\n0,-0,nan\ninf,-inf,4.9406564584124654e-324\n"
+        b"10000000000000000,1.0000000000000001e-05,0.10000000000000001\n")
+    write_matrix_csv(path, np.array([1.797e308, -2.5]), "v")
+    assert path.read_bytes() == b"# v\n1.797e+308,-2.5\n"
 
 
 def test_matrix_csv_may_start_with_a_byte_order_mark(tmp_path):
@@ -387,6 +423,9 @@ def test_estimate_auto_rank_rejects_r_max_below_one(tmp_path, simulated, capsys,
 @pytest.mark.parametrize("settings, message", [
     ({"seed": -1}, "seed=-1 must be >= 0"),
     ({"seed": 2**64}, f"seed={2**64} must be <="),
+    # a numeric r below 1, checked before the input gives min(p, n)
+    ({"r": 0}, "r=0 must be >= 1"),
+    ({"r": -2}, "r=-2 must be >= 1"),
     ({"init_slices": 0}, "slices=0 must be >= 1"),
     ({"step_size": 0}, "step_size must lie in"),
     ({"max_iters": 0}, "max_iters=0 must be >= 1"),
@@ -402,7 +441,7 @@ def test_estimate_auto_rank_rejects_r_max_below_one(tmp_path, simulated, capsys,
     # a label that is no longer a scheme
     ({"init": "mom_improved"},
      "config key 'init': value must be one of random, multi_random, mom, got 'mom_improved'"),
-], ids=["seed=-1", "seed=2**64", "init_slices=0", "step_size=0", "max_iters=0",
+], ids=["seed=-1", "seed=2**64", "r=0", "r=-2", "init_slices=0", "step_size=0", "max_iters=0",
         "random-with-unused-bad-settings", "random-with-init_slices", "r=3-r_max=0",
         "r=3-r_max=1", "init=mom_improved"])
 def test_estimate_checks_every_setting_before_reading_input(tmp_path, capsys,

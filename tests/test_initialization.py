@@ -46,7 +46,7 @@ def test_init_scheme_defaults_and_labels():
     for mode in SUBTRACTION_MODES:
         assert InitScheme("mom", subtraction=mode).subtraction == mode
     for label in ("random", "multi_random"):
-        with pytest.raises(ValueError, match="apply only to the mom scheme"):
+        with pytest.raises(ValueError, match="subtraction applies only to the mom scheme"):
             InitScheme(label, subtraction="lemma_consistent")
     with pytest.raises(ValueError, match="subtraction must be one of"):
         InitScheme.method_of_moments(subtraction="lemma-consistent")
@@ -67,20 +67,28 @@ def test_init_scheme_defaults_and_labels():
     assert InitScheme.method_of_moments(np.int64(9)).slices_for(5) == 9
 
 
+# A value away from each setting's default, and the one scheme that reads it.
+_SETTINGS = {"draws": (3, "multi_random"), "slices": (5, "mom"),
+             "subtraction": ("lemma_consistent", "mom")}
+
+
+@pytest.mark.parametrize("setting", _SETTINGS)
 @pytest.mark.parametrize("label", InitScheme.LABELS)
-def test_from_label_inverts_label(label):
-    scheme = InitScheme.from_label(label, draws=3, slices=5,
-                                   subtraction="lemma_consistent")
-    assert scheme.label == label
-    assert scheme.draws == (3 if label == "multi_random" else None)
-    assert scheme.slices == (5 if label == "mom" else None)
-    assert scheme.subtraction == ("lemma_consistent" if label == "mom" else "as_written")
+def test_a_scheme_takes_exactly_the_settings_it_reads(label, setting):
+    value, reader = _SETTINGS[setting]
+    if setting in InitScheme.READS[label]:
+        assert getattr(InitScheme(label, **{setting: value}), setting) == value
+    else:
+        with pytest.raises(ValueError,
+                           match=f"^{setting} applies only to the {reader} scheme$"):
+            InitScheme(label, **{setting: value})
+    # each setting has one reader, and _SETTINGS names every setting
+    assert [name for name, read in InitScheme.READS.items() if setting in read] == [reader]
+    assert set(_SETTINGS) == {spec.name for spec in fields(InitScheme)} - {"label"}
 
 
-def test_from_label_rejects_unknown():
+def test_init_scheme_rejects_unknown_labels_and_a_positional_flag():
     for label in ("bogus", "mom_improved"):
-        with pytest.raises(ValueError, match="label must be one of"):
-            InitScheme.from_label(label)
         with pytest.raises(ValueError, match="label must be one of"):
             InitScheme(label)
     # the removed positional ``improved`` flag must not bind to ``subtraction``
