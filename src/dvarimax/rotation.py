@@ -62,7 +62,7 @@ __all__ = [
     "symmetric_orthogonalize",
 ]
 
-_fblas = load("_fblas")
+_fblas = load("scipy.linalg", "_fblas")
 daxpy, ddot, dgemv, dscal = _fblas.daxpy, _fblas.ddot, _fblas.dgemv, _fblas.dscal
 
 _UNIT_TOL = 1e-8       # how far |q|_2 may sit from 1 on input

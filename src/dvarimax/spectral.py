@@ -6,10 +6,10 @@ reads: the leading r eigenpairs and the sum of the trailing eigenvalues.
 that returns them:
 
 1. if ``_gram_free_pays`` (40 max(2r + 1, 20) <= min(p, n)), Lanczos
-   (``scipy.sparse.linalg.eigsh`` from a fixed start vector) on the p x p
-   operator v -> X (X^T v) / n, which never forms a Gram matrix and
-   returns p-side vectors; its restarts are bounded so a slow convergence
-   costs about one Gram formation;
+   (ARPACK's dsaupd and dseupd from a fixed start vector, see
+   ``_lanczos``) on the p x p operator v -> X (X^T v) / n, which never
+   forms a Gram matrix and returns p-side vectors; its restarts are
+   bounded so a slow convergence costs about one Gram formation;
 2. if ``_lanczos_pays`` (20 r <= min(p, n)), Lanczos on the shorter
    side's Gram matrix, (1/n) X X^T for p <= n and (1/n) X^T X for p > n;
 3. LAPACK's subset solve of that Gram matrix: ``dsyevr`` with the
@@ -21,11 +21,11 @@ A Lanczos solve that does not converge returns nothing and the next
 solver runs.  For p > n the Gram vectors W map to the p side as
 X W / sqrt(n lambda).  The tail sum is the trace minus the leading sum,
 and the trace doubles as the check that X is finite.
-``scipy.sparse.linalg`` is imported by the two Lanczos routes only, so
-a process whose shapes all take the dense solve never loads it; the
-dense solve takes ``dsyevr`` from scipy's f2py extension
-``scipy.linalg._flapack`` (see ``_fortran``), so it never runs the
-scipy.linalg package init either.
+The Lanczos routes drive scipy's ARPACK extension
+``scipy.sparse.linalg._eigen.arpack._arpacklib`` and the dense solve takes
+``dsyevr`` from scipy's f2py extension ``scipy.linalg._flapack``; both are
+loaded from their files (see ``_fortran``), so no route runs the package
+init of scipy.sparse.linalg or scipy.linalg.
 Whitened scores satisfy U_r @ U_r.T = n * I to the accuracy of the solve,
 which degrades like eps * lambda_1 / lambda_r near rank deficiency.  When
 the noise is close to isotropic, the mean trailing eigenvalue estimates
@@ -58,7 +58,8 @@ __all__ = [
 # Relative floor below which an eigenvalue counts as numerically zero.
 EIGENVALUE_FLOOR = 1e-12
 
-# Seed of the Lanczos start vector.  It is fixed, never drawn from the
+# Seed of the Lanczos start vector, and of any new start vector ARPACK
+# asks for later in the solve.  It is fixed, never drawn from the
 # caller's rng or the global numpy state, so repeated solves of the same
 # matrix are bitwise identical.  A Gaussian start has, with probability
 # one, a component along every eigenvector; a constant one has none along
@@ -66,7 +67,27 @@ EIGENVALUE_FLOOR = 1e-12
 # rounding error would bring that eigenvector into the Krylov space.
 _LANCZOS_START_SEED = 20231016
 
-_flapack = load("_flapack")
+_flapack = load("scipy.linalg", "_flapack")
+_arpacklib = load("scipy.sparse.linalg._eigen.arpack", "_arpacklib")
+
+# The solver state that scipy's ``_SymmetricArpackParams`` passes to
+# ``dsaupd_wrap`` for ``eigsh(which="LA", tol=0, v0=...)``: the largest
+# algebraic eigenvalues (which = 6), a given start vector (info = 1),
+# mode 1 with the identity as B (bmat = 0) and ARPACK's own shifts.  The
+# extension keeps its place in the reverse-communication loop in these
+# keys; n, ncv, nev and maxiter are set for each solve.
+_ARPACK_STATE = {
+    **dict.fromkeys(("getv0_rnorm0", "aitr_betaj", "aitr_rnorm1", "aitr_wnorm",
+                     "aup2_rnorm"), 0.0),
+    "tol": 0, "ido": 0, "which": 6, "bmat": 0, "info": 1, "iter": 0, "maxiter": 0,
+    "mode": 1, "n": 0, "nconv": 0, "ncv": 0, "nev": 0, "np": 0, "shift": 1,
+    **dict.fromkeys(("getv0_first", "getv0_iter", "getv0_itry", "getv0_orth",
+                     "aitr_iter", "aitr_j", "aitr_orth1", "aitr_orth2",
+                     "aitr_restart", "aitr_step3", "aitr_step4", "aitr_ierr",
+                     "aup2_initv", "aup2_iter", "aup2_getv0", "aup2_cnorm",
+                     "aup2_kplusp", "aup2_nev", "aup2_nev0", "aup2_np0",
+                     "aup2_numcnv", "aup2_update", "aup2_ushift"), 0),
+}
 
 
 def _lanczos_pays(size: int, k: int) -> bool:
@@ -231,10 +252,7 @@ def _leading_spectrum(x: np.ndarray, k: int):
         # Gram formation (see ``_gram_free_pays``), and at least one restart.
         ncv = _lanczos_basis_size(k)
         restarts = max(1, (size // 30 - ncv - 1) // (ncv - k))
-        from scipy.sparse import linalg as sparse_linalg
-        operator = sparse_linalg.LinearOperator(
-            (p, p), matvec=lambda v: x @ (x.T @ v) / n, dtype=x.dtype)
-        pairs = _lanczos(operator, k, ncv=ncv, maxiter=restarts)
+        pairs = _lanczos(lambda v: x @ (x.T @ v) / n, p, k, maxiter=restarts)
     if pairs is None:
         # Either product goes through syrk, so the Gram matrix is exactly
         # symmetric.  A huge finite x overflows it; the trace check names
@@ -244,7 +262,7 @@ def _leading_spectrum(x: np.ndarray, k: int):
         gram /= n
         trace = _checked_trace(x, np.trace(gram))
         if _lanczos_pays(size, k):
-            pairs = _lanczos(gram, k)
+            pairs = _lanczos(gram.dot, size, k)
     if pairs is None:
         pairs = _dense_subset(gram, k)
     vals, vecs = pairs
@@ -266,16 +284,55 @@ def _dense_subset(gram: np.ndarray, k: int):
     return w[:m], v[:, :m]
 
 
-def _lanczos(a, k: int, **kwargs):
-    """``eigsh`` for the k largest eigenpairs of the symmetric ``a`` (an
-    array or a ``LinearOperator``) from the fixed start vector, values
-    nondecreasing; None if ARPACK does not converge."""
-    from scipy.sparse import linalg as sparse_linalg
-    v0 = np.random.default_rng(_LANCZOS_START_SEED).standard_normal(a.shape[0])
-    try:
-        return sparse_linalg.eigsh(a, k, which="LA", tol=0, v0=v0, **kwargs)
-    except sparse_linalg.ArpackNoConvergence:
+def _lanczos(matvec, size: int, k: int, maxiter: Optional[int] = None):
+    """The k largest eigenpairs of the symmetric size x size matrix whose
+    product with a vector is ``matvec``, values nondecreasing; None if
+    ARPACK does not converge within ``maxiter`` restarts (10 size if None).
+
+    Lanczos with ``_lanczos_basis_size(k)`` vectors from the fixed start
+    vector, by ARPACK's reverse-communication loop in mode 1: the calls,
+    state and buffers of ``scipy.sparse.linalg.eigsh(a, k, which="LA",
+    tol=0, v0=<start>, maxiter=maxiter)``, so the pairs are eigsh's bit for
+    bit, except that a new start vector ARPACK asks for is drawn from the
+    fixed seed too, where eigsh takes fresh entropy.
+
+    Raises np.linalg.LinAlgError if ARPACK reports any other error."""
+    ncv = _lanczos_basis_size(k)
+    state = dict(_ARPACK_STATE, n=size, ncv=ncv, nev=k,
+                 maxiter=10 * size if maxiter is None else maxiter)
+    rng = np.random.default_rng(_LANCZOS_START_SEED)
+    resid = rng.standard_normal(size)
+    v = np.zeros((size, ncv))
+    workd = np.zeros(3 * size)
+    workl = np.zeros(ncv * (ncv + 8))
+    ipntr = np.zeros(11, dtype=np.int32)
+    while True:
+        _arpacklib.dsaupd_wrap(state, resid, v, ipntr, workd, workl)
+        ido = state["ido"]
+        x = slice(ipntr[0], ipntr[0] + size)
+        y = slice(ipntr[1], ipntr[1] + size)
+        if ido in (1, 5):
+            workd[y] = matvec(workd[x])
+        elif ido == 2:
+            workd[y] = workd[x]
+        elif ido == 4:
+            resid[:] = rng.uniform(low=-1.0, high=1.0, size=size)
+        else:
+            break
+    if state["info"] == 1:
         return None
+    if state["info"] != 0:
+        raise np.linalg.LinAlgError(f"ARPACK dsaupd failed with info={state['info']}")
+    # dseupd_wrap(state, rvec, howmny, select, d, z, sigma, ...): all k
+    # Ritz vectors (howmny "A" is 0) and no shift in mode 1.
+    d = np.zeros(k)
+    z = np.zeros((size, ncv), order="F")
+    _arpacklib.dseupd_wrap(state, True, 0, np.zeros(ncv, dtype=np.int32), d, z, 0,
+                           resid, v, ipntr, workd, workl)
+    if state["info"] != 0:
+        raise np.linalg.LinAlgError(f"ARPACK dseupd failed with info={state['info']}")
+    nconv = state["nconv"]
+    return d[:nconv], z[:, :nconv].copy()
 
 
 def eigendecompose(x: np.ndarray, r: int) -> PcaDecomposition:

@@ -1,6 +1,7 @@
 """Tests for the PCA step and the noise corrections."""
 import warnings
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -183,20 +184,31 @@ def test_leading_eigenvalues_on_both_sides_of_the_solver_rule():
         assert np.max(np.abs(got - want_vals[:k])) <= 1e-12 * want_vals[0]
 
 
-def _counting_eigsh(monkeypatch, replacement=None, operands=None):
-    """Replace ``eigsh`` by a wrapper that records the size of each call,
-    and each matrix or operator it solves in ``operands`` if given."""
+def _counting_lanczos(monkeypatch, replacement=None, operands=None):
+    """Replace the Lanczos driver by a wrapper that records the size of
+    each call, and each product function it solves in ``operands`` if
+    given."""
     calls = []
-    real = scipy.sparse.linalg.eigsh
+    real = spectral._lanczos
 
-    def wrapper(a, k, **kwargs):
-        calls.append((a.shape[0], k))
+    def wrapper(matvec, size, k, **kwargs):
+        calls.append((size, k))
         if operands is not None:
-            operands.append(a)
-        return (replacement or real)(a, k, **kwargs)
+            operands.append(matvec)
+        return (replacement or real)(matvec, size, k, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", wrapper)
+    monkeypatch.setattr(spectral, "_lanczos", wrapper)
     return calls
+
+
+def _gram_of(matvec):
+    """The Gram matrix whose ``dot`` the Gram route solves, or None for the
+    operator route's function."""
+    return getattr(matvec, "__self__", None)
+
+
+def _is_operator(matvec):
+    return callable(matvec) and _gram_of(matvec) is None
 
 
 def _factor_data(p, n, r):
@@ -211,15 +223,15 @@ def test_solver_rule_on_the_benchmark_shapes(monkeypatch, p, n, r, lanczos):
     # The two small shapes take the dense solve of the p x p Gram; the
     # wide one takes Lanczos on X (X^T v) / n and never forms a Gram.
     operands = []
-    calls = _counting_eigsh(monkeypatch, operands=operands)
+    calls = _counting_lanczos(monkeypatch, operands=operands)
     eigendecompose(_factor_data(p, n, r), r)
     assert calls == ([(p, r)] if lanczos else [])
-    assert all(isinstance(a, scipy.sparse.linalg.LinearOperator) for a in operands)
+    assert all(_is_operator(a) for a in operands)
     assert spectral._gram_free_pays(p, n, r) == lanczos
 
 
 def test_wide_data_solves_the_n_by_n_gram(monkeypatch):
-    calls = _counting_eigsh(monkeypatch)
+    calls = _counting_lanczos(monkeypatch)
     x = substream(600, "rule").standard_normal((600, 100))
     decomp = eigendecompose(x, 5)
     assert calls == [(100, 5)]
@@ -232,10 +244,10 @@ def test_gram_free_route_matches_full_eigh_oracle(monkeypatch, p, n):
     r = 10
     x = _factor_data(p, n, r)
     operands = []
-    calls = _counting_eigsh(monkeypatch, operands=operands)
+    calls = _counting_lanczos(monkeypatch, operands=operands)
     decomp = eigendecompose(x, r)
     assert calls == [(p, r)]
-    assert isinstance(operands[0], scipy.sparse.linalg.LinearOperator)
+    assert _is_operator(operands[0])
     want_vals, want_vecs, want_tail = full_eigh_decomposition(x, r)
     top = want_vals[0]
     assert np.max(np.abs(decomp.eigvals - want_vals[:r])) <= 1e-12 * top
@@ -251,23 +263,23 @@ def test_gapless_input_falls_back_to_the_gram_route_bitwise(monkeypatch):
     # (1000 / 30 of them) and the Gram route gives the result.
     p, n, r = 1000, 2000, 10
     x = substream(27, "oracle").standard_normal((p, n))
-    real = scipy.sparse.linalg.eigsh
+    real = spectral._lanczos
     products = []
 
-    def counting(a, k, **kwargs):
-        if isinstance(a, scipy.sparse.linalg.LinearOperator):
-            def matvec(v, operator=a):
+    def counting(matvec, size, k, **kwargs):
+        if _is_operator(matvec):
+            def counted(v, operator=matvec):
                 products.append(v)
-                return operator.matvec(v)
-            a = scipy.sparse.linalg.LinearOperator(a.shape, matvec=matvec, dtype=a.dtype)
-        return real(a, k, **kwargs)
+                return operator(v)
+            return real(counted, size, k, **kwargs)
+        return real(matvec, size, k, **kwargs)
 
     operands = []
-    calls = _counting_eigsh(monkeypatch, counting, operands)
+    calls = _counting_lanczos(monkeypatch, counting, operands)
     got = eigendecompose(x, r)
     assert calls == [(p, r), (p, r)]
-    assert isinstance(operands[0], scipy.sparse.linalg.LinearOperator)
-    assert isinstance(operands[1], np.ndarray)
+    assert _is_operator(operands[0])
+    assert isinstance(_gram_of(operands[1]), np.ndarray)
     assert 0 < len(products) <= min(p, n) // 30
     monkeypatch.setattr(spectral, "_gram_free_pays", lambda p, n, k: False)
     want = eigendecompose(x, r)
@@ -327,7 +339,7 @@ def test_dense_subset_failure_raises_linalg_error(monkeypatch):
 
 @pytest.mark.parametrize("solve", [eigendecompose, leading_eigenvalues])
 def test_complex_input_is_rejected_by_dtype(monkeypatch, solve):
-    calls = _counting_eigsh(monkeypatch)
+    calls = _counting_lanczos(monkeypatch)
     rng = substream(6, "complex")
     x = rng.standard_normal((5, 200)) + 1j * rng.standard_normal((5, 200))
     with pytest.raises(ValueError, match="x must be real, got dtype complex128"):
@@ -345,7 +357,7 @@ ROUTE_SHAPES = [(1000, 2000, 10), (300, 900, 5), (30, 100, 3)]
 @pytest.mark.parametrize("p,n,r", ROUTE_SHAPES)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nan_or_inf_raises_before_any_solve(monkeypatch, p, n, r, bad):
-    calls = _counting_eigsh(monkeypatch)
+    calls = _counting_lanczos(monkeypatch)
     x = substream(p, "rule").standard_normal((p, n))
     x[p // 2, n // 3] = bad
     for solve in (eigendecompose, leading_eigenvalues):
@@ -356,7 +368,7 @@ def test_nan_or_inf_raises_before_any_solve(monkeypatch, p, n, r, bad):
 
 @pytest.mark.parametrize("p,n,r", ROUTE_SHAPES)
 def test_overflowing_sum_of_squares_is_named_without_warnings(monkeypatch, p, n, r):
-    calls = _counting_eigsh(monkeypatch)
+    calls = _counting_lanczos(monkeypatch)
     x = 1e200 * substream(p, "rule").standard_normal((p, n))
     assert np.isfinite(x).all()
     with warnings.catch_warnings():
@@ -382,8 +394,8 @@ def test_wide_rank_deficiency_is_named_without_warnings():
 
 
 def test_lanczos_no_convergence_falls_back_to_the_dense_solve(monkeypatch):
-    def fails(a, k, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", None, None)
+    def fails(matvec, size, k, **kwargs):
+        return None
 
     # (300, 900, 5) tries Lanczos on the Gram matrix; (1000, 2000, 10) tries
     # the operator, then the Gram matrix.
@@ -391,12 +403,11 @@ def test_lanczos_no_convergence_falls_back_to_the_dense_solve(monkeypatch):
         x = substream(24, "oracle").standard_normal((p, n))
         with monkeypatch.context() as patch:
             operands = []
-            calls = _counting_eigsh(patch, fails, operands)
+            calls = _counting_lanczos(patch, fails, operands)
             got = eigendecompose(x, r)
             assert calls == [(p, r)] * tries
-            assert isinstance(operands[-1], np.ndarray)
-            assert all(isinstance(a, scipy.sparse.linalg.LinearOperator)
-                       for a in operands[:-1])
+            assert isinstance(_gram_of(operands[-1]), np.ndarray)
+            assert all(_is_operator(a) for a in operands[:-1])
             patch.setattr(spectral, "_gram_free_pays", lambda p, n, k: False)
             patch.setattr(spectral, "_lanczos_pays", lambda size, k: False)
             want = eigendecompose(x, r)
@@ -418,6 +429,118 @@ def test_lanczos_solve_ignores_global_random_state():
     assert np.array_equal(first.eigvecs_r, second.eigvecs_r)
     assert np.array_equal(first.scores, second.scores)
     assert first.tail_sum == second.tail_sum
+
+
+# The shapes of the oracle test: Lanczos on the operator either way round,
+# on the Gram matrix, and an operator solve that runs out of restarts.
+ORACLE_CELLS = [(1000, 2000, 10, 0.1, 1000), (2000, 1000, 10, 0.1, 2000),
+                (300, 900, 5, 0.1, 300), (1000, 2000, 10, 3.2, 1)]
+
+
+@pytest.mark.parametrize("p,n,r,varepsilon2,seed", ORACLE_CELLS)
+def test_lanczos_driver_matches_eigsh_bitwise(monkeypatch, p, n, r, varepsilon2, seed):
+    # eigsh, kept here as the reference, solves what the route handed the
+    # driver, with the same start vector, basis size and restart budget.
+    real = spectral._lanczos
+    solves = []
+
+    def recording(matvec, size, k, **kwargs):
+        pairs = real(matvec, size, k, **kwargs)
+        solves.append((matvec, size, k, kwargs, pairs))
+        return pairs
+
+    monkeypatch.setattr(spectral, "_lanczos", recording)
+    config = SyntheticConfig(n=n, p=p, r=r, varepsilon2=varepsilon2, seed=seed)
+    eigendecompose(generate_dataset(config)[0].data, r)
+    matvec, size, k, kwargs, pairs = solves[0]
+    gram = _gram_of(matvec)
+    a = gram if gram is not None else scipy.sparse.linalg.LinearOperator(
+        (size, size), matvec=matvec, dtype=float)
+    assert (gram is None) == spectral._gram_free_pays(p, n, r)
+    v0 = np.random.default_rng(spectral._LANCZOS_START_SEED).standard_normal(size)
+    solve = dict(which="LA", tol=0, v0=v0, ncv=spectral._lanczos_basis_size(k), **kwargs)
+    if varepsilon2 > 1:
+        assert pairs is None and len(solves) == 2
+        with pytest.raises(scipy.sparse.linalg.ArpackNoConvergence):
+            scipy.sparse.linalg.eigsh(a, k, **solve)
+        return
+    want_vals, want_vecs = scipy.sparse.linalg.eigsh(a, k, **solve)
+    assert want_vals.shape == (k,)
+    assert pairs[0].tobytes() == want_vals.tobytes()
+    assert pairs[1].tobytes() == want_vecs.tobytes()
+
+
+def _stub_arpack(monkeypatch, **routines):
+    """Put in ``spectral`` an ARPACK extension whose routines are the real
+    ones except those given as keywords."""
+    real = spectral._arpacklib
+    stub = SimpleNamespace(**{"dsaupd_wrap": real.dsaupd_wrap,
+                              "dseupd_wrap": real.dseupd_wrap, **routines})
+    monkeypatch.setattr(spectral, "_arpacklib", stub)
+
+
+def test_lanczos_new_start_vector_is_drawn_from_the_fixed_seed(monkeypatch):
+    # The stub asks for a new start vector (ido = 4) before ARPACK's first
+    # step, which then starts from it; eigsh would draw it from fresh entropy.
+    gram = _symmetric_test_matrix("random", 60)
+    real = spectral._arpacklib.dsaupd_wrap
+    starts, results = [], []
+
+    def restart_once(state, resid, *buffers):
+        if state["ido"] == 0 and len(starts) == len(results):  # not yet this solve
+            state["ido"] = 4
+            return
+        if state["ido"] == 4:
+            starts.append(resid.copy())
+            state["ido"] = 0
+        real(state, resid, *buffers)
+
+    _stub_arpack(monkeypatch, dsaupd_wrap=restart_once)
+    for _ in range(2):
+        results.append(spectral._lanczos(gram.dot, 60, 3))
+    assert len(starts) == 2
+    fixed = np.random.default_rng(spectral._LANCZOS_START_SEED).standard_normal(60)
+    assert not np.array_equal(starts[0], fixed)
+    assert starts[0].tobytes() == starts[1].tobytes()
+    assert results[0][0].tobytes() == results[1][0].tobytes()
+    assert results[0][1].tobytes() == results[1][1].tobytes()
+    want = np.linalg.eigvalsh(gram)[-3:]
+    assert np.max(np.abs(results[0][0] - want)) <= 1e-12 * want[-1]
+
+
+@pytest.mark.parametrize("routine,info", [("dsaupd", -9), ("dsaupd", 3),
+                                          ("dseupd", -14)])
+def test_lanczos_arpack_error_raises_linalg_error(monkeypatch, routine, info):
+    def fails(state, *args):
+        state["ido"], state["info"] = 99, info
+
+    _stub_arpack(monkeypatch, **{routine + "_wrap": fails})
+    gram = _symmetric_test_matrix("random", 60)
+    message = f"ARPACK {routine} failed with info={info}$"
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        spectral._lanczos(gram.dot, 60, 3)
+
+
+def test_arpack_state_is_the_one_scipy_builds(monkeypatch):
+    # The driver binds to a private protocol of scipy's extension; this
+    # compares the state it hands dsaupd with the one eigsh's parameter
+    # object builds for the same solve.
+    from scipy.sparse.linalg._eigen.arpack.arpack import _SymmetricArpackParams
+    states = []
+
+    def record(state, *args):
+        states.append(dict(state))
+        state["ido"], state["info"] = 99, -9
+
+    _stub_arpack(monkeypatch, dsaupd_wrap=record)
+    gram = _symmetric_test_matrix("random", 60)
+    with pytest.raises(np.linalg.LinAlgError):
+        spectral._lanczos(gram.dot, 60, 3, maxiter=7)
+    want = _SymmetricArpackParams(60, 3, "d", gram.dot, ncv=20, v0=np.ones(60),
+                                  maxiter=7, which="LA", tol=0).arpack_dict
+    assert states[0] == want
+    assert {key: type(value) for key, value in states[0].items()} == \
+        {key: type(value) for key, value in want.items()}
 
 
 # ---------------------------------------------------------------------------

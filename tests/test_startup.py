@@ -22,7 +22,7 @@ import dvarimax
 
 def loaded():
     return {name: name in sys.modules
-            for name in ("scipy.optimize", "scipy.sparse.linalg")}
+            for name in ("scipy.optimize", "scipy.sparse", "scipy.sparse.linalg")}
 
 report = {"import": loaded()}
 rng = np.random.default_rng(0)
@@ -47,31 +47,38 @@ def _fresh_report(probe):
 
 def test_import_and_dense_fits_leave_optimize_and_sparse_linalg_unloaded():
     report = _fresh_report(_PROBE)
-    assert report["import"] == {"scipy.optimize": False, "scipy.sparse.linalg": False}
+    unloaded = {"scipy.optimize": False, "scipy.sparse": False,
+                "scipy.sparse.linalg": False}
+    assert report["import"] == unloaded
     # 20 x 500 takes the dense subset solve
-    assert report["dense"] == {"scipy.optimize": False, "scipy.sparse.linalg": False}
-    # 800 x 800 with r = 5 takes the Gram-free Lanczos route
-    assert report["gram_free"] == {"scipy.optimize": False, "scipy.sparse.linalg": True}
+    assert report["dense"] == unloaded
+    # 800 x 800 with r = 5 takes the Gram-free Lanczos route, which drives
+    # ARPACK's extension without the scipy.sparse.linalg package
+    assert report["gram_free"] == unloaded
 
 
 # The same fits, watching scipy.linalg and what its package init imports;
-# it also records whether the two extensions are registered under their
-# dotted names at import, and whether scipy.linalg, once the Lanczos fit
-# has loaded it, holds the very objects the package loaded.
+# it also records whether the three extensions are registered under their
+# dotted names at import, and whether scipy.linalg and scipy.sparse.linalg,
+# once imported after the fits, hold the very objects the package loaded.
 _LINALG_PROBE = _PROBE.replace(
-    '("scipy.optimize", "scipy.sparse.linalg")',
+    '("scipy.optimize", "scipy.sparse", "scipy.sparse.linalg")',
     '("scipy.linalg", "numpy.f2py", "numpy.testing")'
 ).replace(
     'report = {"import": loaded()}',
     'report = {"import": loaded(), "registered": [\n'
     '    sys.modules.get("scipy.linalg._fblas") is dvarimax.rotation._fblas,\n'
-    '    sys.modules.get("scipy.linalg._flapack") is dvarimax.spectral._flapack]}'
+    '    sys.modules.get("scipy.linalg._flapack") is dvarimax.spectral._flapack,\n'
+    '    sys.modules.get("scipy.sparse.linalg._eigen.arpack._arpacklib")\n'
+    '    is dvarimax.spectral._arpacklib]}'
 ).replace(
     "print(json.dumps(report))",
-    "import scipy.linalg.blas, scipy.linalg.lapack\n"
+    "import scipy.linalg.blas, scipy.linalg.lapack, scipy.sparse.linalg\n"
+    "from scipy.sparse.linalg._eigen.arpack import arpack\n"
     "report['one_copy'] = [scipy.linalg.blas.dgemv is dvarimax.rotation.dgemv,\n"
     "                      scipy.linalg.blas._fblas is dvarimax.rotation._fblas,\n"
-    "                      scipy.linalg.lapack._flapack is dvarimax.spectral._flapack]\n"
+    "                      scipy.linalg.lapack._flapack is dvarimax.spectral._flapack,\n"
+    "                      arpack._arpacklib is dvarimax.spectral._arpacklib]\n"
     "print(json.dumps(report))")
 
 
@@ -79,33 +86,46 @@ def test_import_and_dense_fits_leave_scipy_linalg_unloaded():
     report = _fresh_report(_LINALG_PROBE)
     unloaded = {"scipy.linalg": False, "numpy.f2py": False, "numpy.testing": False}
     assert report["import"] == unloaded
-    assert report["registered"] == [True, True]
+    assert report["registered"] == [True, True, True]
     # 20 x 500 takes the dense subset solve, dsyevr included
     assert report["dense"] == unloaded
-    # the Gram-free Lanczos route imports scipy.sparse.linalg, which loads
-    # scipy.linalg, and that reuses the extensions already loaded
-    assert report["gram_free"]["scipy.linalg"]
-    assert report["one_copy"] == [True, True, True]
+    # 800 x 800 with r = 5 takes the Gram-free Lanczos route
+    assert report["gram_free"] == unloaded
+    assert report["one_copy"] == [True, True, True, True]
 
 
 def test_loader_falls_back_to_a_plain_import(monkeypatch):
-    from dvarimax import _fortran, rotation
+    from dvarimax import _fortran, rotation, spectral
     lookups = []
 
     class NoFile(importlib.machinery.FileFinder):
         def find_spec(self, fullname, target=None):
             lookups.append(fullname)
 
-    # The plain import also binds the new module as an attribute of the
-    # scipy.linalg package; both entries are restored afterwards.
+    # The plain import also binds the new module as an attribute of its
+    # package; the module and attribute entries are restored afterwards.
     import scipy.linalg
-    monkeypatch.delitem(sys.modules, "scipy.linalg._fblas")
-    monkeypatch.setattr(scipy.linalg, "_fblas", None, raising=False)
+    import scipy.sparse.linalg  # noqa: F401 (imports the ARPACK package)
     monkeypatch.setattr(_fortran, "FileFinder", NoFile)
-    fblas = _fortran.load("_fblas")
-    assert lookups == ["scipy.linalg._fblas"]
-    assert fblas.__name__ == "scipy.linalg._fblas"
-    assert sys.modules["scipy.linalg._fblas"] is fblas
+    loaded = {}
+    for package, name in (("scipy.linalg", "_fblas"),
+                          ("scipy.sparse.linalg._eigen.arpack", "_arpacklib")):
+        fullname = f"{package}.{name}"
+        monkeypatch.delitem(sys.modules, fullname)
+        monkeypatch.setattr(sys.modules[package], name, None, raising=False)
+        loaded[name] = _fortran.load(package, name)
+        assert loaded[name].__name__ == fullname
+        assert sys.modules[fullname] is loaded[name]
+    assert lookups == ["scipy.linalg._fblas",
+                       "scipy.sparse.linalg._eigen.arpack._arpacklib"]
     rng = np.random.default_rng(3)
     a, v = rng.standard_normal((7, 4)), rng.standard_normal(4)
+    fblas = loaded["_fblas"]
     assert fblas.dgemv(1.0, a, v).tobytes() == rotation.dgemv(1.0, a, v).tobytes()
+    gram = rng.standard_normal((60, 120))
+    gram = gram @ gram.T
+    want = spectral._lanczos(gram.dot, 60, 3)
+    monkeypatch.setattr(spectral, "_arpacklib", loaded["_arpacklib"])
+    got = spectral._lanczos(gram.dot, 60, 3)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
