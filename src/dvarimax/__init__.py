@@ -8,9 +8,8 @@ from .evaluate import (ExperimentGrid, ExperimentRecord, SummaryRow, aggregate,
                        records_to_csv, run_experiment, signed_permutation_error,
                        summary_to_csv)
 from .exceptions import (CorrectionInfeasibleError, DeflationVarimaxError,
-                         DegenerateProjectorError, DegenerateSlicingError,
-                         DegenerateSolutionsError, DivergenceError, NoSignalError,
-                         RankDeficiencyError)
+                         DegenerateSlicingError, DegenerateSolutionsError,
+                         DivergenceError, RankDeficiencyError)
 from .initialization import (InitScheme, complement_projector,
                              make_init_provider, mom_init, multi_random_init,
                              slice_operator)
@@ -50,6 +49,5 @@ __all__ = [
     "substream", "derive_seed",
     # errors
     "DeflationVarimaxError", "RankDeficiencyError", "CorrectionInfeasibleError",
-    "DivergenceError", "DegenerateSolutionsError", "NoSignalError",
-    "DegenerateProjectorError", "DegenerateSlicingError",
+    "DivergenceError", "DegenerateSolutionsError", "DegenerateSlicingError",
 ]

@@ -22,9 +22,8 @@ import numpy as np
 
 from . import __version__
 from .estimator import VARIANTS, estimate_loading, predict_factors
-from .evaluate import (INT_SWEEPS, SWEEPABLE_PARAMETERS, ExperimentGrid,
-                       aggregate, records_to_csv, run_experiment,
-                       summary_to_csv)
+from .evaluate import (SWEEPABLE_PARAMETERS, ExperimentGrid, aggregate, records_to_csv,
+                       run_experiment, summary_to_csv)
 from .exceptions import DeflationVarimaxError, _check_choice, _check_integer, _real_array
 from .initialization import SUBTRACTION_MODES, InitScheme
 from .model import NOISE_KINDS, SyntheticConfig, generate_dataset
@@ -337,7 +336,7 @@ def cmd_estimate(config: dict) -> int:
 
 
 def _parse_sweep_values(raw_values, sweep_name: str) -> tuple:
-    converter = int if sweep_name in INT_SWEEPS else float
+    converter = SWEEPABLE_PARAMETERS[sweep_name]
     try:
         return tuple(converter(v) for v in raw_values)
     except ValueError as err:

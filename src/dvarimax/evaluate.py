@@ -35,7 +35,6 @@ from .rotation import RotationSolveConfig
 
 __all__ = [
     "SWEEPABLE_PARAMETERS",
-    "INT_SWEEPS",
     "ExperimentGrid",
     "ExperimentRecord",
     "SummaryRow",
@@ -48,9 +47,8 @@ __all__ = [
     "SUMMARY_HEADER",
 ]
 
-SWEEPABLE_PARAMETERS = ("n", "p", "r", "varepsilon2", "theta")
-# Sweepable parameters that take integer values; the rest are floats.
-INT_SWEEPS = ("n", "p", "r")
+# Each sweepable parameter with the type of its values.
+SWEEPABLE_PARAMETERS = {"n": int, "p": int, "r": int, "varepsilon2": float, "theta": float}
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +160,9 @@ class ExperimentGrid:
         _check_choice("sweep_name", self.sweep_name, SWEEPABLE_PARAMETERS)
         if not self.sweep_values:
             raise ValueError("sweep_values must be nonempty")
+        typed = SWEEPABLE_PARAMETERS[self.sweep_name]
         for value in self.sweep_values:
-            if self.sweep_name in INT_SWEEPS:
+            if typed is int:
                 _check_integer(self.sweep_name, value)
             else:
                 # no NaN or infinite theta or varepsilon2 makes a valid cell
@@ -175,7 +174,6 @@ class ExperimentGrid:
         if not self.variants or not self.init_schemes:
             raise ValueError("variants and init_schemes must be nonempty")
         # Seeds key on the value, so 1, 1.0 and np.int64(1) must be one value.
-        typed = int if self.sweep_name in INT_SWEEPS else float
         object.__setattr__(self, "sweep_values",
                            tuple(typed(value) for value in self.sweep_values))
         object.__setattr__(self, "variants", tuple(self.variants))

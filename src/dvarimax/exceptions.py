@@ -1,6 +1,6 @@
-"""Error types raised by the estimation pipeline, the integer,
-real-number, boolean, choice and type checks shared by its settings, and
-the real-array cast shared by its array arguments."""
+"""Error types, one per cause of a fit that cannot go on; the integer,
+real-number, boolean, choice and type checks shared by the settings, which
+raise ValueError; and the real-array cast shared by the array arguments."""
 from __future__ import annotations
 
 import numbers
@@ -67,11 +67,12 @@ def _real_array(name: str, value, ndim: Optional[int] = None) -> np.ndarray:
 
 
 class DeflationVarimaxError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of the errors for a fit that cannot go on, one cause per
+    subclass.  Bad input raises ValueError instead, before any solve."""
 
 
 class RankDeficiencyError(DeflationVarimaxError):
-    """The requested rank exceeds the numerically observable rank of the data."""
+    """The requested rank exceeds the numerical rank of the data (0 for a zero spectrum)."""
 
 
 class CorrectionInfeasibleError(DeflationVarimaxError):
@@ -101,14 +102,6 @@ class DegenerateSolutionsError(DeflationVarimaxError):
     the earlier columns, and raises this error only when the round's
     initializer has no component in that complement.
     """
-
-
-class NoSignalError(DeflationVarimaxError):
-    """All eigenvalues are numerically zero; rank selection is impossible."""
-
-
-class DegenerateProjectorError(DeflationVarimaxError):
-    """The orthogonal complement of the solved columns is numerically empty."""
 
 
 class DegenerateSlicingError(DeflationVarimaxError):

@@ -50,8 +50,8 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import (DegenerateProjectorError, DegenerateSlicingError, DivergenceError,
-                         _check_choice, _check_integer, _real_array)
+from .exceptions import (DegenerateSlicingError, DivergenceError, _check_choice,
+                         _check_integer, _real_array)
 from .rotation import FourthMoment, _check_prior, complement_basis
 
 __all__ = [
@@ -141,7 +141,7 @@ def multi_random_init(stat: FourthMoment, prior: np.ndarray, draws: int,
         v = basis @ rng.standard_normal(basis.shape[1])
         nrm = np.linalg.norm(v)
         if nrm < 1e-14:
-            raise DegenerateProjectorError("random complement draw has zero norm")
+            raise ValueError("degenerate random complement draw with zero norm")
         candidates.append(v / nrm)
     values = [stat.objective(c) for c in candidates]
     return candidates[int(np.argmin(values))]

@@ -30,7 +30,7 @@ def _tag_to_int(tag) -> int:
         return int(np.float64(tag).view(np.uint64))
     if isinstance(tag, str):
         return zlib.crc32(tag.encode("utf8"))
-    raise TypeError(f"unsupported stream tag type: {type(tag).__name__}")
+    raise ValueError(f"unsupported stream tag type: {type(tag).__name__}")
 
 
 def substream(seed: int, *tags) -> np.random.Generator:

@@ -48,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fortran import load
-from .exceptions import (DegenerateProjectorError, DegenerateSolutionsError,
-                         DivergenceError, _check_integer, _check_real, _real_array)
+from .exceptions import (DegenerateSolutionsError, DivergenceError, _check_integer,
+                         _check_real, _real_array)
 
 __all__ = [
     "RotationSolveConfig",
@@ -228,13 +228,12 @@ def complement_basis(prior: np.ndarray) -> np.ndarray:
 
     Computed from the trailing left singular vectors of the prior block,
     which is exact for orthonormal priors and stable when they are only
-    nearly so.  Returns r x (r - k).
+    nearly so.  Returns r x (r - k); ValueError if k >= r.
     """
     prior = _check_prior(prior)
     r, k = prior.shape
     if k >= r:
-        raise DegenerateProjectorError(
-            f"{k} prior columns leave no complement in dimension {r}")
+        raise ValueError(f"{k} prior columns leave no complement in dimension {r}")
     if k == 0:
         return np.eye(r)
     left, _, _ = np.linalg.svd(prior, full_matrices=True)

@@ -42,8 +42,8 @@ from typing import Optional
 import numpy as np
 
 from ._fortran import load
-from .exceptions import (CorrectionInfeasibleError, NoSignalError, RankDeficiencyError,
-                         _check_integer, _real_array)
+from .exceptions import (CorrectionInfeasibleError, RankDeficiencyError, _check_integer,
+                         _real_array)
 
 __all__ = [
     "PcaDecomposition",
@@ -458,11 +458,20 @@ def select_rank(eigvals: np.ndarray, r_max: int) -> int:
     Candidates are j = 1..min(r_max, len(eigvals) - 1); ties break toward
     the smallest index.  Denominators are floored at ``EIGENVALUE_FLOOR``
     times the top eigenvalue so a zero tail cannot divide by zero.
+    Raises ValueError if ``eigvals`` is empty or holds NaN or Inf, and
+    RankDeficiencyError if its top value is at or below zero (numerical
+    rank 0, which :func:`eigendecompose` reports for the same data).
     """
     eigvals = _real_array("eigvals", eigvals, ndim=1)
     _check_integer("r_max", r_max, 1)
-    if eigvals.size == 0 or not np.all(np.isfinite(eigvals)) or eigvals[0] <= 0:
-        raise NoSignalError("all eigenvalues are at or below zero")
+    if eigvals.size == 0:
+        raise ValueError("eigvals must be nonempty")
+    if not np.all(np.isfinite(eigvals)):
+        raise ValueError("eigvals must be finite (no NaN or Inf)")
+    if eigvals[0] <= 0:
+        raise RankDeficiencyError(
+            f"the top eigenvalue is {eigvals[0]:.3e}, at or below zero; "
+            "the data has numerical rank 0")
     m = min(r_max, eigvals.size - 1)
     if m == 0:
         return 1

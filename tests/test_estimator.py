@@ -285,3 +285,23 @@ def test_predict_factors_row_correlation_noiseless():
     corr = np.abs(np.corrcoef(z_hat, truth_factors)[:3, 3:])
     rows, cols = linear_sum_assignment(-corr)
     assert corr[rows, cols].min() >= 0.9
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_predict_factors_recovers_the_factors(seed):
+    # Moderate SNR: each row of z_hat correlates with the true factor row
+    # that signed_permutation_error's permutation matches it to.  The rows
+    # have mean square d_1, not the truth's scale, so compare up to a
+    # per-row scale.
+    config = SyntheticConfig(n=900, p=300, r=5, theta=0.1, varepsilon2=0.1, seed=seed)
+    observed, truth = generate_dataset(config)
+    est = estimate_loading(observed.data, 5, "base", MOM,
+                           RotationSolveConfig(step_size=1e-2), substream(seed, "estimate"))
+    assert est.diagnostics.converged_flags.all()
+    z_hat = predict_factors(est.decomposition, est.q_check)
+    _, p_opt = signed_permutation_error(est.lambda_hat, truth.loading)
+    matched = p_opt.T @ truth.factors
+    corr = np.array([np.corrcoef(row, true_row)[0, 1]
+                     for row, true_row in zip(z_hat, matched)])
+    assert np.median(corr) >= 0.98
+    assert corr.min() >= 0.95

@@ -95,7 +95,7 @@ def test_loading_deterministic():
     a, da = generate_loading(20, 4, substream(11, "loading"))
     b, db = generate_loading(20, 4, substream(11, "loading"))
     assert np.array_equal(a, b) and np.array_equal(da, db)
-    with pytest.raises(TypeError, match="unsupported stream tag type: object"):
+    with pytest.raises(ValueError, match="unsupported stream tag type: object"):
         substream(1, object())
     # a bool tag keys the stream of the integer it equals
     assert np.array_equal(substream(1, True).random(3), substream(1, 1).random(3))

@@ -5,13 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import ZeroDraws
 
 import dvarimax
-from dvarimax import (FourthMoment, InitScheme, RotationSolveConfig, complement_basis,
-                      complement_projector, deflate, eigendecompose, fourth_moment,
-                      loading_from_rotation, make_init_provider, mom_init,
-                      multi_random_init, pgd_solve, predict_factors, select_rank,
-                      slice_operator, substream, symmetric_orthogonalize)
+from dvarimax import (CorrectionInfeasibleError, DeflationVarimaxError,
+                      DegenerateSlicingError, DegenerateSolutionsError, DivergenceError,
+                      FourthMoment, InitScheme, RankDeficiencyError, RotationSolveConfig,
+                      complement_basis, complement_projector, corrected_decomposition,
+                      deflate, eigendecompose, fourth_moment, loading_from_rotation,
+                      make_init_provider, mom_init, multi_random_init, pgd_solve,
+                      predict_factors, select_rank, slice_operator, substream,
+                      symmetric_orthogonalize)
 
 
 def test_every_listed_export_resolves():
@@ -70,3 +74,62 @@ def test_every_array_entry_point_rejects_a_complex_dtype(entry_point):
     # A cast to float would keep only the real part, with a ComplexWarning.
     with pytest.raises(ValueError, match="must be real, got dtype complex128"):
         _complex_calls()[entry_point]()
+
+
+def _error_calls() -> dict:
+    """One public call per exported error type, each raising that type for
+    the one cause it names."""
+    stat = fourth_moment(substream(3, "errors").standard_normal((3, 40)))
+    overflowed = stat.matrix.copy()
+    overflowed[0, 0] = np.inf
+    start = np.eye(3)[:, 0]
+    return {
+        # an all-zero spectrum: the data has numerical rank 0
+        RankDeficiencyError: lambda: select_rank(np.zeros(3), 2),
+        # p <= r leaves no trailing eigenvalues to estimate the noise from
+        CorrectionInfeasibleError: lambda: corrected_decomposition(
+            eigendecompose(substream(4, "errors").standard_normal((3, 40)), 3)),
+        DivergenceError: lambda: pgd_solve(start, FourthMoment(overflowed),
+                                           RotationSolveConfig(step_size=1e-2)),
+        # two equal columns: no orthogonal matrix is close to them
+        DegenerateSolutionsError: lambda: symmetric_orthogonalize(np.ones((3, 2))),
+        DegenerateSlicingError: lambda: mom_init(np.zeros((9, 9)), np.zeros((3, 0)), 4,
+                                                 rng=substream(5, "errors")),
+    }
+
+
+def test_every_exported_error_type_has_a_raiser():
+    # an error type that no public call raises has no cause to name
+    exported = {value for value in map(vars(dvarimax).get, dvarimax.__all__)
+                if isinstance(value, type) and issubclass(value, DeflationVarimaxError)}
+    assert exported - {DeflationVarimaxError} == set(_error_calls())
+
+
+@pytest.mark.parametrize("error", list(_error_calls()), ids=lambda error: error.__name__)
+def test_each_error_type_is_raised_for_its_cause(error):
+    with pytest.raises(error) as raised:
+        _error_calls()[error]()
+    assert type(raised.value) is error
+
+
+# Bad input raises ValueError, naming what is wrong with it.
+_BAD_INPUT_CALLS = {
+    "select_rank empty": (lambda: select_rank(np.array([]), 1), "nonempty"),
+    "select_rank nan": (lambda: select_rank(np.array([np.nan, 1.0]), 1), "finite"),
+    "select_rank inf": (lambda: select_rank(np.array([np.inf, 1.0]), 1), "finite"),
+    "complement_basis full prior": (lambda: complement_basis(np.eye(3)),
+                                    "3 prior columns leave no complement in dimension 3"),
+    "multi_random_init zero draw": (
+        lambda: multi_random_init(fourth_moment(np.eye(3)), np.zeros((3, 0)), 2,
+                                  ZeroDraws()), "zero norm"),
+    "substream tag": (lambda: substream(1, object()),
+                      "unsupported stream tag type: object"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUT_CALLS))
+def test_bad_input_raises_value_error(case):
+    call, cause = _BAD_INPUT_CALLS[case]
+    with pytest.raises(ValueError, match=cause) as raised:
+        call()
+    assert "at or below zero" not in str(raised.value)

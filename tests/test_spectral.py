@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 from helpers import full_eigh_decomposition
 
-from dvarimax import (CorrectionInfeasibleError, NoSignalError, PcaDecomposition,
+from dvarimax import (CorrectionInfeasibleError, PcaDecomposition,
                       RankDeficiencyError, SyntheticConfig, corrected_decomposition,
                       eigendecompose, estimate_loading, generate_dataset,
                       leading_eigenvalues, noise_variance_estimate, select_rank,
@@ -673,7 +673,7 @@ def test_select_rank_zero_tail():
 
 
 def test_select_rank_no_signal():
-    with pytest.raises(NoSignalError):
+    with pytest.raises(RankDeficiencyError, match="numerical rank 0"):
         select_rank(np.zeros(4), 2)
     with pytest.raises(ValueError):
         select_rank(np.array([1.0]), 0)
