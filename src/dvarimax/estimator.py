@@ -1,13 +1,14 @@
 """End-to-end loading estimation: PCA, deflation rotation, normalization.
 
-Three pipeline variants share the same structure and differ in which
+Two pipeline variants share the same structure and differ in which
 decomposition feeds the rotation and the loading:
 
-- ``base``: the plain PCA, plain statistic.
-- ``improved1``: the noise-corrected PCA, plain statistic.
-- ``improved2``: as improved1, but the rotation solves the bias-corrected
-  statistic for the estimated score-noise covariance
-  (:meth:`FourthMoment.bias_corrected`); the init still reads the plain one.
+- ``base``: the plain PCA, plain statistic (the paper's PCA plus
+  deflation varimax).
+- ``improved2``: the noise-corrected PCA, and the rotation solves the
+  bias-corrected statistic for the estimated score-noise covariance
+  (:meth:`FourthMoment.bias_corrected`); the init still reads the plain
+  one.  This is the paper's modified procedure for structured noise.
 
 The final estimate is V D^{1/2} Q (with D that PCA's eigenvalues and Q
 the orthogonalized rotation), rescaled to unit operator norm.
@@ -34,7 +35,7 @@ __all__ = [
     "predict_factors",
 ]
 
-VARIANTS = ("base", "improved1", "improved2")
+VARIANTS = ("base", "improved2")
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class LoadingEstimate:
 
 
 def _check_rotation(decomposition: PcaDecomposition, q_check: np.ndarray) -> np.ndarray:
-    q_check = _real_array("q_check", q_check, ndim=2)
+    q_check = _real_array("q_check", q_check, ndim=2, finite=True)
     if q_check.shape[0] != decomposition.r:
         raise ValueError("rotation and decomposition dimensions differ")
     return q_check
@@ -102,14 +103,15 @@ def estimate_loading(x: np.ndarray, r: int,
     Parameters
     ----------
     variant : str
-        Pipeline variant, one of ``VARIANTS``; the improved variants
-        require p > r and all corrected eigenvalues positive.
+        Pipeline variant, one of ``VARIANTS``; ``improved2`` requires
+        p > r and all corrected eigenvalues positive.
     init_scheme : InitScheme
         Initializer with all its settings (default: ``mom`` with the
         default slice count and subtraction mode).
     auto_fallback : bool
-        When the correction is infeasible, fall back to the base variant
-        instead of raising; the estimate's ``fallback`` flags it.
+        When the correction is infeasible, fall back to ``base`` instead
+        of raising; the estimate's ``fallback`` flags it and its
+        ``effective_variant`` reads ``base``.
     rng : np.random.Generator
         Drives every random draw of the initialization scheme (default: a
         fresh ``np.random.default_rng()``).  The output is a pure function
@@ -118,8 +120,8 @@ def estimate_loading(x: np.ndarray, r: int,
     Raises
     ------
     CorrectionInfeasibleError
-        If an improved variant is requested, the correction cannot be
-        formed, and ``auto_fallback`` is off.
+        If ``improved2`` is requested, the correction cannot be formed,
+        and ``auto_fallback`` is off.
     ValueError
         If ``variant`` is not one of ``VARIANTS``; if ``init_scheme``,
         ``solve_config`` or ``rng`` is given and is not an ``InitScheme``,
@@ -141,32 +143,28 @@ def estimate_loading(x: np.ndarray, r: int,
         rng = np.random.default_rng()
     _check_type("rng", rng, np.random.Generator)
 
-    decomp = eigendecompose(x, r)
-    corrected = None
-    effective_variant = variant
+    decomp = fitted = eigendecompose(x, r)
     fallback = False
-    if variant != "base":
+    if variant == "improved2":
         try:
-            corrected = corrected_decomposition(decomp)
+            fitted = corrected_decomposition(decomp)
         except CorrectionInfeasibleError:
             if not auto_fallback:
                 raise
-            effective_variant = "base"
             fallback = True
 
-    fitted = decomp if effective_variant == "base" else corrected
     # The rotation stage reads the scores only through this statistic.
     stat = fourth_moment(fitted.scores)
     provider = make_init_provider(init_scheme, stat, rng)
-    if effective_variant == "improved2":
+    if fitted.noise_var_hat is not None:
         stat = stat.bias_corrected(fitted.sigma_n_hat)
     rotation = deflate(stat, provider, solve_config)
     return LoadingEstimate(
         lambda_hat=loading_from_rotation(fitted, rotation.q_check),
         decomposition=decomp,
         diagnostics=rotation,
-        noise_var_hat=None if corrected is None else corrected.noise_var_hat,
-        effective_variant=effective_variant,
+        noise_var_hat=fitted.noise_var_hat,
+        effective_variant="base" if fallback else variant,
         fallback=fallback,
         runtime_ms=(time.perf_counter() - t_start) * 1000.0,
     )

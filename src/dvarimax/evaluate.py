@@ -108,13 +108,10 @@ def signed_permutation_error(lambda_hat: np.ndarray, lambda_true: np.ndarray):
         argument holds NaN or Inf, or the per-column costs overflow double
         precision.
     """
-    est = _real_array("lambda_hat", lambda_hat, ndim=2)
-    true = _real_array("lambda_true", lambda_true, ndim=2)
+    est = _real_array("lambda_hat", lambda_hat, ndim=2, finite=True)
+    true = _real_array("lambda_true", lambda_true, ndim=2, finite=True)
     if est.shape != true.shape:
         raise ValueError(f"shape mismatch: {est.shape} vs {true.shape}")
-    for name, value in (("lambda_hat", est), ("lambda_true", true)):
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} contains NaN or Inf entries")
     r = est.shape[1]
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -139,6 +136,21 @@ def signed_permutation_error(lambda_hat: np.ndarray, lambda_true: np.ndarray):
 # Experiment grid
 # ---------------------------------------------------------------------------
 
+def _entries(name: str, value) -> tuple:
+    """``value``'s entries as a nonempty tuple; ValueError naming the field
+    for a str, a scalar or a lone InitScheme, which are not lists of
+    entries."""
+    if isinstance(value, (str, InitScheme)):
+        raise ValueError(f"{name} must be a list of entries, got {value!r}")
+    try:
+        entries = tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a list of entries, got {value!r}") from None
+    if not entries:
+        raise ValueError(f"{name} must be nonempty")
+    return entries
+
+
 @dataclass(frozen=True)
 class ExperimentGrid:
     """One benchmark sweep: a base configuration with one varied parameter."""
@@ -158,8 +170,8 @@ class ExperimentGrid:
         _check_type("base", self.base, SyntheticConfig)
         _check_type("solve_config", self.solve_config, RotationSolveConfig)
         _check_choice("sweep_name", self.sweep_name, SWEEPABLE_PARAMETERS)
-        if not self.sweep_values:
-            raise ValueError("sweep_values must be nonempty")
+        for name in ("sweep_values", "variants", "init_schemes"):
+            object.__setattr__(self, name, _entries(name, getattr(self, name)))
         typed = SWEEPABLE_PARAMETERS[self.sweep_name]
         for value in self.sweep_values:
             if typed is int:
@@ -171,13 +183,9 @@ class ExperimentGrid:
         _check_integer("master_seed", self.master_seed, 0, _MASK64)
         _check_bool("auto_fallback", self.auto_fallback)
         _check_bool("record_runtime", self.record_runtime)
-        if not self.variants or not self.init_schemes:
-            raise ValueError("variants and init_schemes must be nonempty")
         # Seeds key on the value, so 1, 1.0 and np.int64(1) must be one value.
         object.__setattr__(self, "sweep_values",
                            tuple(typed(value) for value in self.sweep_values))
-        object.__setattr__(self, "variants", tuple(self.variants))
-        object.__setattr__(self, "init_schemes", tuple(self.init_schemes))
         for variant in self.variants:
             _check_choice("variant", variant, VARIANTS)
         for scheme in self.init_schemes:

@@ -54,16 +54,21 @@ def _check_type(name: str, value, cls: type) -> None:
         raise ValueError(f"{name} must be of type {cls.__name__}, got {value!r}")
 
 
-def _real_array(name: str, value, ndim: Optional[int] = None) -> np.ndarray:
+def _real_array(name: str, value, ndim: Optional[int] = None, *,
+                finite: bool = False) -> np.ndarray:
     """``value`` as a float array; ValueError naming the dtype if it is
-    complex, which a cast to float would cut to its real part, or naming
-    the shape if it does not have ``ndim`` dimensions where given."""
+    complex, which a cast to float would cut to its real part, naming the
+    shape if it does not have ``ndim`` dimensions where given, or saying
+    it holds NaN or Inf where ``finite`` asks."""
     array = np.asarray(value)
     if np.iscomplexobj(array):
         raise ValueError(f"{name} must be real, got dtype {array.dtype}")
     if ndim is not None and array.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {array.shape}")
-    return np.asarray(array, dtype=float)
+    array = np.asarray(array, dtype=float)
+    if finite and not np.isfinite(array).all():
+        raise ValueError(f"{name} contains NaN or Inf entries")
+    return array
 
 
 class DeflationVarimaxError(Exception):

@@ -379,8 +379,11 @@ def symmetric_orthogonalize(q_hat: np.ndarray) -> np.ndarray:
     DegenerateSolutionsError
         If ``q_hat`` is numerically rank deficient, which signals that
         two solved columns (nearly) coincide.
+    ValueError
+        If ``q_hat`` is complex, not r x s with r >= s >= 1, or holds NaN
+        or Inf, before any SVD.
     """
-    q_hat = _real_array("q_hat", q_hat, ndim=2)
+    q_hat = _real_array("q_hat", q_hat, ndim=2, finite=True)
     if q_hat.shape[0] < q_hat.shape[1] or q_hat.shape[1] < 1:
         raise ValueError("q_hat must be r x s with r >= s >= 1")
     left, singulars, right_t = np.linalg.svd(q_hat, full_matrices=False)

@@ -438,12 +438,14 @@ def test_estimate_auto_rank_rejects_r_max_below_one(tmp_path, simulated, capsys,
     # r_max is read only with r = auto
     ({"r": 3, "r_max": 0}, "r_max = 0 is used only by r = auto, not r = 3"),
     ({"r": 3, "r_max": 1}, "r_max = 1 is used only by r = auto, not r = 3"),
-    # a label that is no longer a scheme
+    # a label that is no longer a scheme, and one that is no longer a variant
     ({"init": "mom_improved"},
      "config key 'init': value must be one of random, multi_random, mom, got 'mom_improved'"),
+    ({"variant": "improved1"},
+     "config key 'variant': value must be one of base, improved2, got 'improved1'"),
 ], ids=["seed=-1", "seed=2**64", "r=0", "r=-2", "init_slices=0", "step_size=0", "max_iters=0",
         "random-with-unused-bad-settings", "random-with-init_slices", "r=3-r_max=0",
-        "r=3-r_max=1", "init=mom_improved"])
+        "r=3-r_max=1", "init=mom_improved", "variant=improved1"])
 def test_estimate_checks_every_setting_before_reading_input(tmp_path, capsys,
                                                             monkeypatch, settings,
                                                             message):

@@ -116,16 +116,15 @@ def test_column_space_matches_pca_subspace():
     assert np.max(np.abs(principal_cosines - 1.0)) <= 1e-10
 
 
-def test_noiseless_improved1_equals_base_bitwise():
+def test_noiseless_improved2_equals_base_bitwise():
     observed, _ = _dataset(eps2=0.0, seed=11)
     base = estimate_loading(observed.data, 3, "base", MOM, FAST,
                             substream(3, "est"))
-    for variant in ("improved1", "improved2"):
-        improved = estimate_loading(observed.data, 3, variant, MOM, FAST,
-                                    substream(3, "est"))
-        assert improved.noise_var_hat == 0.0
-        assert np.array_equal(base.lambda_hat, improved.lambda_hat)
-        assert np.array_equal(base.q_check, improved.q_check)
+    improved = estimate_loading(observed.data, 3, "improved2", MOM, FAST,
+                                substream(3, "est"))
+    assert improved.noise_var_hat == 0.0
+    assert np.array_equal(base.lambda_hat, improved.lambda_hat)
+    assert np.array_equal(base.q_check, improved.q_check)
 
 
 @pytest.mark.parametrize("scheme", [InitScheme.random(), MOM])
@@ -181,7 +180,7 @@ def _infeasible_input():
 def test_improved_without_fallback_raises():
     x = _infeasible_input()
     with pytest.raises(CorrectionInfeasibleError):
-        estimate_loading(x, 3, "improved1", MOM, FAST, substream(5, "est"))
+        estimate_loading(x, 3, "improved2", MOM, FAST, substream(5, "est"))
 
 
 def test_improved_with_fallback_runs_base():
@@ -202,7 +201,7 @@ def test_infeasible_correction_falls_back():
     from dvarimax import corrected_decomposition
     with pytest.raises(CorrectionInfeasibleError):
         corrected_decomposition(decomp)
-    est = estimate_loading(x, 2, "improved1", MOM, FAST, substream(7, "est"),
+    est = estimate_loading(x, 2, "improved2", MOM, FAST, substream(7, "est"),
                            auto_fallback=True)
     assert est.fallback
 
@@ -229,7 +228,7 @@ def test_diagnostics_is_deflates_own_result(monkeypatch):
 
     monkeypatch.setattr("dvarimax.estimator.deflate", keep)
     observed, _ = _dataset(seed=13)
-    est = estimate_loading(observed.data, 3, "improved1", MOM, FAST,
+    est = estimate_loading(observed.data, 3, "improved2", MOM, FAST,
                            substream(8, "est"))
     assert len(returned) == 1 and est.diagnostics is returned[0]
     assert type(est.diagnostics) is RotationResult
@@ -250,7 +249,7 @@ def test_predict_factors_identity_case():
     assert np.array_equal(predict_factors(decomp, np.eye(2)), scores)
 
 
-@pytest.mark.parametrize("variant", ["improved1", "improved2"])
+@pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "base"])
 def test_corrected_fit_keeps_the_plain_decomposition(variant):
     # The rotation and the loading read the corrected decomposition; the
     # estimate hands back the plain PCA, and predict_factors reads it.

@@ -217,13 +217,13 @@ def test_grid_rejects_repeated_entries():
 
 
 def test_datasets_shared_across_variants():
-    grid = _small_grid(variants=("base", "improved1"),
+    grid = _small_grid(variants=("base", "improved2"),
                        replications=2)
     records = run_experiment(grid)
     by_variant = {}
     for rec in records:
         by_variant.setdefault(rec.variant, []).append(rec.seed)
-    assert by_variant["base"] == by_variant["improved1"]
+    assert by_variant["base"] == by_variant["improved2"]
 
 
 def test_adding_sweep_values_keeps_existing_cells():
@@ -246,12 +246,12 @@ def test_failures_recorded_not_raised():
 
 def test_lexicographic_output_order():
     grid = _small_grid(sweep_values=(80, 120), replications=2,
-                       variants=("base", "improved1"))
+                       variants=("base", "improved2"))
     records = run_experiment(grid)
     keys = [(rec.sweep_value, rec.variant, rec.init, rec.rep) for rec in records]
     expected = [(value, variant, "mom", rep)
                 for value in (80, 120)
-                for variant in ("base", "improved1")
+                for variant in ("base", "improved2")
                 for rep in range(2)]
     assert keys == expected
 
@@ -281,8 +281,10 @@ def test_grid_validation():
         _small_grid(replications=0)
     with pytest.raises(ValueError):
         _small_grid(sweep_values=())
-    with pytest.raises(ValueError, match="variants and init_schemes must be nonempty"):
+    with pytest.raises(ValueError, match="variants must be nonempty"):
         _small_grid(variants=())
+    # an array is a list of entries too, not read by its truth value
+    assert _small_grid(sweep_values=np.array([80, 120])) == _small_grid(sweep_values=(80, 120))
     with pytest.raises(ValueError, match="subtraction"):
         _small_grid(init_schemes=(InitScheme.method_of_moments(
             subtraction="lemma-consistent"),))

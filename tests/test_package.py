@@ -10,12 +10,13 @@ from helpers import ZeroDraws
 import dvarimax
 from dvarimax import (CorrectionInfeasibleError, DeflationVarimaxError,
                       DegenerateSlicingError, DegenerateSolutionsError, DivergenceError,
-                      FourthMoment, InitScheme, RankDeficiencyError, RotationSolveConfig,
-                      complement_basis, complement_projector, corrected_decomposition,
-                      deflate, eigendecompose, fourth_moment, loading_from_rotation,
-                      make_init_provider, mom_init, multi_random_init, pgd_solve,
-                      predict_factors, select_rank, slice_operator, substream,
-                      symmetric_orthogonalize)
+                      ExperimentGrid, FourthMoment, InitScheme, RankDeficiencyError,
+                      RotationSolveConfig, SyntheticConfig, complement_basis,
+                      complement_projector, corrected_decomposition, deflate,
+                      eigendecompose, estimate_loading, fourth_moment,
+                      loading_from_rotation, make_init_provider, mom_init,
+                      multi_random_init, pgd_solve, predict_factors, select_rank,
+                      slice_operator, substream, symmetric_orthogonalize)
 
 
 def test_every_listed_export_resolves():
@@ -112,6 +113,21 @@ def test_each_error_type_is_raised_for_its_cause(error):
     assert type(raised.value) is error
 
 
+def _grid(**overrides) -> ExperimentGrid:
+    return ExperimentGrid(**{"base": SyntheticConfig(n=120, p=8, r=2), "sweep_name": "n",
+                             "sweep_values": (120,), **overrides})
+
+
+_X = substream(6, "bad input").standard_normal((4, 40))
+_DECOMP = eigendecompose(_X, 2)
+
+
+def _with(entry: float) -> np.ndarray:
+    q_check = np.eye(2)
+    q_check[0, 1] = entry
+    return q_check
+
+
 # Bad input raises ValueError, naming what is wrong with it.
 _BAD_INPUT_CALLS = {
     "select_rank empty": (lambda: select_rank(np.array([]), 1), "nonempty"),
@@ -124,6 +140,27 @@ _BAD_INPUT_CALLS = {
                                   ZeroDraws()), "zero norm"),
     "substream tag": (lambda: substream(1, object()),
                       "unsupported stream tag type: object"),
+    "estimate_loading improved1": (lambda: estimate_loading(_X, 2, "improved1"),
+                                   "variant must be one of base, improved2, got 'improved1'"),
+    # a container field given one entry, not a list of them
+    "grid lone init scheme": (lambda: _grid(init_schemes=InitScheme.method_of_moments()),
+                              "init_schemes must be a list of entries"),
+    "grid scalar sweep_values": (lambda: _grid(sweep_values=100),
+                                 "sweep_values must be a list of entries"),
+    "grid str variants": (lambda: _grid(variants="base"), "variants must be a list of entries"),
+    "grid empty array sweep_values": (lambda: _grid(sweep_values=np.array([], dtype=int)),
+                                      "sweep_values must be nonempty"),
+    # a non-finite rotation is named before any SVD, never read as a loading
+    "loading_from_rotation nan": (lambda: loading_from_rotation(_DECOMP, _with(np.nan)),
+                                  "q_check contains NaN or Inf"),
+    "loading_from_rotation inf": (lambda: loading_from_rotation(_DECOMP, _with(np.inf)),
+                                  "q_check contains NaN or Inf"),
+    "predict_factors inf": (lambda: predict_factors(_DECOMP, _with(np.inf)),
+                            "q_check contains NaN or Inf"),
+    "symmetric_orthogonalize nan": (lambda: symmetric_orthogonalize(_with(np.nan)),
+                                    "q_hat contains NaN or Inf"),
+    "symmetric_orthogonalize inf": (lambda: symmetric_orthogonalize(_with(-np.inf)),
+                                    "q_hat contains NaN or Inf"),
 }
 
 
