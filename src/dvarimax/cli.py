@@ -93,7 +93,7 @@ _COMMON = {"seed": int, "output_path": str, "r": _parse_rank}
 _SYNTHETIC = {"n": int, "p": int, **_SYNTHETIC_KEYS}
 _SOLVER = {**{spec.name: type(spec.default) for spec in _SOLVE_FIELDS},
            "init_draws": int, "init_slices": int,
-           "mom_subtraction": _parse_choice(SUBTRACTION_MODES), "auto_fallback": _parse_bool}
+           "mom_subtraction": _parse_choice(SUBTRACTION_MODES)}
 
 # Each command's keys; a config may set no other.
 _KEY_PARSERS = {
@@ -190,11 +190,6 @@ def _build_init_schemes(config: dict, labels) -> tuple:
             raise CliError(f"{key} = {given[field]} is used by none of the "
                            f"init schemes {', '.join(labels)}")
     return schemes
-
-
-def _given(config: dict, key: str) -> dict:
-    """``{key: value}`` if ``config`` sets ``key``; else the library default applies."""
-    return {key: config[key]} if key in config else {}
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +291,7 @@ def cmd_estimate(config: dict) -> int:
         eigvals = leading_eigenvalues(x, min(r_max + 1, min(p, n)))
         r = selected_rank = select_rank(eigvals, r_max)
 
-    estimate = estimate_loading(x, r, config["variant"], scheme, solve_config, rng,
-                                **_given(config, "auto_fallback"))
+    estimate = estimate_loading(x, r, config["variant"], scheme, solve_config, rng)
     z_hat = predict_factors(estimate.decomposition, estimate.q_check)
 
     outdir = Path(config["output_path"])
@@ -332,6 +326,9 @@ def cmd_estimate(config: dict) -> int:
         handle.write("\n")
     print(f"estimate: wrote lambda_hat.csv, q_check.csv, z_hat.csv, "
           f"diagnostics.json to {outdir}")
+    if estimate.fallback:
+        print(f"estimate: the {config['variant']} noise correction is infeasible; "
+              f"ran {estimate.effective_variant}")
     return 0
 
 
@@ -344,8 +341,6 @@ def _parse_sweep_values(raw_values, sweep_name: str) -> tuple:
 
 
 def cmd_benchmark(config: dict) -> int:
-    if "seed" not in config:
-        raise CliError("benchmark requires config key 'seed' for reproducibility")
     sweep_name = _require(config, "sweep_name", "benchmark")
     values = _parse_sweep_values(_require(config, "sweep_values", "benchmark"),
                                  sweep_name)
@@ -358,8 +353,7 @@ def cmd_benchmark(config: dict) -> int:
         variants=config["variants"], init_schemes=schemes,
         replications=config["replications"], master_seed=config["seed"],
         solve_config=_build_solve_config(config),
-        record_runtime=config["record_runtime"],
-        **_given(config, "auto_fallback"))
+        record_runtime=config["record_runtime"])
 
     records = run_experiment(grid)
     rows = aggregate(records)

@@ -8,7 +8,12 @@ decomposition feeds the rotation and the loading:
 - ``improved2``: the noise-corrected PCA, and the rotation solves the
   bias-corrected statistic for the estimated score-noise covariance
   (:meth:`FourthMoment.bias_corrected`); the init still reads the plain
-  one.  This is the paper's modified procedure for structured noise.
+  one.  This is the paper's modified procedure for structured noise, and
+  the default.
+
+``improved2`` runs ``base`` instead when its correction is infeasible (p
+<= r, or a corrected eigenvalue at or below the floor); the estimate's
+``fallback`` flags it and its ``effective_variant`` reads ``base``.
 
 The final estimate is V D^{1/2} Q (with D that PCA's eigenvalues and Q
 the orthogonalized rotation), rescaled to unit operator norm.
@@ -21,8 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import (CorrectionInfeasibleError, _check_bool, _check_choice, _check_type,
-                         _real_array)
+from .exceptions import CorrectionInfeasibleError, _check_choice, _check_type, _real_array
 from .initialization import InitScheme, make_init_provider
 from .rotation import RotationResult, RotationSolveConfig, deflate, fourth_moment
 from .spectral import PcaDecomposition, corrected_decomposition, eigendecompose
@@ -88,12 +92,10 @@ def predict_factors(decomposition: PcaDecomposition, q_check: np.ndarray) -> np.
 
 
 def estimate_loading(x: np.ndarray, r: int,
-                     variant: str = "base",
+                     variant: str = "improved2",
                      init_scheme: Optional[InitScheme] = None,
                      solve_config: Optional[RotationSolveConfig] = None,
-                     rng: Optional[np.random.Generator] = None,
-                     *,
-                     auto_fallback: bool = False) -> LoadingEstimate:
+                     rng: Optional[np.random.Generator] = None) -> LoadingEstimate:
     """Estimate the p x r loading matrix of ``x`` (features x samples).
 
     Runs the PCA step, solves r rotation columns by deflation with the
@@ -103,15 +105,14 @@ def estimate_loading(x: np.ndarray, r: int,
     Parameters
     ----------
     variant : str
-        Pipeline variant, one of ``VARIANTS``; ``improved2`` requires
-        p > r and all corrected eigenvalues positive.
+        Pipeline variant, one of ``VARIANTS`` (default ``improved2``).
+        When the ``improved2`` correction is infeasible (p <= r, or a
+        corrected eigenvalue at or below the floor), ``base`` runs
+        instead; the estimate's ``fallback`` flags it and its
+        ``effective_variant`` reads ``base``.
     init_scheme : InitScheme
         Initializer with all its settings (default: ``mom`` with the
         default slice count and subtraction mode).
-    auto_fallback : bool
-        When the correction is infeasible, fall back to ``base`` instead
-        of raising; the estimate's ``fallback`` flags it and its
-        ``effective_variant`` reads ``base``.
     rng : np.random.Generator
         Drives every random draw of the initialization scheme (default: a
         fresh ``np.random.default_rng()``).  The output is a pure function
@@ -119,16 +120,12 @@ def estimate_loading(x: np.ndarray, r: int,
 
     Raises
     ------
-    CorrectionInfeasibleError
-        If ``improved2`` is requested, the correction cannot be formed,
-        and ``auto_fallback`` is off.
     ValueError
         If ``variant`` is not one of ``VARIANTS``; if ``init_scheme``,
         ``solve_config`` or ``rng`` is given and is not an ``InitScheme``,
-        a ``RotationSolveConfig`` or a ``np.random.Generator``, or
-        ``auto_fallback`` is not a bool; then
-        if :func:`eigendecompose` rejects ``x`` or r (a complex ``x``
-        before any cast).
+        a ``RotationSolveConfig`` or a ``np.random.Generator``; then if
+        :func:`eigendecompose` rejects ``x`` or r (a complex ``x`` before
+        any cast).
     """
     t_start = time.perf_counter()
     _check_choice("variant", variant, VARIANTS)
@@ -138,7 +135,6 @@ def estimate_loading(x: np.ndarray, r: int,
         solve_config = RotationSolveConfig()
     _check_type("init_scheme", init_scheme, InitScheme)
     _check_type("solve_config", solve_config, RotationSolveConfig)
-    _check_bool("auto_fallback", auto_fallback)
     if rng is None:
         rng = np.random.default_rng()
     _check_type("rng", rng, np.random.Generator)
@@ -149,8 +145,6 @@ def estimate_loading(x: np.ndarray, r: int,
         try:
             fitted = corrected_decomposition(decomp)
         except CorrectionInfeasibleError:
-            if not auto_fallback:
-                raise
             fallback = True
 
     # The rotation stage reads the scores only through this statistic.

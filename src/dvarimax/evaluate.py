@@ -158,12 +158,11 @@ class ExperimentGrid:
     base: SyntheticConfig
     sweep_name: str
     sweep_values: tuple
-    variants: tuple = ("base",)
+    variants: tuple = ("improved2",)
     init_schemes: tuple = (InitScheme.method_of_moments(),)
     replications: int = 100
     master_seed: int = 0
     solve_config: RotationSolveConfig = field(default_factory=RotationSolveConfig)
-    auto_fallback: bool = True
     record_runtime: bool = False
 
     def __post_init__(self):
@@ -181,7 +180,6 @@ class ExperimentGrid:
                 _check_real(self.sweep_name, value, -math.inf, math.inf)
         _check_integer("replications", self.replications, 1)
         _check_integer("master_seed", self.master_seed, 0, _MASK64)
-        _check_bool("auto_fallback", self.auto_fallback)
         _check_bool("record_runtime", self.record_runtime)
         # Seeds key on the value, so 1, 1.0 and np.int64(1) must be one value.
         object.__setattr__(self, "sweep_values",
@@ -259,9 +257,8 @@ def run_experiment(grid: ExperimentGrid) -> list:
             observed, truth = generate_dataset(config)
             est_rng = substream(grid.master_seed, "estimate", variant,
                                 scheme.label, grid.sweep_name, value, rep)
-            estimate = estimate_loading(
-                observed.data, config.r, variant, scheme, grid.solve_config,
-                est_rng, auto_fallback=grid.auto_fallback)
+            estimate = estimate_loading(observed.data, config.r, variant, scheme,
+                                        grid.solve_config, est_rng)
             error, _ = signed_permutation_error(estimate.lambda_hat, truth.loading)
             return ExperimentRecord(
                 error=error,

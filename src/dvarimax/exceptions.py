@@ -81,9 +81,12 @@ class RankDeficiencyError(DeflationVarimaxError):
 
 
 class CorrectionInfeasibleError(DeflationVarimaxError):
-    """A noise-corrected eigenvalue is not positive.
+    """The noise correction cannot be formed: p <= r, or a corrected
+    eigenvalue falls at or below the eigenvalue floor.
 
-    Callers should fall back to the uncorrected pipeline.
+    ``corrected_decomposition`` raises it; ``estimate_loading`` catches it
+    and runs ``base``, recording the fallback in the estimate's
+    ``fallback`` and ``effective_variant``.
     """
 
 

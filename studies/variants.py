@@ -102,7 +102,7 @@ def library_errors(cell, master_seed) -> dict:
     grid = ExperimentGrid(
         base=cell["config"], sweep_name=SWEEP, sweep_values=(cell["config"].varepsilon2,),
         variants=("base", "improved2"), init_schemes=(MOM,), replications=cell["reps"],
-        master_seed=master_seed, solve_config=cell["solve"], auto_fallback=True)
+        master_seed=master_seed, solve_config=cell["solve"])
     records = run_experiment(grid)
     return {variant: np.array([rec.error for rec in records if rec.variant == variant])
             for variant in grid.variants}

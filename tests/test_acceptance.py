@@ -83,8 +83,7 @@ def test_criterion_02_whitening_and_orthogonality():
         for variant in VARIANTS:
             est = estimate_loading(observed.data, case["r"], variant,
                                    InitScheme.method_of_moments(16), FAST_SOLVE,
-                                   substream(case["seed"], "acc2", variant),
-                                   auto_fallback=True)
+                                   substream(case["seed"], "acc2", variant))
             scores = est.decomposition.scores
             r = case["r"]
             gram = scores @ scores.T / observed.n

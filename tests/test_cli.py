@@ -1,4 +1,5 @@
 """Tests for the command-line front end and its file formats."""
+import inspect
 import json
 import re
 import shlex
@@ -8,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dvarimax import (NOISE_KINDS, VARIANTS, InitScheme,
-                      RotationSolveConfig, deflate, signed_permutation_error)
+from dvarimax import (NOISE_KINDS, VARIANTS, ExperimentGrid, InitScheme, RotationSolveConfig,
+                      SyntheticConfig, deflate, estimate_loading, signed_permutation_error)
 from dvarimax.cli import (_DEFAULTS, _KEY_PARSERS, CliError, main, parse_config_text,
                           read_matrix_csv, resolve_config, write_matrix_csv)
 from dvarimax.evaluate import RECORDS_HEADER, SUMMARY_HEADER, SWEEPABLE_PARAMETERS
@@ -71,14 +72,24 @@ def test_resolve_config_defaults():
         # every solver setting is a CLI key carrying the library default
         for spec in fields(RotationSolveConfig):
             assert config[spec.name] == spec.default
-    assert resolve_config({}, "estimate")["variant"] == "base"
+    assert resolve_config({}, "estimate")["variant"] == "improved2"
     assert resolve_config({}, "estimate")["init"] == "mom"
-    assert resolve_config({}, "benchmark")["variants"] == ("base",)
+    assert resolve_config({}, "benchmark")["variants"] == ("improved2",)
     assert resolve_config({}, "benchmark")["init_schemes"] == ("mom",)
     assert resolve_config({"n": "10"}, "simulate")["n"] == 10
     # a command fills in the defaults of its own keys only
     for command, parsers in _KEY_PARSERS.items():
         assert set(resolve_config({}, command)) <= set(parsers)
+
+
+def test_the_default_variant_is_defined_once():
+    grid = ExperimentGrid(base=SyntheticConfig(n=10, p=4, r=2), sweep_name="n",
+                          sweep_values=(10,))
+    defaults = (inspect.signature(estimate_loading).parameters["variant"].default,
+                grid.variants[0],
+                resolve_config({}, "estimate")["variant"],
+                resolve_config({}, "benchmark")["variants"][0])
+    assert defaults == ("improved2",) * 4
 
 
 def test_resolve_config_type_errors():
@@ -94,14 +105,12 @@ def test_resolve_config_type_errors():
     ("true", True), ("Yes", True), ("1", True), ("ON", True),
     ("false", False), ("no", False), ("0", False), ("Off", False)])
 def test_resolve_config_parses_boolean_keys(text, value):
-    config = resolve_config({"auto_fallback": text, "record_runtime": text}, "benchmark")
-    assert config["auto_fallback"] is value and config["record_runtime"] is value
+    assert resolve_config({"record_runtime": text}, "benchmark")["record_runtime"] is value
 
 
 def test_resolve_config_rejects_a_non_boolean():
-    for key in ("auto_fallback", "record_runtime"):
-        with pytest.raises(CliError, match=f"'{key}': not a boolean: 'maybe'"):
-            resolve_config({key: "maybe"}, "benchmark")
+    with pytest.raises(CliError, match="'record_runtime': not a boolean: 'maybe'"):
+        resolve_config({"record_runtime": "maybe"}, "benchmark")
 
 
 def _readme_cli_section() -> str:
@@ -365,26 +374,23 @@ def test_seedless_estimate_is_reproduced_by_its_drawn_seed(tmp_path, simulated):
     assert rerun == diagnostics
 
 
-def test_estimate_auto_fallback_key_reaches_the_estimator(tmp_path, capsys):
+def test_estimate_runs_base_when_the_correction_is_infeasible(tmp_path, capsys):
     # p = r leaves no trailing eigenvalues, so the noise correction of the
-    # improved2 variant is infeasible; only auto_fallback lets it run base
+    # default improved2 variant is infeasible and base runs instead
     x = np.random.default_rng(4).standard_normal((3, 200))
     write_matrix_csv(tmp_path / "X.csv", x, "rows=3 cols=200")
-    entries = dict(input_path=tmp_path / "X.csv", r=3, seed=1, variant="improved2")
-    config = _write_config(tmp_path, "strict.cfg", output_path=tmp_path / "strict",
-                           **entries)
-    assert _run("estimate", "--config", config) == 2
-    assert "error:" in capsys.readouterr().err
-    config = _write_config(tmp_path, "fallback.cfg", output_path=tmp_path / "fallback",
-                           auto_fallback="yes", **entries)
+    config = _write_config(tmp_path, "fallback.cfg", input_path=tmp_path / "X.csv", r=3,
+                           seed=1, output_path=tmp_path / "fallback")
     assert _run("estimate", "--config", config) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "estimate: the improved2 noise correction is infeasible; ran base")
     diagnostics = json.loads((tmp_path / "fallback" / "diagnostics.json").read_text())
     assert diagnostics["fallback"] is True
     assert diagnostics["requested_variant"] == "improved2"
     assert diagnostics["effective_variant"] == "base"
     assert diagnostics["init"] == "mom"
     assert diagnostics["near_duplicate"] is False
-    assert diagnostics["resolved_config"]["auto_fallback"] is True
+    assert diagnostics["resolved_config"]["variant"] == "improved2"
 
 
 def test_estimate_auto_rank(tmp_path, simulated):
@@ -704,7 +710,7 @@ _VALID_TEXT = {
     "input_path": "X.csv", "r_max": "2", "variant": "improved2", "init": "random",
     "n": "10", "p": "4", "theta": "0.5", "varepsilon2": "0.2", "noise_kind": "toeplitz",
     "noise_alpha": "0.2", "noise_rho": "0.3", "init_draws": "4", "init_slices": "8",
-    "mom_subtraction": "lemma_consistent", "auto_fallback": "yes", "sweep_name": "n",
+    "mom_subtraction": "lemma_consistent", "sweep_name": "n",
     "sweep_values": "10,20", "variants": "improved2", "init_schemes": "mom",
     "replications": "3", "record_runtime": "true",
 }

@@ -92,19 +92,12 @@ def test_estimate_deterministic():
     b = estimate_loading(observed.data, 3, "base", MOM, FAST, substream(9, "est"))
     assert np.array_equal(a.lambda_hat, b.lambda_hat)
     assert np.array_equal(a.q_check, b.q_check)
-    # a mis-typed settings object is named, not read as an attribute, and a
-    # truthy non-bool does not switch the fallback on
+    # a mis-typed settings object is named, not read as an attribute
     for name, bad in (("init_scheme", dict(init_scheme="mom")),
                       ("solve_config", dict(solve_config={"step_size": 1e-2})),
-                      ("rng", dict(rng=5)),
-                      ("auto_fallback", dict(auto_fallback="no")),
-                      ("auto_fallback", dict(auto_fallback=1)),
-                      ("auto_fallback", dict(auto_fallback=None))):
+                      ("rng", dict(rng=5))):
         with pytest.raises(ValueError, match=name):
             estimate_loading(observed.data, 3, "base", **{"rng": substream(9, "est"), **bad})
-    c = estimate_loading(observed.data, 3, "base", MOM, FAST, substream(9, "est"),
-                         auto_fallback=np.False_)
-    assert np.array_equal(a.lambda_hat, c.lambda_hat)
 
 
 def test_column_space_matches_pca_subspace():
@@ -116,15 +109,24 @@ def test_column_space_matches_pca_subspace():
     assert np.max(np.abs(principal_cosines - 1.0)) <= 1e-10
 
 
+def _assert_bitwise_equal(fit, base):
+    assert np.array_equal(fit.lambda_hat, base.lambda_hat)
+    assert np.array_equal(fit.diagnostics.q_hat, base.diagnostics.q_hat)
+    assert np.array_equal(fit.q_check, base.q_check)
+    assert np.array_equal(fit.diagnostics.iter_counts, base.diagnostics.iter_counts)
+
+
 def test_noiseless_improved2_equals_base_bitwise():
+    # the default fit is improved2; with no noise its correction subtracts
+    # exactly 0.0, so it is base bit for bit
     observed, _ = _dataset(eps2=0.0, seed=11)
     base = estimate_loading(observed.data, 3, "base", MOM, FAST,
                             substream(3, "est"))
-    improved = estimate_loading(observed.data, 3, "improved2", MOM, FAST,
-                                substream(3, "est"))
+    improved = estimate_loading(observed.data, 3, init_scheme=MOM, solve_config=FAST,
+                                rng=substream(3, "est"))
+    assert improved.effective_variant == "improved2" and not improved.fallback
     assert improved.noise_var_hat == 0.0
-    assert np.array_equal(base.lambda_hat, improved.lambda_hat)
-    assert np.array_equal(base.q_check, improved.q_check)
+    _assert_bitwise_equal(improved, base)
 
 
 @pytest.mark.parametrize("scheme", [InitScheme.random(), MOM])
@@ -177,18 +179,16 @@ def _infeasible_input():
     return rng.standard_normal((3, 200))
 
 
-def test_improved_without_fallback_raises():
-    x = _infeasible_input()
-    with pytest.raises(CorrectionInfeasibleError):
-        estimate_loading(x, 3, "improved2", MOM, FAST, substream(5, "est"))
-
-
 def test_improved_with_fallback_runs_base():
+    # the default fit is improved2, whose infeasible correction runs base
     x = _infeasible_input()
-    est = estimate_loading(x, 3, "improved2", MOM, FAST, substream(5, "est"),
-                           auto_fallback=True)
-    assert est.fallback
+    est = estimate_loading(x, 3, init_scheme=MOM, solve_config=FAST,
+                           rng=substream(5, "est"))
+    base = estimate_loading(x, 3, "base", MOM, FAST, substream(5, "est"))
+    assert est.fallback is True
     assert est.effective_variant == "base"
+    assert est.noise_var_hat is None
+    _assert_bitwise_equal(est, base)
 
 
 def test_infeasible_correction_falls_back():
@@ -201,8 +201,7 @@ def test_infeasible_correction_falls_back():
     from dvarimax import corrected_decomposition
     with pytest.raises(CorrectionInfeasibleError):
         corrected_decomposition(decomp)
-    est = estimate_loading(x, 2, "improved2", MOM, FAST, substream(7, "est"),
-                           auto_fallback=True)
+    est = estimate_loading(x, 2, "improved2", MOM, FAST, substream(7, "est"))
     assert est.fallback
 
 

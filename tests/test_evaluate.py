@@ -264,7 +264,7 @@ def test_reference_cell_matches_pilot_fixture():
     grid = ExperimentGrid(
         base=SyntheticConfig(n=900, p=300, r=5, theta=0.1, varepsilon2=0.1,
                              seed=0),
-        sweep_name="n", sweep_values=(900,),
+        sweep_name="n", sweep_values=(900,), variants=("base",),
         init_schemes=(InitScheme.method_of_moments(),),
         replications=20, master_seed=20240601,
         solve_config=RotationSolveConfig(step_size=1e-2))
@@ -302,12 +302,11 @@ def test_grid_validation():
     for name, bad in (("base", dict(base={"n": 50})),
                       ("init_schemes", dict(init_schemes=("mom",))),
                       ("solve_config", dict(solve_config={"step_size": 1e-2})),
-                      *((flag, {flag: value})
-                        for flag in ("record_runtime", "auto_fallback")
+                      *(("record_runtime", {"record_runtime": value})
                         for value in ("no", 1, None))):
         with pytest.raises(ValueError, match=name):
             _small_grid(**bad)
-    _small_grid(record_runtime=np.True_, auto_fallback=np.False_)
+    _small_grid(record_runtime=np.True_)
     # no NaN or infinite theta or varepsilon2 makes a valid cell, and two
     # NaNs would pass the repeat check below, since nan != nan
     for name in ("theta", "varepsilon2"):
