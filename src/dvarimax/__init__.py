@@ -10,9 +10,8 @@ from .evaluate import (ExperimentGrid, ExperimentRecord, SummaryRow, aggregate,
 from .exceptions import (CorrectionInfeasibleError, DeflationVarimaxError,
                          DegenerateSlicingError, DegenerateSolutionsError,
                          DivergenceError, RankDeficiencyError)
-from .initialization import (InitScheme, complement_projector,
-                             make_init_provider, mom_init, multi_random_init,
-                             slice_operator)
+from .initialization import (InitScheme, make_init_provider, mom_init,
+                             multi_random_init, slice_operator)
 from .model import (NOISE_KINDS, GroundTruth, ObservationMatrix,
                     SyntheticConfig, generate_dataset, generate_factors,
                     generate_loading)
@@ -36,7 +35,7 @@ __all__ = [
     "RotationSolveConfig", "RotationResult", "FourthMoment", "fourth_moment",
     "pgd_solve", "complement_basis", "deflate", "symmetric_orthogonalize",
     # initialization
-    "InitScheme", "complement_projector", "multi_random_init",
+    "InitScheme", "multi_random_init",
     "slice_operator", "mom_init", "make_init_provider",
     # estimator
     "VARIANTS", "LoadingEstimate",

@@ -269,8 +269,7 @@ def cmd_estimate(config: dict) -> int:
     input_path = _require(config, "input_path", "estimate")
     r = _require(config, "r", "estimate")
     if r == "auto":
-        if config.get("r_max", 1) < 1:
-            raise CliError("r_max must be >= 1")
+        _check_integer("r_max", config.get("r_max", 1), 1)
     else:
         _check_integer("r", r, 1)
         if "r_max" in config:

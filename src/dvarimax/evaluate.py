@@ -181,9 +181,10 @@ class ExperimentGrid:
         _check_integer("replications", self.replications, 1)
         _check_integer("master_seed", self.master_seed, 0, _MASK64)
         _check_bool("record_runtime", self.record_runtime)
-        # Seeds key on the value, so 1, 1.0 and np.int64(1) must be one value.
+        # Seeds key on the value, so 1, 1.0 and np.int64(1) must be one value,
+        # and so must -0.0 and 0.0 (adding 0 turns -0.0 into 0.0).
         object.__setattr__(self, "sweep_values",
-                           tuple(typed(value) for value in self.sweep_values))
+                           tuple(typed(value) + 0 for value in self.sweep_values))
         for variant in self.variants:
             _check_choice("variant", variant, VARIANTS)
         for scheme in self.init_schemes:

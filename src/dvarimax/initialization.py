@@ -57,7 +57,6 @@ from .rotation import FourthMoment, _check_prior, complement_basis
 __all__ = [
     "InitScheme",
     "SUBTRACTION_MODES",
-    "complement_projector",
     "multi_random_init",
     "slice_operator",
     "mom_init",
@@ -119,12 +118,6 @@ class InitScheme:
 
     def slices_for(self, r: int) -> int:
         return self.slices if self.slices is not None else max(16, 4 * r * r)
-
-
-def complement_projector(prior: np.ndarray) -> np.ndarray:
-    """I - sum_i q_i q_i^T over the prior columns (identity for none)."""
-    prior = _check_prior(prior)
-    return np.eye(prior.shape[0]) - prior @ prior.T
 
 
 def multi_random_init(stat: FourthMoment, prior: np.ndarray, draws: int,
@@ -207,8 +200,8 @@ def mom_init(operator: np.ndarray, prior: np.ndarray, n_slices: int, *,
     Draws ``n_slices`` standard-normal r x r matrices (one (n_slices, r, r)
     draw, the same stream as n_slices separate ones), reads each moment
     slice from the fit's :func:`slice_operator` ``operator``, multiplies it
-    on both sides by :func:`complement_projector` of the prior columns (a
-    projector only for orthonormal priors; see ROADMAP item 5a), and
+    on both sides by I - Q Q^T, Q the unit-norm prior columns (a projector
+    only when they are orthonormal; see ROADMAP item 5a), and
     returns the leading left singular vector of the slice with the largest
     top-two singular-value gap (ties to the earliest slice).  The returned vector's
     largest-magnitude entry is made positive.
@@ -231,9 +224,10 @@ def mom_init(operator: np.ndarray, prior: np.ndarray, n_slices: int, *,
     r = math.isqrt(operator.shape[0])
     if r < 1 or operator.shape != (r * r, r * r):
         raise ValueError(f"operator must be r^2 x r^2 for an r >= 1, got shape {operator.shape}")
-    proj = complement_projector(prior)
-    if proj.shape[0] != r:
-        raise ValueError(f"prior must have {r} rows, got {proj.shape[0]}")
+    prior = _check_prior(prior)
+    if prior.shape[0] != r:
+        raise ValueError(f"prior must have {r} rows, got {prior.shape[0]}")
+    proj = np.eye(r) - prior @ prior.T
     if r == 1:
         return np.ones(1)
 

@@ -48,11 +48,9 @@ class ObservationMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        data = _real_array("observation matrix", self.data, ndim=2)
+        data = _real_array("observation matrix", self.data, ndim=2, finite=True)
         if data.shape[0] < 1 or data.shape[1] < 2:
             raise ValueError("need p >= 1 features and n >= 2 samples")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("observation matrix contains NaN or Inf entries")
         object.__setattr__(self, "data", data)
 
     @property
@@ -152,11 +150,9 @@ def generate_loading(p: int, r: int, rng: np.random.Generator):
         The normalized p x r loading and the raw column scales.
     """
     _check_integer("p", p, 1)
-    _check_integer("r", r)
+    _check_integer("r", r, 1)
     if r > p:
         raise ValueError(f"r={r} exceeds p={p}")
-    if r < 1:
-        raise ValueError("r must be >= 1")
     raw = rng.standard_normal((p, r))
     d = rng.uniform(0.5, 1.5, size=r)
     scaled = raw * d

@@ -33,11 +33,15 @@ def _tag_to_int(tag) -> int:
     raise ValueError(f"unsupported stream tag type: {type(tag).__name__}")
 
 
+def _seed_sequence(seed: int, tags: tuple) -> np.random.SeedSequence:
+    """The ``SeedSequence`` keyed by ``(seed, *tags)``, after checking ``seed``."""
+    _check_integer("seed", seed, 0, _MASK64)
+    return np.random.SeedSequence([int(seed)] + [_tag_to_int(t) for t in tags])
+
+
 def substream(seed: int, *tags) -> np.random.Generator:
     """Return an independent generator keyed by ``(seed, *tags)``."""
-    _check_integer("seed", seed, 0, _MASK64)
-    entropy = [int(seed)] + [_tag_to_int(t) for t in tags]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, tags)))
 
 
 def derive_seed(seed: int, *tags) -> int:
@@ -46,7 +50,5 @@ def derive_seed(seed: int, *tags) -> int:
     Used to stamp derived seeds into output records so that any single
     unit of work can be re-run standalone.
     """
-    _check_integer("seed", seed, 0, _MASK64)
-    entropy = [int(seed)] + [_tag_to_int(t) for t in tags]
-    state = np.random.SeedSequence(entropy).generate_state(2, np.uint32)
+    state = _seed_sequence(seed, tags).generate_state(2, np.uint32)
     return int(state[0]) | (int(state[1]) << 32)

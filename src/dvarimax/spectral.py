@@ -462,12 +462,10 @@ def select_rank(eigvals: np.ndarray, r_max: int) -> int:
     RankDeficiencyError if its top value is at or below zero (numerical
     rank 0, which :func:`eigendecompose` reports for the same data).
     """
-    eigvals = _real_array("eigvals", eigvals, ndim=1)
+    eigvals = _real_array("eigvals", eigvals, ndim=1, finite=True)
     _check_integer("r_max", r_max, 1)
     if eigvals.size == 0:
         raise ValueError("eigvals must be nonempty")
-    if not np.all(np.isfinite(eigvals)):
-        raise ValueError("eigvals must be finite (no NaN or Inf)")
     if eigvals[0] <= 0:
         raise RankDeficiencyError(
             f"the top eigenvalue is {eigvals[0]:.3e}, at or below zero; "

@@ -18,8 +18,7 @@ from itertools import permutations, product
 import numpy as np
 
 from dvarimax import (DegenerateSlicingError, DivergenceError, complement_basis,
-                      complement_projector, generate_factors, generate_loading,
-                      substream)
+                      generate_factors, generate_loading, substream)
 from dvarimax.initialization import SUBTRACTION_MODES
 from dvarimax.rotation import _MIN_ITERATE_NORM, _check_sigma_n, _check_unit
 
@@ -260,7 +259,7 @@ def batched_svd_mom_init(operator, prior, n_slices, *, rng):
     vector of the slice with the largest top-two gap, sign-fixed."""
     r = math.isqrt(operator.shape[0])
     g = rng.standard_normal((n_slices, r, r))
-    proj = complement_projector(prior)
+    proj = np.eye(r) - prior @ prior.T
     m = proj @ mom_slices(operator, g) @ proj
     left, singulars, _ = np.linalg.svd(m)
     gaps = singulars[:, 0] - singulars[:, 1]
@@ -277,7 +276,7 @@ def unpruned_mom_init(operator, prior, n_slices, *, rng):
     r = math.isqrt(operator.shape[0])
     if r == 1:
         return np.ones(1)
-    proj = complement_projector(prior)
+    proj = np.eye(r) - prior @ prior.T
     g = rng.standard_normal((n_slices, r, r))
     m = proj @ mom_slices(operator, g) @ proj
     singulars = np.sort(np.abs(np.linalg.eigvalsh(m)), axis=1)

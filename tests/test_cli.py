@@ -423,7 +423,7 @@ def test_estimate_auto_rank_rejects_r_max_below_one(tmp_path, simulated, capsys,
     config = _write_config(tmp_path, "rmax.cfg", input_path=simulated / "X.csv",
                            output_path=tmp_path / "x", r="auto", r_max=r_max, seed=1)
     assert _run("estimate", "--config", config) == 2
-    assert "r_max must be >= 1" in capsys.readouterr().err
+    assert f"error: r_max={r_max} must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("settings, message", [

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from dvarimax import (VARIANTS, CorrectionInfeasibleError, InitScheme,
                       LoadingEstimate, PcaDecomposition, RotationResult,
-                      RotationSolveConfig, SyntheticConfig, deflate, derive_seed,
-                      eigendecompose, estimate_loading, generate_dataset,
-                      generate_factors, loading_from_rotation, predict_factors,
+                      RotationSolveConfig, SyntheticConfig, corrected_decomposition,
+                      deflate, derive_seed, eigendecompose, estimate_loading,
+                      fourth_moment, generate_dataset, generate_factors,
+                      loading_from_rotation, make_init_provider, predict_factors,
                       signed_permutation_error, substream, symmetric_orthogonalize)
 
 FAST = RotationSolveConfig(step_size=1e-2, grad_tol=1e-6, max_iters=5000)
@@ -198,7 +199,6 @@ def test_infeasible_correction_falls_back():
     # subtracts everything.
     x = np.eye(4)
     decomp = eigendecompose(x, 2)
-    from dvarimax import corrected_decomposition
     with pytest.raises(CorrectionInfeasibleError):
         corrected_decomposition(decomp)
     est = estimate_loading(x, 2, "improved2", MOM, FAST, substream(7, "est"))
@@ -235,6 +235,34 @@ def test_diagnostics_is_deflates_own_result(monkeypatch):
     assert [spec.name for spec in fields(LoadingEstimate)] == [
         "lambda_hat", "decomposition", "diagnostics", "noise_var_hat",
         "effective_variant", "fallback", "runtime_ms"]
+
+
+def _staged_fit(x, r, variant, scheme, solve_config, rng):
+    """``estimate_loading`` composed from the public stages, in its order."""
+    fitted = eigendecompose(x, r)
+    if variant == "improved2":
+        try:
+            fitted = corrected_decomposition(fitted)
+        except CorrectionInfeasibleError:
+            pass
+    stat = fourth_moment(fitted.scores)
+    provider = make_init_provider(scheme, stat, rng)
+    if fitted.noise_var_hat is not None:
+        stat = stat.bias_corrected(fitted.sigma_n_hat)
+    rotation = deflate(stat, provider, solve_config)
+    return loading_from_rotation(fitted, rotation.q_check), rotation
+
+
+@pytest.mark.parametrize("variant, infeasible", [
+    ("base", False), ("improved2", False), ("improved2", True)])
+def test_estimate_loading_is_the_composition_of_its_stages(variant, infeasible):
+    x = _infeasible_input() if infeasible else _dataset(seed=13)[0].data
+    est = estimate_loading(x, 3, variant, MOM, FAST, substream(9, "est"))
+    assert est.fallback is infeasible
+    lambda_hat, rotation = _staged_fit(x, 3, variant, MOM, FAST, substream(9, "est"))
+    assert np.array_equal(est.lambda_hat, lambda_hat)
+    assert np.array_equal(est.diagnostics.q_hat, rotation.q_hat)
+    assert np.array_equal(est.diagnostics.iter_counts, rotation.iter_counts)
 
 
 # ---------------------------------------------------------------------------

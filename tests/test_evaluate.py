@@ -200,7 +200,7 @@ def test_record_iters_total_sums_the_fits_own_iterations():
     assert rec.iters_total == est.diagnostics.iter_counts.sum() > 0
 
 
-def test_experiment_deterministic_and_thread_invariant():
+def test_experiment_is_deterministic():
     grid = _small_grid(sweep_values=(80, 120), replications=3)
     a = run_experiment(grid)
     b = run_experiment(grid)
@@ -336,6 +336,16 @@ def test_float_sweep_value_keys_cells_by_its_number():
     records = [run_experiment(grid) for grid in grids]
     assert all(np.isfinite(rec.error) for rec in records[0])
     assert records[0] == records[1] == records[2]
+
+
+def test_signed_zero_sweep_value_keys_the_datasets_of_zero():
+    # -0.0 == 0.0, so both must fit the same datasets and print as 0.0
+    grids = [_small_grid(sweep_name="varepsilon2", sweep_values=(value,), replications=2)
+             for value in (0.0, -0.0, np.float32(-0.0))]
+    records = [run_experiment(grid) for grid in grids]
+    assert all(np.isfinite(rec.error) for rec in records[0])
+    assert records[0] == records[1] == records[2]
+    assert [str(rec.sweep_value) for rec in records[1]] == ["0.0", "0.0"]
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvarimax import (DegenerateSlicingError, DivergenceError, FourthMoment, InitScheme,
-                      RotationSolveConfig, SyntheticConfig, complement_basis,
-                      complement_projector, deflate, estimate_loading, fourth_moment,
-                      generate_dataset, generate_factors, initialization,
-                      make_init_provider, mom_init, multi_random_init, slice_operator,
-                      substream)
+                      RotationSolveConfig, SyntheticConfig, complement_basis, deflate,
+                      estimate_loading, fourth_moment, generate_dataset, generate_factors,
+                      initialization, make_init_provider, mom_init, multi_random_init,
+                      slice_operator, substream)
 from dvarimax.initialization import SUBTRACTION_MODES
 
 
@@ -97,26 +96,8 @@ def test_init_scheme_rejects_unknown_labels_and_a_positional_flag():
 
 
 # ---------------------------------------------------------------------------
-# complement projector / basis
+# complement basis
 # ---------------------------------------------------------------------------
-
-def test_complement_projector_cases():
-    assert np.array_equal(complement_projector(_empty_prior(3)), np.eye(3))
-    e1 = np.eye(3)[:, :1]
-    assert np.allclose(complement_projector(e1), np.diag([0.0, 1.0, 1.0]))
-
-
-def test_complement_projector_idempotent_for_orthonormal_priors():
-    rng = substream(0, "init")
-    basis = random_orthogonal(5, rng)[:, :3]
-    proj = complement_projector(basis)
-    assert np.linalg.norm(proj @ proj - proj) <= 1e-10
-
-
-def test_complement_projector_rejects_non_unit():
-    with pytest.raises(ValueError):
-        complement_projector(2.0 * np.eye(3)[:, :1])
-
 
 def test_complement_basis_spans_orthocomplement():
     rng = substream(1, "init")
@@ -136,8 +117,10 @@ def test_complement_basis_full_prior_raises():
     for bad in (np.nan, np.inf):
         prior = np.eye(3)[:, :2]
         prior[0, 1] = bad
-        for call in (complement_basis, complement_projector,
-                     lambda prior: _random_start(prior, substream(0, "init"))):
+        for call in (complement_basis,
+                     lambda prior: _random_start(prior, substream(0, "init")),
+                     lambda prior: mom_init(slice_operator(fourth_moment(np.eye(3))),
+                                            prior, 4, rng=substream(0, "init"))):
             with pytest.raises(ValueError, match="unit-norm"):
                 call(prior)
     # a draw of zeros has no direction to normalize
@@ -311,6 +294,7 @@ def test_mom_init_single_slice_is_leading_singular_vector():
     rng = substream(12, "init")
     u = rng.standard_normal((3, 60))
     operator = slice_operator(fourth_moment(u))
+    # with no prior columns the slice is multiplied by the identity only
     q0 = mom_init(operator, _empty_prior(3), 1, rng=substream(13, "init"))
     g = substream(13, "init").standard_normal((3, 3))
     m = mom_matrix(u, g)
@@ -379,6 +363,8 @@ def test_mom_init_checks_the_slice_operator_settings():
         mom_init(operator.ravel(), _empty_prior(3), 4, rng=substream(15, "init"))
     with pytest.raises(ValueError, match="prior must have 3 rows, got 2"):
         mom_init(operator, _empty_prior(2), 4, rng=substream(15, "init"))
+    with pytest.raises(ValueError, match="prior columns must be unit-norm"):
+        mom_init(operator, 2.0 * np.eye(3)[:, :1], 4, rng=substream(15, "init"))
 
 
 def test_mom_init_deterministic():
@@ -402,7 +388,7 @@ def test_mom_init_picks_the_slice_a_loop_over_mom_matrix_picks(r, k, slices, see
                    rng=substream(seed, "batched"))
     # the reference: one draw, one moment slice and one SVD per slice
     draws = substream(seed, "batched")
-    proj = complement_projector(prior)
+    proj = np.eye(r) - prior @ prior.T
     gaps, leading = [], []
     for _ in range(slices):
         m = proj @ mom_matrix(u, draws.standard_normal((r, r)), mode) @ proj

@@ -112,7 +112,7 @@ def test_loading_deterministic():
 def test_loading_rejects_r_above_p():
     with pytest.raises(ValueError):
         generate_loading(3, 4, substream(0, "loading"))
-    with pytest.raises(ValueError, match="r must be >= 1"):
+    with pytest.raises(ValueError, match="r=0 must be >= 1"):
         generate_loading(3, 0, substream(0, "loading"))
     with pytest.raises(ValueError, match="zero operator norm"):
         generate_loading(3, 2, ZeroDraws())

@@ -12,11 +12,11 @@ from dvarimax import (CorrectionInfeasibleError, DeflationVarimaxError,
                       DegenerateSlicingError, DegenerateSolutionsError, DivergenceError,
                       ExperimentGrid, FourthMoment, InitScheme, RankDeficiencyError,
                       RotationSolveConfig, SyntheticConfig, complement_basis,
-                      complement_projector, corrected_decomposition, deflate,
-                      eigendecompose, estimate_loading, fourth_moment,
-                      loading_from_rotation, make_init_provider, mom_init,
-                      multi_random_init, pgd_solve, predict_factors, select_rank,
-                      slice_operator, substream, symmetric_orthogonalize)
+                      corrected_decomposition, deflate, eigendecompose,
+                      estimate_loading, fourth_moment, loading_from_rotation,
+                      make_init_provider, mom_init, multi_random_init, pgd_solve,
+                      predict_factors, select_rank, slice_operator, substream,
+                      symmetric_orthogonalize)
 
 
 def test_every_listed_export_resolves():
@@ -58,7 +58,7 @@ def _complex_calls() -> dict:
         "bias_corrected": lambda: stat.bias_corrected(np.eye(3) + 0j),
         "restrict": lambda: stat.restrict(complement_basis(prior.real) + 0j),
         "complement_basis": lambda: complement_basis(prior),
-        "complement_projector": lambda: complement_projector(prior),
+        "mom_init prior": lambda: mom_init(slice_operator(stat), prior, 8, rng=rng),
         "symmetric_orthogonalize": lambda: symmetric_orthogonalize(np.eye(3) + 0j),
         "select_rank": lambda: select_rank(decomp.eigvals + 0j, 2),
         "mom_init": lambda: mom_init(slice_operator(stat) + 0j, prior.real, 8, rng=rng),
@@ -131,8 +131,10 @@ def _with(entry: float) -> np.ndarray:
 # Bad input raises ValueError, naming what is wrong with it.
 _BAD_INPUT_CALLS = {
     "select_rank empty": (lambda: select_rank(np.array([]), 1), "nonempty"),
-    "select_rank nan": (lambda: select_rank(np.array([np.nan, 1.0]), 1), "finite"),
-    "select_rank inf": (lambda: select_rank(np.array([np.inf, 1.0]), 1), "finite"),
+    "select_rank nan": (lambda: select_rank(np.array([np.nan, 1.0]), 1),
+                        "eigvals contains NaN or Inf entries"),
+    "select_rank inf": (lambda: select_rank(np.array([np.inf, 1.0]), 1),
+                        "eigvals contains NaN or Inf entries"),
     "complement_basis full prior": (lambda: complement_basis(np.eye(3)),
                                     "3 prior columns leave no complement in dimension 3"),
     "multi_random_init zero draw": (

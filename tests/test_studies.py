@@ -6,18 +6,46 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+STUDIES = sorted(path.stem for path in (ROOT / "studies").glob("*.py"))
 
 
-def test_variants_study_quick_mode(tmp_path):
-    out = tmp_path / "variants.json"
-    start = time.perf_counter()
-    run = subprocess.run(
-        [sys.executable, str(ROOT / "studies" / "variants.py"), "--quick", "--out", str(out)],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        capture_output=True, text=True, check=True)
-    assert time.perf_counter() - start < 5.0
-    lines = run.stdout.splitlines()
+@pytest.fixture(scope="module")
+def quick_run(tmp_path_factory):
+    """Run a study's --quick mode once per module; return its completed
+    process, wall time and JSON report path."""
+    runs = {}
+
+    def run(study):
+        if study not in runs:
+            out = tmp_path_factory.mktemp(study) / f"{study}.json"
+            start = time.perf_counter()
+            process = subprocess.run(
+                [sys.executable, str(ROOT / "studies" / f"{study}.py"), "--quick",
+                 "--out", str(out)],
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                capture_output=True, text=True)
+            runs[study] = process, time.perf_counter() - start, out
+        return runs[study]
+
+    return run
+
+
+@pytest.mark.parametrize("study", STUDIES)
+def test_every_study_runs_its_quick_mode(quick_run, study):
+    process, elapsed, out = quick_run(study)
+    assert process.returncode == 0, process.stderr
+    assert elapsed < 5.0
+    report = json.loads(out.read_text(encoding="utf8"))
+    assert {"seeds", "quick", "runtime_s"} <= set(report)
+    assert report["quick"] is True
+
+
+def test_variants_study_quick_mode(quick_run):
+    process, _, out = quick_run("variants")
+    lines = process.stdout.splitlines()
     assert lines[0].startswith("| cell (n, p, r, ε²) | base |")
     assert len([line for line in lines if line.startswith("| (")]) == 2
     assert "rule:" in lines[-1]
