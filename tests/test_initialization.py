@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from helpers import (ZeroDraws, batched_svd_mom_init, hand_instance, mom_matrix,
-                     objective, random_draw, random_orthogonal, unit_columns,
+                     mom_slices, objective, random_draw, random_orthogonal, unit_columns,
                      unpruned_mom_init)
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,8 +96,30 @@ def test_init_scheme_rejects_unknown_labels_and_a_positional_flag():
 
 
 # ---------------------------------------------------------------------------
-# complement basis
+# complement projector / basis
 # ---------------------------------------------------------------------------
+
+def test_complement_projector_cases():
+    # mom_init multiplies each slice on both sides by I - QQ^T: the identity
+    # for no prior columns, diag(0, 1, 1) for Q = e1
+    u = substream(12, "init").standard_normal((3, 60))
+    operator = slice_operator(fourth_moment(u))
+    e1 = np.eye(3)[:, :1]
+    for prior, proj in ((_empty_prior(3), np.eye(3)), (e1, np.diag([0.0, 1.0, 1.0]))):
+        q0 = mom_init(operator, prior, 1, rng=substream(13, "init"))
+        g = substream(13, "init").standard_normal((1, 3, 3))
+        left = np.linalg.svd(proj @ mom_slices(operator, g)[0] @ proj)[0][:, 0]
+        if left[np.argmax(np.abs(left))] < 0:
+            left = -left
+        assert np.allclose(q0, left, atol=1e-12)
+    assert abs(q0[0]) <= 1e-12
+
+
+def test_complement_projector_rejects_non_unit():
+    operator = slice_operator(fourth_moment(substream(14, "init").standard_normal((3, 60))))
+    with pytest.raises(ValueError, match="prior columns must be unit-norm"):
+        mom_init(operator, 2.0 * np.eye(3)[:, :1], 4, rng=substream(15, "init"))
+
 
 def test_complement_basis_spans_orthocomplement():
     rng = substream(1, "init")
@@ -363,8 +385,6 @@ def test_mom_init_checks_the_slice_operator_settings():
         mom_init(operator.ravel(), _empty_prior(3), 4, rng=substream(15, "init"))
     with pytest.raises(ValueError, match="prior must have 3 rows, got 2"):
         mom_init(operator, _empty_prior(2), 4, rng=substream(15, "init"))
-    with pytest.raises(ValueError, match="prior columns must be unit-norm"):
-        mom_init(operator, 2.0 * np.eye(3)[:, :1], 4, rng=substream(15, "init"))
 
 
 def test_mom_init_deterministic():
