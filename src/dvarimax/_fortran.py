@@ -1,6 +1,7 @@
-"""scipy's compiled BLAS, LAPACK and ARPACK extensions without the init of
-the packages that hold them (scipy.linalg's imports numpy.f2py, numpy.testing
-and unittest; scipy.sparse.linalg's imports scipy.sparse and scipy.linalg),
+"""scipy's compiled BLAS, LAPACK, ARPACK and linear assignment extensions
+without the init of the packages that hold them (scipy.linalg's imports
+numpy.f2py, numpy.testing and unittest; scipy.sparse.linalg's imports
+scipy.sparse and scipy.linalg; scipy.optimize's imports all of those),
 registered under their own dotted names, so a later import of the package
 reuses them, not a second copy."""
 import importlib

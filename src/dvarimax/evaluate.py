@@ -7,7 +7,9 @@ minimum is a linear assignment problem with cost
 
     c[j, k] = min(|est_k - true_j|^2, |est_k + true_j|^2),
 
-solved exactly by the Hungarian method in ``_assignment``.
+solved exactly by scipy's compiled ``linear_sum_assignment`` (a shortest
+augmenting path method; Crouse, IEEE TAES 2016), loaded by ``_fortran.load``
+without the init of the scipy.optimize package.
 
 The harness sweeps one parameter of a synthetic configuration over a grid
 of (variant x init scheme x replication) cells.  All variants and init
@@ -25,6 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._fortran import load
 from .estimator import VARIANTS, estimate_loading
 from .exceptions import (_check_bool, _check_choice, _check_integer, _check_real, _check_type,
                          _real_array)
@@ -47,6 +50,8 @@ __all__ = [
     "SUMMARY_HEADER",
 ]
 
+_linear_sum_assignment = load("scipy.optimize", "_lsap").linear_sum_assignment
+
 # Each sweepable parameter with the type of its values.
 SWEEPABLE_PARAMETERS = {"n": int, "p": int, "r": int, "varepsilon2": float, "theta": float}
 
@@ -54,43 +59,6 @@ SWEEPABLE_PARAMETERS = {"n": int, "p": int, "r": int, "varepsilon2": float, "the
 # ---------------------------------------------------------------------------
 # Error metric
 # ---------------------------------------------------------------------------
-
-def _assignment(cost: np.ndarray) -> list:
-    """The column of each row in a minimum-cost assignment of the square,
-    finite ``cost``: Kuhn's Hungarian method with row and column
-    potentials, which seats one row at a time along a shortest augmenting
-    path (the Jonker-Volgenant form), O(r^3).  Column r is the path's root."""
-    c = cost.tolist()
-    r = len(c)
-    u, v, owner = [0.0] * r, [0.0] * (r + 1), [-1] * (r + 1)
-    for i in range(r):
-        owner[r], j0 = i, r
-        dist, via, done = [math.inf] * r, [r] * r, [False] * r + [True]
-        while owner[j0] >= 0:
-            done[j0] = True
-            row, base = c[owner[j0]], u[owner[j0]]
-            delta, j1 = math.inf, -1
-            for j in range(r):
-                if not done[j]:
-                    d = row[j] - base - v[j]
-                    if d < dist[j]:
-                        dist[j], via[j] = d, j0
-                    if dist[j] < delta:
-                        delta, j1 = dist[j], j
-            for j in range(r + 1):
-                if done[j]:
-                    u[owner[j]] += delta
-                    v[j] -= delta
-                else:
-                    dist[j] -= delta
-            j0 = j1
-        while j0 != r:
-            owner[j0], j0 = owner[via[j0]], via[j0]
-    cols = [0] * r
-    for j in range(r):
-        cols[owner[j]] = j
-    return cols
-
 
 def signed_permutation_error(lambda_hat: np.ndarray, lambda_true: np.ndarray):
     """Exact min over signed permutations P of |lambda_hat - lambda_true @ P|_F.
@@ -123,9 +91,9 @@ def signed_permutation_error(lambda_hat: np.ndarray, lambda_true: np.ndarray):
         raise ValueError("the column costs overflow double precision; "
                          "rescale the loadings")
 
+    rows, cols = _linear_sum_assignment(cost)
     p_opt = np.zeros((r, r))
-    for j, k in enumerate(_assignment(cost)):
-        p_opt[j, k] = 1.0 if inner[j, k] >= 0 else -1.0
+    p_opt[rows, cols] = np.where(inner[rows, cols] >= 0, 1.0, -1.0)
     # evaluate the distance directly so a perfect match is exactly zero
     # (the expanded per-column costs above cancel only approximately)
     error = float(np.linalg.norm(est - true @ p_opt))

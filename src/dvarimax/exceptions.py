@@ -43,8 +43,8 @@ def _check_bool(name: str, value) -> None:
 
 
 def _check_choice(name: str, value, choices: tuple) -> None:
-    """Raise ValueError unless ``value`` is one of ``choices``."""
-    if value not in choices:
+    """Raise ValueError unless ``value`` is a str equal to one of ``choices``."""
+    if not isinstance(value, str) or value not in choices:
         raise ValueError(f"{name} must be one of {', '.join(choices)}, got {value!r}")
 
 

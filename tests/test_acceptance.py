@@ -15,10 +15,10 @@ from helpers import (brute_force_signed_permutation_error, corrected_gradient,
                      random_orthogonal, riemannian_gradient)
 
 from dvarimax import (VARIANTS, ExperimentGrid, InitScheme,
-                      RotationSolveConfig, SyntheticConfig, eigendecompose,
-                      estimate_loading, fourth_moment, generate_dataset,
-                      generate_factors, pgd_solve, run_experiment,
-                      signed_permutation_error, substream)
+                      RotationSolveConfig, SyntheticConfig, derive_seed,
+                      eigendecompose, estimate_loading, fourth_moment,
+                      generate_dataset, generate_factors, pgd_solve,
+                      run_experiment, signed_permutation_error, substream)
 from dvarimax.cli import main as cli_main
 
 # Step size used where a criterion needs converged solves at desk scale.
@@ -385,3 +385,32 @@ def test_criterion_11_determinism(tmp_path):
           and bench_bytes[0] == bench_bytes[1])
     _report("criterion 11 (determinism)", ok,
             "simulate/estimate/benchmark outputs byte-identical across reruns")
+
+
+# ---------------------------------------------------------------------------
+# 13. the error stays flat as p grows past n
+# ---------------------------------------------------------------------------
+
+def test_criterion_13_error_flat_in_p():
+    start = time.perf_counter()
+    medians, unconverged = [], 0
+    for p in (200, 1000, 4000):
+        errors = []
+        for rep in range(10):
+            config = SyntheticConfig(n=1000, p=p, r=5, theta=0.1, varepsilon2=0.1,
+                                     seed=derive_seed(2024, "criterion13", p, rep))
+            observed, truth = generate_dataset(config)
+            estimate = estimate_loading(observed.data, 5, "base",
+                                        InitScheme.method_of_moments(),
+                                        RotationSolveConfig(step_size=1e-2),
+                                        substream(2024, "criterion13", p, rep))
+            unconverged += int(np.sum(~estimate.diagnostics.converged_flags))
+            errors.append(signed_permutation_error(estimate.lambda_hat,
+                                                   truth.loading)[0])
+        medians.append(float(np.median(errors)))
+    elapsed = time.perf_counter() - start
+    ok = unconverged == 0 and max(medians) <= 1.5 * min(medians)
+    _report("criterion 13 (error flat in p)", ok,
+            f"medians over p=(200,1000,4000) at n=1000: "
+            f"({medians[0]:.3f}, {medians[1]:.3f}, {medians[2]:.3f}), "
+            f"{unconverged} unconverged columns, runtime {elapsed:.1f}s")

@@ -150,6 +150,10 @@ _BAD_INPUT_CALLS = {
     "grid scalar sweep_values": (lambda: _grid(sweep_values=100),
                                  "sweep_values must be a list of entries"),
     "grid str variants": (lambda: _grid(variants="base"), "variants must be a list of entries"),
+    "grid list sweep_name": (lambda: _grid(sweep_name=["n"]),
+                             "sweep_name must be one of n, p, r, varepsilon2, theta"),
+    "grid array sweep_name": (lambda: _grid(sweep_name=np.array("n")),
+                              "sweep_name must be one of n, p, r, varepsilon2, theta"),
     "grid empty array sweep_values": (lambda: _grid(sweep_values=np.array([], dtype=int)),
                                       "sweep_values must be nonempty"),
     # a non-finite rotation is named before any SVD, never read as a loading

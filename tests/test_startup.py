@@ -27,12 +27,14 @@ def loaded():
 report = {"import": loaded()}
 rng = np.random.default_rng(0)
 for label, (p, n) in (("dense", (20, 500)), ("gram_free", (800, 800))):
-    x = rng.standard_normal((p, 5)) @ rng.standard_normal((5, n)) * 3.0
+    loading = rng.standard_normal((p, 5))
+    x = loading @ rng.standard_normal((5, n)) * 3.0
     x += rng.standard_normal((p, n))
-    dvarimax.estimate_loading(x, 5, "base", dvarimax.InitScheme.random(),
-                              dvarimax.RotationSolveConfig(step_size=1e-2,
-                                                           max_iters=50),
-                              np.random.default_rng(1))
+    fit = dvarimax.estimate_loading(x, 5, "base", dvarimax.InitScheme.random(),
+                                    dvarimax.RotationSolveConfig(step_size=1e-2,
+                                                                 max_iters=50),
+                                    np.random.default_rng(1))
+    dvarimax.signed_permutation_error(fit.lambda_hat, loading)
     report[label] = loaded()
 print(json.dumps(report))
 """
@@ -53,14 +55,16 @@ def test_import_and_dense_fits_leave_optimize_and_sparse_linalg_unloaded():
     # 20 x 500 takes the dense subset solve
     assert report["dense"] == unloaded
     # 800 x 800 with r = 5 takes the Gram-free Lanczos route, which drives
-    # ARPACK's extension without the scipy.sparse.linalg package
+    # ARPACK's extension without the scipy.sparse.linalg package; after each
+    # fit the metric runs scipy's assignment without scipy.optimize
     assert report["gram_free"] == unloaded
 
 
 # The same fits, watching scipy.linalg and what its package init imports;
-# it also records whether the three extensions are registered under their
-# dotted names at import, and whether scipy.linalg and scipy.sparse.linalg,
-# once imported after the fits, hold the very objects the package loaded.
+# it also records whether the four extensions are registered under their
+# dotted names at import, and whether scipy.linalg, scipy.sparse.linalg and
+# scipy.optimize, once imported after the fits, hold the very objects the
+# package loaded.
 _LINALG_PROBE = _PROBE.replace(
     '("scipy.optimize", "scipy.sparse", "scipy.sparse.linalg")',
     '("scipy.linalg", "numpy.f2py", "numpy.testing")'
@@ -70,15 +74,19 @@ _LINALG_PROBE = _PROBE.replace(
     '    sys.modules.get("scipy.linalg._fblas") is dvarimax.rotation._fblas,\n'
     '    sys.modules.get("scipy.linalg._flapack") is dvarimax.spectral._flapack,\n'
     '    sys.modules.get("scipy.sparse.linalg._eigen.arpack._arpacklib")\n'
-    '    is dvarimax.spectral._arpacklib]}'
+    '    is dvarimax.spectral._arpacklib,\n'
+    '    getattr(sys.modules.get("scipy.optimize._lsap"), "linear_sum_assignment", None)\n'
+    '    is dvarimax.evaluate._linear_sum_assignment]}'
 ).replace(
     "print(json.dumps(report))",
-    "import scipy.linalg.blas, scipy.linalg.lapack, scipy.sparse.linalg\n"
+    "import scipy.linalg.blas, scipy.linalg.lapack, scipy.optimize, scipy.sparse.linalg\n"
     "from scipy.sparse.linalg._eigen.arpack import arpack\n"
     "report['one_copy'] = [scipy.linalg.blas.dgemv is dvarimax.rotation.dgemv,\n"
     "                      scipy.linalg.blas._fblas is dvarimax.rotation._fblas,\n"
     "                      scipy.linalg.lapack._flapack is dvarimax.spectral._flapack,\n"
-    "                      arpack._arpacklib is dvarimax.spectral._arpacklib]\n"
+    "                      arpack._arpacklib is dvarimax.spectral._arpacklib,\n"
+    "                      scipy.optimize.linear_sum_assignment\n"
+    "                      is dvarimax.evaluate._linear_sum_assignment]\n"
     "print(json.dumps(report))")
 
 
@@ -86,16 +94,16 @@ def test_import_and_dense_fits_leave_scipy_linalg_unloaded():
     report = _fresh_report(_LINALG_PROBE)
     unloaded = {"scipy.linalg": False, "numpy.f2py": False, "numpy.testing": False}
     assert report["import"] == unloaded
-    assert report["registered"] == [True, True, True]
+    assert report["registered"] == [True, True, True, True]
     # 20 x 500 takes the dense subset solve, dsyevr included
     assert report["dense"] == unloaded
     # 800 x 800 with r = 5 takes the Gram-free Lanczos route
     assert report["gram_free"] == unloaded
-    assert report["one_copy"] == [True, True, True, True]
+    assert report["one_copy"] == [True, True, True, True, True]
 
 
 def test_loader_falls_back_to_a_plain_import(monkeypatch):
-    from dvarimax import _fortran, rotation, spectral
+    from dvarimax import _fortran, evaluate, rotation, spectral
     lookups = []
 
     class NoFile(importlib.machinery.FileFinder):
@@ -105,11 +113,13 @@ def test_loader_falls_back_to_a_plain_import(monkeypatch):
     # The plain import also binds the new module as an attribute of its
     # package; the module and attribute entries are restored afterwards.
     import scipy.linalg
+    import scipy.optimize
     import scipy.sparse.linalg  # noqa: F401 (imports the ARPACK package)
     monkeypatch.setattr(_fortran, "FileFinder", NoFile)
     loaded = {}
     for package, name in (("scipy.linalg", "_fblas"),
-                          ("scipy.sparse.linalg._eigen.arpack", "_arpacklib")):
+                          ("scipy.sparse.linalg._eigen.arpack", "_arpacklib"),
+                          ("scipy.optimize", "_lsap")):
         fullname = f"{package}.{name}"
         monkeypatch.delitem(sys.modules, fullname)
         monkeypatch.setattr(sys.modules[package], name, None, raising=False)
@@ -117,11 +127,16 @@ def test_loader_falls_back_to_a_plain_import(monkeypatch):
         assert loaded[name].__name__ == fullname
         assert sys.modules[fullname] is loaded[name]
     assert lookups == ["scipy.linalg._fblas",
-                       "scipy.sparse.linalg._eigen.arpack._arpacklib"]
+                       "scipy.sparse.linalg._eigen.arpack._arpacklib",
+                       "scipy.optimize._lsap"]
     rng = np.random.default_rng(3)
     a, v = rng.standard_normal((7, 4)), rng.standard_normal(4)
     fblas = loaded["_fblas"]
     assert fblas.dgemv(1.0, a, v).tobytes() == rotation.dgemv(1.0, a, v).tobytes()
+    cost = rng.standard_normal((6, 6))
+    for got, want in zip(loaded["_lsap"].linear_sum_assignment(cost),
+                         evaluate._linear_sum_assignment(cost)):
+        assert got.tolist() == want.tolist()
     gram = rng.standard_normal((60, 120))
     gram = gram @ gram.T
     want = spectral._lanczos(gram.dot, 60, 3)
