@@ -181,8 +181,9 @@ def fourth_moment(u: np.ndarray) -> FourthMoment:
     and r^2 n memory.  A complex ``u`` raises ValueError.
     """
     u = _real_array("score matrix", u)
-    if u.ndim != 2 or u.shape[1] < 1:
-        raise ValueError(f"score matrix must be 2-D (r x n) with n >= 1, got shape {u.shape}")
+    if u.ndim != 2 or min(u.shape) < 1:
+        raise ValueError("score matrix must be 2-D (r x n) with n >= 1 and r >= 1, "
+                         f"got shape {u.shape}")
     r, n = u.shape
     w = (u[:, None, :] * u[None, :, :]).reshape(r * r, n)
     return FourthMoment((w @ w.T) / n)

@@ -1,6 +1,6 @@
 """Truncated PCA of the sample second-moment matrix, with noise corrections.
 
-The decomposition is of (1/n) X X^T and computes only what the estimator
+The decomposition is of (1/n) X X^T and keeps only what the estimator
 reads: the leading r eigenpairs and the sum of the trailing eigenvalues.
 ``_leading_spectrum`` takes the pairs from the first of three solvers
 that returns them:
@@ -12,20 +12,17 @@ that returns them:
    bounded so a slow convergence costs about one Gram formation;
 2. if ``_lanczos_pays`` (20 r <= min(p, n)), Lanczos on the shorter
    side's Gram matrix, (1/n) X X^T for p <= n and (1/n) X^T X for p > n;
-3. LAPACK's subset solve of that Gram matrix: ``dsyevr`` with the
-   arguments and workspace sizes that ``scipy.linalg.eigh(subset_by_index=
-   ..., overwrite_a=True, check_finite=False)`` passes it, so the pairs
-   are eigh's bit for bit.
+3. numpy's ``eigh`` of that Gram matrix, of which the top k pairs are
+   kept.
 
 A Lanczos solve that does not converge returns nothing and the next
 solver runs.  For p > n the Gram vectors W map to the p side as
 X W / sqrt(n lambda).  The tail sum is the trace minus the leading sum,
 and the trace doubles as the check that X is finite.
 The Lanczos routes drive scipy's ARPACK extension
-``scipy.sparse.linalg._eigen.arpack._arpacklib`` and the dense solve takes
-``dsyevr`` from scipy's f2py extension ``scipy.linalg._flapack``; both are
-loaded from their files (see ``_fortran``), so no route runs the package
-init of scipy.sparse.linalg or scipy.linalg.
+``scipy.sparse.linalg._eigen.arpack._arpacklib``, loaded from its file (see
+``_fortran``), so no route runs the package init of scipy.sparse.linalg or
+scipy.linalg; the dense solve needs only the LAPACK that numpy loads.
 Whitened scores satisfy U_r @ U_r.T = n * I to the accuracy of the solve,
 which degrades like eps * lambda_1 / lambda_r near rank deficiency.  When
 the noise is close to isotropic, the mean trailing eigenvalue estimates
@@ -67,7 +64,6 @@ EIGENVALUE_FLOOR = 1e-12
 # rounding error would bring that eigenvector into the Krylov space.
 _LANCZOS_START_SEED = 20231016
 
-_flapack = load("scipy.linalg", "_flapack")
 _arpacklib = load("scipy.sparse.linalg._eigen.arpack", "_arpacklib")
 
 # The solver state that scipy's ``_SymmetricArpackParams`` passes to
@@ -91,28 +87,28 @@ _ARPACK_STATE = {
 
 
 def _lanczos_pays(size: int, k: int) -> bool:
-    """Whether Lanczos beats the dense subset solve for the k leading
-    pairs of a size x size symmetric matrix.
+    """Whether Lanczos beats the dense solve for the k leading pairs of a
+    size x size symmetric matrix.
 
     The dense solve reduces the whole matrix to tridiagonal form, O(N^3);
     Lanczos costs some matrix-vector products per wanted pair, how many
-    depends on the gap after the k-th eigenvalue.  Median ms, dense dsyevr
-    subset vs. ``eigsh``, on one BLAS thread of a 2-vCPU VM, for the Gram
-    of factor-model data (varepsilon2 = 0.1, r = k) / of pure noise:
+    depends on the gap after the k-th eigenvalue.  Median ms, numpy's
+    ``eigh`` vs. ``_lanczos``, one BLAS thread of a 2-vCPU VM, on the Gram
+    of factor-model data (p = N, n = 3N, varepsilon2 = 0.1, r = k) / noise:
 
-        N=20,   k=5:    0.09 vs 0.66 /  0.06 vs 0.43
-        N=100,  k=3:    0.55 vs 0.66 /  0.46 vs 2.0
-        N=150,  k=3:    1.2  vs 0.62 /  0.83 vs 2.1
-        N=300,  k=5:    3.4  vs 1.0  /  3.3  vs 5.3
-        N=1000, k=10:   97   vs 9.6  /  93   vs 114
-        N=120,  k=12:   1.3  vs 1.1  /  1.3  vs 3.4
-        N=400,  k=40:   15   vs 5.4  /  13   vs 26
-        N=1000, k=100:  141  vs 106  /  156  vs 333
+        N=20,   k=5:    0.045 vs 0.29  /  0.050 vs 0.29
+        N=100,  k=3:    0.93  vs 0.32  /  0.92  vs 1.6
+        N=150,  k=3:    2.0   vs 0.42  /  2.1   vs 1.9
+        N=300,  k=5:    9.8   vs 0.61  /  9.6   vs 4.0
+        N=1000, k=10:   212   vs 8.0   /  205   vs 93
+        N=120,  k=12:   1.2   vs 0.59  /  1.3   vs 2.2
+        N=400,  k=40:   17    vs 4.6   /  18    vs 17
+        N=1000, k=100:  197   vs 93    /  200   vs 272
 
-    With a gap, Lanczos wins from N of about 150; without one it loses at
-    every size, by 2-2.6x at k = N/10 and by 1.2x at N=1000, k=10.  So
-    the k = N/10 rows stay on the dense solve, and Lanczos runs where a
-    gap, which the factor model assumes, makes it several times faster.
+    With a gap, Lanczos wins from N of about 100, by 2-4x at k = N/10;
+    without one it loses there by up to 1.7x.  The rule, set when the
+    dense solve was LAPACK's subset solve (14 ms at N=400, k=40), keeps
+    the k = N/10 rows on the dense solve.
     """
     return 20 * k <= size
 
@@ -264,24 +260,11 @@ def _leading_spectrum(x: np.ndarray, k: int):
         if _lanczos_pays(size, k):
             pairs = _lanczos(gram.dot, size, k)
     if pairs is None:
-        pairs = _dense_subset(gram, k)
+        vals, vecs = np.linalg.eigh(gram)
+        pairs = vals[-k:], vecs[:, -k:]
     vals, vecs = pairs
     eigvals = np.maximum(vals[::-1], 0.0)
     return eigvals, vecs[:, ::-1], max(trace - float(eigvals.sum()), 0.0)
-
-
-def _dense_subset(gram: np.ndarray, k: int):
-    """The k largest eigenpairs of the symmetric ``gram`` (its lower
-    triangle is read and overwritten), values nondecreasing, by solver 3
-    of the module docstring."""
-    size = gram.shape[0]
-    lwork, liwork, _ = _flapack.dsyevr_lwork(size, lower=1)
-    w, v, m, _, info = _flapack.dsyevr(gram, compute_v=1, lower=1, range="I",
-                                       il=size - k + 1, iu=size, overwrite_a=1,
-                                       lwork=int(lwork), liwork=int(liwork))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dsyevr failed with info={info}")
-    return w[:m], v[:, :m]
 
 
 def _lanczos(matvec, size: int, k: int, maxiter: Optional[int] = None):
@@ -338,8 +321,7 @@ def _lanczos(matvec, size: int, k: int, maxiter: Optional[int] = None):
 def eigendecompose(x: np.ndarray, r: int) -> PcaDecomposition:
     """Eigendecompose (1/n) X X^T and whiten the leading r components.
 
-    Only the top r pairs are solved for, by the solver chain of the module
-    docstring.  Signs are fixed so the largest-magnitude entry of each
+    The top r pairs come from the solver chain of the module docstring.  Signs are fixed so the largest-magnitude entry of each
     column is positive.  Near rank deficiency the vectors mapped from the
     p > n Gram matrix lose orthonormality like eps * lambda_1 / lambda_r,
     as the p <= n whitening does: at lambda_r / lambda_1 = 1e-8 and p=400,

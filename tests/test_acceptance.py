@@ -387,6 +387,44 @@ def test_criterion_11_determinism(tmp_path):
             "simulate/estimate/benchmark outputs byte-identical across reruns")
 
 
+def _fit_error(config, variant, rng):
+    """The error of one method-of-moments fit at step size 1e-2 to data
+    drawn from ``config``, and how many of its columns did not converge."""
+    observed, truth = generate_dataset(config)
+    estimate = estimate_loading(observed.data, config.r, variant,
+                                InitScheme.method_of_moments(),
+                                RotationSolveConfig(step_size=1e-2), rng)
+    return (signed_permutation_error(estimate.lambda_hat, truth.loading)[0],
+            int(np.sum(~estimate.diagnostics.converged_flags)))
+
+
+# ---------------------------------------------------------------------------
+# 12. the error falls like n^{-1/2}
+# ---------------------------------------------------------------------------
+
+def test_criterion_12_rate_slope_in_n():
+    start = time.perf_counter()
+    ns = (500, 1000, 2000, 4000, 8000)
+    medians, unconverged = [], 0
+    for n in ns:
+        errors = []
+        for rep in range(10):
+            config = SyntheticConfig(n=n, p=100, r=5, theta=0.1, varepsilon2=0.1,
+                                     seed=derive_seed(2024, "criterion12", n, rep))
+            error, missed = _fit_error(config, "base",
+                                       substream(2024, "criterion12", "base", n, rep))
+            errors.append(error)
+            unconverged += missed
+        medians.append(float(np.median(errors)))
+    slope = float(np.polyfit(np.log(ns), np.log(medians), 1)[0])
+    elapsed = time.perf_counter() - start
+    ok = unconverged == 0 and -0.7 <= slope <= -0.3
+    _report("criterion 12 (rate slope in n)", ok,
+            f"medians over n={ns} at p=100: "
+            f"({', '.join(f'{m:.3f}' for m in medians)}), slope {slope:.3f}, "
+            f"{unconverged} unconverged columns, runtime {elapsed:.1f}s")
+
+
 # ---------------------------------------------------------------------------
 # 13. the error stays flat as p grows past n
 # ---------------------------------------------------------------------------
@@ -399,14 +437,9 @@ def test_criterion_13_error_flat_in_p():
         for rep in range(10):
             config = SyntheticConfig(n=1000, p=p, r=5, theta=0.1, varepsilon2=0.1,
                                      seed=derive_seed(2024, "criterion13", p, rep))
-            observed, truth = generate_dataset(config)
-            estimate = estimate_loading(observed.data, 5, "base",
-                                        InitScheme.method_of_moments(),
-                                        RotationSolveConfig(step_size=1e-2),
-                                        substream(2024, "criterion13", p, rep))
-            unconverged += int(np.sum(~estimate.diagnostics.converged_flags))
-            errors.append(signed_permutation_error(estimate.lambda_hat,
-                                                   truth.loading)[0])
+            error, missed = _fit_error(config, "base", substream(2024, "criterion13", p, rep))
+            errors.append(error)
+            unconverged += missed
         medians.append(float(np.median(errors)))
     elapsed = time.perf_counter() - start
     ok = unconverged == 0 and max(medians) <= 1.5 * min(medians)
@@ -414,3 +447,36 @@ def test_criterion_13_error_flat_in_p():
             f"medians over p=(200,1000,4000) at n=1000: "
             f"({medians[0]:.3f}, {medians[1]:.3f}, {medians[2]:.3f}), "
             f"{unconverged} unconverged columns, runtime {elapsed:.1f}s")
+
+
+# ---------------------------------------------------------------------------
+# 14. at low SNR only the modified procedure keeps the n^{-1/2} rate
+# ---------------------------------------------------------------------------
+
+def test_criterion_14_low_snr_rate():
+    start = time.perf_counter()
+    medians, unconverged = {}, {}
+    for variant in ("base", "improved2"):
+        unconverged[variant] = 0
+        for n in (500, 2000):
+            errors = []
+            for rep in range(20):
+                config = SyntheticConfig(n=n, p=20, r=5, theta=0.1, varepsilon2=0.8,
+                                         seed=derive_seed(2024, "criterion14", n, rep))
+                error, missed = _fit_error(config, variant,
+                                           substream(2024, "criterion14", variant, n, rep))
+                errors.append(error)
+                unconverged[variant] += missed
+            medians[variant, n] = float(np.median(errors))
+    ratio = {variant: medians[variant, 2000] / medians[variant, 500]
+             for variant in ("base", "improved2")}
+    elapsed = time.perf_counter() - start
+    # theory gives a ratio of (500 / 2000)^{1/2} = 1/2
+    ok = (unconverged["improved2"] == 0 and 0.35 <= ratio["improved2"] <= 0.65
+          and ratio["base"] > ratio["improved2"])
+    _report("criterion 14 (low-SNR rate)", ok,
+            "median errors n=500 -> 2000 at p=20, varepsilon2=0.8: "
+            + ", ".join(f"{v} {medians[v, 500]:.3f} -> {medians[v, 2000]:.3f} "
+                        f"(ratio {ratio[v]:.3f}, {unconverged[v]} unconverged columns)"
+                        for v in ("base", "improved2"))
+            + f", runtime {elapsed:.1f}s")

@@ -228,8 +228,9 @@ def test_fourth_moment_validates_when_built():
             FourthMoment(matrix)
     with pytest.raises(ValueError, match="shape \\(3, 3\\)"):
         FourthMoment(np.eye(3))
-    # a 1-D score vector, and a score matrix with no samples to average over
-    for scores in (np.ones(3), np.ones((3, 0))):
+    # a 1-D score vector, a score matrix with no samples to average over,
+    # and one with no rows
+    for scores in (np.ones(3), np.ones((3, 0)), np.ones((0, 5))):
         with pytest.raises(ValueError, match="score matrix must be 2-D \\(r x n\\) with n >= 1"):
             fourth_moment(scores)
     with pytest.raises(ValueError, match="score matrix must be real, got dtype complex128"):

@@ -5,7 +5,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse.linalg
 from helpers import full_eigh_decomposition
 
@@ -137,7 +136,7 @@ def test_partial_solve_near_tied_eigenvalues():
     # Eigenvalues r and r + 1 differ by 1e-6 relative: the values still
     # agree to rounding, and the top-r spans within the Davis-Kahan bound
     # for a backward error of a few ulps of the largest eigenvalue.  The
-    # first shape takes the dense subset solve, the second Lanczos.
+    # first shape takes the dense eigh, the second Lanczos.
     r = 4
     for p, n in ((60, 200), (300, 900)):
         rng = substream(21, "oracle")
@@ -290,51 +289,44 @@ def test_gapless_input_falls_back_to_the_gram_route_bitwise(monkeypatch):
     assert got.tail_sum == want.tail_sum
 
 
-def _symmetric_test_matrix(kind, size):
+def _test_observations(kind, size):
+    """A size-row observation matrix whose Gram matrix (1/n) X X^T is
+    random, has two tied eigenvalues, is zero or has rank 2."""
     rng = substream(size, "dense", kind)
     if kind == "random":
-        x = rng.standard_normal((size, 2 * size))
-        return x @ x.T / (2 * size)
+        return rng.standard_normal((size, 2 * size))
     if kind == "tied":
         basis = np.linalg.qr(rng.standard_normal((size, size)))[0]
         values = np.repeat([3.0, 1.0], [size - size // 2, size // 2])
-        return (basis * values) @ basis.T
+        return basis * np.sqrt(size * values)
     if kind == "zero":
         return np.zeros((size, size))
-    x = rng.standard_normal((size, 2)) @ rng.standard_normal((2, 3 * size))  # rank 2
-    return x @ x.T / (3 * size)
+    return rng.standard_normal((size, 2)) @ rng.standard_normal((2, 3 * size))  # rank 2
+
+
+def _symmetric_test_matrix(kind, size):
+    x = _test_observations(kind, size)
+    return x @ x.T / x.shape[1]
 
 
 @pytest.mark.parametrize("kind", ["random", "tied", "zero", "low_rank"])
-def test_dense_subset_matches_eigh_bitwise(kind):
-    # The dense step calls dsyevr as eigh(subset_by_index=...) does, so its
-    # pairs are eigh's to the bit, k = size included.
+def test_dense_subset_matches_eigh_bitwise(monkeypatch, kind):
+    # With both Lanczos predicates false, the pairs are the top k of
+    # numpy's eigh of the Gram matrix the route forms, (1/n) X^T X for
+    # p > n, to the bit, k = size included.
+    monkeypatch.setattr(spectral, "_gram_free_pays", lambda p, n, k: False)
+    monkeypatch.setattr(spectral, "_lanczos_pays", lambda size, k: False)
     for size in (1, 2, 3, 5, 20, 60, 150):
-        gram = _symmetric_test_matrix(kind, size)
-        for k in sorted({1, min(2, size), (size + 1) // 2, size}):
-            want_vals, want_vecs = scipy.linalg.eigh(
-                gram.copy(), subset_by_index=[size - k, size - 1],
-                overwrite_a=True, check_finite=False)
-            got_vals, got_vecs = spectral._dense_subset(gram.copy(), k)
-            assert got_vals.shape == (k,) and got_vecs.shape == (size, k)
-            assert got_vals.tobytes() == want_vals.tobytes(), (size, k)
-            assert got_vecs.tobytes() == want_vecs.tobytes(), (size, k)
-
-
-def test_dense_subset_failure_raises_linalg_error(monkeypatch):
-    real = spectral._flapack
-
-    class Failing:
-        dsyevr_lwork = real.dsyevr_lwork
-
-        @staticmethod
-        def dsyevr(a, **kwargs):
-            *out, _ = real.dsyevr(a, **kwargs)
-            return (*out, 3)
-
-    monkeypatch.setattr(spectral, "_flapack", Failing)
-    with pytest.raises(np.linalg.LinAlgError, match="info=3"):
-        eigendecompose(substream(5, "rule").standard_normal((30, 100)), 3)
+        x = _test_observations(kind, size)
+        for obs in (x, x.T):
+            p, n = obs.shape
+            want_vals, want_vecs = np.linalg.eigh((obs @ obs.T if p <= n else obs.T @ obs) / n)
+            for k in sorted({1, min(2, size), (size + 1) // 2, size}):
+                got_vals, got_vecs, _ = spectral._leading_spectrum(obs, k)
+                assert got_vals.shape == (k,) and got_vecs.shape == (size, k)
+                assert got_vals.tobytes() == np.maximum(want_vals[::-1][:k], 0.0).tobytes(), \
+                    (p, n, k)
+                assert got_vecs.tobytes() == want_vecs[:, ::-1][:, :k].tobytes(), (p, n, k)
 
 
 @pytest.mark.parametrize("solve", [eigendecompose, leading_eigenvalues])
@@ -350,7 +342,7 @@ def test_complex_input_is_rejected_by_dtype(monkeypatch, solve):
 
 
 # One shape per route: Lanczos on the operator, Lanczos on the Gram, the
-# dense subset solve.
+# dense eigh.
 ROUTE_SHAPES = [(1000, 2000, 10), (300, 900, 5), (30, 100, 3)]
 
 

@@ -52,7 +52,7 @@ def test_import_and_dense_fits_leave_optimize_and_sparse_linalg_unloaded():
     unloaded = {"scipy.optimize": False, "scipy.sparse": False,
                 "scipy.sparse.linalg": False}
     assert report["import"] == unloaded
-    # 20 x 500 takes the dense subset solve
+    # 20 x 500 takes the dense eigh
     assert report["dense"] == unloaded
     # 800 x 800 with r = 5 takes the Gram-free Lanczos route, which drives
     # ARPACK's extension without the scipy.sparse.linalg package; after each
@@ -60,30 +60,28 @@ def test_import_and_dense_fits_leave_optimize_and_sparse_linalg_unloaded():
     assert report["gram_free"] == unloaded
 
 
-# The same fits, watching scipy.linalg and what its package init imports;
-# it also records whether the four extensions are registered under their
-# dotted names at import, and whether scipy.linalg, scipy.sparse.linalg and
-# scipy.optimize, once imported after the fits, hold the very objects the
-# package loaded.
+# The same fits, watching scipy.linalg, its LAPACK extension (the dense
+# eigh runs on numpy's) and what its package init imports; it also records
+# whether the three extensions are registered under their dotted names at
+# import, and whether scipy.linalg, scipy.sparse.linalg and scipy.optimize,
+# once imported after the fits, hold the very objects the package loaded.
 _LINALG_PROBE = _PROBE.replace(
     '("scipy.optimize", "scipy.sparse", "scipy.sparse.linalg")',
-    '("scipy.linalg", "numpy.f2py", "numpy.testing")'
+    '("scipy.linalg", "scipy.linalg._flapack", "numpy.f2py", "numpy.testing")'
 ).replace(
     'report = {"import": loaded()}',
     'report = {"import": loaded(), "registered": [\n'
     '    sys.modules.get("scipy.linalg._fblas") is dvarimax.rotation._fblas,\n'
-    '    sys.modules.get("scipy.linalg._flapack") is dvarimax.spectral._flapack,\n'
     '    sys.modules.get("scipy.sparse.linalg._eigen.arpack._arpacklib")\n'
     '    is dvarimax.spectral._arpacklib,\n'
     '    getattr(sys.modules.get("scipy.optimize._lsap"), "linear_sum_assignment", None)\n'
     '    is dvarimax.evaluate._linear_sum_assignment]}'
 ).replace(
     "print(json.dumps(report))",
-    "import scipy.linalg.blas, scipy.linalg.lapack, scipy.optimize, scipy.sparse.linalg\n"
+    "import scipy.linalg.blas, scipy.optimize, scipy.sparse.linalg\n"
     "from scipy.sparse.linalg._eigen.arpack import arpack\n"
     "report['one_copy'] = [scipy.linalg.blas.dgemv is dvarimax.rotation.dgemv,\n"
     "                      scipy.linalg.blas._fblas is dvarimax.rotation._fblas,\n"
-    "                      scipy.linalg.lapack._flapack is dvarimax.spectral._flapack,\n"
     "                      arpack._arpacklib is dvarimax.spectral._arpacklib,\n"
     "                      scipy.optimize.linear_sum_assignment\n"
     "                      is dvarimax.evaluate._linear_sum_assignment]\n"
@@ -92,14 +90,15 @@ _LINALG_PROBE = _PROBE.replace(
 
 def test_import_and_dense_fits_leave_scipy_linalg_unloaded():
     report = _fresh_report(_LINALG_PROBE)
-    unloaded = {"scipy.linalg": False, "numpy.f2py": False, "numpy.testing": False}
+    unloaded = {"scipy.linalg": False, "scipy.linalg._flapack": False,
+                "numpy.f2py": False, "numpy.testing": False}
     assert report["import"] == unloaded
-    assert report["registered"] == [True, True, True, True]
-    # 20 x 500 takes the dense subset solve, dsyevr included
+    assert report["registered"] == [True, True, True]
+    # 20 x 500 takes the dense eigh
     assert report["dense"] == unloaded
     # 800 x 800 with r = 5 takes the Gram-free Lanczos route
     assert report["gram_free"] == unloaded
-    assert report["one_copy"] == [True, True, True, True, True]
+    assert report["one_copy"] == [True, True, True, True]
 
 
 def test_loader_falls_back_to_a_plain_import(monkeypatch):
