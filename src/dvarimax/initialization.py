@@ -51,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import (DegenerateSlicingError, DivergenceError, _check_choice,
-                         _check_integer, _real_array)
+                         _check_integer, _check_type, _real_array)
 from .rotation import FourthMoment, _check_prior, complement_basis
 
 __all__ = [
@@ -128,6 +128,7 @@ def multi_random_init(stat: FourthMoment, prior: np.ndarray, draws: int,
     columns (computed once), mapped back and normalized to the sphere.
     """
     _check_integer("draws", draws, 1)
+    _check_type("rng", rng, np.random.Generator)
     basis = complement_basis(prior)
     candidates = []
     for _ in range(draws):
@@ -220,6 +221,7 @@ def mom_init(operator: np.ndarray, prior: np.ndarray, n_slices: int, *,
         If every slice has a gap below 1e-12.
     """
     _check_integer("n_slices", n_slices, 1)
+    _check_type("rng", rng, np.random.Generator)
     operator = _real_array("operator", operator, ndim=2)
     r = math.isqrt(operator.shape[0])
     if r < 1 or operator.shape != (r * r, r * r):
@@ -274,6 +276,7 @@ def make_init_provider(scheme: InitScheme, stat: FourthMoment,
     :func:`slice_operator`, formed here once per fit.  A fixed ``rng``,
     consumed in sequence across rounds, fixes every start.
     """
+    _check_type("rng", rng, np.random.Generator)
     r = stat.r
     if scheme.label != "mom":
         draws = scheme.draws_for(r)

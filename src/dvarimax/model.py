@@ -53,14 +53,6 @@ class ObservationMatrix:
             raise ValueError("need p >= 1 features and n >= 2 samples")
         object.__setattr__(self, "data", data)
 
-    @property
-    def p(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -69,18 +61,10 @@ class GroundTruth:
     The noise is not stored: it is ``X - loading @ factors`` (up to the
     rounding of that sum), and ``generate_dataset`` draws it, of every
     noise kind, straight into the buffer that becomes X.
-
-    Attributes
-    ----------
-    kappa : float
-        ``(3/theta - 3) / 3``, one third of the excess kurtosis of each
-        factor coordinate: the kappa of the population objective
-        ``-(kappa * |A^T q|_4^4 + ...) / 4``.
     """
 
     loading: np.ndarray        # p x r
     factors: np.ndarray        # r x n
-    kappa: float
 
     def __post_init__(self):
         if self.factors.shape[0] != self.loading.shape[1]:
@@ -137,17 +121,12 @@ class SyntheticConfig:
 # Generators
 # ---------------------------------------------------------------------------
 
-def generate_loading(p: int, r: int, rng: np.random.Generator):
+def generate_loading(p: int, r: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a p x r loading matrix with unit operator norm.
 
     The matrix is ``Lbar @ diag(d)`` rescaled by its largest singular
     value, where ``Lbar`` has i.i.d. standard normal entries and the
     column scales ``d`` are i.i.d. Uniform[0.5, 1.5].
-
-    Returns
-    -------
-    (loading, d) : (np.ndarray, np.ndarray)
-        The normalized p x r loading and the raw column scales.
     """
     _check_integer("p", p, 1)
     _check_integer("r", r, 1)
@@ -159,7 +138,7 @@ def generate_loading(p: int, r: int, rng: np.random.Generator):
     opnorm = np.linalg.norm(scaled, 2)
     if opnorm <= 0:
         raise ValueError("degenerate loading draw with zero operator norm")
-    return scaled / opnorm, d
+    return scaled / opnorm
 
 
 def generate_factors(r: int, n: int, theta: float, rng: np.random.Generator) -> np.ndarray:
@@ -243,7 +222,7 @@ def generate_dataset(config: SyntheticConfig):
     X - loading @ factors.
     """
     p, n, r = config.p, config.n, config.r
-    loading, _ = generate_loading(p, r, substream(config.seed, "loading"))
+    loading = generate_loading(p, r, substream(config.seed, "loading"))
     factors = generate_factors(r, n, config.theta, substream(config.seed, "factors"))
     # One matmul over the whole shape: a BLAS can round an entry of the same
     # product differently when it is taken in row blocks, or accumulated
@@ -253,9 +232,4 @@ def generate_dataset(config: SyntheticConfig):
     if config.varepsilon2 > 0:
         _add_noise(config, x)
 
-    truth = GroundTruth(
-        loading=loading,
-        factors=factors,
-        kappa=(3.0 / config.theta - 3.0) / 3.0,
-    )
-    return ObservationMatrix(x), truth
+    return ObservationMatrix(x), GroundTruth(loading=loading, factors=factors)

@@ -151,7 +151,7 @@ def reference_generate_dataset(config):
     one Gaussian draw by the Cholesky factor of Sigma_E, and
     ``loading @ factors + noise``."""
     p, n, r = config.p, config.n, config.r
-    loading, _ = generate_loading(p, r, substream(config.seed, "loading"))
+    loading = generate_loading(p, r, substream(config.seed, "loading"))
     factors = generate_factors(r, n, config.theta, substream(config.seed, "factors"))
     if config.noise_kind == "identity":
         sigma_e = np.eye(p)
@@ -287,8 +287,11 @@ def unpruned_mom_init(operator, prior, n_slices, *, rng):
     return -best if best[np.argmax(np.abs(best))] < 0 else best
 
 
-class ZeroDraws:
-    """Generator stand-in whose normal draws are all zero."""
+class ZeroDraws(np.random.Generator):
+    """A Generator whose normal draws are all zero."""
+
+    def __init__(self):
+        super().__init__(np.random.PCG64(0))
 
     @staticmethod
     def standard_normal(size):

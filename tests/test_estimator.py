@@ -296,7 +296,7 @@ def test_predict_factors_frobenius_identity():
     est = estimate_loading(observed.data, 3, "base", MOM, FAST, substream(11, "est"))
     z_hat = predict_factors(est.decomposition, est.q_check)
     d1 = est.decomposition.eigvals[0]
-    expected = np.sqrt(d1 * observed.n * 3)
+    expected = np.sqrt(d1 * observed.data.shape[1] * 3)
     assert np.linalg.norm(z_hat) == pytest.approx(expected, rel=1e-8)
 
 

@@ -439,11 +439,12 @@ def test_mom_init_returns_the_batched_svd_selection_bitwise(r, k, slices, seed, 
             init(zeros, prior, slices, rng=substream(seed, "slices"))
 
 
-class _FixedDraws:
-    """Stands in for the rng of ``mom_init``: its one standard-normal draw
-    returns the given stack of slicing matrices."""
+class _FixedDraws(np.random.Generator):
+    """The rng of ``mom_init``: its one standard-normal draw returns the
+    given stack of slicing matrices."""
 
     def __init__(self, g):
+        super().__init__(np.random.PCG64(0))
         self.g = g
 
     def standard_normal(self, shape):

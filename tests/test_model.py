@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from helpers import ZeroDraws, reference_generate_dataset
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvarimax import (NOISE_KINDS, GroundTruth, ObservationMatrix,
                       SyntheticConfig, derive_seed, generate_dataset,
@@ -27,7 +29,7 @@ def test_observation_matrix_validates():
     with pytest.raises(ValueError, match="must be real, got dtype complex128"):
         ObservationMatrix(np.ones((2, 3)) + 1j)
     obs = ObservationMatrix(np.ones((2, 3)))
-    assert (obs.p, obs.n) == (2, 3)
+    assert obs.data.shape == (2, 3)
 
 
 def test_noise_covariance_validates():
@@ -78,23 +80,23 @@ def test_synthetic_config_validates():
 # ---------------------------------------------------------------------------
 
 def test_loading_scalar_is_sign():
-    loading, _ = generate_loading(1, 1, substream(3, "loading"))
+    loading = generate_loading(1, 1, substream(3, "loading"))
     assert loading.shape == (1, 1)
     assert abs(abs(loading[0, 0]) - 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("p,r,seed", [(300, 5, 7), (10, 3, 0), (50, 50, 2)])
 def test_loading_unit_operator_norm_and_full_rank(p, r, seed):
-    loading, _ = generate_loading(p, r, substream(seed, "loading"))
+    loading = generate_loading(p, r, substream(seed, "loading"))
     singulars = np.linalg.svd(loading, compute_uv=False)
     assert abs(singulars[0] - 1.0) <= 1e-12
     assert singulars[-1] > 0
 
 
 def test_loading_deterministic():
-    a, da = generate_loading(20, 4, substream(11, "loading"))
-    b, db = generate_loading(20, 4, substream(11, "loading"))
-    assert np.array_equal(a, b) and np.array_equal(da, db)
+    a = generate_loading(20, 4, substream(11, "loading"))
+    b = generate_loading(20, 4, substream(11, "loading"))
+    assert np.array_equal(a, b)
     with pytest.raises(ValueError, match="unsupported stream tag type: object"):
         substream(1, object())
     # a bool tag keys the stream of the integer it equals
@@ -205,7 +207,6 @@ def test_dataset_paper_grid_point_shapes():
     assert observed.data.shape == (300, 900)
     assert truth.loading.shape == (300, 5)
     assert truth.factors.shape == (5, 900)
-    assert truth.kappa == pytest.approx(9.0)
 
 
 def test_dataset_deterministic():
@@ -217,6 +218,23 @@ def test_dataset_deterministic():
     assert np.array_equal(truth_a.loading, truth_b.loading)
 
 
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 64 - 1), eps2=st.floats(0.0, 3.2),
+       kind=st.sampled_from(NOISE_KINDS), data=st.data())
+def test_loading_and_factor_draws_ignore_the_noise_settings(seed, eps2, kind, data):
+    # the loading and factors come from their own streams of the seed, so
+    # the noise level and kind leave them as the noiseless identity draw has them
+    p = data.draw(st.integers(1, 12), label="p")
+    n = data.draw(st.integers(2, 60), label="n")
+    r = data.draw(st.integers(1, min(p, n)), label="r")
+    _, truth = generate_dataset(SyntheticConfig(n=n, p=p, r=r, varepsilon2=eps2,
+                                                noise_kind=kind, seed=seed))
+    _, plain = generate_dataset(SyntheticConfig(n=n, p=p, r=r, varepsilon2=0.0,
+                                                noise_kind="identity", seed=seed))
+    assert truth.loading.tobytes() == plain.loading.tobytes()
+    assert truth.factors.tobytes() == plain.factors.tobytes()
+
+
 def test_ground_truth_svd_reconstruction_and_scaling():
     for seed in range(4):
         config = SyntheticConfig(n=60, p=20, r=4, seed=seed)
@@ -226,7 +244,7 @@ def test_ground_truth_svd_reconstruction_and_scaling():
 
 def test_ground_truth_shape_mismatch_rejected():
     with pytest.raises(ValueError):
-        GroundTruth(loading=np.zeros((4, 2)), factors=np.zeros((3, 5)), kappa=9.0)
+        GroundTruth(loading=np.zeros((4, 2)), factors=np.zeros((3, 5)))
 
 
 @pytest.mark.parametrize("p,n,r", [

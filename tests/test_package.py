@@ -140,6 +140,19 @@ _BAD_INPUT_CALLS = {
     "multi_random_init zero draw": (
         lambda: multi_random_init(fourth_moment(np.eye(3)), np.zeros((3, 0)), 2,
                                   ZeroDraws()), "zero norm"),
+    # an initializer's rng is checked before the fit goes on to any draw
+    "mom_init rng None": (
+        lambda: mom_init(slice_operator(fourth_moment(np.eye(3))), np.zeros((3, 0)), 8,
+                         rng=None), "rng must be of type Generator, got None"),
+    "multi_random_init rng None": (
+        lambda: multi_random_init(fourth_moment(np.eye(3)), np.zeros((3, 0)), 4, None),
+        "rng must be of type Generator, got None"),
+    "make_init_provider rng None": (
+        lambda: make_init_provider(InitScheme.method_of_moments(), fourth_moment(np.eye(3)),
+                                   None), "rng must be of type Generator, got None"),
+    "make_init_provider legacy RandomState": (
+        lambda: make_init_provider(InitScheme.random(), fourth_moment(np.eye(3)),
+                                   np.random.RandomState(0)), "rng must be of type Generator"),
     "substream tag": (lambda: substream(1, object()),
                       "unsupported stream tag type: object"),
     "estimate_loading improved1": (lambda: estimate_loading(_X, 2, "improved1"),

@@ -7,11 +7,14 @@ fresh interpreter.
 import importlib.machinery
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+import scipy
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -143,3 +146,20 @@ def test_loader_falls_back_to_a_plain_import(monkeypatch):
     got = spectral._lanczos(gram.dot, 60, 3)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_installed_scipy_is_in_the_declared_range():
+    # the package binds private scipy extensions and copies the ARPACK
+    # state dict of one scipy series, so the requirement carries a ceiling
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    (spec,) = [req[len("scipy"):] for req in pyproject["project"]["dependencies"]
+               if req.startswith("scipy")]
+    bounds = dict(re.fullmatch(r"(>=|<)([0-9.]+)", clause.strip()).groups()
+                  for clause in spec.split(","))
+    assert set(bounds) == {">=", "<"}, spec
+
+    def version(text):
+        return tuple(int(part) for part in re.match(r"[0-9.]*[0-9]", text)[0].split("."))
+
+    assert version(bounds[">="]) <= version(scipy.__version__) < version(bounds["<"])
